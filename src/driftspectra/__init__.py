@@ -8,7 +8,12 @@ disk         2-D disk operator, principal pair and its adjoint
 bounds       Barta bracket, weighted Rayleigh quotient, integral min-max bound
 compare      comparison-statement harness, Riccati rigidity, derivative checks
 cli          command-line front end with parameter sweeps
+
+The 1-D layers need only numpy.  The 2-D names (`disk`, `bounds`) are
+re-exported lazily, so scipy.sparse loads on first use of one of them.
 """
+
+import importlib
 
 from .geometry import (DriftProfile, ModelBall, WarpingFunction, custom_warping,
                        drift_divergence, drift_from_callables, drift_from_rate,
@@ -18,15 +23,28 @@ from .geometry import (DriftProfile, ModelBall, WarpingFunction, custom_warping,
 from .radial import (RadialMode, SpectrumTable, assemble_spectrum,
                      frobenius_exponent, principal_eigenpair, solve_radial_modes,
                      sphere_eigenvalue, weighted_inner_product)
-from .disk import (DiskProblem, EigenPair2D, PolarGrid, adjoint_principal,
-                   assemble_operator, build_model_disk, principal_eigenpair_2d,
-                   solve_principal)
-from .bounds import (BartaBracket, HollandReport, barta_bracket, holland_bound,
-                     q_functional, rayleigh_minimize, rayleigh_quotient,
-                     solve_G_V, solve_w_u)
 from .compare import (AnalyticDisk, ComparisonCase, ComparisonVerdict,
                       builtin_corpus, derivative_lambda_eps, eigenvalue_sandwich,
                       radial_ibp_check, riccati_uniqueness, run_corpus,
                       verify_divergence_comparison, verify_sectional_comparison, verify_ricci_comparison)
+
+_LAZY = {
+    "disk": ("DiskProblem", "EigenPair2D", "PolarGrid", "adjoint_principal",
+             "assemble_operator", "build_model_disk", "principal_eigenpair_2d",
+             "solve_principal"),
+    "bounds": ("BartaBracket", "HollandReport", "barta_bracket", "holland_bound",
+               "q_functional", "rayleigh_minimize", "rayleigh_quotient",
+               "solve_G_V", "solve_w_u"),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY_NAMES[name]}", __name__), name)
+
 
 __version__ = "0.1.0"

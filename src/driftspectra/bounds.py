@@ -152,14 +152,6 @@ def rayleigh_quotient(target, f, u) -> float:
     return float(uv @ (K @ uv)) / denom
 
 
-def rayleigh_gradient(target, f, u=None) -> float:
-    """Weighted Rayleigh value for a gradient drift: quotient of the given
-    trial, or the discrete minimum when no trial is supplied."""
-    if u is not None:
-        return rayleigh_quotient(target, f, u)
-    return rayleigh_minimize(target, f)[0]
-
-
 def rayleigh_minimize(target, f, n_t: int = 512, tol: float = 1e-12,
                       maxiter: int = 400):
     """Discrete minimum of the weighted quotient by inverse power iteration.

@@ -46,19 +46,16 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import importlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import disk as disk_mod
 from . import radial as radial_mod
-from .bounds import barta_bracket, holland_bound, solve_G_V
 from .compare import riccati_uniqueness, run_corpus, verdicts_to_csv, verdicts_to_json
-from .disk import build_model_disk, eigenpair_csv, operator_action, solve_principal
 from .errors import SolverError
 from .expressions import ExpressionError, parse_expression
 from .geometry import (ModelBall, custom_warping, drift_from_rate, make_space_form,
@@ -69,6 +66,19 @@ EXIT_SOLVER = 1
 EXIT_PREMISE = 2
 EXIT_USAGE = 64
 EXIT_CANTCREAT = 73
+
+# 2-D solver names this module re-exports.  The disk2d/bounds handlers import
+# them where they run, so the 1-D commands never load scipy.sparse.
+_LAZY_2D = {"build_model_disk": "disk", "eigenpair_csv": "disk",
+            "operator_action": "disk", "solve_principal": "disk",
+            "barta_bracket": "bounds", "holland_bound": "bounds",
+            "solve_G_V": "bounds"}
+
+
+def __getattr__(name):
+    if name not in _LAZY_2D:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY_2D[name]}", __package__), name)
 
 
 class UsageError(Exception):
@@ -91,7 +101,7 @@ class RunConfig:
     perturbation: str | None = None
     vtheta: str | None = None
     n_t: int | None = None
-    n_theta: int = disk_mod.DEFAULT_NTHETA
+    n_theta: int | None = None
     tol: float | None = None
     cutoff: float = 31.0
     output: str | None = None
@@ -100,9 +110,6 @@ class RunConfig:
 
     def n_t_1d(self) -> int:
         return self.n_t if self.n_t is not None else radial_mod.DEFAULT_GRID
-
-    def n_t_2d(self) -> int:
-        return self.n_t if self.n_t is not None else disk_mod.DEFAULT_NT
 
     def tol_1d(self) -> float:
         return self.tol if self.tol is not None else 1e-8
@@ -218,6 +225,8 @@ def _cmd_principal(cfg: RunConfig) -> int:
 def _disk_problem(cfg: RunConfig):
     if cfg.dim != 2:
         raise UsageError("disk commands require --dim 2")
+    from .disk import build_model_disk
+
     ball = _build_ball(cfg)
     pert = None
     if cfg.perturbation:
@@ -228,10 +237,12 @@ def _disk_problem(cfg: RunConfig):
         v_expr = parse_expression(cfg.vtheta)
         ang = lambda t, th: np.asarray(v_expr(t, th), dtype=float)
     return build_model_disk(ball, perturbation=pert, drift_angular=ang,
-                            n_t=cfg.n_t_2d(), n_theta=cfg.n_theta)
+                            n_t=cfg.n_t, n_theta=cfg.n_theta)
 
 
 def _cmd_disk2d(cfg: RunConfig) -> int:
+    from .disk import eigenpair_csv, solve_principal
+
     problem = _disk_problem(cfg)
     pair, _ = solve_principal(problem, tol=cfg.tol_2d())
     if cfg.output:
@@ -246,6 +257,9 @@ def _cmd_disk2d(cfg: RunConfig) -> int:
 
 
 def _cmd_bounds(cfg: RunConfig) -> int:
+    from .bounds import barta_bracket, holland_bound, solve_G_V
+    from .disk import operator_action, solve_principal
+
     problem = _disk_problem(cfg)
     pair, A = solve_principal(problem, tol=cfg.tol_2d())
     bracket = barta_bracket(operator_action(A, problem.J.shape), pair.omega)
@@ -344,6 +358,8 @@ def _cmd_sweep(spec: SweepSpec) -> int:
 
     workers = int(os.environ.get("DRIFT_SPECTRA_WORKERS", spec.workers))
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_point, points))
     else:
@@ -461,6 +477,12 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         setattr(defaults, key, val)
     if defaults.dim < 2:
         raise UsageError("dimension must be >= 2")
+    if defaults.n_t is not None and defaults.n_t < 4:
+        raise UsageError(f"radial grid needs n_t >= 4, got {defaults.n_t}")
+    if defaults.n_theta is not None and (defaults.n_theta < 8 or defaults.n_theta % 2):
+        raise UsageError(f"angular grid needs an even n_theta >= 8, got {defaults.n_theta}")
+    if defaults.tol is not None and not defaults.tol > 0.0:
+        raise UsageError(f"tolerance must be positive, got {defaults.tol:g}")
     return defaults
 
 

@@ -17,12 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import disk as disk_mod
 from . import radial as radial_mod
-from .bounds import solve_w_u
-from .disk import (DiskProblem, PolarGrid, angular_std, assemble_operator,
-                   divergence_field, drift_matrix, solve_principal, volumes,
-                   weighted_stiffness)
 from .errors import LogarithmicBranchError, SolverError
 from .geometry import (ModelBall, extra_condition_lhs, extra_drift_profile,
                        radial_sectional_curvature)
@@ -55,6 +50,8 @@ class AnalyticDisk:
         return (self.m - 1) * np.asarray(self.J_t(t, th)) / np.asarray(self.J(t, th))
 
     def build(self, n_t: int, n_theta: int) -> DiskProblem:
+        from .disk import DiskProblem, PolarGrid
+
         grid = PolarGrid(n_t=n_t, n_theta=n_theta, r0=self.r0)
         T, TH = grid.mesh()
         J = np.asarray(self.J(T, TH), dtype=float) * np.ones_like(T)
@@ -72,7 +69,7 @@ class ComparisonCase:
     mode: str  # sectional | ricci | divergence | sandwich_prop61
     label: str = ""
     n_t_1d: int = radial_mod.DEFAULT_GRID
-    grid_2d: tuple = (disk_mod.DEFAULT_NT, disk_mod.DEFAULT_NTHETA)
+    grid_2d: tuple | None = None  # (n_t, n_theta); None: the disk defaults
 
 
 @dataclass(eq=False)
@@ -144,7 +141,9 @@ def _subject_lambda(case: ComparisonCase, tol_1d=1e-10, tol_2d=1e-7):
     if isinstance(case.subject, ModelBall):
         mode = radial_mod.principal_eigenpair(case.subject, tol=1e-8, n_t=case.n_t_1d)
         return mode.lam, 1e-9, mode
-    problem = case.subject.build(*case.grid_2d)
+    from .disk import DEFAULT_NT, DEFAULT_NTHETA, solve_principal
+
+    problem = case.subject.build(*(case.grid_2d or (DEFAULT_NT, DEFAULT_NTHETA)))
     pair, _ = solve_principal(problem, tol=tol_2d)
     dt, dth = problem.grid.dt, problem.grid.dtheta
     return pair.lam, 10.0 * pair.lam * (dt * dt + dth * dth * 0.05), pair
@@ -303,6 +302,8 @@ def verify_divergence_comparison(problem: DiskProblem, tol: float = 1e-6,
     When div(V) vanishes identically and the drift is purely angular, the
     equality mechanism (radial ground mode unchanged) is checked too.
     """
+    from .disk import angular_std, divergence_field, solve_principal
+
     div = divergence_field(problem)
     div_max = float(np.max(div))
     margins = {"divergence": -div_max}
@@ -355,6 +356,9 @@ def eigenvalue_sandwich(problem: DiskProblem, tol: float = 1e-7) -> SandwichResu
     makes the right-hand slack exactly nonnegative at matrix level; the
     left-hand slack is nonnegative up to O(h^2).
     """
+    from .bounds import solve_w_u
+    from .disk import drift_matrix, solve_principal, volumes, weighted_stiffness
+
     vol = volumes(problem)
     pair0, _ = solve_principal(problem.with_drift(), tol=tol)
     pairV, _ = solve_principal(problem, tol=tol)
@@ -419,6 +423,8 @@ def derivative_lambda_eps(base, f, eps: float, tol: float = 1e-3,
             lams.append(radial_mod.principal_eigenpair(ball, tol=1e-8).lam)
         est = (lams[0] - lams[1]) / (2.0 * eps)
     else:
+        from .disk import DiskProblem, assemble_operator, solve_principal, volumes
+
         problem: DiskProblem = base
         f0, ft, fth = f
         T, TH = problem.grid.mesh()
@@ -555,6 +561,8 @@ def radial_ibp_check(problem: DiskProblem, u, phi, origin_tol: float = 1e-6) -> 
     extrapolating the first two rings).  Probes the quadrature plus the
     distance-Laplacian stencils.
     """
+    from .disk import volumes
+
     N, L = problem.grid.n_t, problem.grid.n_theta
     dt = problem.grid.dt
     u = np.asarray(u, dtype=float).reshape(problem.J.shape)

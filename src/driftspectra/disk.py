@@ -427,16 +427,18 @@ def solve_principal(problem: DiskProblem, tol: float = DEFAULT_TOL,
 
 
 def build_model_disk(ball: ModelBall, perturbation=None, drift_angular=None,
-                     vt_override=None, n_t: int = DEFAULT_NT,
-                     n_theta: int = DEFAULT_NTHETA) -> DiskProblem:
+                     vt_override=None, n_t: int | None = None,
+                     n_theta: int | None = None) -> DiskProblem:
     """Disk problem J = rho (1 + perturbation), Vt = h (or override).
 
     Only m=2 balls discretize to a polar disk; the perturbation must keep
-    J positive and J ~ t near the origin.
+    J positive and J ~ t near the origin.  Unset grid sizes take the
+    DEFAULT_NT x DEFAULT_NTHETA defaults.
     """
     if ball.m != 2:
         raise ValueError("disk problems require a 2-dimensional ball")
-    grid = PolarGrid(n_t=n_t, n_theta=n_theta, r0=ball.r0)
+    grid = PolarGrid(n_t=DEFAULT_NT if n_t is None else n_t,
+                     n_theta=DEFAULT_NTHETA if n_theta is None else n_theta, r0=ball.r0)
     T, TH = grid.mesh()
     rho = np.asarray(ball.rho.eval(T)[0], dtype=float)
     J = rho if perturbation is None else rho * (1.0 + np.asarray(perturbation(T, TH), dtype=float))

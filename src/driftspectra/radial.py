@@ -9,8 +9,8 @@ with nu_k = k(k+m-2) and alpha the nonnegative indicial root.  Shooting
 integrates the regularized unknown b = a / t^alpha, whose equation is free
 of the nu/t^2 potential, so a single RK4 sweep with a stability-limited
 geometric startup handles every k.  Eigenvalues are isolated by scanning
-the boundary value b(r0; lam) for sign changes and refined by Brent plus
-one Newton polish from the variational identity.
+the boundary value b(r0; lam) for sign changes and refined by an in-house
+Brent iteration plus one Newton polish from the variational identity.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, EigenvalueWindowError, SolverError
 from .geometry import ModelBall, weight_p
@@ -324,6 +323,83 @@ def _scan_brackets(path: _RadialPath, lam_stop, count_stop, max_lambda=None,
                 return brackets
             if lam_stop is not None and lam_prev > lam_stop and count_stop is None:
                 return brackets
+
+
+@dataclass(frozen=True)
+class BrentInfo:
+    """Diagnostics of one `brentq` call."""
+
+    root: float
+    iterations: int
+    function_calls: int
+    converged: bool = True
+
+
+def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = 8.881784197001252e-16,
+           maxiter: int = 100, full_output: bool = False):
+    """Root of f in the sign-changing bracket [a, b] by Brent's method.
+
+    A step-for-step port of the classic routine behind
+    `scipy.optimize.brentq` (inverse quadratic extrapolation guarded by
+    bisection; Brent 1973, ch. 4), so it takes the same iterates and the
+    same number of function calls.  Raises ValueError for a bracket without
+    a sign change and ConvergenceError after `maxiter` steps.  With
+    `full_output` the result is `(root, BrentInfo)`.
+    """
+    if xtol <= 0.0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    calls, steps = 2, 0
+
+    def done(x):
+        return (x, BrentInfo(x, steps, calls)) if full_output else x
+
+    if fpre == 0.0:
+        return done(xpre)
+    if fcur == 0.0:
+        return done(xcur)
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError(f"f(a) and f(b) must have different signs on [{a:.9g}, {b:.9g}]")
+    xblk = fblk = spre = scur = 0.0
+    for steps in range(1, maxiter + 1):
+        if fpre != 0.0 and fcur != 0.0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return done(xcur)
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+        calls += 1
+    raise ConvergenceError(
+        f"Brent iteration did not converge in {maxiter} steps on the lambda-bracket "
+        f"[{a:.12g}, {b:.12g}]; last iterate {xcur:.12g}"
+    )
 
 
 def _refine_bracket(path: _RadialPath, lo, hi):

@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import driftspectra
 from driftspectra.cli import (EXIT_CANTCREAT, EXIT_OK, EXIT_PREMISE, EXIT_USAGE,
                               main)
 
@@ -226,3 +229,79 @@ class TestConfigAndErrors:
         assert run(args + ["--output", str(p1)]) == EXIT_OK
         assert run(args + ["--output", str(p2)]) == EXIT_OK
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("flag", [["--nt", "0"], ["--nt", "3"], ["--ntheta", "9"],
+                                      ["--tol", "0"]])
+    def test_bad_grid_or_tol_is_usage_error(self, flag, capsys):
+        command = "disk2d" if flag[0] == "--ntheta" else "principal"
+        assert run([command, "--space-form", "0", "--dim", "2", "--radius", "1",
+                    *flag]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage error" in captured.err
+
+    def test_bad_config_grid_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[numerics]\nn_theta = 10\nn_t = 2\n")
+        assert run(["bounds", "--config", str(cfg)]) == EXIT_USAGE
+
+
+_SRC = os.path.dirname(os.path.dirname(driftspectra.__file__))
+
+# runs in a fresh interpreter; prints the exit code and the loaded scipy modules
+_PROBE = """
+import json, sys
+{body}
+print(json.dumps([rc, sorted(k for k in sys.modules if k.split(".")[0] == "scipy")]))
+"""
+
+
+def _fresh(body: str, cwd) -> tuple:
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    res = subprocess.run([sys.executable, "-c", _PROBE.format(body=body)], env=env,
+                         cwd=cwd, capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.strip().splitlines()[-1])
+
+
+class TestImportBudget:
+    """The 1-D commands run on numpy alone; only the 2-D layer loads scipy."""
+
+    @pytest.mark.parametrize("argv", [
+        ["principal", "--space-form", "0", "--dim", "2", "--radius", "1", "--drift", "0.5*t"],
+        ["spectrum", "--space-form", "0", "--dim", "2", "--radius", "1", "--cutoff", "31"],
+        ["riccati", "--space-form", "0", "--dim", "3", "--radius", "1", "--drift", "t"],
+        ["compare"],
+        ["compare", "--dim", "2", "--radius", "1", "--subject-kappa", "0",
+         "--model-kappa", "1", "--subject-drift", "0.5*t", "--model-drift", "t"],
+        ["sweep", "--dim", "2", "--radius", "1", "--drift", "t",
+         "--axis", "drift_scale=0,1", "--workers", "2"],
+    ], ids=lambda argv: "-".join(argv[:1] + argv[-2:]))
+    def test_1d_commands_import_no_scipy(self, argv, tmp_path):
+        body = f"from driftspectra import cli\nrc = cli.main({argv!r})"
+        rc, scipy_modules = _fresh(body, tmp_path)
+        assert rc == EXIT_OK
+        assert scipy_modules == []
+
+    def test_package_import_is_scipy_free(self, tmp_path):
+        assert _fresh("import driftspectra\nrc = 0", tmp_path) == [0, []]
+
+    def test_lazy_2d_names_resolve(self, tmp_path):
+        body = ("from driftspectra import DiskProblem, holland_bound\n"
+                "from driftspectra import cli\n"
+                "rc = int(cli.solve_principal.__module__ != 'driftspectra.disk')")
+        rc, scipy_modules = _fresh(body, tmp_path)
+        assert rc == 0 and "scipy.sparse" in scipy_modules
+
+    @pytest.mark.parametrize("argv", [
+        ["disk2d", "--space-form", "0", "--dim", "2", "--radius", "1",
+         "--nt", "32", "--ntheta", "16"],
+        ["bounds", "--space-form", "0", "--dim", "2", "--radius", "1", "--drift", "t",
+         "--nt", "32", "--ntheta", "16"],
+    ], ids=lambda argv: argv[0])
+    def test_2d_commands_load_only_sparse(self, argv, tmp_path):
+        body = f"from driftspectra import cli\nrc = cli.main({argv!r})"
+        rc, scipy_modules = _fresh(body, tmp_path)
+        assert rc == EXIT_OK
+        assert "scipy.sparse.linalg" in scipy_modules
+        assert not [m for m in scipy_modules
+                    if m.startswith(("scipy.optimize", "scipy.interpolate"))]

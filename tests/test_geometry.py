@@ -160,6 +160,21 @@ class TestDriftProfiles:
         ts = np.linspace(0.0, 1.1, 23)
         assert np.max(np.abs(num.H(ts) - poly.H(ts))) < 1e-10
 
+    @pytest.mark.parametrize("coeffs", [[1.0], [0.5, 0.1], [0.3, -1.2, 0.7, 2.0]])
+    def test_hermite_antiderivative_matches_polynomial(self, coeffs):
+        poly = polynomial_drift(coeffs)
+        num = drift_from_rate(poly.h, poly.h_prime, t_max=1.05)
+        ts = np.linspace(0.0, 1.05, 10007)
+        assert np.max(np.abs(num.H(ts) - poly.H(ts))) <= 1e-13
+        assert num.H(0.0) == 0.0
+
+    def test_hermite_antiderivative_of_sine(self):
+        num = drift_from_rate(lambda t: np.sin(3.0 * np.asarray(t, dtype=float)),
+                              lambda t: 3.0 * np.cos(3.0 * np.asarray(t, dtype=float)),
+                              t_max=1.05)
+        ts = np.linspace(0.0, 1.05, 10007)
+        assert np.max(np.abs(num.H(ts) - (1.0 - np.cos(3.0 * ts)) / 3.0)) <= 1e-13
+
     def test_ball_rejects_bad_radius(self):
         with pytest.raises(ValueError):
             ModelBall(m=2, r0=4.0, rho=make_space_form(1.0), drift=zero_drift())

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from driftspectra.errors import EigenvalueWindowError
+from driftspectra.errors import ConvergenceError, EigenvalueWindowError
 from driftspectra.geometry import euclidean_ball, polynomial_drift, space_form_ball
-from driftspectra.radial import (assemble_spectrum,
+from driftspectra.radial import (_RadialPath, _refine_bracket, _scan_brackets,
+                                 assemble_spectrum, brentq,
                                  derivative_identity_residual, frobenius_exponent,
                                  maisuma_residual, principal_eigenpair,
                                  solve_radial_modes, sphere_eigenvalue,
@@ -180,3 +181,71 @@ class TestIdentities:
             path = _RadialPath(ball, 0, n_t=n, substeps=1)
             vals.append(abs(path.shoot(math.pi ** 2) - 0.0))
         assert vals[2] < vals[1] < vals[0]
+
+
+class TestBrent:
+    """The in-house Brent port against scipy.optimize.brentq."""
+
+    @staticmethod
+    def _radial_brackets(seed, balls=40, levels=(0, 1, 2), roots=3, n_t=64):
+        rng = np.random.default_rng(seed)
+        for _ in range(balls):
+            m = int(rng.integers(2, 5))
+            kappa = float(rng.uniform(-1.0, 1.0))
+            r0 = float(rng.uniform(0.5, 1.5))
+            drift = polynomial_drift([float(rng.uniform(0.0, 1.5)),
+                                      float(rng.uniform(-0.5, 0.5))])
+            ball = space_form_ball(kappa, m, r0, drift)
+            for k in levels:
+                path = _RadialPath(ball, k, n_t=n_t)
+                for lo, hi in _scan_brackets(path, None, roots):
+                    yield path.shoot, lo, hi
+
+    def test_bit_identical_to_scipy_on_radial_brackets(self):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        count = 0
+        for f, lo, hi in self._radial_brackets(seed=11):
+            opts = dict(xtol=1e-13 * max(1.0, hi), rtol=1e-15, maxiter=200)
+            ref, ref_info = scipy_optimize.brentq(f, lo, hi, full_output=True, **opts)
+            root, info = brentq(f, lo, hi, full_output=True, **opts)
+            assert root == ref
+            assert info.function_calls == ref_info.function_calls
+            assert info.iterations == ref_info.iterations
+            assert info.converged
+            count += 1
+        assert count == 40 * 3 * 3
+
+    def test_bit_identical_on_default_tolerances(self):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        cases = [(lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+                 (math.cos, 0.0, 3.0),
+                 (lambda x: math.exp(x) - 10.0, -5.0, 8.0),
+                 (lambda x: math.atan(1e3 * (x - 0.3)), -1.0, 1.0)]
+        for f, a, b in cases:
+            ref, ref_info = scipy_optimize.brentq(f, a, b, full_output=True)
+            root, info = brentq(f, a, b, full_output=True)
+            assert root == ref
+            assert info.function_calls == ref_info.function_calls
+
+    def test_root_at_endpoint(self):
+        f = lambda x: x * (x - 2.0)
+        for a, b in ((0.0, 1.0), (1.0, 2.0)):
+            root, info = brentq(f, a, b, full_output=True)
+            assert f(root) == 0.0 and root in (a, b)
+            assert info.function_calls == 2 and info.converged
+
+    def test_same_sign_bracket_rejected(self):
+        with pytest.raises(ValueError, match="different signs"):
+            brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_nonconvergence_names_the_bracket(self):
+        with pytest.raises(ConvergenceError, match=r"lambda-bracket \[2, 3\]"):
+            brentq(lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0, maxiter=2)
+
+    def test_refine_bracket_uses_the_port(self):
+        path = _RadialPath(euclidean_ball(2, 1.0), 0)
+        (lo, hi), = _scan_brackets(path, None, 1)
+        root = _refine_bracket(path, lo, hi)
+        assert root == brentq(path.shoot, lo, hi, xtol=1e-13 * max(1.0, hi),
+                              rtol=1e-15, maxiter=200)
+        assert root == pytest.approx(bessel_zero(0, 1) ** 2, abs=1e-6)
