@@ -16,7 +16,7 @@ re-exported lazily, so scipy.sparse loads on first use of one of them.
 import importlib
 
 from .geometry import (DriftProfile, ModelBall, WarpingFunction, custom_warping,
-                       drift_divergence, drift_from_callables, drift_from_rate,
+                       drift_divergence, drift_from_rate,
                        euclidean_ball, extra_condition_lhs, make_space_form,
                        polynomial_drift, radial_sectional_curvature,
                        space_form_ball, volume_ratio_theta, weight_p, zero_drift)

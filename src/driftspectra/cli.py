@@ -39,7 +39,9 @@ Command-line flags override config values.  All floating point output is
 fixed at 12 significant digits; solvers are deterministic, so re-running a
 config byte-reproduces its artifacts.  Exit codes: 0 success, 1 solver
 failure, 2 premise failure in `compare`, 64 usage error, 73 unwritable
-output path.  DRIFT_SPECTRA_WORKERS overrides the sweep worker count.
+output path.  `sweep` runs its points serially: `--workers N` and the
+DRIFT_SPECTRA_WORKERS variable are still accepted (an integer >= 1, else
+exit 64) but change neither its output nor its speed.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ import argparse
 import configparser
 import importlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -122,7 +125,6 @@ class RunConfig:
 class SweepSpec:
     axes: list
     base: RunConfig
-    workers: int = 1
 
 
 def _build_ball(cfg: RunConfig) -> ModelBall:
@@ -356,14 +358,7 @@ def _cmd_sweep(spec: SweepSpec) -> int:
         except (SolverError, UsageError, ValueError, ExpressionError) as exc:
             return "", f"error: {exc}"
 
-    workers = int(os.environ.get("DRIFT_SPECTRA_WORKERS", spec.workers))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_point, points))
-    else:
-        results = [run_point(p) for p in points]
+    results = [run_point(p) for p in points]
 
     lines = [",".join(names + ["lambda", "status"])]
     for values, (lam, status) in zip(points, results):
@@ -483,7 +478,19 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"angular grid needs an even n_theta >= 8, got {defaults.n_theta}")
     if defaults.tol is not None and not defaults.tol > 0.0:
         raise UsageError(f"tolerance must be positive, got {defaults.tol:g}")
+    if not (math.isfinite(defaults.cutoff) and defaults.cutoff > 0.0):
+        raise UsageError(f"cutoff must be positive and finite, got {defaults.cutoff:g}")
     return defaults
+
+
+def _check_workers(value, source: str):
+    """Worker counts are accepted for compatibility; sweep runs serially."""
+    try:
+        workers = int(value)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise UsageError(f"{source} must be an integer >= 1, got {value!r}")
 
 
 def _parse_axes(specs) -> list:
@@ -511,9 +518,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "sweep":
             base = _merge_config(args)
-            spec = SweepSpec(axes=_parse_axes(args.axis), base=base,
-                             workers=args.workers)
-            return _cmd_sweep(spec)
+            _check_workers(args.workers, "--workers")
+            if "DRIFT_SPECTRA_WORKERS" in os.environ:
+                _check_workers(os.environ["DRIFT_SPECTRA_WORKERS"], "DRIFT_SPECTRA_WORKERS")
+            return _cmd_sweep(SweepSpec(axes=_parse_axes(args.axis), base=base))
         cfg = _merge_config(args)
         if args.command == "compare":
             return _cmd_compare(cfg, args)

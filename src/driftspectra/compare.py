@@ -19,8 +19,8 @@ import numpy as np
 
 from . import radial as radial_mod
 from .errors import LogarithmicBranchError, SolverError
-from .geometry import (ModelBall, extra_condition_lhs, extra_drift_profile,
-                       radial_sectional_curvature)
+from .geometry import (DriftProfile, ModelBall, extra_condition_lhs,
+                       extra_drift_profile, radial_sectional_curvature)
 
 PREMISE_TOL = 1e-9
 SAMPLES_1D = 401
@@ -414,8 +414,7 @@ def derivative_lambda_eps(base, f, eps: float, tol: float = 1e-3,
         f_origin = float(f0(0.0))
         for sgn in (+1.0, -1.0):
             s = sgn * eps
-            from .geometry import drift_from_callables
-            drift = drift_from_callables(
+            drift = DriftProfile(
                 h=lambda t, s=s: s * np.asarray(f1(t), dtype=float),
                 h_prime=lambda t, s=s: s * np.asarray(f2(t), dtype=float),
                 H=lambda t, s=s: s * (np.asarray(f0(t), dtype=float) - f_origin))
@@ -466,9 +465,11 @@ def riccati_uniqueness(ball: ModelBall, tol: float = 1e-6, n_t: int = 1024,
                        u_prime0: float = 0.0) -> RiccatiResult:
     """Recover the drift from its own equality-case Riccati flow.
 
-    The substitution h1 = -2 u'/u turns the Riccati equation into a linear
-    second-order ODE with a regular singular point at t=0 whose indicial
-    roots are 0 and 2-m; the bounded branch has u(0)=1, u'(0)=0.  A nonzero
+    The substitution h1 = -2 u'/u turns the Riccati equation into the
+    linear ODE u'' + Lap(r) u' + g u = 0, g = (div V - |V|^2/2)/2, with a
+    regular singular point at t=0 whose indicial roots are 0 and 2-m.  It
+    is integrated on the radial shooting path (P = Lap(r), Q = g, lam = 0)
+    from the bounded branch u = 1 + c t^2, c = -g(0)/(2m).  A nonzero
     initial slope selects the excluded singular/logarithmic family, as does
     u crossing zero before r0; both raise LogarithmicBranchError.
     """
@@ -478,78 +479,37 @@ def riccati_uniqueness(ball: ModelBall, tol: float = 1e-6, n_t: int = 1024,
             "(indicial root 2-m / logarithmic solution); no bounded drift "
             "corresponds to it"
         )
-    m, r0 = ball.m, ball.r0
-
-    def g_fun(t):
-        return 0.5 * np.asarray(extra_drift_profile(ball, t), dtype=float)
+    m = ball.m
 
     def lap_r(t):
         rho, rho1, _ = ball.rho.eval(t)
-        return (m - 1) * np.asarray(rho1) / np.asarray(rho)
+        return (m - 1) * rho1 / rho
 
-    # quadratic fits of g and of w = t * rho'/rho near 0 feed the series start
-    delta = r0 / 200.0
-    pts = delta * np.arange(0.0, 4.0)
-    g_vals = g_fun(pts)
-    g2, g1, g0 = np.polyfit(pts, g_vals, 2)
-    ptsw = delta * np.arange(0.0, 5.0)
-    w_vals = np.empty_like(ptsw)
-    w_vals[0] = 1.0
-    rho, rho1, _ = ball.rho.eval(ptsw[1:])
-    w_vals[1:] = ptsw[1:] * np.asarray(rho1) / np.asarray(rho)
-    mu2, mu1, mu0 = np.polyfit(ptsw, -(m - 1) * w_vals, 2)
+    def g(t):
+        return 0.5 * np.asarray(extra_drift_profile(ball, t), dtype=float)
 
-    u2 = -g0 / (2.0 - 2.0 * mu0)
-    u3 = (2.0 * mu1 * u2 - g1) / (6.0 - 3.0 * mu0)
-    u4 = (3.0 * mu1 * u3 + 2.0 * mu2 * u2 - g2 - g0 * u2) / (12.0 - 4.0 * mu0)
-
-    nodes = np.linspace(0.0, r0, n_t + 1)
-    dt_out = nodes[1]
-    t = dt_out
-    u = 1.0 + u2 * t * t + u3 * t ** 3 + u4 * t ** 4
-    up = 2.0 * u2 * t + 3.0 * u3 * t * t + 4.0 * u4 * t ** 3
-    u_nodes = np.empty(n_t + 1)
-    up_nodes = np.empty(n_t + 1)
-    u_nodes[0], up_nodes[0] = 1.0, 0.0
-    u_nodes[1], up_nodes[1] = u, up
-
-    c_stab = 1.0 / (m + 1.0)
-    for j in range(1, n_t):
-        target = nodes[j + 1]
-        while t < target - 1e-14 * r0:
-            s = min(c_stab * t, dt_out / 2.0, target - t)
-            if target - (t + s) < 0.2 * s:
-                s = target - t
-
-            def f(tt, y1, y2):
-                q1 = -lap_r(tt)
-                return y2, q1 * y2 - g_fun(tt) * y1
-
-            k1a, k1b = f(t, u, up)
-            k2a, k2b = f(t + 0.5 * s, u + 0.5 * s * k1a, up + 0.5 * s * k1b)
-            k3a, k3b = f(t + 0.5 * s, u + 0.5 * s * k2a, up + 0.5 * s * k2b)
-            k4a, k4b = f(t + s, u + s * k3a, up + s * k3b)
-            u += s * (k1a + 2 * k2a + 2 * k3a + k4a) / 6.0
-            up += s * (k1b + 2 * k2b + 2 * k3b + k4b) / 6.0
-            t += s
-            if u <= 0.0:
-                raise LogarithmicBranchError(
-                    f"u crossed zero at t={t:.6g}: the recovered drift blows up "
-                    "(logarithmic/singular branch)"
-                )
-        t = target
-        u_nodes[j + 1], up_nodes[j + 1] = u, up
-
+    path = radial_mod._RadialPath(ball, 0, n_t=n_t, coefs=(lap_r, g))
+    c = -float(g(0.0)) / (2.0 * m)
+    t0 = path.t_start
+    _, crossings, (u, up) = path.integrate(0.0, 1.0 + c * t0 * t0, 2.0 * c * t0,
+                                           samples=True)
+    nonpositive = np.flatnonzero(u <= 0.0)
+    if crossings or nonpositive.size:
+        where = path.nodes[nonpositive[0]] if nonpositive.size else ball.r0
+        raise LogarithmicBranchError(
+            f"u crossed zero by t={where:.6g}: the recovered drift blows up "
+            "(logarithmic/singular branch)"
+        )
     h_rec = np.empty(n_t + 1)
     h_rec[0] = 0.0
-    h_rec[1:] = -2.0 * up_nodes[1:] / u_nodes[1:]
-    h_true = np.asarray(ball.drift.h(nodes), dtype=float)
+    h_rec[1:] = -2.0 * up[1:] / u[1:]
+    h_true = np.asarray(ball.drift.h(path.nodes), dtype=float)
     sup_err = float(np.max(np.abs(h_rec - h_true)))
     if sup_err > tol:
         raise SolverError(
             f"drift recovery error {sup_err:.3e} exceeds tol {tol:.1e}"
         )
-    return RiccatiResult(t=nodes, h_recovered=h_rec, sup_error=sup_err)
+    return RiccatiResult(t=path.nodes, h_recovered=h_rec, sup_error=sup_err)
 
 
 def radial_ibp_check(problem: DiskProblem, u, phi, origin_tol: float = 1e-6) -> float:

@@ -6,7 +6,7 @@ class SolverError(RuntimeError):
 
 
 class EigenvalueWindowError(SolverError):
-    """No sign change of the shooting function inside the scanned window."""
+    """The requested eigenvalue lies above the searched window or the resolved range."""
 
 
 class ConvergenceError(SolverError):

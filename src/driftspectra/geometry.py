@@ -140,10 +140,6 @@ def polynomial_drift(coeffs) -> DriftProfile:
     return DriftProfile(h=h, h_prime=h_prime, H=H)
 
 
-def drift_from_callables(h: Callable, h_prime: Callable, H: Callable) -> DriftProfile:
-    return DriftProfile(h=h, h_prime=h_prime, H=H)
-
-
 def drift_from_rate(h: Callable, h_prime: Callable, t_max: float,
                     n_fine: int = 4096) -> DriftProfile:
     """Build a profile when only h and h' are available analytically.

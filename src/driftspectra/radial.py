@@ -8,9 +8,13 @@ For sphere level k the separated equation is
 with nu_k = k(k+m-2) and alpha the nonnegative indicial root.  Shooting
 integrates the regularized unknown b = a / t^alpha, whose equation is free
 of the nu/t^2 potential, so a single RK4 sweep with a stability-limited
-geometric startup handles every k.  Eigenvalues are isolated by scanning
-the boundary value b(r0; lam) for sign changes and refined by an in-house
-Brent iteration plus one Newton polish from the variational identity.
+geometric startup handles every k.  The sweep also counts the sign changes
+of b on (0, r0]; by Sturm oscillation that count is the number of level-k
+eigenvalues below lam.  The i-th eigenvalue is isolated by bisecting on the
+count until count(lo) = i - 1 and count(hi) = i, so b(r0; .) changes sign
+exactly once in [lo, hi]; it is refined there by an in-house Brent
+iteration plus one Newton polish from the variational identity.  The same
+sweep integrates the Riccati flow of `compare.riccati_uniqueness`.
 """
 
 from __future__ import annotations
@@ -92,16 +96,18 @@ class SpectrumTable:
 
 
 class _RadialPath:
-    """Precomputed step sequence and ODE coefficients for one (ball, k, grid).
+    """Step grid on (0, r0] with the coefficients of
 
-    The coefficients do not depend on lambda, so one path serves the whole
-    scan/refine loop.  P multiplies b', Q0 adds to lambda in the b equation
+        b'' + P(t) b' + (Q(t) + lam) b = 0
 
-        b'' + P(t) b' + (Q0(t) + lam) b = 0.
+    tabulated at the RK4 stage points.  For sphere level k, P and Q are
+    those of b = a / t^alpha; `coefs` replaces them by other (P, Q)
+    callables, as the Riccati flow does.  The coefficients do not depend on
+    lambda, so one path serves every shoot of the isolate/refine loop.
     """
 
     def __init__(self, ball: ModelBall, k: int, n_t: int = DEFAULT_GRID,
-                 substeps: int = 2, eps_frac: float = 1e-6):
+                 substeps: int = 2, eps_frac: float = 1e-6, coefs=None):
         self.ball = ball
         self.k = int(k)
         self.n_t = int(n_t)
@@ -114,7 +120,7 @@ class _RadialPath:
         c_stab = min(0.2, 1.0 / (2.0 * self.alpha + m))
 
         ts = [eps_frac * r0]
-        node_steps = np.full(n_t, -1, dtype=int)
+        marks = []
         t = ts[0]
         for j in range(1, n_t + 1):
             target = self.nodes[j]
@@ -124,21 +130,22 @@ class _RadialPath:
                     s = target - t
                 t += s
                 ts.append(t)
+                marks.append(False)
             ts[-1] = target
             t = target
-            node_steps[j - 1] = len(ts) - 2
+            marks[-1] = True
         ts = np.asarray(ts)
-        self.node_steps = node_steps
-        self.steps = np.diff(ts)
+        self.t_start = float(ts[0])
+        steps = np.diff(ts)
         t0 = ts[:-1]
-        tm = t0 + 0.5 * self.steps
-        t1 = ts[1:]
-        self.stage_P = tuple(self._coef_P(x) for x in (t0, tm, t1))
-        self.stage_Q = tuple(self._coef_Q(x) for x in (t0, tm, t1))
-        # python-float copies for the scalar fast path
-        self.s_list = self.steps.tolist()
-        self.P_lists = tuple(arr.tolist() for arr in self.stage_P)
-        self.Q_lists = tuple(arr.tolist() for arr in self.stage_Q)
+        stages = (t0, t0 + 0.5 * steps, ts[1:])
+        P, Q = coefs if coefs is not None else (self._coef_P, self._coef_Q)
+        # python-float lists: the scalar kernel indexes them step by step
+        self.s_list = steps.tolist()
+        self.P_lists = tuple(np.asarray(P(x), dtype=float).tolist() for x in stages)
+        self.Q_lists = tuple(np.asarray(Q(x), dtype=float).tolist() for x in stages)
+        self.node_marks = marks
+        self.h_max = max(self.s_list)
         self.p_nodes = weight_p(ball, self.nodes)
 
     def _warp_parts(self, t):
@@ -163,106 +170,70 @@ class _RadialPath:
 
     # -- integration ------------------------------------------------------
 
+    def integrate(self, lam: float, y1: float = 1.0, y2: float = 0.0,
+                  samples: bool = False):
+        """One RK4 sweep from the path's first point, where (b, b') = (y1, y2).
+
+        Returns b(r0), the number of sign changes of b along the path and,
+        with `samples`, the arrays (b, b') at the nodes (node 0 holds the
+        start values), else None.
+        """
+        s = self.s_list
+        P0, P1, P2 = self.P_lists
+        Q0, Q1, Q2 = self.Q_lists
+        marks = self.node_marks
+        b, bp = [y1], [y2]
+        neg = y1 < 0.0
+        changes = 0
+        for i in range(len(s)):
+            si = s[i]
+            q0 = Q0[i] + lam
+            q1 = Q1[i] + lam
+            q2 = Q2[i] + lam
+            a1 = y2
+            b1 = -P0[i] * y2 - q0 * y1
+            u1 = y1 + 0.5 * si * a1
+            u2 = y2 + 0.5 * si * b1
+            a2 = u2
+            b2 = -P1[i] * u2 - q1 * u1
+            u1 = y1 + 0.5 * si * a2
+            u2 = y2 + 0.5 * si * b2
+            a3 = u2
+            b3 = -P1[i] * u2 - q1 * u1
+            u1 = y1 + si * a3
+            u2 = y2 + si * b3
+            a4 = u2
+            b4 = -P2[i] * u2 - q2 * u1
+            y1 += si * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
+            y2 += si * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0
+            if (y1 < 0.0) != neg:
+                neg = not neg
+                changes += 1
+            if samples and marks[i]:
+                b.append(y1)
+                bp.append(y2)
+        # inf and nan never turn finite again, so one check at the end suffices
+        if not math.isfinite(y1):
+            raise SolverError("radial integration overflowed; step size too large")
+        return y1, changes, ((np.array(b), np.array(bp)) if samples else None)
+
     def shoot(self, lam: float) -> float:
-        """Boundary value b(r0; lam) for a scalar lambda."""
-        y1, y2 = 1.0, 0.0
-        s = self.s_list
-        P0, P1, P2 = self.P_lists
-        Q0, Q1, Q2 = self.Q_lists
-        for i in range(len(s)):
-            si = s[i]
-            q0 = Q0[i] + lam
-            q1 = Q1[i] + lam
-            q2 = Q2[i] + lam
-            a1 = y2
-            b1 = -P0[i] * y2 - q0 * y1
-            u1 = y1 + 0.5 * si * a1
-            u2 = y2 + 0.5 * si * b1
-            a2 = u2
-            b2 = -P1[i] * u2 - q1 * u1
-            u1 = y1 + 0.5 * si * a2
-            u2 = y2 + 0.5 * si * b2
-            a3 = u2
-            b3 = -P1[i] * u2 - q1 * u1
-            u1 = y1 + si * a3
-            u2 = y2 + si * b3
-            a4 = u2
-            b4 = -P2[i] * u2 - q2 * u1
-            y1 += si * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
-            y2 += si * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0
-            if math.isnan(y1) or math.isinf(y1):
-                raise SolverError("radial integration overflowed; step size too large")
-        return y1
+        """Boundary value b(r0; lam)."""
+        return self.integrate(lam)[0]
 
-    def shoot_batch(self, lams: np.ndarray) -> np.ndarray:
-        lams = np.asarray(lams, dtype=float)
-        y1 = np.ones_like(lams)
-        y2 = np.zeros_like(lams)
-        s = self.steps
-        P0, P1, P2 = self.stage_P
-        Q0, Q1, Q2 = self.stage_Q
-        for i in range(s.shape[0]):
-            si = s[i]
-            q0 = Q0[i] + lams
-            q1 = Q1[i] + lams
-            q2 = Q2[i] + lams
-            a1 = y2
-            b1 = -P0[i] * y2 - q0 * y1
-            u1 = y1 + 0.5 * si * a1
-            u2 = y2 + 0.5 * si * b1
-            a2 = u2
-            b2 = -P1[i] * u2 - q1 * u1
-            u1 = y1 + 0.5 * si * a2
-            u2 = y2 + 0.5 * si * b2
-            a3 = u2
-            b3 = -P1[i] * u2 - q1 * u1
-            u1 = y1 + si * a3
-            u2 = y2 + si * b3
-            a4 = u2
-            b4 = -P2[i] * u2 - q2 * u1
-            y1 = y1 + si * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
-            y2 = y2 + si * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0
-        return y1
+    def count(self, lam: float) -> int:
+        """Sign changes of b(.; lam) on (0, r0].
 
-    def shoot_samples(self, lam: float):
-        """Full sweep returning (b, b') at the output nodes, including t=0."""
-        n = self.n_t
-        b = np.empty(n + 1)
-        bp = np.empty(n + 1)
-        b[0], bp[0] = 1.0, 0.0
-        y1, y2 = 1.0, 0.0
-        s = self.s_list
-        P0, P1, P2 = self.P_lists
-        Q0, Q1, Q2 = self.Q_lists
-        flags = np.full(len(s), -1, dtype=int)
-        flags[self.node_steps] = np.arange(1, n + 1)
-        flag_list = flags.tolist()
-        for i in range(len(s)):
-            si = s[i]
-            q0 = Q0[i] + lam
-            q1 = Q1[i] + lam
-            q2 = Q2[i] + lam
-            a1 = y2
-            b1 = -P0[i] * y2 - q0 * y1
-            u1 = y1 + 0.5 * si * a1
-            u2 = y2 + 0.5 * si * b1
-            a2 = u2
-            b2 = -P1[i] * u2 - q1 * u1
-            u1 = y1 + 0.5 * si * a2
-            u2 = y2 + 0.5 * si * b2
-            a3 = u2
-            b3 = -P1[i] * u2 - q1 * u1
-            u1 = y1 + si * a3
-            u2 = y2 + si * b3
-            a4 = u2
-            b4 = -P2[i] * u2 - q2 * u1
-            y1 += si * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
-            y2 += si * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0
-            j = flag_list[i]
-            if j >= 0:
-                b[j] = y1
-                bp[j] = y2
-        return b, bp
+        By Sturm oscillation this is the number of level-k eigenvalues below
+        lam, provided the step resolves the oscillation: lam * h^2 <= 1 keeps
+        more than six steps per period.
+        """
+        if lam * self.h_max ** 2 > 1.0:
+            raise EigenvalueWindowError(
+                f"lambda={lam:.6g} is too large for the radial step {self.h_max:.3g} "
+                f"(n_t={self.n_t}) to resolve the zeros of level k={self.k}"
+            )
+        return self.integrate(lam)[1]
 
     def to_eigenfunction(self, b: np.ndarray, bp: np.ndarray):
         """Recover a = t^alpha b and a' on the node grid."""
@@ -283,46 +254,55 @@ def _euclid_estimate(k: int, i: int, r0: float) -> float:
     return (math.pi * (i + 0.5 * k) / r0) ** 2
 
 
-def _scan_brackets(path: _RadialPath, lam_stop, count_stop, max_lambda=None,
-                   step_scale: float = 1.0):
-    """Walk lambda upward, collecting sign-change brackets of b(r0; lam).
+def _count_brackets(path: _RadialPath, n: int, hi: float, c_hi: int) -> list:
+    """Brackets [lo, hi] with count(lo) = i - 1 and count(hi) = i, i = 1..n.
 
-    Stops after `count_stop` brackets or when the ladder passes `lam_stop`.
-    Raises EigenvalueWindowError if the window is exhausted first.
-    `step_scale` > 1 refines the ladder (used after a zero-count mismatch).
+    Bisects on the Sturm count inside [0, hi], where count(hi) = c_hi >= n.
+    The drift Laplacian is positive, so count(0) = 0.  Every probe is kept,
+    so each index starts from the tightest bracket seen so far.  Counts that
+    are not monotone leave no such bracket, and then no mode is returned.
+    """
+    probes = {0.0: 0, hi: c_hi}
+    brackets = []
+    for i in range(1, n + 1):
+        lo = max(lam for lam, c in probes.items() if c < i)
+        hi = min(lam for lam, c in probes.items() if c >= i)
+        while probes[lo] != i - 1 or probes[hi] != i:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                raise SolverError(
+                    f"Sturm count cannot isolate eigenvalue i={i} of level k={path.k} "
+                    f"in the lambda-bracket [{lo:.12g}, {hi:.12g}]"
+                )
+            c = probes[mid] = path.count(mid)
+            if c < i:
+                lo = mid
+            else:
+                hi = mid
+        brackets.append((lo, hi))
+    return brackets
+
+
+def _isolate(path: _RadialPath, n: int, max_lambda: float | None = None) -> list:
+    """Count brackets of the first n level-k eigenvalues.
+
+    An upper end with at least n zeros is found by doubling from the
+    Euclidean estimate, up to `max_lambda`.
     """
     k, r0 = path.k, path.ball.r0
     if max_lambda is None:
-        base = max(_euclid_estimate(k, (count_stop or 1) + 2, r0), lam_stop or 0.0)
-        max_lambda = 60.0 * max(1.0, base)
-    brackets = []
-    lam_prev = 0.0
-    f_prev = path.shoot(lam_prev)
-    i_next = 1
-    while True:
-        gap = max(_euclid_estimate(k, i_next + 1, r0) - _euclid_estimate(k, i_next, r0),
-                  _euclid_estimate(0, 1, r0))
-        step = gap / (4.0 * step_scale)
-        ladder = lam_prev + step * np.arange(1, 17)
-        f_vals = path.shoot_batch(ladder)
-        for lam_c, f_c in zip(ladder, f_vals):
-            if lam_c > max_lambda:
-                if count_stop is None:
-                    return brackets
-                raise EigenvalueWindowError(
-                    f"no further sign change of a(r0; lambda) for k={k} in "
-                    f"[0, {max_lambda:.6g}] after {len(brackets)} roots"
-                )
-            if f_prev == 0.0:
-                f_prev = -f_c if f_c != 0.0 else 1.0
-            if f_c != 0.0 and np.sign(f_c) != np.sign(f_prev):
-                brackets.append((float(lam_prev), float(lam_c)))
-                i_next += 1
-            lam_prev, f_prev = float(lam_c), float(f_c)
-            if count_stop is not None and len(brackets) >= count_stop:
-                return brackets
-            if lam_stop is not None and lam_prev > lam_stop and count_stop is None:
-                return brackets
+        max_lambda = 60.0 * max(1.0, _euclid_estimate(k, n + 2, r0))
+    hi = min(_euclid_estimate(k, n + 1, r0), max_lambda)
+    c_hi = path.count(hi)
+    while c_hi < n:
+        if hi >= max_lambda:
+            raise EigenvalueWindowError(
+                f"only {c_hi} eigenvalues of level k={k} lie below {max_lambda:.6g}; "
+                f"{n} requested"
+            )
+        hi = min(2.0 * hi, max_lambda)
+        c_hi = path.count(hi)
+    return _count_brackets(path, n, hi, c_hi)
 
 
 @dataclass(frozen=True)
@@ -375,14 +355,19 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = 8.881784197
         if fcur == 0.0 or abs(sbis) < delta:
             return done(xcur)
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant step
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # inverse quadratic extrapolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            try:
+                if xpre == xblk:
+                    # secant step
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # inverse quadratic extrapolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # an underflowed denominator: C arithmetic gives inf or nan,
+                # which fails the acceptance test below, so bisect
+                stry = math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:
@@ -410,7 +395,7 @@ def _refine_bracket(path: _RadialPath, lo, hi):
 
 def _build_mode(path: _RadialPath, lam: float, i: int, tol: float) -> RadialMode:
     ball = path.ball
-    b, bp = path.shoot_samples(lam)
+    b, bp = path.integrate(lam, samples=True)[2]
     a, ap = path.to_eigenfunction(b, bp)
     # one Newton polish: d a(r0)/d lam = int p a^2 / (p(r0) a'(r0))
     p_r0 = float(path.p_nodes[-1])
@@ -419,7 +404,7 @@ def _build_mode(path: _RadialPath, lam: float, i: int, tol: float) -> RadialMode
         delta = -a[-1] * p_r0 * ap[-1] / denom
         if abs(delta) < 0.05 * max(1.0, abs(lam)):
             lam = lam + delta
-            b, bp = path.shoot_samples(lam)
+            b, bp = path.integrate(lam, samples=True)[2]
             a, ap = path.to_eigenfunction(b, bp)
     norm = math.sqrt(composite_simpson(path.p_nodes * a * a, path.dt))
     if norm <= 0.0:
@@ -440,20 +425,15 @@ def solve_radial_modes(ball: ModelBall, k: int, count: int, tol: float = DEFAULT
                        max_lambda: float | None = None):
     """First `count` eigenpairs of the level-k radial problem.
 
-    Mode indices are certified by counting interior zeros; a mismatch
-    triggers a rescan with a finer lambda ladder.
+    An upper end with at least `count` zeros is found by doubling up to
+    `max_lambda`; each eigenvalue is then isolated by its Sturm count, so
+    the i-th mode is the i-th by construction.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     path = _RadialPath(ball, k, n_t=n_t, substeps=substeps)
-    for attempt in range(3):
-        brackets = _scan_brackets(path, None, count, max_lambda=max_lambda,
-                                  step_scale=4.0 ** attempt)
-        roots = sorted(_refine_bracket(path, *br) for br in brackets)
-        modes = [_build_mode(path, lam, idx + 1, tol) for idx, lam in enumerate(roots)]
-        if all(mode.interior_sign_changes() == mode.i - 1 for mode in modes):
-            return modes
-    raise SolverError(f"zero-count certification failed for k={k}")
+    return [_build_mode(path, _refine_bracket(path, lo, hi), i, tol)
+            for i, (lo, hi) in enumerate(_isolate(path, count, max_lambda), start=1)]
 
 
 def principal_eigenpair(ball: ModelBall, tol: float = DEFAULT_TOL,
@@ -477,9 +457,12 @@ def assemble_spectrum(ball: ModelBall, lambda_cutoff: float, tol: float = DEFAUL
                       n_t: int = DEFAULT_GRID, substeps: int = 2) -> SpectrumTable:
     """All model-space eigenvalues up to the cutoff with sphere multiplicities.
 
-    The first eigenvalue of level k is nondecreasing in k, so the k loop
-    stops at the first level whose ground mode exceeds the cutoff.
+    The Sturm count at the cutoff gives the number of level-k eigenvalues
+    below it.  The first eigenvalue of level k is nondecreasing in k, so
+    the k loop stops at the first level with none.
     """
+    if not math.isfinite(lambda_cutoff):
+        raise ValueError(f"cutoff must be finite, got {lambda_cutoff}")
     principal = principal_eigenpair(ball, tol=tol, n_t=n_t, substeps=substeps)
     if lambda_cutoff <= principal.lam:
         raise ValueError(
@@ -489,22 +472,17 @@ def assemble_spectrum(ball: ModelBall, lambda_cutoff: float, tol: float = DEFAUL
     entries = []
     k = 0
     while True:
-        _, mult = sphere_eigenvalue(k, ball.m)
         path = _RadialPath(ball, k, n_t=n_t, substeps=substeps)
-        brackets = _scan_brackets(path, lambda_cutoff, None)
-        roots = []
-        for br in brackets:
-            lam = _refine_bracket(path, *br)
-            if lam <= lambda_cutoff:
-                roots.append(lam)
-        if not roots:
+        n = path.count(lambda_cutoff)
+        if n == 0:
             break
-        for idx, lam in enumerate(sorted(roots)):
+        _, mult = sphere_eigenvalue(k, ball.m)
+        for i, (lo, hi) in enumerate(_count_brackets(path, n, lambda_cutoff, n), start=1):
             try:
-                mode = _build_mode(path, lam, idx + 1, tol)
+                mode = _build_mode(path, _refine_bracket(path, lo, hi), i, tol)
             except SolverError as exc:
-                raise SolverError(f"(k={k}, i={idx + 1}): {exc}") from exc
-            entries.append(SpectrumEntry(lam=mode.lam, k=k, i=mode.i, multiplicity=mult))
+                raise SolverError(f"(k={k}, i={i}): {exc}") from exc
+            entries.append(SpectrumEntry(lam=mode.lam, k=k, i=i, multiplicity=mult))
         k += 1
         if k > 1000:
             raise SolverError("spectrum assembly failed to terminate in k")

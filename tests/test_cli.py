@@ -162,6 +162,17 @@ class TestSweep:
         assert run(["sweep", "--dim", "2", "--radius", "1",
                     "--axis", "kappa=0,1", "--output", str(path)]) == EXIT_OK
 
+    @pytest.mark.parametrize("workers,env", [("-3", None), ("0", None), ("2", "abc"),
+                                             ("2", "0")])
+    def test_bad_worker_count_is_usage_error(self, workers, env, monkeypatch, capsys):
+        monkeypatch.delenv("DRIFT_SPECTRA_WORKERS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("DRIFT_SPECTRA_WORKERS", env)
+        assert run(["sweep", "--dim", "2", "--radius", "1", "--axis", "kappa=0,1",
+                    "--workers", workers]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage error" in captured.err
+
     def test_empty_axes_rejected(self):
         assert run(["sweep", "--dim", "2", "--radius", "1"]) == EXIT_USAGE
 
@@ -231,9 +242,10 @@ class TestConfigAndErrors:
         assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize("flag", [["--nt", "0"], ["--nt", "3"], ["--ntheta", "9"],
-                                      ["--tol", "0"]])
+                                      ["--tol", "0"], ["--cutoff", "nan"],
+                                      ["--cutoff", "inf"], ["--cutoff", "-5"]])
     def test_bad_grid_or_tol_is_usage_error(self, flag, capsys):
-        command = "disk2d" if flag[0] == "--ntheta" else "principal"
+        command = {"--ntheta": "disk2d", "--cutoff": "spectrum"}.get(flag[0], "principal")
         assert run([command, "--space-form", "0", "--dim", "2", "--radius", "1",
                     *flag]) == EXIT_USAGE
         captured = capsys.readouterr()

@@ -198,6 +198,10 @@ class TestRiccati:
             riccati_uniqueness(euclidean_ball(3, 1.0, polynomial_drift([1.0])),
                                u_prime0=1.0)
 
+    def test_m2_series_start_accuracy(self):
+        ball = space_form_ball(0.5, 2, 1.4, polynomial_drift([0.8, 0.06]))
+        assert riccati_uniqueness(ball).sup_error <= 1e-13
+
     def test_curved_profile(self):
         ball = space_form_ball(-1.0, 3, 1.0, polynomial_drift([0.5]))
         assert riccati_uniqueness(ball, tol=1e-6).sup_error < 1e-6

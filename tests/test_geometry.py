@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from driftspectra.geometry import (ModelBall, custom_warping, drift_divergence,
-                                   drift_from_rate, euclidean_ball,
+from driftspectra.geometry import (DriftProfile, ModelBall, custom_warping,
+                                   drift_divergence, drift_from_rate, euclidean_ball,
                                    extra_condition_lhs, extra_drift_profile,
                                    make_space_form, polynomial_drift,
                                    radial_sectional_curvature, volume_ratio_theta,
@@ -187,8 +187,7 @@ class TestDriftProfiles:
             ModelBall(m=2, r0=1.0, rho=make_space_form(0.0), drift=bad)
 
     def test_inconsistent_antiderivative_rejected(self):
-        from driftspectra.geometry import drift_from_callables
-        bad = drift_from_callables(
+        bad = DriftProfile(
             h=lambda t: np.asarray(t, dtype=float),
             h_prime=lambda t: np.ones_like(np.asarray(t, dtype=float)),
             H=lambda t: np.asarray(t, dtype=float) ** 2)  # should be t^2/2

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from driftspectra.errors import ConvergenceError, EigenvalueWindowError
+from driftspectra.errors import ConvergenceError, EigenvalueWindowError, SolverError
 from driftspectra.geometry import euclidean_ball, polynomial_drift, space_form_ball
-from driftspectra.radial import (_RadialPath, _refine_bracket, _scan_brackets,
-                                 assemble_spectrum, brentq,
+from driftspectra.radial import (_count_brackets, _isolate, _RadialPath,
+                                 _refine_bracket, assemble_spectrum, brentq,
                                  derivative_identity_residual, frobenius_exponent,
                                  maisuma_residual, principal_eigenpair,
                                  solve_radial_modes, sphere_eigenvalue,
@@ -97,6 +97,49 @@ class TestHigherModes:
             solve_radial_modes(euclidean_ball(2, 1.0), 0, 1, max_lambda=3.0)
 
 
+class TestSturmCount:
+    @pytest.mark.parametrize("k", range(4))
+    def test_count_is_number_of_eigenvalues_below(self, k):
+        path = _RadialPath(euclidean_ball(2, 1.0), k)
+        lams = [bessel_zero(k, i) ** 2 for i in range(1, 5)]
+        probes = [0.5 * lams[0], 0.5 * (lams[0] + lams[1]), 0.5 * (lams[2] + lams[3])]
+        probes += [lam * (1.0 + s * 1e-6) for lam in lams[:3] for s in (-1.0, 1.0)]
+        for lam in probes:
+            assert path.count(lam) == sum(1 for mu in lams if mu < lam)
+
+    def test_brackets_hold_one_eigenvalue_each(self):
+        path = _RadialPath(euclidean_ball(2, 1.0), 1)
+        brackets = _isolate(path, 3)
+        for i, (lo, hi) in enumerate(brackets, start=1):
+            assert (path.count(lo), path.count(hi)) == (i - 1, i)
+            assert lo < bessel_zero(1, i) ** 2 < hi
+
+    def test_count_jump_is_not_isolated(self):
+        class TwoAtOnce:
+            """Every positive lambda counts two zeros: no bracket holds one."""
+            k = 0
+
+            def count(self, lam):
+                return 2
+
+        with pytest.raises(SolverError, match="cannot isolate"):
+            _count_brackets(TwoAtOnce(), 1, 10.0, 2)
+
+    def test_unresolved_lambda_is_refused(self):
+        ball = euclidean_ball(2, 1.0)
+        with pytest.raises(EigenvalueWindowError, match="too large"):
+            _RadialPath(ball, 0, n_t=4).count(600.0)
+        with pytest.raises(EigenvalueWindowError):
+            assemble_spectrum(ball, 600.0, n_t=4)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_scale_invariance(self, m):
+        base = principal_eigenpair(euclidean_ball(m, 1.0)).lam
+        for c in (0.01, 0.1, 1.0, 10.0):
+            lam = principal_eigenpair(euclidean_ball(m, c)).lam
+            assert lam * c * c == pytest.approx(base, rel=1e-12, abs=0.0)
+
+
 class TestSpectrum:
     def test_flat_disk_table(self):
         table = assemble_spectrum(euclidean_ball(2, 1.0), 16.0)
@@ -118,6 +161,25 @@ class TestSpectrum:
     def test_cutoff_below_principal_rejected(self):
         with pytest.raises(ValueError):
             assemble_spectrum(euclidean_ball(2, 1.0), 3.0)
+
+    @pytest.mark.parametrize("cutoff", [math.nan, math.inf])
+    def test_non_finite_cutoff_rejected(self, cutoff):
+        with pytest.raises(ValueError, match="finite"):
+            assemble_spectrum(euclidean_ball(2, 1.0), cutoff)
+
+    def test_flat_disk_table_to_200(self):
+        table = assemble_spectrum(euclidean_ball(2, 1.0), 200.0)
+        expected = []
+        for k in range(11):   # j_{10,1}^2 > 200
+            i = 1
+            while (z := bessel_zero(k, i)) ** 2 <= 200.0:
+                expected.append((z * z, k, i, 1 if k == 0 else 2))
+                i += 1
+        expected.sort()
+        assert len(table.entries) == len(expected) == 23
+        for entry, (lam, k, i, mult) in zip(table.entries, expected):
+            assert (entry.k, entry.i, entry.multiplicity) == (k, i, mult)
+            assert abs(entry.lam - lam) <= 1e-9 * lam
 
     def test_csv_format(self):
         table = assemble_spectrum(euclidean_ball(2, 1.0), 16.0)
@@ -198,7 +260,7 @@ class TestBrent:
             ball = space_form_ball(kappa, m, r0, drift)
             for k in levels:
                 path = _RadialPath(ball, k, n_t=n_t)
-                for lo, hi in _scan_brackets(path, None, roots):
+                for lo, hi in _isolate(path, roots):
                     yield path.shoot, lo, hi
 
     def test_bit_identical_to_scipy_on_radial_brackets(self):
@@ -220,7 +282,9 @@ class TestBrent:
         cases = [(lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
                  (math.cos, 0.0, 3.0),
                  (lambda x: math.exp(x) - 10.0, -5.0, 8.0),
-                 (lambda x: math.atan(1e3 * (x - 0.3)), -1.0, 1.0)]
+                 (lambda x: math.atan(1e3 * (x - 0.3)), -1.0, 1.0),
+                 # function values near 1e-160: the extrapolation denominator underflows
+                 (lambda x: 1e-160 * (x ** 3 - 2.0 * x - 5.0), 2.0, 3.0)]
         for f, a, b in cases:
             ref, ref_info = scipy_optimize.brentq(f, a, b, full_output=True)
             root, info = brentq(f, a, b, full_output=True)
@@ -244,7 +308,7 @@ class TestBrent:
 
     def test_refine_bracket_uses_the_port(self):
         path = _RadialPath(euclidean_ball(2, 1.0), 0)
-        (lo, hi), = _scan_brackets(path, None, 1)
+        (lo, hi), = _isolate(path, 1)
         root = _refine_bracket(path, lo, hi)
         assert root == brentq(path.shoot, lo, hi, xtol=1e-13 * max(1.0, hi),
                               rtol=1e-15, maxiter=200)
