@@ -21,8 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .disk import (DiskProblem, advection_matrix, assemble_operator, drift_load,
-                   volumes, weighted_stiffness)
+from .disk import (DiskProblem, advection_matrix, assemble_operator, drift_faces,
+                   drift_load, stiffness_faces, volumes, weighted_stiffness)
 from .errors import ConvergenceError, IrreducibilityError, SolverError
 from .geometry import ModelBall, weight_p
 from .quadrature import cumulative_trapezoid_from_origin
@@ -122,7 +122,7 @@ def _ball_forms(ball: ModelBall, f, n_t: int):
     K = sp.diags([off, main, off], offsets=(-1, 0, 1), format="csc")
     mass = w_node[:n] * dx
     mass[0] *= 0.5
-    return K, mass, nodes
+    return K, mass
 
 
 def rayleigh_quotient(target, f, u) -> float:
@@ -135,7 +135,7 @@ def rayleigh_quotient(target, f, u) -> float:
         u = np.asarray(u, dtype=float)
         if abs(u[-1]) > 1e-10 * np.max(np.abs(u)):
             raise ValueError("ball trials must vanish at the boundary node")
-        K, mass, _ = _ball_forms(target, f, u.shape[0] - 1)
+        K, mass = _ball_forms(target, f, u.shape[0] - 1)
         inner = u[:-1]
         denom = float(inner @ (mass * inner))
         if denom <= 0.0:
@@ -160,28 +160,16 @@ def rayleigh_minimize(target, f, n_t: int = 512, tol: float = 1e-12,
     max 1; for a ball the samples live on the uniform node grid including
     both endpoints.
     """
-    if isinstance(target, ModelBall):
-        K, mass, nodes = _ball_forms(target, f, n_t)
-        lu = splu(K)
-        v = np.ones(n_t)
-        lam_old = np.inf
-        for _ in range(maxiter):
-            v = lu.solve(mass * v)
-            v /= np.max(np.abs(v))
-            lam = float(v @ (K @ v)) / float(v @ (mass * v))
-            if abs(lam - lam_old) < tol * max(1.0, abs(lam)):
-                break
-            lam_old = lam
-        else:
-            raise ConvergenceError("Rayleigh minimization stalled (ball)")
-        full = np.concatenate([v, [0.0]])
-        return lam, full / np.max(np.abs(full))
-    problem: DiskProblem = target
-    w = np.exp(-_field_on_grid(problem, f))
-    K = weighted_stiffness(problem, w, dirichlet=True).tocsc()
-    mass = w.ravel() * volumes(problem)
+    ball = isinstance(target, ModelBall)
+    if ball:
+        K, mass = _ball_forms(target, f, n_t)
+    else:
+        w = np.exp(-_field_on_grid(target, f))
+        K = weighted_stiffness(target, w, dirichlet=True).tocsc()
+        mass = w.ravel() * volumes(target)
+    # inverse iteration for K v = lambda M v with the lumped (diagonal) mass
     lu = splu(K)
-    v = np.ones(problem.grid.size)
+    v = np.ones(K.shape[0])
     lam_old = np.inf
     for _ in range(maxiter):
         v = lu.solve(mass * v)
@@ -191,9 +179,11 @@ def rayleigh_minimize(target, f, n_t: int = 512, tol: float = 1e-12,
             break
         lam_old = lam
     else:
-        raise ConvergenceError("Rayleigh minimization stalled (disk)")
-    shape = (problem.grid.n_t, problem.grid.n_theta)
-    return lam, v.reshape(shape)
+        raise ConvergenceError(f"Rayleigh minimization stalled ({'ball' if ball else 'disk'})")
+    if ball:
+        full = np.concatenate([v, [0.0]])
+        return lam, full / np.max(np.abs(full))
+    return lam, v.reshape(target.grid.n_t, target.grid.n_theta)
 
 
 def _field_on_grid(problem: DiskProblem, f) -> np.ndarray:
@@ -252,13 +242,19 @@ def solve_w_u(problem: DiskProblem, u, tol: float = 1e-8):
 
 
 def q_functional(problem: DiskProblem, u, v) -> float:
-    """Q_u(v) = int u^2 (|grad v|^2 - g(V, grad v)) dM on the grid."""
+    """Q_u(v) = int u^2 (|grad v|^2 - g(V, grad v)) dM on the grid.
+
+    Summed face by face in difference form, sum w (v_a - v_b)^2 +
+    sum c (v_a - v_b), so constants give exactly zero.
+    """
     u = np.asarray(u, dtype=float)
     W = (u * u).reshape(problem.J.shape)
-    K = weighted_stiffness(problem, W, dirichlet=False)
-    b = drift_load(problem, W)
     vv = np.asarray(v, dtype=float).ravel()
-    return float(vv @ (K @ vv) - b @ vv)
+    total = 0.0
+    for (a, b, w), (_, _, c) in zip(stiffness_faces(problem, W), drift_faces(problem, W)):
+        d = vv[a] - vv[b]
+        total += float(w @ (d * d) + c @ d)
+    return total
 
 
 def solve_G_V(problem: DiskProblem, omega, tol: float = 1e-8):

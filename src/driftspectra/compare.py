@@ -383,7 +383,9 @@ def eigenvalue_sandwich(problem: DiskProblem, tol: float = 1e-7) -> SandwichResu
     lower_gap = pair0.lam - pairV.lam - 0.5 * int_div_0 + grad_int
 
     dt, dth = problem.grid.dt, problem.grid.dtheta
-    combined = pair0.residual + pairV.residual + 2.0 * pair0.lam * (dt * dt + dth * dth * 0.05)
+    # eigenpair residuals are relative to lambda; the slacks are absolute
+    combined = (pair0.lam * pair0.residual + pairV.lam * pairV.residual
+                + 2.0 * pair0.lam * (dt * dt + dth * dth * 0.05))
     return SandwichResult(lower_gap=float(lower_gap), upper_gap=float(upper_gap),
                           lam_zero=pair0.lam, lam_drift=pairV.lam,
                           combined_tol=float(combined))

@@ -459,21 +459,22 @@ def assemble_spectrum(ball: ModelBall, lambda_cutoff: float, tol: float = DEFAUL
 
     The Sturm count at the cutoff gives the number of level-k eigenvalues
     below it.  The first eigenvalue of level k is nondecreasing in k, so
-    the k loop stops at the first level with none.
+    the k loop stops at the first level with none; a level-0 count of zero
+    means the cutoff does not exceed the principal eigenvalue.
     """
     if not math.isfinite(lambda_cutoff):
         raise ValueError(f"cutoff must be finite, got {lambda_cutoff}")
-    principal = principal_eigenpair(ball, tol=tol, n_t=n_t, substeps=substeps)
-    if lambda_cutoff <= principal.lam:
-        raise ValueError(
-            f"cutoff {lambda_cutoff:.6g} does not exceed the principal eigenvalue "
-            f"{principal.lam:.6g}"
-        )
     entries = []
     k = 0
     while True:
         path = _RadialPath(ball, k, n_t=n_t, substeps=substeps)
         n = path.count(lambda_cutoff)
+        if n == 0 and k == 0:
+            principal = principal_eigenpair(ball, tol=tol, n_t=n_t, substeps=substeps)
+            raise ValueError(
+                f"cutoff {lambda_cutoff:.6g} does not exceed the principal eigenvalue "
+                f"{principal.lam:.6g}"
+            )
         if n == 0:
             break
         _, mult = sphere_eigenvalue(k, ball.m)

@@ -36,7 +36,8 @@ class TestBarta:
         problem, pair, A = flat_pair
         br = barta_bracket(operator_action(A, problem.J.shape), pair.omega)
         assert br.lower <= pair.lam <= br.upper
-        assert br.upper - br.lower < 10.0 * pair.residual
+        # ten times the absolute residual max|A omega - lam omega|
+        assert br.upper - br.lower < 10.0 * pair.lam * pair.residual
         assert br.excluded_rings == 1
 
     def test_paraboloid_trial(self, flat_pair):
@@ -158,6 +159,14 @@ class TestPotentialSolve:
         problem, pair, _ = grad_pair
         assert q_functional(problem, pair.omega, np.full_like(pair.omega, 2.5)) \
             == pytest.approx(0.0, abs=1e-12)
+
+    def test_constant_test_function_exactly_zero(self, grad_pair):
+        # the difference form has no roundoff on constants, also with angular drift
+        problem, pair, _ = grad_pair
+        swirl = problem.with_drift(problem.Vt, 0.7 * problem.grid.mesh()[0])
+        for p in (problem, swirl):
+            for c in (2.5, -1e3, 0.1):
+                assert q_functional(p, pair.omega, np.full_like(pair.omega, c)) == 0.0
 
 
 class TestSteadyDensity:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from driftspectra import disk
 from driftspectra.disk import (DiskProblem, PolarGrid, adjoint_principal, angular_std,
                                assemble_operator, build_model_disk, divergence_field,
                                eigenpair_csv, eigenpair_json, operator_action,
                                principal_eigenpair_2d, solve_principal, volumes,
                                weighted_stiffness)
-from driftspectra.errors import NonPrincipalModeError, SolverError
+from driftspectra.errors import ConvergenceError, NonPrincipalModeError, SolverError
 from driftspectra.geometry import euclidean_ball, polynomial_drift
 from driftspectra.radial import principal_eigenpair
 
@@ -117,6 +118,39 @@ class TestEigen:
         assert adj.lam == pytest.approx(pair.lam, abs=1e-10)
         assert np.all(adj.omega > 0)
 
+    def test_left_vector_is_a_left_eigenvector(self, flat_pair):
+        problem, pair, A = flat_pair
+        y = pair.left.ravel()
+        assert pair.left.shape == pair.omega.shape
+        assert np.all(y > 0) and np.max(y) == 1.0
+        left_res = np.max(np.abs(A.T @ y - pair.lam * y)) / abs(pair.lam)
+        assert left_res <= 1e-8
+        assert left_res == pytest.approx(pair.left_residual, rel=1e-6)
+
+    def test_adjoint_factors_once(self, flat_pair, monkeypatch):
+        problem, _, A = flat_pair
+        calls = []
+        splu = disk.splu
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(disk, "splu", counting)
+        adjoint_principal(A, tol=1e-8, shape=problem.J.shape)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("angular", [None, lambda t, th: 0.5 * t])
+    def test_adjoint_matches_independent_transpose_solve(self, angular):
+        ball = euclidean_ball(2, 1.0, polynomial_drift([0.8]))
+        problem = build_model_disk(ball, drift_angular=angular, n_t=96, n_theta=64)
+        A = assemble_operator(problem)
+        adj = adjoint_principal(A, tol=1e-8, shape=problem.J.shape)
+        ref = principal_eigenpair_2d(A.T.tocsr(), tol=1e-8, shape=problem.J.shape)
+        assert abs(adj.lam - ref.lam) <= 1e-10 * abs(ref.lam)
+        assert np.max(np.abs(adj.omega - ref.omega)) < 1e-6
+        assert np.all(adj.omega > 0)
+
     def test_adjoint_volume_similarity(self, flat_pair):
         # with V=0 the adjoint mode is the volume-weighted forward mode
         problem, pair, A = flat_pair
@@ -138,6 +172,30 @@ class TestEigen:
         _, _, A = flat_pair
         with pytest.raises((NonPrincipalModeError, SolverError)):
             principal_eigenpair_2d(A, shift_guess=14.0, tol=1e-10)
+
+    def test_errors_name_grid_shift_iteration_and_residuals(self, flat_pair):
+        problem, _, A = flat_pair
+        with pytest.raises(ConvergenceError) as exc:
+            principal_eigenpair_2d(A, tol=1e-8, maxiter=3, shape=problem.J.shape)
+        msg = str(exc.value)
+        for part in ("grid 128x64", "shift 0.0", "iteration 3", "(right)", "(left)"):
+            assert part in msg
+        with pytest.raises(ConvergenceError, match=r"n = 8192, shift 0\.0, iteration 3"):
+            principal_eigenpair_2d(A, tol=1e-8, maxiter=3)
+        with pytest.raises((NonPrincipalModeError, SolverError), match="shift 14.0, iteration"):
+            principal_eigenpair_2d(A, shift_guess=14.0, tol=1e-10, shape=problem.J.shape)
+
+    def test_scale_invariance(self):
+        # lambda(c r0) c^2 = lambda(r0) at the default tolerance, within
+        # discretization error of the 1-D value (whose own scaling is
+        # checked in test_radial)
+        lam1d = principal_eigenpair(FLAT).lam
+        scaled = []
+        for c in (0.01, 0.1, 1.0, 10.0):
+            pair, _ = solve_principal(build_model_disk(euclidean_ball(2, c), n_t=64, n_theta=32))
+            scaled.append(pair.lam * c * c)
+        assert scaled == pytest.approx([scaled[2]] * 4, rel=1e-9)
+        assert scaled[2] == pytest.approx(lam1d, rel=1e-3)
 
     def test_upwind_variant_close_to_centered(self):
         ball = euclidean_ball(2, 1.0, polynomial_drift([1.0]))

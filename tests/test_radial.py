@@ -162,6 +162,20 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             assemble_spectrum(euclidean_ball(2, 1.0), 3.0)
 
+    def test_ground_pair_solved_once(self, monkeypatch):
+        # the level-0 count checks the cutoff; lambda_1 is solved only to
+        # word the error
+        from driftspectra import radial
+        calls = []
+        solve = radial.principal_eigenpair
+        monkeypatch.setattr(radial, "principal_eigenpair",
+                            lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+        assemble_spectrum(euclidean_ball(2, 1.0), 16.0)
+        assert calls == []
+        with pytest.raises(ValueError, match="principal eigenvalue 5.78319"):
+            assemble_spectrum(euclidean_ball(2, 1.0), 5.78)
+        assert calls == [1]
+
     @pytest.mark.parametrize("cutoff", [math.nan, math.inf])
     def test_non_finite_cutoff_rejected(self, cutoff):
         with pytest.raises(ValueError, match="finite"):
