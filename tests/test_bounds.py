@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
+from driftspectra import bounds
 from driftspectra.bounds import (barta_bracket, holland_bound, q_functional,
                                  rayleigh_minimize, rayleigh_quotient, solve_G_V,
                                  solve_w_u)
-from driftspectra.disk import (build_model_disk, operator_action, solve_principal,
-                               volumes)
+from driftspectra.disk import (advection_matrix, build_model_disk, drift_load,
+                               operator_action, solve_principal, volumes,
+                               weighted_stiffness)
+from driftspectra.errors import IrreducibilityError, SolverError
 from driftspectra.geometry import euclidean_ball, polynomial_drift, space_form_ball
 from driftspectra.radial import principal_eigenpair
 
@@ -201,6 +206,85 @@ class TestSteadyDensity:
         problem, pair, _ = grad_pair
         G, _ = solve_G_V(problem, pair.omega)
         assert np.min(G) > 0.0
+
+
+def _bordered_solve(A, constraint, rhs, rhs_constraint):
+    """Independent reference: the singular system bordered by its constraint row."""
+    n = A.shape[0]
+    c = sp.csc_matrix(constraint.reshape(n, 1))
+    B = sp.bmat([[A, c], [c.T, None]], format="csc")
+    return splu(B).solve(np.concatenate([rhs, [rhs_constraint]]))[:n]
+
+
+@pytest.fixture(scope="module")
+def swirl_pair():
+    ball = space_form_ball(0.5, 2, 1.0, polynomial_drift([0.8]))
+    problem = build_model_disk(ball, perturbation=lambda t, th: 0.1 * t * t * np.cos(2 * th),
+                               drift_angular=lambda t, th: 0.6 * t, n_t=96, n_theta=64)
+    pair, _ = solve_principal(problem, tol=1e-8)
+    return problem, pair
+
+
+class TestPinnedSolves:
+    def test_density_matches_bordered_system(self, swirl_pair):
+        problem, pair = swirl_pair
+        G, _ = solve_G_V(problem, pair.omega)
+        W = pair.omega ** 2
+        A = weighted_stiffness(problem, W, dirichlet=False) + advection_matrix(problem, W)
+        m = volumes(problem) / volumes(problem).sum()
+        ref = _bordered_solve(A.tocsc(), m, np.zeros(problem.grid.size), 1.0)
+        assert np.max(np.abs(G.ravel() - ref)) <= 1e-11 * np.max(np.abs(ref))
+        assert abs(m @ G.ravel() - 1.0) <= 1e-14
+
+    def test_potential_matches_bordered_system(self, swirl_pair):
+        problem, pair = swirl_pair
+        G, _ = solve_G_V(problem, pair.omega)
+        u = pair.omega * np.sqrt(G)
+        u /= math.sqrt(float((u.ravel() ** 2 * volumes(problem)).sum()))
+        w, resid = solve_w_u(problem, u)
+        W = u * u
+        T, _ = problem.grid.mesh()
+        gauge = np.where((T < 0.25 * problem.grid.r0).ravel(), volumes(problem), 0.0)
+        gauge /= gauge.sum()
+        ref = _bordered_solve(2.0 * weighted_stiffness(problem, W, dirichlet=False).tocsc(),
+                              gauge, drift_load(problem, W), 0.0)
+        assert np.max(np.abs(w.ravel() - ref)) <= 1e-11 * np.max(np.abs(ref))
+        assert abs(gauge @ w.ravel()) <= 1e-14
+        assert resid <= 1e-9
+
+    def test_one_factorization_without_border(self, swirl_pair, monkeypatch):
+        problem, pair = swirl_pair
+        n = problem.grid.size
+        calls = []
+        factor = bounds.splu
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "splu", counting)
+        solve_G_V(problem, pair.omega)
+        assert calls == [(n - 1, n - 1)]
+        solve_w_u(problem, pair.omega)
+        assert calls == [(n - 1, n - 1)] * 2
+
+    def test_disconnected_weight_is_a_solver_error(self, swirl_pair):
+        # u^2 underflows to 0 outside t < r0/2: the outer cells decouple
+        problem, _ = swirl_pair
+        T, _ = problem.grid.mesh()
+        u = np.where(T < 0.5, 1.0, 1e-200)
+        with pytest.raises(SolverError, match="degenerate elliptic solve failed"):
+            solve_w_u(problem, u)
+        with pytest.raises(SolverError, match="degenerate elliptic solve failed"):
+            solve_G_V(problem, u)
+
+    def test_unresolved_drift_loses_irreducibility(self):
+        # a strong swirl on a coarse grid: the centered flux turns G negative
+        problem = build_model_disk(FLAT, drift_angular=lambda t, th: 50.0 * np.cos(th),
+                                   n_t=16, n_theta=8)
+        T, _ = problem.grid.mesh()
+        with pytest.raises(IrreducibilityError, match="nonpositive entries"):
+            solve_G_V(problem, np.cos(0.5 * np.pi * T))
 
 
 class TestIntegralBound:
