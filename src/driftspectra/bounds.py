@@ -210,9 +210,11 @@ def _pinned_solve(A: sp.spmatrix, weight: np.ndarray, rhs: np.ndarray,
                   pinned: float) -> np.ndarray:
     """Solution of A x = rhs with x_k = `pinned` at the cell k = argmax(weight).
 
-    A has a one-dimensional null space and its rows add up to zero, so
-    equation k is redundant: row and column k are dropped, column k moves
-    to the right-hand side, and the (n-1) x (n-1) five-point matrix is
+    A has a one-dimensional null space whose vector is nonzero at k, and
+    its columns add up to zero (1^T A = 0: each face adds and subtracts the
+    same flux), so for a right-hand side with 1^T rhs = 0 any one equation
+    is the negative sum of the others.  Row and column k are dropped,
+    column k moves to the right-hand side, and the (n-1) x (n-1) matrix is
     factored with minimum degree on the pattern of A^T + A.  The cells are
     renumbered from the wall inward first: minimum degree breaks ties by
     the numbering, and this order leaves about 28 % less fill than the

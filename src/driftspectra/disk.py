@@ -18,23 +18,12 @@ two-sided eigenvalue estimate accurate to the square of the residual; the
 left vector is kept, so the adjoint pair costs no second factorization.
 Residuals are relative to |lambda| (vectors scaled to max 1), so the
 stopping test does not depend on the size of the disk.
-
-Solved pairs are memoized by operator content: the key is a 128-bit
-BLAKE2b digest of the matrix (format, shape, dtype, index arrays and
-values) together with the shift, tolerance and iteration cap.  The memo
-keeps the 8 most recently solved pairs (oldest evicted first) with flat
-vectors; every call returns a fresh pair with copied vectors, and failures
-are never stored.  So `adjoint_principal` after `solve_principal`, or the
-drift-free and drifted solves shared by two comparisons of one problem,
-cost one digest instead of a second factorization.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,9 +35,6 @@ from .geometry import ModelBall
 DEFAULT_NT = 192
 DEFAULT_NTHETA = 128
 DEFAULT_TOL = 1e-6
-_MEMO_PAIRS = 8
-_memo: dict = {}
-_memo_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -345,17 +331,6 @@ def _context(shape, n, shift, it=None, residual=None, left_residual=None) -> str
     return text
 
 
-def _memo_key(op: sp.spmatrix, shift_guess: float, tol: float, maxiter: int) -> tuple:
-    """Digest of the operator's content plus the iteration settings."""
-    m = op if hasattr(op, "indptr") else op.tocsr()
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(repr((m.format, m.shape, str(m.dtype), str(m.indptr.dtype),
-                        str(m.indices.dtype), m.indices.size, m.data.size)).encode())
-    for arr in (m.indptr, m.indices, m.data):
-        digest.update(np.ascontiguousarray(arr))
-    return digest.digest(), float(shift_guess), float(tol), int(maxiter)
-
-
 def principal_eigenpair_2d(op: sp.spmatrix, shift_guess: float = 0.0,
                            tol: float = DEFAULT_TOL, maxiter: int = 400,
                            shape=None) -> EigenPair2D:
@@ -366,26 +341,8 @@ def principal_eigenpair_2d(op: sp.spmatrix, shift_guess: float = 0.0,
     eigenvalue is the two-sided quotient y^T A x / y^T x, accurate to
     O(residual^2).  Both residuals are relative, max|A x - lam x| / |lam|
     with max|x| = 1 and likewise for y against A^T, and the iteration stops
-    when both are below `tol`.  An operator already solved with the same
-    settings is served from the memo; the vectors are copies, shaped to
-    `shape`.
+    when both are below `tol`.
     """
-    key = _memo_key(op, shift_guess, tol, maxiter)
-    pair = _memo.get(key)
-    if pair is None:
-        pair = _inverse_iteration(op, shift_guess, tol, maxiter, shape)
-        with _memo_lock:
-            while len(_memo) >= _MEMO_PAIRS:
-                del _memo[next(iter(_memo))]
-            _memo[key] = pair
-    vec_shape = (-1,) if shape is None else shape
-    return replace(pair, omega=pair.omega.reshape(vec_shape).copy(),
-                   left=pair.left.reshape(vec_shape).copy())
-
-
-def _inverse_iteration(op: sp.spmatrix, shift_guess: float, tol: float, maxiter: int,
-                       shape) -> EigenPair2D:
-    """The iteration behind `principal_eigenpair_2d`; vectors come back flat."""
     n = op.shape[0]
     mat = op.tocsc()
     if shift_guess != 0.0:
@@ -461,6 +418,8 @@ def _inverse_iteration(op: sp.spmatrix, shift_guess: float, tol: float, maxiter:
         raise NonPrincipalModeError(f"converged mode has nonpositive components ({context(it)})")
     if lam <= 0.0:
         raise SolverError(f"principal eigenvalue came out nonpositive: {lam} ({context(it)})")
+    if shape is not None:
+        v, y = v.reshape(shape), y.reshape(shape)
     return EigenPair2D(lam=lam, omega=v, residual=residual, iterations=it,
                        left=y, left_residual=left_residual, restarts=restarts)
 
@@ -470,7 +429,9 @@ def adjoint_principal(op: sp.spmatrix, tol: float = DEFAULT_TOL,
     """Principal pair of the transposed operator: the left pair of `op`.
 
     One factorization serves both sides.  The left vector must be positive
-    and satisfy A^T y = lam y to `tol` at the shared eigenvalue.
+    and satisfy A^T y = lam y to `tol` at the shared eigenvalue.  This
+    solves `op` afresh; a caller that already holds its pair from
+    `solve_principal` has the same left vector in `pair.left`.
     """
     pair = principal_eigenpair_2d(op, 0.0, tol=tol, shape=shape)
     context = _context(shape, op.shape[0], 0.0, pair.iterations, pair.residual,

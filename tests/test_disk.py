@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from driftspectra import disk
 from driftspectra.disk import (DiskProblem, PolarGrid, adjoint_principal, angular_std,
@@ -14,23 +15,6 @@ from driftspectra.radial import principal_eigenpair
 from _oracles import bessel_zero
 
 FLAT = euclidean_ball(2, 1.0)
-
-
-def _reset_memo():
-    disk._memo.clear()
-
-
-def _count_splu(monkeypatch) -> list:
-    """Shapes of the matrices `disk.splu` factors from here on."""
-    calls = []
-    splu = disk.splu
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return splu(*args, **kwargs)
-
-    monkeypatch.setattr(disk, "splu", counting)
-    return calls
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +129,6 @@ class TestEigen:
         assert left_res == pytest.approx(pair.left_residual, rel=1e-6)
 
     def test_adjoint_factors_once(self, flat_pair, monkeypatch):
-        _reset_memo()   # the fixture solved A already: make it an unsolved operator
         problem, _, A = flat_pair
         calls = []
         splu = disk.splu
@@ -158,21 +141,34 @@ class TestEigen:
         adjoint_principal(A, tol=1e-8, shape=problem.J.shape)
         assert len(calls) == 1
 
-    def test_adjoint_after_solve_factors_nothing(self, monkeypatch):
+    def test_adjoint_is_the_solved_left_pair(self):
+        # a caller holding the pair needs no adjoint solve: pair.left is it
         ball = euclidean_ball(2, 1.0, polynomial_drift([0.8]))
         problem = build_model_disk(ball, drift_angular=lambda t, th: 0.5 * t,
                                    n_t=48, n_theta=32)
-        _reset_memo()
-        _, A = solve_principal(problem, tol=1e-8)
-        calls = _count_splu(monkeypatch)
+        pair, A = solve_principal(problem, tol=1e-8)
         adj = adjoint_principal(A, tol=1e-8, shape=problem.J.shape)
-        assert calls == []
-        _reset_memo()
-        fresh = adjoint_principal(A, tol=1e-8, shape=problem.J.shape)
-        assert len(calls) == 1
-        assert adj.lam == fresh.lam
-        assert np.array_equal(adj.omega, fresh.omega)
-        assert np.array_equal(adj.left, fresh.left)
+        assert adj.lam == pair.lam
+        assert np.array_equal(adj.omega, pair.left)
+        assert np.array_equal(adj.left, pair.omega)
+        assert not np.allclose(pair.left, pair.omega)
+
+    def test_factor_input_is_the_shifted_operator(self, monkeypatch):
+        problem = build_model_disk(FLAT, n_t=32, n_theta=16)
+        A = assemble_operator(problem)
+        factored = []
+        splu = disk.splu
+
+        def capturing(*args, **kwargs):
+            factored.append(args[0].copy())
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(disk, "splu", capturing)
+        principal_eigenpair_2d(A)
+        principal_eigenpair_2d(A, shift_guess=2.0)
+        assert (factored[0] != A.tocsc()).nnz == 0
+        shifted = A.tocsc() - 2.0 * sp.identity(A.shape[0], format="csc")
+        assert (factored[1] != shifted).nnz == 0
 
     @pytest.mark.parametrize("angular", [None, lambda t, th: 0.5 * t])
     def test_adjoint_matches_independent_transpose_solve(self, angular):
@@ -237,85 +233,6 @@ class TestEigen:
         pair_c, _ = solve_principal(p, tol=1e-8)
         pair_u, _ = solve_principal(p, tol=1e-8, upwind=True)
         assert pair_u.lam == pytest.approx(pair_c.lam, abs=5e-2)
-
-
-class TestMemo:
-    @pytest.fixture
-    def op(self):
-        ball = euclidean_ball(2, 1.0, polynomial_drift([0.5]))
-        problem = build_model_disk(ball, drift_angular=lambda t, th: 0.5 * t,
-                                   n_t=32, n_theta=16)
-        _reset_memo()
-        return assemble_operator(problem), problem.J.shape
-
-    def test_returned_vectors_are_copies(self, op, monkeypatch):
-        A, shape = op
-        first = principal_eigenpair_2d(A, shape=shape)
-        omega, left = first.omega.copy(), first.left.copy()
-        first.omega[:] = -1.0
-        first.left[:] = 0.0
-        calls = _count_splu(monkeypatch)
-        again = principal_eigenpair_2d(A, shape=shape)
-        assert calls == []
-        assert np.array_equal(again.omega, omega) and np.array_equal(again.left, left)
-        assert again.omega.shape == shape
-        assert principal_eigenpair_2d(A).omega.shape == (A.shape[0],)
-
-    def test_changed_entry_is_a_miss(self, op, monkeypatch):
-        A, shape = op
-        lam = principal_eigenpair_2d(A, shape=shape).lam
-        A.data[A.indptr[5]] *= 1.5
-        calls = _count_splu(monkeypatch)
-        assert principal_eigenpair_2d(A, shape=shape).lam != lam
-        assert len(calls) == 1
-
-    def test_tolerance_and_shift_are_part_of_the_key(self, op, monkeypatch):
-        A, shape = op
-        principal_eigenpair_2d(A, tol=1e-8, shape=shape)
-        calls = _count_splu(monkeypatch)
-        principal_eigenpair_2d(A, tol=1e-8, shape=shape)
-        assert len(calls) == 0
-        principal_eigenpair_2d(A, tol=1e-9, shape=shape)
-        assert len(calls) == 1
-        principal_eigenpair_2d(A, shift_guess=1.0, tol=1e-8, shape=shape)
-        assert len(calls) == 2
-
-    def test_at_most_eight_pairs_oldest_evicted(self, op, monkeypatch):
-        A, shape = op
-        ops = [A * (1.0 + 0.1 * i) for i in range(10)]
-        for B in ops:
-            principal_eigenpair_2d(B, shape=shape)
-            assert len(disk._memo) <= 8
-        assert len(disk._memo) == 8
-        calls = _count_splu(monkeypatch)
-        principal_eigenpair_2d(ops[-1], shape=shape)
-        assert len(calls) == 0
-        principal_eigenpair_2d(ops[0], shape=shape)
-        assert len(calls) == 1
-
-    def test_failure_is_not_stored(self, monkeypatch):
-        problem = build_model_disk(FLAT, n_t=32, n_theta=16)
-        A = assemble_operator(problem)
-        _reset_memo()
-        calls = _count_splu(monkeypatch)
-        for _ in range(2):
-            with pytest.raises(NonPrincipalModeError, match="grid 32x16, shift 14.0"):
-                principal_eigenpair_2d(A, shift_guess=14.0, tol=1e-10, shape=problem.J.shape)
-        assert len(calls) == 2
-        assert len(disk._memo) == 0
-
-    def test_comparisons_of_one_problem_share_solves(self, monkeypatch):
-        from driftspectra.compare import eigenvalue_sandwich, verify_divergence_comparison
-
-        ball = euclidean_ball(2, 1.0, polynomial_drift([-0.25]))
-        problem = build_model_disk(ball, drift_angular=lambda t, th: 0.5 * t,
-                                   n_t=48, n_theta=32)
-        _reset_memo()
-        calls = _count_splu(monkeypatch)
-        verdict = verify_divergence_comparison(problem)
-        assert verdict.premises_hold
-        eigenvalue_sandwich(problem)
-        assert len(calls) == 2
 
 
 class TestFields:
