@@ -137,9 +137,17 @@ def _subject_drift(subject, ts, thetas=None):
     return np.asarray(subject.h1(T, TH), dtype=float) * np.ones_like(T)
 
 
-def _subject_lambda(case: ComparisonCase, tol_1d=1e-10, tol_2d=1e-7):
+def _principal(ball: ModelBall, n_t: int, solved: dict | None):
+    """Ground mode of a model ball, solved once per (ball, n_t) in `solved`."""
+    solved = {} if solved is None else solved
+    if (ball, n_t) not in solved:
+        solved[ball, n_t] = radial_mod.principal_eigenpair(ball, tol=1e-8, n_t=n_t)
+    return solved[ball, n_t]
+
+
+def _subject_lambda(case: ComparisonCase, solved: dict | None, tol_2d=1e-7):
     if isinstance(case.subject, ModelBall):
-        mode = radial_mod.principal_eigenpair(case.subject, tol=1e-8, n_t=case.n_t_1d)
+        mode = _principal(case.subject, case.n_t_1d, solved)
         return mode.lam, 1e-9, mode
     from .disk import DEFAULT_NT, DEFAULT_NTHETA, solve_principal
 
@@ -147,11 +155,6 @@ def _subject_lambda(case: ComparisonCase, tol_1d=1e-10, tol_2d=1e-7):
     pair, _ = solve_principal(problem, tol=tol_2d)
     dt, dth = problem.grid.dt, problem.grid.dtheta
     return pair.lam, 10.0 * pair.lam * (dt * dt + dth * dth * 0.05), pair
-
-
-def _model_lambda(case: ComparisonCase):
-    mode = radial_mod.principal_eigenpair(case.model, tol=1e-8, n_t=case.n_t_1d)
-    return mode.lam, mode
 
 
 def _bishop_ratio_slope(subject, model: ModelBall, ts, thetas):
@@ -166,7 +169,8 @@ def _bishop_ratio_slope(subject, model: ModelBall, ts, thetas):
     return (J1 * rho[:, None] - J * rho1[:, None]) / rho[:, None] ** 2
 
 
-def verify_sectional_comparison(case: ComparisonCase, tol: float | None = None) -> ComparisonVerdict:
+def verify_sectional_comparison(case: ComparisonCase, tol: float | None = None,
+                                solved: dict | None = None) -> ComparisonVerdict:
     """Sectional-curvature comparison: smaller curvature and drift on the
     subject force a larger principal eigenvalue.
 
@@ -192,11 +196,11 @@ def verify_sectional_comparison(case: ComparisonCase, tol: float | None = None) 
         notes.append("volume-ratio monotonicity violated despite curvature premise")
         premises = False
 
-    lam_m, _ = _model_lambda(case)
+    lam_m = _principal(case.model, case.n_t_1d, solved).lam
     if not premises:
         return ComparisonVerdict(case.label, case.mode, False, margins,
                                  math.nan, lam_m, math.nan, False, False, notes)
-    lam_s, allowance, _ = _subject_lambda(case)
+    lam_s, allowance, _ = _subject_lambda(case, solved)
     tol_eff = tol if tol is not None else 1e-9 + allowance
     margin = lam_s - lam_m
     conclusion = margin >= -tol_eff
@@ -223,7 +227,8 @@ def _extra_profile_subject(subject, ts, thetas, fd_step):
 
 
 def verify_ricci_comparison(case: ComparisonCase, tol: float | None = None,
-                            equality_tol: float = 1e-6) -> ComparisonVerdict:
+                            equality_tol: float = 1e-6,
+                            solved: dict | None = None) -> ComparisonVerdict:
     """Ricci-curvature comparison for radial drifts: larger radial Ricci and
     larger div(V) - |V|^2/2 on the subject force a smaller eigenvalue.
 
@@ -263,11 +268,12 @@ def verify_ricci_comparison(case: ComparisonCase, tol: float | None = None,
         notes.append("volume-ratio monotonicity violated despite Ricci premise")
         premises = False
 
-    lam_m, mode_m = _model_lambda(case)
+    mode_m = _principal(case.model, case.n_t_1d, solved)
+    lam_m = mode_m.lam
     if not premises:
         return ComparisonVerdict(case.label, case.mode, False, margins,
                                  math.nan, lam_m, math.nan, False, False, notes)
-    lam_s, allowance, sol_s = _subject_lambda(case)
+    lam_s, allowance, sol_s = _subject_lambda(case, solved)
     tol_eff = tol if tol is not None else 1e-9 + allowance
     margin = lam_m - lam_s
     conclusion = margin >= -tol_eff
@@ -572,8 +578,8 @@ def radial_divergence_profile(h1: np.ndarray, J: np.ndarray, t: np.ndarray, m: i
 # -- corpus ------------------------------------------------------------------
 
 def builtin_corpus() -> list:
-    """Twelve model-vs-model cases spanning space-form and drift pairs."""
-    from .geometry import polynomial_drift, space_form_ball, zero_drift
+    """Twelve model-vs-model cases over 11 distinct balls, each built once."""
+    from .geometry import polynomial_drift, space_form_ball
 
     def ball(kappa, m, drift=None):
         return space_form_ball(kappa, m, 1.0, drift)
@@ -583,37 +589,38 @@ def builtin_corpus() -> list:
     t2 = polynomial_drift([0.0, 1.0])   # h = t^2
     two_t = polynomial_drift([2.0])     # h = 2t
 
+    flat2, sphere2, hyp2 = ball(0.0, 2), ball(1.0, 2), ball(-1.0, 2)
+    sphere3, hyp3 = ball(1.0, 3), ball(-1.0, 3)
+    flat2_half, flat2_t, flat2_2t = ball(0.0, 2, t_half), ball(0.0, 2, t1), ball(0.0, 2, two_t)
+    sphere2_t, hyp2_t, flat3_t2 = ball(1.0, 2, t1), ball(-1.0, 2, t1), ball(0.0, 3, t2)
     cases = [
-        ComparisonCase(ball(0.0, 2), ball(1.0, 2), "sectional", "flat<=sphere m2"),
-        ComparisonCase(ball(-1.0, 2), ball(0.0, 2), "sectional", "hyp<=flat m2"),
-        ComparisonCase(ball(-1.0, 3), ball(1.0, 3), "sectional", "hyp<=sphere m3"),
-        ComparisonCase(ball(0.0, 2, t_half), ball(0.0, 2, t1), "sectional",
-                       "flat drift t/2<=t"),
-        ComparisonCase(ball(-1.0, 3), ball(0.0, 3, t2), "sectional",
-                       "hyp zero-drift <= flat t^2"),
-        ComparisonCase(ball(0.0, 2, t1), ball(1.0, 2, t1), "sectional",
-                       "flat<=sphere drift t"),
-        ComparisonCase(ball(1.0, 2), ball(0.0, 2), "ricci", "sphere>=flat m2"),
-        ComparisonCase(ball(0.0, 2), ball(-1.0, 2), "ricci", "flat>=hyp m2"),
-        ComparisonCase(ball(1.0, 3), ball(-1.0, 3), "ricci", "sphere>=hyp m3"),
-        ComparisonCase(ball(0.0, 2, t1), ball(0.0, 2, t_half), "ricci",
-                       "flat drift t>=t/2"),
-        ComparisonCase(ball(0.0, 2, two_t), ball(-1.0, 2, t1), "ricci",
-                       "flat 2t >= hyp t"),
-        ComparisonCase(ball(1.0, 2, t1), ball(1.0, 2, t1), "ricci",
-                       "identical pair (equality)"),
+        ComparisonCase(flat2, sphere2, "sectional", "flat<=sphere m2"),
+        ComparisonCase(hyp2, flat2, "sectional", "hyp<=flat m2"),
+        ComparisonCase(hyp3, sphere3, "sectional", "hyp<=sphere m3"),
+        ComparisonCase(flat2_half, flat2_t, "sectional", "flat drift t/2<=t"),
+        ComparisonCase(hyp3, flat3_t2, "sectional", "hyp zero-drift <= flat t^2"),
+        ComparisonCase(flat2_t, sphere2_t, "sectional", "flat<=sphere drift t"),
+        ComparisonCase(sphere2, flat2, "ricci", "sphere>=flat m2"),
+        ComparisonCase(flat2, hyp2, "ricci", "flat>=hyp m2"),
+        ComparisonCase(sphere3, hyp3, "ricci", "sphere>=hyp m3"),
+        ComparisonCase(flat2_t, flat2_half, "ricci", "flat drift t>=t/2"),
+        ComparisonCase(flat2_2t, hyp2_t, "ricci", "flat 2t >= hyp t"),
+        ComparisonCase(sphere2_t, sphere2_t, "ricci", "identical pair (equality)"),
     ]
     return cases
 
 
-def run_case(case: ComparisonCase, tol: float | None = None) -> ComparisonVerdict:
+def run_case(case: ComparisonCase, tol: float | None = None,
+             solved: dict | None = None) -> ComparisonVerdict:
     if case.mode == "sectional":
-        return verify_sectional_comparison(case, tol=tol)
+        return verify_sectional_comparison(case, tol=tol, solved=solved)
     if case.mode == "ricci":
-        return verify_ricci_comparison(case, tol=tol)
+        return verify_ricci_comparison(case, tol=tol, solved=solved)
     raise ValueError(f"unknown comparison mode {case.mode!r}")
 
 
 def run_corpus(cases=None, tol: float | None = None) -> list:
+    """Verdicts of the cases; each distinct (ball, n_t) is solved once."""
     cases = builtin_corpus() if cases is None else cases
-    return [run_case(c, tol=tol) for c in cases]
+    solved = {}
+    return [run_case(c, tol=tol, solved=solved) for c in cases]

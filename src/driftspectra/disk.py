@@ -238,67 +238,37 @@ def advection_matrix(p: DiskProblem, cellweight) -> sp.csr_matrix:
                          shape=(n, n)).tocsr()
 
 
-def drift_matrix(p: DiskProblem, upwind: bool = False) -> sp.csr_matrix:
+def drift_matrix(p: DiskProblem) -> sp.csr_matrix:
     """Pointwise drift action u -> Vt u_t + Vtheta u_theta.
 
-    Centered differences by default; ghosts are the antipodal cell behind
-    the first ring and the Dirichlet-antisymmetric value past the last ring.
-    The upwind flag switches to first-order one-sided differences for
-    drift-dominated stress tests.
+    Centered differences; ghosts are the antipodal cell behind the first
+    ring and the Dirichlet-antisymmetric value past the last ring.
     """
-    N, L = p.grid.n_t, p.grid.n_theta
     dt, dth = p.grid.dt, p.grid.dtheta
     idx = _indices(p)
-    antip = np.roll(idx[0, :], L // 2)
-    rows, cols, vals = [], [], []
+    antip = np.roll(idx[0, :], p.grid.n_theta // 2)
+    cr = p.Vt / (2.0 * dt)
+    # interior rings
+    a = idx[1:-1, :].ravel()
+    rows = [a, a]
+    cols = [idx[2:, :].ravel(), idx[:-2, :].ravel()]
+    vals = [cr[1:-1, :].ravel(), -cr[1:-1, :].ravel()]
+    # first ring: backward neighbor is the antipodal cell
+    a = idx[0, :]
+    rows += [a, a]
+    cols += [idx[1, :], antip]
+    vals += [cr[0, :], -cr[0, :]]
+    # last ring: ghost u_N = -u_{N-1}
+    a = idx[-1, :]
+    rows += [a, a]
+    cols += [idx[-1, :], idx[-2, :]]
+    vals += [-cr[-1, :], -cr[-1, :]]
 
-    if not upwind:
-        cr = p.Vt / (2.0 * dt)
-        # interior rings
-        a = idx[1:-1, :].ravel()
-        rows += [a, a]
-        cols += [idx[2:, :].ravel(), idx[:-2, :].ravel()]
-        vals += [cr[1:-1, :].ravel(), -cr[1:-1, :].ravel()]
-        # first ring: backward neighbor is the antipodal cell
-        a = idx[0, :]
-        rows += [a, a]
-        cols += [idx[1, :], antip]
-        vals += [cr[0, :], -cr[0, :]]
-        # last ring: ghost u_N = -u_{N-1}
-        a = idx[-1, :]
-        rows += [a, a]
-        cols += [idx[-1, :], idx[-2, :]]
-        vals += [-cr[-1, :], -cr[-1, :]]
-
-        ca = p.Vtheta / (2.0 * dth)
-        a = idx.ravel()
-        rows += [a, a]
-        cols += [np.roll(idx, -1, axis=1).ravel(), np.roll(idx, 1, axis=1).ravel()]
-        vals += [ca.ravel(), -ca.ravel()]
-    else:
-        pos = p.Vt >= 0.0
-        cr = p.Vt / dt
-        for j in range(N):
-            a = idx[j, :]
-            back = antip if j == 0 else idx[j - 1, :]
-            if j == N - 1:
-                fwd_col, fwd_sign = idx[j, :], -1.0
-            else:
-                fwd_col, fwd_sign = idx[j + 1, :], 1.0
-            up = np.where(pos[j, :], cr[j, :], 0.0)
-            dn = np.where(~pos[j, :], cr[j, :], 0.0)
-            rows += [a, a, a, a]
-            cols += [a, back, fwd_col, a]
-            vals += [up, -up, fwd_sign * dn, -dn]
-        posa = p.Vtheta >= 0.0
-        ca = p.Vtheta / dth
-        a = idx.ravel()
-        upv = np.where(posa, ca, 0.0).ravel()
-        dnv = np.where(~posa, ca, 0.0).ravel()
-        rows += [a, a, a, a]
-        cols += [a, np.roll(idx, 1, axis=1).ravel(),
-                 np.roll(idx, -1, axis=1).ravel(), a]
-        vals += [upv, -upv, dnv, -dnv]
+    ca = p.Vtheta / (2.0 * dth)
+    a = idx.ravel()
+    rows += [a, a]
+    cols += [np.roll(idx, -1, axis=1).ravel(), np.roll(idx, 1, axis=1).ravel()]
+    vals += [ca.ravel(), -ca.ravel()]
 
     rows = np.concatenate([np.asarray(r).ravel() for r in rows])
     cols = np.concatenate([np.asarray(c).ravel() for c in cols])
@@ -306,11 +276,11 @@ def drift_matrix(p: DiskProblem, upwind: bool = False) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(p.grid.size, p.grid.size)).tocsr()
 
 
-def assemble_operator(p: DiskProblem, upwind: bool = False) -> sp.csr_matrix:
+def assemble_operator(p: DiskProblem) -> sp.csr_matrix:
     """Matrix of -Delta_V = -Delta_0 + (drift action) with Dirichlet wall."""
     K = weighted_stiffness(p, None, dirichlet=True)
     inv_vol = 1.0 / volumes(p)
-    A = sp.diags(inv_vol) @ K + drift_matrix(p, upwind=upwind)
+    A = sp.diags(inv_vol) @ K + drift_matrix(p)
     return A.tocsr()
 
 
@@ -445,10 +415,9 @@ def adjoint_principal(op: sp.spmatrix, tol: float = DEFAULT_TOL,
                        left_residual=pair.residual, restarts=pair.restarts)
 
 
-def solve_principal(problem: DiskProblem, tol: float = DEFAULT_TOL,
-                    upwind: bool = False):
+def solve_principal(problem: DiskProblem, tol: float = DEFAULT_TOL):
     """Assemble the operator and return (eigenpair, matrix)."""
-    A = assemble_operator(problem, upwind=upwind)
+    A = assemble_operator(problem)
     pair = principal_eigenpair_2d(A, 0.0, tol=tol,
                                   shape=(problem.grid.n_t, problem.grid.n_theta))
     return pair, A

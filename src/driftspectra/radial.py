@@ -7,14 +7,17 @@ For sphere level k the separated equation is
 
 with nu_k = k(k+m-2) and alpha the nonnegative indicial root.  Shooting
 integrates the regularized unknown b = a / t^alpha, whose equation is free
-of the nu/t^2 potential, so a single RK4 sweep with a stability-limited
-geometric startup handles every k.  The sweep also counts the sign changes
-of b on (0, r0]; by Sturm oscillation that count is the number of level-k
-eigenvalues below lam.  The i-th eigenvalue is isolated by bisecting on the
-count until count(lo) = i - 1 and count(hi) = i, so b(r0; .) changes sign
-exactly once in [lo, hi]; it is refined there by an in-house Brent
-iteration plus one Newton polish from the variational identity.  The same
-sweep integrates the Riccati flow of `compare.riccati_uniqueness`.
+of the nu/t^2 potential, on one RK4 step grid with a stability-limited
+geometric startup for every k.  A sweep builds the 2x2 matrices of all RK4
+steps at once and takes their prefix products by a log-depth scan; it
+returns b(r0), the sign changes of b on (0, r0] and the node samples.  By
+Sturm oscillation the count is the number of level-k eigenvalues below
+lam, so the i-th eigenvalue is isolated by bisecting on the count until
+count(lo) = i - 1 and count(hi) = i.  A safeguarded Newton iteration in
+that bracket refines it, with the step from the variational identity
+d a(r0)/d lam = int p a^2 / (p(r0) a'(r0)); every sweep's count also
+shrinks the bracket.  The same sweep integrates the Riccati flow of
+`compare.riccati_uniqueness`.
 """
 
 from __future__ import annotations
@@ -61,11 +64,6 @@ class RadialMode:
     t: np.ndarray
     a: np.ndarray
     a_prime: np.ndarray
-    norm: float = 1.0
-
-    @property
-    def samples(self) -> np.ndarray:
-        return np.column_stack([self.t, self.a])
 
     def interior_sign_changes(self) -> int:
         vals = self.a[1:-1]
@@ -140,12 +138,11 @@ class _RadialPath:
         t0 = ts[:-1]
         stages = (t0, t0 + 0.5 * steps, ts[1:])
         P, Q = coefs if coefs is not None else (self._coef_P, self._coef_Q)
-        # python-float lists: the scalar kernel indexes them step by step
-        self.s_list = steps.tolist()
-        self.P_lists = tuple(np.asarray(P(x), dtype=float).tolist() for x in stages)
-        self.Q_lists = tuple(np.asarray(Q(x), dtype=float).tolist() for x in stages)
-        self.node_marks = marks
-        self.h_max = max(self.s_list)
+        self.steps = steps
+        self.P_stages = np.array([P(x) for x in stages], dtype=float)
+        self.Q_stages = np.array([Q(x) for x in stages], dtype=float)
+        self.node_steps = np.flatnonzero(marks)
+        self.h_max = float(steps.max())
         self.p_nodes = weight_p(ball, self.nodes)
 
     def _warp_parts(self, t):
@@ -174,48 +171,46 @@ class _RadialPath:
                   samples: bool = False):
         """One RK4 sweep from the path's first point, where (b, b') = (y1, y2).
 
-        Returns b(r0), the number of sign changes of b along the path and,
-        with `samples`, the arrays (b, b') at the nodes (node 0 holds the
-        start values), else None.
+        Every RK4 step of the linear system is a 2x2 matrix; all of them are
+        built at once from the stage arrays and their inclusive prefix
+        products are taken by a log-depth (Hillis-Steele) scan.  Returns
+        b(r0), the number of sign changes of b along the path and, with
+        `samples`, the arrays (b, b') at the nodes (node 0 holds the start
+        values), else None.
         """
-        s = self.s_list
-        P0, P1, P2 = self.P_lists
-        Q0, Q1, Q2 = self.Q_lists
-        marks = self.node_marks
-        b, bp = [y1], [y2]
-        neg = y1 < 0.0
-        changes = 0
-        for i in range(len(s)):
-            si = s[i]
-            q0 = Q0[i] + lam
-            q1 = Q1[i] + lam
-            q2 = Q2[i] + lam
-            a1 = y2
-            b1 = -P0[i] * y2 - q0 * y1
-            u1 = y1 + 0.5 * si * a1
-            u2 = y2 + 0.5 * si * b1
-            a2 = u2
-            b2 = -P1[i] * u2 - q1 * u1
-            u1 = y1 + 0.5 * si * a2
-            u2 = y2 + 0.5 * si * b2
-            a3 = u2
-            b3 = -P1[i] * u2 - q1 * u1
-            u1 = y1 + si * a3
-            u2 = y2 + si * b3
-            a4 = u2
-            b4 = -P2[i] * u2 - q2 * u1
-            y1 += si * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
-            y2 += si * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0
-            if (y1 < 0.0) != neg:
-                neg = not neg
-                changes += 1
-            if samples and marks[i]:
-                b.append(y1)
-                bp.append(y2)
+        s, h = self.steps, 0.5 * self.steps
+        P0, P1, P2 = self.P_stages
+        q0, q1, q2 = self.Q_stages + lam
+        # the RK4 stages (a_j, b_j) of (b', b'') from both columns e1, e2 of
+        # the identity at once: M[:, c, j] is the image of e_c over step j
+        e1, e2 = np.eye(2)[:, :, None]
+        b1 = -P0 * e2 - q0 * e1
+        a2, u1 = e2 + h * b1, e1 + h * e2
+        b2 = -P1 * a2 - q1 * u1
+        a3, u1 = e2 + h * b2, e1 + h * a2
+        b3 = -P1 * a3 - q1 * u1
+        a4, u1 = e2 + s * b3, e1 + s * a3
+        b4 = -P2 * a4 - q2 * u1
+        M = np.stack([e1 + s * (e2 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0,
+                      e2 + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0])
+        n, d = s.size, 1
+        while d < n:
+            later, earlier = M[:, :, d:], M[:, :, :-d]
+            M[:, :, d:] = later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
+            d *= 2
+        b = M[0, 0] * y1 + M[0, 1] * y2
+        end = float(b[-1])
         # inf and nan never turn finite again, so one check at the end suffices
-        if not math.isfinite(y1):
-            raise SolverError("radial integration overflowed; step size too large")
-        return y1, changes, ((np.array(b), np.array(bp)) if samples else None)
+        if not math.isfinite(end):
+            raise SolverError(f"radial integration overflowed at lambda={lam:.12g} on level "
+                              f"k={self.k} (n_t={self.n_t}); step size too large")
+        neg = b < 0.0
+        changes = int(np.count_nonzero(neg[1:] != neg[:-1])) + int(neg[0] != (y1 < 0.0))
+        if not samples:
+            return end, changes, None
+        j = self.node_steps
+        return end, changes, (np.concatenate(([y1], b[j])),
+                              np.concatenate(([y2], M[1, 0, j] * y1 + M[1, 1, j] * y2)))
 
     def shoot(self, lam: float) -> float:
         """Boundary value b(r0; lam)."""
@@ -236,22 +231,23 @@ class _RadialPath:
         return self.integrate(lam)[1]
 
     def to_eigenfunction(self, b: np.ndarray, bp: np.ndarray):
-        """Recover a = t^alpha b and a' on the node grid."""
-        t = self.nodes
-        al = self.alpha
-        if al == 0.0:
-            return b.copy(), bp.copy()
-        ta = np.zeros_like(t)
-        ta[1:] = t[1:] ** al
-        a = ta * b
-        ap = np.empty_like(a)
-        ap[1:] = al * t[1:] ** (al - 1.0) * b[1:] + ta[1:] * bp[1:]
-        ap[0] = b[0] if al == 1.0 else 0.0
-        return a, ap
+        """Recover a = (t/r0)^alpha b and a' on the node grid, both scaled by the
+        power of two that brings max |a| into [0.5, 1): large balls and high
+        levels stay in range."""
+        x, al = self.nodes / self.ball.r0, self.alpha
+        a, ap = b, bp
+        if al != 0.0:   # alpha = k is an integer
+            a = x ** al * b
+            ap = x ** al * bp + al / self.ball.r0 * x ** (al - 1.0) * b
+        e = math.frexp(float(np.max(np.abs(a))))[1]
+        return np.ldexp(a, -e), np.ldexp(ap, -e)
 
 
-def _euclid_estimate(k: int, i: int, r0: float) -> float:
-    return (math.pi * (i + 0.5 * k) / r0) ** 2
+def _euclid_estimate(path: _RadialPath, i: float) -> float:
+    """Flat-ball eigenvalue (j / r0)^2 with McMahon's estimate
+    j = (i + nu/2 - 1/4) pi of the i-th zero of J_nu, nu = k + (m - 2)/2."""
+    nu = path.k + 0.5 * (path.ball.m - 2)
+    return (math.pi * (i + 0.5 * nu - 0.25) / path.ball.r0) ** 2
 
 
 def _count_brackets(path: _RadialPath, n: int, hi: float, c_hi: int) -> list:
@@ -289,10 +285,10 @@ def _isolate(path: _RadialPath, n: int, max_lambda: float | None = None) -> list
     An upper end with at least n zeros is found by doubling from the
     Euclidean estimate, up to `max_lambda`.
     """
-    k, r0 = path.k, path.ball.r0
+    k = path.k
     if max_lambda is None:
-        max_lambda = 60.0 * max(1.0, _euclid_estimate(k, n + 2, r0))
-    hi = min(_euclid_estimate(k, n + 1, r0), max_lambda)
+        max_lambda = 60.0 * max(1.0, _euclid_estimate(path, n + 2))
+    hi = min(_euclid_estimate(path, n + 0.5), max_lambda)
     c_hi = path.count(hi)
     while c_hi < n:
         if hi >= max_lambda:
@@ -387,37 +383,61 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = 8.881784197
     )
 
 
-def _refine_bracket(path: _RadialPath, lo, hi):
-    root = brentq(path.shoot, lo, hi, xtol=1e-13 * max(1.0, hi), rtol=1e-15,
-                  maxiter=200)
-    return float(root)
+def _refine(path: _RadialPath, lo: float, hi: float, i: int, maxiter: int = 100):
+    """Eigenvalue i of the path's level in its count bracket, and its (a, a').
+
+    Safeguarded Newton (rtsafe): each sweep's Sturm count tells the side of
+    the root, so it also shrinks [lo, hi]; a step that leaves the bracket or
+    is not below half the step before last is replaced by bisection.  Once
+    the step or the bracket is below xtol = 1e-13 max(1, hi), a sweep at the
+    Newton point, if that moves lambda inside the bracket, is the last.
+    """
+    bracket = (lo, hi)
+    xtol = 1e-13 * max(1.0, hi)
+    lam = _euclid_estimate(path, i)
+    if not lo < lam < hi:
+        lam = 0.5 * (lo + hi)
+    step = step_old = hi - lo
+    last = False
+    for _ in range(maxiter):
+        _, changes, (b, bp) = path.integrate(lam, samples=True)
+        a, ap = path.to_eigenfunction(b, bp)
+        if last:
+            return lam, a, ap
+        lo, hi = (lo, lam) if changes >= i else (lam, hi)
+        # Newton step from d a(r0)/d lam = int p a^2 / (p(r0) a'(r0))
+        delta = float(-a[-1] * path.p_nodes[-1] * ap[-1]
+                      / composite_simpson(path.p_nodes * a * a, path.dt))
+        inside = lo < lam + delta < hi
+        last = abs(delta) < xtol or hi - lo < xtol
+        if last and (not inside or lam + delta == lam):
+            return lam, a, ap
+        if inside and (last or 2.0 * abs(delta) <= abs(step_old)):
+            step_old, step, lam = step, delta, lam + delta
+        else:
+            step_old, step = step, 0.5 * (hi - lo)
+            lam = lo + step
+    raise ConvergenceError(
+        f"Newton iteration for eigenvalue i={i} of level k={path.k} (n_t={path.n_t}) "
+        f"did not converge in {maxiter} sweeps on the lambda-bracket "
+        f"[{bracket[0]:.12g}, {bracket[1]:.12g}]; last iterate {lam:.12g}"
+    )
 
 
-def _build_mode(path: _RadialPath, lam: float, i: int, tol: float) -> RadialMode:
-    ball = path.ball
-    b, bp = path.integrate(lam, samples=True)[2]
-    a, ap = path.to_eigenfunction(b, bp)
-    # one Newton polish: d a(r0)/d lam = int p a^2 / (p(r0) a'(r0))
-    p_r0 = float(path.p_nodes[-1])
-    denom = composite_simpson(path.p_nodes * a * a, path.dt)
-    if denom > 0.0 and ap[-1] != 0.0:
-        delta = -a[-1] * p_r0 * ap[-1] / denom
-        if abs(delta) < 0.05 * max(1.0, abs(lam)):
-            lam = lam + delta
-            b, bp = path.integrate(lam, samples=True)[2]
-            a, ap = path.to_eigenfunction(b, bp)
+def _build_mode(path: _RadialPath, lo: float, hi: float, i: int, tol: float) -> RadialMode:
+    lam, a, ap = _refine(path, lo, hi, i)
     norm = math.sqrt(composite_simpson(path.p_nodes * a * a, path.dt))
     if norm <= 0.0:
-        raise SolverError("degenerate eigenfunction norm")
-    a /= norm
-    ap /= norm
+        raise SolverError(f"degenerate eigenfunction norm for i={i} of level k={path.k}")
+    a, ap = a / norm, ap / norm
     resid = abs(a[-1]) / np.max(np.abs(a))
     if resid > tol:
         raise ConvergenceError(
-            f"boundary residual {resid:.2e} exceeds tol {tol:.2e} for lambda={lam:.9g}"
+            f"boundary residual {resid:.2e} exceeds tol {tol:.2e} for lambda={lam:.9g} "
+            f"(i={i} of level k={path.k}, n_t={path.n_t})"
         )
     return RadialMode(nu=path.nu, k=path.k, i=i, lam=float(lam),
-                      t=path.nodes.copy(), a=a, a_prime=ap, norm=1.0)
+                      t=path.nodes.copy(), a=a, a_prime=ap)
 
 
 def solve_radial_modes(ball: ModelBall, k: int, count: int, tol: float = DEFAULT_TOL,
@@ -432,7 +452,7 @@ def solve_radial_modes(ball: ModelBall, k: int, count: int, tol: float = DEFAULT
     if count < 1:
         raise ValueError("count must be >= 1")
     path = _RadialPath(ball, k, n_t=n_t, substeps=substeps)
-    return [_build_mode(path, _refine_bracket(path, lo, hi), i, tol)
+    return [_build_mode(path, lo, hi, i, tol)
             for i, (lo, hi) in enumerate(_isolate(path, count, max_lambda), start=1)]
 
 
@@ -479,10 +499,7 @@ def assemble_spectrum(ball: ModelBall, lambda_cutoff: float, tol: float = DEFAUL
             break
         _, mult = sphere_eigenvalue(k, ball.m)
         for i, (lo, hi) in enumerate(_count_brackets(path, n, lambda_cutoff, n), start=1):
-            try:
-                mode = _build_mode(path, _refine_bracket(path, lo, hi), i, tol)
-            except SolverError as exc:
-                raise SolverError(f"(k={k}, i={i}): {exc}") from exc
+            mode = _build_mode(path, lo, hi, i, tol)
             entries.append(SpectrumEntry(lam=mode.lam, k=k, i=i, multiplicity=mult))
         k += 1
         if k > 1000:

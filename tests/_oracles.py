@@ -2,7 +2,9 @@
 
 Everything here is deliberately self-contained: Bessel functions come from
 their power series and zeros from bisection, so eigenvalue checks never
-share code with the solvers (or with scipy.special).
+share code with the solvers (or with scipy.special).  `rk4_sweep` is the
+step-by-step RK4 loop that the radial scan kernel is checked against; it
+reads only a path's tabulated steps and stage coefficients.
 """
 
 import math
@@ -101,3 +103,46 @@ def second_derivative(f, x: float, h: float = 1e-4) -> float:
 
 def first_derivative(f, x: float, h: float = 1e-5) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def rk4_sweep(path, lam: float, y1: float = 1.0, y2: float = 0.0):
+    """Reference sweep: the scalar RK4 loop over a radial path's tabulated stages.
+
+    Steps (b, b') through b'' + P b' + (Q + lam) b = 0 one step at a time
+    and returns b(r0), the number of sign changes of b along the path and
+    the (b, b') samples at the nodes, node 0 holding the start values.
+    """
+    s = path.steps.tolist()
+    P0, P1, P2 = path.P_stages.tolist()
+    Q0, Q1, Q2 = path.Q_stages.tolist()
+    at_node = set(path.node_steps.tolist())
+    b, bp = [y1], [y2]
+    neg = y1 < 0.0
+    changes = 0
+    for i, si in enumerate(s):
+        q0 = Q0[i] + lam
+        q1 = Q1[i] + lam
+        q2 = Q2[i] + lam
+        a1 = y2
+        b1 = -P0[i] * y2 - q0 * y1
+        u1 = y1 + 0.5 * si * a1
+        u2 = y2 + 0.5 * si * b1
+        a2 = u2
+        b2 = -P1[i] * u2 - q1 * u1
+        u1 = y1 + 0.5 * si * a2
+        u2 = y2 + 0.5 * si * b2
+        a3 = u2
+        b3 = -P1[i] * u2 - q1 * u1
+        u1 = y1 + si * a3
+        u2 = y2 + si * b3
+        a4 = u2
+        b4 = -P2[i] * u2 - q2 * u1
+        y1 += si * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
+        y2 += si * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0
+        if (y1 < 0.0) != neg:
+            neg = not neg
+            changes += 1
+        if i in at_node:
+            b.append(y1)
+            bp.append(y2)
+    return y1, changes, (b, bp)

@@ -6,7 +6,7 @@ import pytest
 from driftspectra.compare import (AnalyticDisk, ComparisonCase, builtin_corpus,
                                   derivative_lambda_eps, eigenvalue_sandwich,
                                   radial_divergence_profile, radial_ibp_check,
-                                  riccati_uniqueness, run_case, verdicts_to_csv,
+                                  riccati_uniqueness, run_case, run_corpus, verdicts_to_csv,
                                   verdicts_to_json, verify_divergence_comparison, verify_sectional_comparison,
                                   verify_ricci_comparison)
 from driftspectra.disk import build_model_disk
@@ -245,6 +245,22 @@ def test_divergence_monotonicity_equivalence():
 class TestCorpus:
     def test_twelve_cases(self):
         assert len(builtin_corpus()) == 12
+
+    def test_each_ball_solved_once(self, monkeypatch):
+        from driftspectra import radial
+        cases = builtin_corpus()
+        balls = {id(b) for c in cases for b in (c.subject, c.model)}
+        assert len(balls) == 11
+        solved = []
+        solve = radial.principal_eigenpair
+        monkeypatch.setattr(radial, "principal_eigenpair",
+                            lambda ball, **kw: solved.append(id(ball)) or solve(ball, **kw))
+        verdicts = run_corpus(cases)
+        assert sorted(solved) == sorted(balls)
+        assert all(v.premises_hold and v.conclusion_holds for v in verdicts)
+        # a second call solves again: nothing is kept between calls
+        run_corpus(cases[:1])
+        assert len(solved) == 13
 
     def test_serializers(self):
         cases = builtin_corpus()[:2]

@@ -227,13 +227,6 @@ class TestEigen:
         assert scaled == pytest.approx([scaled[2]] * 4, rel=1e-9)
         assert scaled[2] == pytest.approx(lam1d, rel=1e-3)
 
-    def test_upwind_variant_close_to_centered(self):
-        ball = euclidean_ball(2, 1.0, polynomial_drift([1.0]))
-        p = build_model_disk(ball, n_t=96, n_theta=32)
-        pair_c, _ = solve_principal(p, tol=1e-8)
-        pair_u, _ = solve_principal(p, tol=1e-8, upwind=True)
-        assert pair_u.lam == pytest.approx(pair_c.lam, abs=5e-2)
-
 
 class TestFields:
     def test_divergence_of_rotation(self):

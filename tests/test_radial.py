@@ -1,18 +1,30 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from driftspectra.errors import ConvergenceError, EigenvalueWindowError, SolverError
 from driftspectra.geometry import euclidean_ball, polynomial_drift, space_form_ball
-from driftspectra.radial import (_count_brackets, _isolate, _RadialPath,
-                                 _refine_bracket, assemble_spectrum, brentq,
+from driftspectra import radial
+from driftspectra.radial import (_count_brackets, _isolate, _RadialPath, _refine,
+                                 assemble_spectrum, brentq,
                                  derivative_identity_residual, frobenius_exponent,
                                  maisuma_residual, principal_eigenpair,
                                  solve_radial_modes, sphere_eigenvalue,
                                  weighted_inner_product)
 
-from _oracles import bessel_zero, harmonic_multiplicity
+from _oracles import bessel_zero, harmonic_multiplicity, rk4_sweep
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The lambdas of every `_RadialPath.integrate` call made while the test runs."""
+    lams = []
+    integrate = _RadialPath.integrate
+    monkeypatch.setattr(_RadialPath, "integrate",
+                        lambda self, lam, *a, **kw: lams.append(lam) or integrate(self, lam, *a, **kw))
+    return lams
 
 
 class TestSphereData:
@@ -165,7 +177,6 @@ class TestSpectrum:
     def test_ground_pair_solved_once(self, monkeypatch):
         # the level-0 count checks the cutoff; lambda_1 is solved only to
         # word the error
-        from driftspectra import radial
         calls = []
         solve = radial.principal_eigenpair
         monkeypatch.setattr(radial, "principal_eigenpair",
@@ -274,13 +285,14 @@ class TestBrent:
             ball = space_form_ball(kappa, m, r0, drift)
             for k in levels:
                 path = _RadialPath(ball, k, n_t=n_t)
-                for lo, hi in _isolate(path, roots):
-                    yield path.shoot, lo, hi
+                for i, (lo, hi) in enumerate(_isolate(path, roots), start=1):
+                    yield path, i, lo, hi
 
     def test_bit_identical_to_scipy_on_radial_brackets(self):
         scipy_optimize = pytest.importorskip("scipy.optimize")
         count = 0
-        for f, lo, hi in self._radial_brackets(seed=11):
+        for path, _, lo, hi in self._radial_brackets(seed=11):
+            f = path.shoot
             opts = dict(xtol=1e-13 * max(1.0, hi), rtol=1e-15, maxiter=200)
             ref, ref_info = scipy_optimize.brentq(f, lo, hi, full_output=True, **opts)
             root, info = brentq(f, lo, hi, full_output=True, **opts)
@@ -320,10 +332,81 @@ class TestBrent:
         with pytest.raises(ConvergenceError, match=r"lambda-bracket \[2, 3\]"):
             brentq(lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0, maxiter=2)
 
-    def test_refine_bracket_uses_the_port(self):
-        path = _RadialPath(euclidean_ball(2, 1.0), 0)
+    def test_newton_root_agrees_with_brentq(self):
+        # the reference root of the same bracket, to Brent's own tolerance
+        count = 0
+        for path, i, lo, hi in self._radial_brackets(seed=11):
+            xtol = 1e-13 * max(1.0, hi)
+            ref = brentq(path.shoot, lo, hi, xtol=xtol, rtol=1e-15, maxiter=200)
+            assert abs(_refine(path, lo, hi, i)[0] - ref) <= xtol
+            count += 1
+        assert count == 40 * 3 * 3
+
+
+class TestScanKernel:
+    """The prefix-product sweep against the scalar RK4 loop of `_oracles`."""
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 50])
+    def test_scan_matches_scalar_rk4(self, k):
+        rng = np.random.default_rng(100 + k)
+        for _ in range(6):
+            ball = space_form_ball(float(rng.uniform(-1.0, 1.0)), int(rng.integers(2, 6)),
+                                   float(rng.uniform(0.5, 1.5)),
+                                   polynomial_drift([float(rng.uniform(0.0, 1.5)),
+                                                     float(rng.uniform(-0.5, 0.5))]))
+            path = _RadialPath(ball, k, n_t=128)
+            # across the count window lam * h^2 <= 1
+            for lam in rng.uniform(0.0, 1.0 / path.h_max ** 2, 4):
+                end, changes, (b, bp) = path.integrate(lam, samples=True)
+                ref_end, ref_changes, (ref_b, ref_bp) = rk4_sweep(path, lam)
+                # relative to the sweep's scale: b(r0) itself is ~0 near an eigenvalue
+                scale = np.max(np.abs(ref_b))
+                assert abs(end - ref_end) <= 1e-13 * scale
+                assert np.max(np.abs(b - ref_b)) <= 1e-13 * scale
+                assert np.max(np.abs(bp - ref_bp)) <= 1e-13 * np.max(np.abs(ref_bp))
+                assert changes == ref_changes
+
+    def test_start_values_and_riccati_style_coefficients(self):
+        ball = space_form_ball(0.5, 3, 1.0, polynomial_drift([1.0]))
+        path = _RadialPath(ball, 0, n_t=64, coefs=(lambda t: 2.0 / t, lambda t: -1.0 + 0.0 * t))
+        end, changes, (b, bp) = path.integrate(0.0, 1.5, -0.25, samples=True)
+        ref_end, ref_changes, (ref_b, ref_bp) = rk4_sweep(path, 0.0, 1.5, -0.25)
+        assert (b[0], bp[0]) == (1.5, -0.25)
+        assert abs(end - ref_end) <= 1e-13 * np.max(np.abs(ref_b))
+        assert changes == ref_changes
+
+
+class TestNewton:
+    @pytest.mark.parametrize("ball", [euclidean_ball(2, 1.0), euclidean_ball(3, 1.0),
+                                      space_form_ball(1.0, 2, 1.0),
+                                      space_form_ball(-1.0, 4, 1.0)],
+                             ids=["flat-m2", "flat-m3", "sphere-m2", "hyp-m4"])
+    def test_sweep_budget(self, ball, sweeps):
+        principal_eigenpair(ball)
+        assert len(sweeps) <= 10
+
+    def test_large_hyperbolic_level_222(self, sweeps):
+        # b(r0) is ~1e-138 there and its sign is noise within ~1e-12 of each
+        # root; a stop on a lambda-relative step alone cycled on this level
+        path = _RadialPath(space_form_ball(-0.5, 4, 10.0), 222)
+        n = path.count(20.0)
+        assert n == 5
+        for i, (lo, hi) in enumerate(_count_brackets(path, n, 20.0, n), start=1):
+            del sweeps[:]
+            lam = _refine(path, lo, hi, i)[0]
+            assert len(sweeps) <= 15
+            assert lo <= lam <= hi
+            assert path.count(lam * (1.0 - 1e-10)) == i - 1
+            assert path.count(lam * (1.0 + 1e-10)) == i
+
+    def test_nonconvergence_names_where(self):
+        path = _RadialPath(euclidean_ball(2, 1.0), 1, n_t=64)
         (lo, hi), = _isolate(path, 1)
-        root = _refine_bracket(path, lo, hi)
-        assert root == brentq(path.shoot, lo, hi, xtol=1e-13 * max(1.0, hi),
-                              rtol=1e-15, maxiter=200)
-        assert root == pytest.approx(bessel_zero(0, 1) ** 2, abs=1e-6)
+        with pytest.raises(ConvergenceError) as exc:
+            _refine(path, lo, hi, 1, maxiter=1)
+        msg = str(exc.value)
+        assert "level k=1" in msg
+        assert "eigenvalue i=1" in msg
+        assert f"lambda-bracket [{lo:.12g}, {hi:.12g}]" in msg
+        assert "n_t=64" in msg
+        assert re.search(r"last iterate \d+\.\d+", msg)
