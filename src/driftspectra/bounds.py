@@ -100,23 +100,26 @@ def barta_bracket(op_eval, u, exclude_rings: int = 1) -> BartaBracket:
 
 # -- weighted Rayleigh quotient --------------------------------------------
 
-def _ball_forms(ball: ModelBall, f, n_t: int):
-    """Stiffness/mass pair of the weighted radial quotient on [0, r0].
+def _forms(target, f, n_t: int):
+    """Stiffness matrix and lumped mass of the weighted Dirichlet quotient.
 
-    Nodes i=0..n_t with the Dirichlet node n_t eliminated; the origin has a
-    natural condition because the weight vanishes there.
+    On a ball: nodes i=0..n_t on [0, r0] with the Dirichlet node n_t
+    eliminated; the origin has a natural condition because the weight
+    vanishes there.  On a disk: the cells of its grid (`n_t` is unused).
     """
-    r0 = ball.r0
+    if not isinstance(target, ModelBall):
+        w = np.exp(-_field_on_grid(target, f))
+        return weighted_stiffness(target, w, dirichlet=True).tocsc(), w.ravel() * volumes(target)
+    r0 = target.r0
     nodes = np.linspace(0.0, r0, n_t + 1)
     mids = 0.5 * (nodes[:-1] + nodes[1:])
     dx = nodes[1] - nodes[0]
     fm = np.asarray(f(mids), dtype=float)
     fn = np.asarray(f(nodes), dtype=float)
-    w_mid = weight_p(ball, mids) * np.exp(-fm)
-    w_node = weight_p(ball, nodes) * np.exp(-fn)
+    w_mid = weight_p(target, mids) * np.exp(-fm)
+    w_node = weight_p(target, nodes) * np.exp(-fn)
     n = n_t  # unknowns 0..n_t-1
-    main = np.zeros(n)
-    main[:] = w_mid[:n] / dx
+    main = w_mid[:n] / dx
     main[1:] += w_mid[: n - 1] / dx
     off = -w_mid[: n - 1] / dx
     K = sp.diags([off, main, off], offsets=(-1, 0, 1), format="csc")
@@ -131,21 +134,13 @@ def rayleigh_quotient(target, f, u) -> float:
     Ball trials are node samples on the uniform grid over [0, r0] with the
     last sample at the boundary, where they must vanish.
     """
+    u = np.asarray(u, dtype=float)
     if isinstance(target, ModelBall):
-        u = np.asarray(u, dtype=float)
         if abs(u[-1]) > 1e-10 * np.max(np.abs(u)):
             raise ValueError("ball trials must vanish at the boundary node")
-        K, mass = _ball_forms(target, f, u.shape[0] - 1)
-        inner = u[:-1]
-        denom = float(inner @ (mass * inner))
-        if denom <= 0.0:
-            raise ValueError("trial has zero weighted norm")
-        return float(inner @ (K @ inner)) / denom
-    problem: DiskProblem = target
-    w = np.exp(-_field_on_grid(problem, f))
-    K = weighted_stiffness(problem, w, dirichlet=True)
-    mass = w.ravel() * volumes(problem)
-    uv = np.asarray(u, dtype=float).ravel()
+        u = u[:-1]
+    K, mass = _forms(target, f, u.shape[0])
+    uv = u.ravel()
     denom = float(uv @ (mass * uv))
     if denom <= 0.0:
         raise ValueError("trial has zero weighted norm")
@@ -161,12 +156,7 @@ def rayleigh_minimize(target, f, n_t: int = 512, tol: float = 1e-12,
     both endpoints.
     """
     ball = isinstance(target, ModelBall)
-    if ball:
-        K, mass = _ball_forms(target, f, n_t)
-    else:
-        w = np.exp(-_field_on_grid(target, f))
-        K = weighted_stiffness(target, w, dirichlet=True).tocsc()
-        mass = w.ravel() * volumes(target)
+    K, mass = _forms(target, f, n_t)
     # inverse iteration for K v = lambda M v with the lumped (diagonal) mass
     lu = splu(K)
     v = np.ones(K.shape[0])

@@ -121,12 +121,6 @@ class RunConfig:
         return self.tol if self.tol is not None else 1e-6
 
 
-@dataclass
-class SweepSpec:
-    axes: list
-    base: RunConfig
-
-
 def _build_ball(cfg: RunConfig) -> ModelBall:
     if cfg.warping:
         spec = cfg.warping.strip()
@@ -142,7 +136,10 @@ def _build_ball(cfg: RunConfig) -> ModelBall:
                 raise UsageError("warping expressions may only involve t")
             d1 = expr.diff("t")
             d2 = d1.diff("t")
-            rho = custom_warping(expr, d1, d2, t_max=cfg.radius * 1.5)
+            try:
+                rho = custom_warping(expr, d1, d2, t_max=cfg.radius * 1.5)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
     else:
         rho = make_space_form(cfg.kappa if cfg.kappa is not None else 0.0)
     if cfg.drift and cfg.drift.strip() not in ("0", "0.0"):
@@ -229,27 +226,28 @@ def _disk_problem(cfg: RunConfig):
         raise UsageError("disk commands require --dim 2")
     from .disk import build_model_disk
 
+    def field(spec):
+        if not spec:
+            return None
+        expr = parse_expression(spec)
+        return lambda t, th: np.asarray(expr(t, th), dtype=float)
+
     ball = _build_ball(cfg)
-    pert = None
-    if cfg.perturbation:
-        p_expr = parse_expression(cfg.perturbation)
-        pert = lambda t, th: np.asarray(p_expr(t, th), dtype=float)
-    ang = None
-    if cfg.vtheta:
-        v_expr = parse_expression(cfg.vtheta)
-        ang = lambda t, th: np.asarray(v_expr(t, th), dtype=float)
-    return build_model_disk(ball, perturbation=pert, drift_angular=ang,
-                            n_t=cfg.n_t, n_theta=cfg.n_theta)
+    try:
+        return build_model_disk(ball, perturbation=field(cfg.perturbation),
+                                drift_angular=field(cfg.vtheta), n_t=cfg.n_t, n_theta=cfg.n_theta)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _cmd_disk2d(cfg: RunConfig) -> int:
-    from .disk import eigenpair_csv, solve_principal
+    from .disk import eigenpair_csv, eigenpair_json, solve_principal
 
     problem = _disk_problem(cfg)
     pair, _ = solve_principal(problem, tol=cfg.tol_2d())
     if cfg.output:
         if cfg.format == "json":
-            text = json.dumps(pair.summary(problem.grid), sort_keys=True, indent=2) + "\n"
+            text = eigenpair_json(problem, pair)
         else:
             text = eigenpair_csv(problem, pair)
         _write_text(cfg.output, text)
@@ -283,26 +281,17 @@ def _cmd_bounds(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_compare(cfg: RunConfig, args=None) -> int:
-    if args is not None and getattr(args, "subject_kappa", None) is not None:
+def _cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
+    if args.subject_kappa is not None:
         from .compare import ComparisonCase, run_case
-        from .geometry import space_form_ball
 
-        def side(kappa, drift_expr):
-            drift = None
-            if drift_expr:
-                h_expr = parse_expression(drift_expr)
-                hp = h_expr.diff("t")
-                drift = drift_from_rate(
-                    h=lambda t: np.asarray(h_expr(t), dtype=float),
-                    h_prime=lambda t: np.asarray(hp(t), dtype=float),
-                    t_max=cfg.radius * 1.05)
-            return space_form_ball(kappa, cfg.dim, cfg.radius, drift)
-
-        case = ComparisonCase(side(args.subject_kappa, args.subject_drift),
-                              side(args.model_kappa or 0.0, args.model_drift),
-                              args.mode, label="cli-pair")
-        verdicts = [run_case(case)]
+        subject = _build_ball(replace(cfg, kappa=args.subject_kappa, warping=None,
+                                      drift=args.subject_drift))
+        model = _build_ball(replace(cfg, kappa=args.model_kappa or 0.0, warping=None,
+                                    drift=args.model_drift))
+        verdicts = [run_case(ComparisonCase(subject, model, args.mode, label="cli-pair"))]
+    elif (args.model_kappa, args.subject_drift, args.model_drift) != (None, None, None):
+        raise UsageError("--model-kappa, --subject-drift and --model-drift need --subject-kappa")
     else:
         verdicts = run_corpus()
     text = verdicts_to_json(verdicts) if cfg.format == "json" else verdicts_to_csv(verdicts)
@@ -333,18 +322,18 @@ def _cmd_riccati(cfg: RunConfig) -> int:
 _AXIS_PARAMS = ("kappa", "radius", "dim", "drift_scale")
 
 
-def _cmd_sweep(spec: SweepSpec) -> int:
-    if not spec.axes:
+def _cmd_sweep(axes: list, base: RunConfig) -> int:
+    if not axes:
         raise UsageError("sweep requires at least one --axis")
-    names = [n for n, _ in spec.axes]
-    grids = [v for _, v in spec.axes]
+    names = [n for n, _ in axes]
+    grids = [v for _, v in axes]
     points = [[]]
     for vals in grids:
         points = [p + [v] for p in points for v in vals]
     print(f"sweep: {len(points)} configurations over axes {names}")
 
     def run_point(values):
-        cfg = spec.base
+        cfg = base
         for name, val in zip(names, values):
             if name == "dim":
                 cfg = replace(cfg, dim=int(val))
@@ -365,8 +354,8 @@ def _cmd_sweep(spec: SweepSpec) -> int:
         lines.append(",".join([_fmt(v) if isinstance(v, float) else str(v)
                                for v in values] + [lam, status]))
     text = "\n".join(lines) + "\n"
-    if spec.base.output:
-        _write_text(spec.base.output, text)
+    if base.output:
+        _write_text(base.output, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -416,6 +405,24 @@ def _make_parser() -> _Parser:
     return parser
 
 
+# config (section, key) -> (RunConfig field, SectionProxy reader); flags override the fields
+_CONFIG_KEYS = {
+    ("problem", "dimension"): ("dim", "getint"),
+    ("problem", "radius"): ("radius", "getfloat"),
+    ("problem", "kappa"): ("kappa", "getfloat"),
+    ("problem", "warping"): ("warping", "get"),
+    ("problem", "drift"): ("drift", "get"),
+    ("problem", "perturbation"): ("perturbation", "get"),
+    ("problem", "vtheta"): ("vtheta", "get"),
+    ("numerics", "n_t"): ("n_t", "getint"),
+    ("numerics", "n_theta"): ("n_theta", "getint"),
+    ("numerics", "tol"): ("tol", "getfloat"),
+    ("numerics", "cutoff"): ("cutoff", "getfloat"),
+    ("output", "path"): ("output", "get"),
+    ("output", "format"): ("format", "get"),
+}
+
+
 def _load_config_file(path: str) -> dict:
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = cp.read(path)
@@ -423,38 +430,13 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"cannot read config file {path!r}")
     out = {}
     try:
-        if cp.has_section("problem"):
-            sec = cp["problem"]
-            if "dimension" in sec:
-                out["dim"] = sec.getint("dimension")
-            if "radius" in sec:
-                out["radius"] = sec.getfloat("radius")
-            if "kappa" in sec:
-                out["kappa"] = sec.getfloat("kappa")
-            for key in ("warping", "drift", "perturbation", "vtheta"):
-                if key in sec:
-                    out[key] = sec.get(key)
-        if cp.has_section("numerics"):
-            sec = cp["numerics"]
-            if "n_t" in sec:
-                out["n_t"] = sec.getint("n_t")
-            if "n_theta" in sec:
-                out["n_theta"] = sec.getint("n_theta")
-            if "tol" in sec:
-                out["tol"] = sec.getfloat("tol")
-            if "cutoff" in sec:
-                out["cutoff"] = sec.getfloat("cutoff")
-        if cp.has_section("output"):
-            sec = cp["output"]
-            if "path" in sec:
-                out["output"] = sec.get("path")
-            if "format" in sec:
-                fmt = sec.get("format")
-                if fmt not in ("csv", "json"):
-                    raise UsageError(f"unknown output format {fmt!r}")
-                out["format"] = fmt
+        for (section, key), (name, reader) in _CONFIG_KEYS.items():
+            if cp.has_section(section) and key in cp[section]:
+                out[name] = getattr(cp[section], reader)(key)
     except ValueError as exc:
         raise UsageError(f"malformed config file: {exc}") from exc
+    if out.get("format", "csv") not in ("csv", "json"):
+        raise UsageError(f"unknown output format {out['format']!r}")
     return out
 
 
@@ -462,14 +444,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     data = {"command": args.command}
     if getattr(args, "config", None):
         data.update(_load_config_file(args.config))
-    for key in ("dim", "radius", "kappa", "warping", "drift", "perturbation",
-                "vtheta", "n_t", "n_theta", "tol", "cutoff", "output", "format"):
+    for key, _ in _CONFIG_KEYS.values():
         val = getattr(args, key, None)
         if val is not None:
             data[key] = val
-    defaults = RunConfig(command=args.command)
-    for key, val in data.items():
-        setattr(defaults, key, val)
+    defaults = RunConfig(**data)
     if defaults.dim < 2:
         raise UsageError("dimension must be >= 2")
     if defaults.n_t is not None and defaults.n_t < 4:
@@ -521,7 +500,7 @@ def main(argv=None) -> int:
             _check_workers(args.workers, "--workers")
             if "DRIFT_SPECTRA_WORKERS" in os.environ:
                 _check_workers(os.environ["DRIFT_SPECTRA_WORKERS"], "DRIFT_SPECTRA_WORKERS")
-            return _cmd_sweep(SweepSpec(axes=_parse_axes(args.axis), base=base))
+            return _cmd_sweep(_parse_axes(args.axis), base)
         cfg = _merge_config(args)
         if args.command == "compare":
             return _cmd_compare(cfg, args)
@@ -533,10 +512,7 @@ def main(argv=None) -> int:
             "riccati": _cmd_riccati,
         }[args.command]
         return handler(cfg)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ExpressionError as exc:
+    except (UsageError, ExpressionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _OutputError as exc:

@@ -1,11 +1,11 @@
 """Hypothesis checking and conclusion testing for the eigenvalue comparisons.
 
-Each checker evaluates the pointwise curvature/drift hypotheses of one
-comparison statement on a sample grid (analytic closures, never grid
-differences of samples), runs the appropriate eigenvalue solvers on both
-sides, and reports a verdict:  premises_hold, the margin of the asserted
-eigenvalue inequality, and an equality-case flag.  Premise failure is a
-reported outcome, not an exception.
+`run_case` verifies both model comparisons from one per-mode table: the
+sectional (Cheng-type) one, smaller curvature and drift giving a larger
+eigenvalue, and the Ricci one, where div V - |V|^2/2 reverses the inequality.
+Premises are sampled pointwise (analytic closures, never grid differences of
+samples), both sides are solved, and the verdict holds premises_hold, the
+inequality's margin and an equality-case flag.  Premise failure is not raised.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .geometry import (DriftProfile, ModelBall, extra_condition_lhs,
                        extra_drift_profile, radial_sectional_curvature)
 
 PREMISE_TOL = 1e-9
+TRANSPORT_TOL = 1e-6
 SAMPLES_1D = 401
 
 
@@ -66,7 +67,7 @@ class AnalyticDisk:
 class ComparisonCase:
     subject: object  # ModelBall or AnalyticDisk
     model: ModelBall
-    mode: str  # sectional | ricci | divergence | sandwich_prop61
+    mode: str  # a key of _STATEMENTS: sectional | ricci
     label: str = ""
     n_t_1d: int = radial_mod.DEFAULT_GRID
     grid_2d: tuple | None = None  # (n_t, n_theta); None: the disk defaults
@@ -169,46 +170,17 @@ def _bishop_ratio_slope(subject, model: ModelBall, ts, thetas):
     return (J1 * rho[:, None] - J * rho1[:, None]) / rho[:, None] ** 2
 
 
-def verify_sectional_comparison(case: ComparisonCase, tol: float | None = None,
-                                solved: dict | None = None) -> ComparisonVerdict:
-    """Sectional-curvature comparison: smaller curvature and drift on the
-    subject force a larger principal eigenvalue.
-
-    Premises (pointwise): K_subject <= K_model and h1 <= h.  The monotone
-    volume-ratio slope (J/rho)' >= 0 implied by the curvature premise is
-    checked alongside.  Conclusion: lambda_subject >= lambda_model - tol.
-    """
+def _sectional_premises(case: ComparisonCase, ts, thetas, notes):
+    """K_subject <= K_model and h1 <= h; their consequence is (J/rho)' >= 0."""
     subject, model = case.subject, case.model
-    ts = _sample_grid(model.r0)
-    thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     K_s = _subject_curvature(subject, ts, thetas)
     K_m = radial_sectional_curvature(model.rho, ts)
     curv_margin = float(np.min(np.atleast_1d(K_m if np.ndim(K_s) == 1 else K_m[:, None]) - K_s))
     h_m = np.asarray(model.drift.h(ts), dtype=float)
     h_s = _subject_drift(subject, ts, thetas)
     drift_margin = float(np.min((h_m if h_s.ndim == 1 else h_m[:, None]) - h_s))
-    bishop_min = float(np.min(_bishop_ratio_slope(subject, model, ts, thetas)))
-    margins = {"curvature": curv_margin, "drift": drift_margin,
-               "volume_ratio_slope": bishop_min}
-    premises = curv_margin >= -PREMISE_TOL and drift_margin >= -PREMISE_TOL
-    notes = []
-    if premises and bishop_min < -PREMISE_TOL:
-        notes.append("volume-ratio monotonicity violated despite curvature premise")
-        premises = False
-
-    lam_m = _principal(case.model, case.n_t_1d, solved).lam
-    if not premises:
-        return ComparisonVerdict(case.label, case.mode, False, margins,
-                                 math.nan, lam_m, math.nan, False, False, notes)
-    lam_s, allowance, _ = _subject_lambda(case, solved)
-    tol_eff = tol if tol is not None else 1e-9 + allowance
-    margin = lam_s - lam_m
-    conclusion = margin >= -tol_eff
-    equality = (abs(margin) <= tol_eff
-                and abs(curv_margin) <= math.sqrt(PREMISE_TOL)
-                and abs(drift_margin) <= math.sqrt(PREMISE_TOL))
-    return ComparisonVerdict(case.label, case.mode, True, margins, lam_s, lam_m,
-                             margin, conclusion, equality, notes)
+    margins = {"curvature": curv_margin, "drift": drift_margin}
+    return margins, _bishop_ratio_slope(subject, model, ts, thetas)
 
 
 def _extra_profile_subject(subject, ts, thetas, fd_step):
@@ -226,20 +198,9 @@ def _extra_profile_subject(subject, ts, thetas, fd_step):
     return np.vstack([at0[None, :], vals])
 
 
-def verify_ricci_comparison(case: ComparisonCase, tol: float | None = None,
-                            equality_tol: float = 1e-6,
-                            solved: dict | None = None) -> ComparisonVerdict:
-    """Ricci-curvature comparison for radial drifts: larger radial Ricci and
-    larger div(V) - |V|^2/2 on the subject force a smaller eigenvalue.
-
-    On equality the eigenfunction transport relation
-    omega_subject = omega_model * exp((H1 - H)/2) is verified by residual.
-    """
+def _ricci_premises(case: ComparisonCase, ts, thetas, notes):
+    """Ric and div V - |V|^2/2 at least the model's, h >= 0; -(J/rho)' >= 0 follows."""
     subject, model = case.subject, case.model
-    ts = _sample_grid(model.r0)
-    thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    notes = []
-
     if isinstance(subject, AnalyticDisk) and subject.vtheta is not None:
         T, TH = np.meshgrid(ts[1:], thetas, indexing="ij")
         if np.any(np.asarray(subject.vtheta(T, TH)) != 0.0):
@@ -259,13 +220,43 @@ def verify_ricci_comparison(case: ComparisonCase, tol: float | None = None,
     extra_m = np.asarray(extra_drift_profile(model, ts), dtype=float)
     extra_s = _extra_profile_subject(subject, ts, thetas, fd_step)
     extra_margin = float(np.min(extra_s - (extra_m if extra_s.ndim == 1 else extra_m[:, None])))
-    bishop_max = float(np.max(_bishop_ratio_slope(subject, model, ts, thetas)))
     margins = {"ricci": ricci_margin, "extra_condition": extra_margin,
-               "model_drift_sign": model_h_min, "volume_ratio_slope": -bishop_max}
-    premises = (ricci_margin >= -PREMISE_TOL and extra_margin >= -PREMISE_TOL
-                and model_h_min >= -PREMISE_TOL)
-    if premises and bishop_max > PREMISE_TOL:
-        notes.append("volume-ratio monotonicity violated despite Ricci premise")
+               "model_drift_sign": model_h_min}
+    return margins, -_bishop_ratio_slope(subject, model, ts, thetas)
+
+
+class _Statement(NamedTuple):
+    premises: Callable  # (case, ts, thetas, notes) -> (margins, oriented (J/rho)')
+    word: str  # names the premises in the volume-ratio note
+    subject_larger: bool  # the conclusion is lambda_subject >= lambda_model
+    equality_margins: tuple  # premise margins that vanish in the equality case
+
+
+_STATEMENTS = {
+    "sectional": _Statement(_sectional_premises, "curvature", True, ("curvature", "drift")),
+    "ricci": _Statement(_ricci_premises, "Ricci", False, ("extra_condition",)),
+}
+
+
+def run_case(case: ComparisonCase, solved: dict | None = None) -> ComparisonVerdict:
+    """Verdict of the comparison statement `case.mode` (a key of _STATEMENTS).
+
+    The premises are sampled pointwise and the volume-ratio monotonicity they
+    imply is checked alongside; the eigenvalue inequality then gets the
+    solvers' accuracy allowance.  In Ricci equality cases the eigenfunction
+    transport omega_subject = omega_model * exp((H1 - H)/2) is checked too.
+    """
+    statement = _STATEMENTS.get(case.mode)
+    if statement is None:
+        raise ValueError(f"unknown comparison mode {case.mode!r}")
+    ts = _sample_grid(case.model.r0)
+    thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    notes = []
+    margins, slope = statement.premises(case, ts, thetas, notes)
+    premises = all(v >= -PREMISE_TOL for v in margins.values())
+    margins["volume_ratio_slope"] = float(np.min(slope))
+    if premises and margins["volume_ratio_slope"] < -PREMISE_TOL:
+        notes.append(f"volume-ratio monotonicity violated despite {statement.word} premise")
         premises = False
 
     mode_m = _principal(case.model, case.n_t_1d, solved)
@@ -274,14 +265,15 @@ def verify_ricci_comparison(case: ComparisonCase, tol: float | None = None,
         return ComparisonVerdict(case.label, case.mode, False, margins,
                                  math.nan, lam_m, math.nan, False, False, notes)
     lam_s, allowance, sol_s = _subject_lambda(case, solved)
-    tol_eff = tol if tol is not None else 1e-9 + allowance
-    margin = lam_m - lam_s
-    conclusion = margin >= -tol_eff
-    equality = abs(margin) <= tol_eff and abs(extra_margin) <= math.sqrt(PREMISE_TOL)
-    if equality and isinstance(subject, ModelBall):
-        resid = _eigenfunction_transport_residual(subject, model, sol_s, mode_m)
+    tol = 1e-9 + allowance
+    margin = lam_s - lam_m if statement.subject_larger else lam_m - lam_s
+    conclusion = margin >= -tol
+    equality = abs(margin) <= tol and all(abs(margins[k]) <= math.sqrt(PREMISE_TOL)
+                                          for k in statement.equality_margins)
+    if case.mode == "ricci" and equality and isinstance(case.subject, ModelBall):
+        resid = _eigenfunction_transport_residual(case.subject, case.model, sol_s, mode_m)
         notes.append(f"transport residual {resid:.2e}")
-        if resid > equality_tol:
+        if resid > TRANSPORT_TOL:
             conclusion = False
             notes.append("eigenfunction transport relation failed")
     return ComparisonVerdict(case.label, case.mode, True, margins, lam_s, lam_m,
@@ -344,10 +336,6 @@ class SandwichResult:
     lam_drift: float
     combined_tol: float
 
-    def __iter__(self):
-        # unpacks as the slack pair
-        return iter((self.lower_gap, self.upper_gap))
-
 
 def eigenvalue_sandwich(problem: DiskProblem, tol: float = 1e-7) -> SandwichResult:
     """Slacks of the drift/driftless eigenvalue sandwich.
@@ -400,7 +388,7 @@ def eigenvalue_sandwich(problem: DiskProblem, tol: float = 1e-7) -> SandwichResu
 # -- eigenvalue derivative under gradient drift ------------------------------
 
 def derivative_lambda_eps(base, f, eps: float, tol: float = 1e-3,
-                          flat_tol: float = 1e-2, grid_2d=(160, 96)) -> float:
+                          flat_tol: float = 1e-2) -> float:
     """Central difference d/d eps of lambda under the drift eps * grad f.
 
     `base` is a drift-free ModelBall with f = (f, f', f'') radial callables,
@@ -408,6 +396,7 @@ def derivative_lambda_eps(base, f, eps: float, tol: float = 1e-3,
     the Laplacian of f is constant (= 2 c0) is verified first; the result
     must match -c0 within tol.
     """
+    lams = []
     if isinstance(base, ModelBall):
         f0, f1, f2 = f
         ts = _sample_grid(base.r0)[1:]
@@ -418,7 +407,6 @@ def derivative_lambda_eps(base, f, eps: float, tol: float = 1e-3,
         c0 = 0.5 * float(np.mean(lap))
         if np.max(np.abs(lap - 2.0 * c0)) > flat_tol * max(1.0, abs(2.0 * c0)):
             raise ValueError("f does not have a constant Laplacian on the ball")
-        lams = []
         f_origin = float(f0(0.0))
         for sgn in (+1.0, -1.0):
             s = sgn * eps
@@ -428,7 +416,6 @@ def derivative_lambda_eps(base, f, eps: float, tol: float = 1e-3,
                 H=lambda t, s=s: s * (np.asarray(f0(t), dtype=float) - f_origin))
             ball = ModelBall(m=base.m, r0=base.r0, rho=base.rho, drift=drift)
             lams.append(radial_mod.principal_eigenpair(ball, tol=1e-8).lam)
-        est = (lams[0] - lams[1]) / (2.0 * eps)
     else:
         from .disk import DiskProblem, assemble_operator, solve_principal, volumes
 
@@ -447,12 +434,11 @@ def derivative_lambda_eps(base, f, eps: float, tol: float = 1e-3,
             raise ValueError("f does not have a constant Laplacian on the disk")
         Vt = np.asarray(ft(T, TH), dtype=float) * np.ones_like(T)
         Vth = np.asarray(fth(T, TH), dtype=float) * np.ones_like(T) / problem.J ** 2
-        lams = []
         for sgn in (+1.0, -1.0):
             prob = DiskProblem(problem.grid, problem.J, sgn * eps * Vt, sgn * eps * Vth)
             pair, _ = solve_principal(prob, tol=1e-7)
             lams.append(pair.lam)
-        est = (lams[0] - lams[1]) / (2.0 * eps)
+    est = (lams[0] - lams[1]) / (2.0 * eps)
     if abs(est + c0) > tol:
         raise SolverError(
             f"eigenvalue derivative {est:.6g} disagrees with -c0 = {-c0:.6g}"
@@ -529,9 +515,8 @@ def radial_ibp_check(problem: DiskProblem, u, phi, origin_tol: float = 1e-6) -> 
     extrapolating the first two rings).  Probes the quadrature plus the
     distance-Laplacian stencils.
     """
-    from .disk import volumes
+    from .disk import radial_derivative, volumes
 
-    N, L = problem.grid.n_t, problem.grid.n_theta
     dt = problem.grid.dt
     u = np.asarray(u, dtype=float).reshape(problem.J.shape)
     phi = np.asarray(phi, dtype=float).reshape(problem.J.shape)
@@ -540,23 +525,10 @@ def radial_ibp_check(problem: DiskProblem, u, phi, origin_tol: float = 1e-6) -> 
     if np.max(np.abs(phi_at0)) > origin_tol * scale:
         raise ValueError("phi must extrapolate to 0 at the origin")
 
-    def d_dt(field, dirichlet):
-        out = np.empty_like(field)
-        out[1:-1, :] = (field[2:, :] - field[:-2, :]) / (2.0 * dt)
-        ghost = np.roll(field[0, :], L // 2)
-        out[0, :] = (field[1, :] - ghost) / (2.0 * dt)
-        if dirichlet:
-            out[-1, :] = (-field[-1, :] - field[-2, :]) / (2.0 * dt)
-        else:
-            out[-1, :] = (3.0 * field[-1, :] - 4.0 * field[-2, :] + field[-3, :]) / (2.0 * dt)
-        return out
-
-    du = d_dt(u, dirichlet=True)
-    dphi = d_dt(phi, dirichlet=False)
-    Jt = np.empty_like(problem.J)
-    Jt[1:-1, :] = (problem.J[2:, :] - problem.J[:-2, :]) / (2.0 * dt)
-    Jt[0, :] = (-3.0 * problem.J[0, :] + 4.0 * problem.J[1, :] - problem.J[2, :]) / (2.0 * dt)
-    Jt[-1, :] = (3.0 * problem.J[-1, :] - 4.0 * problem.J[-2, :] + problem.J[-3, :]) / (2.0 * dt)
+    half = problem.grid.n_theta // 2
+    du = radial_derivative(u, dt, ghost=np.roll(u[0, :], half), dirichlet=True)
+    dphi = radial_derivative(phi, dt, ghost=np.roll(phi[0, :], half))
+    Jt = radial_derivative(problem.J, dt)
     lap_r = Jt / problem.J
     vol = volumes(problem).reshape(problem.J.shape)
     lhs = float((phi * du * vol).sum())
@@ -610,17 +582,8 @@ def builtin_corpus() -> list:
     return cases
 
 
-def run_case(case: ComparisonCase, tol: float | None = None,
-             solved: dict | None = None) -> ComparisonVerdict:
-    if case.mode == "sectional":
-        return verify_sectional_comparison(case, tol=tol, solved=solved)
-    if case.mode == "ricci":
-        return verify_ricci_comparison(case, tol=tol, solved=solved)
-    raise ValueError(f"unknown comparison mode {case.mode!r}")
-
-
-def run_corpus(cases=None, tol: float | None = None) -> list:
+def run_corpus(cases=None) -> list:
     """Verdicts of the cases; each distinct (ball, n_t) is solved once."""
     cases = builtin_corpus() if cases is None else cases
     solved = {}
-    return [run_case(c, tol=tol, solved=solved) for c in cases]
+    return [run_case(c, solved=solved) for c in cases]

@@ -450,6 +450,27 @@ def build_model_disk(ball: ModelBall, perturbation=None, drift_angular=None,
     return DiskProblem(grid=grid, J=J, Vt=Vt, Vtheta=Vth)
 
 
+def radial_derivative(field: np.ndarray, dt: float, ghost=None, dirichlet: bool = False):
+    """d/dt of a cell field by second-order differences, centered inside.
+
+    The first ring is differenced against `ghost`, the values behind the
+    origin (the antipodal cells), or one-sidedly when there is none; the
+    last ring against the Dirichlet-antisymmetric ghost -field[-1] with
+    `dirichlet`, else one-sidedly.
+    """
+    out = np.empty_like(field)
+    out[1:-1, :] = (field[2:, :] - field[:-2, :]) / (2.0 * dt)
+    if ghost is None:
+        out[0, :] = (-3.0 * field[0, :] + 4.0 * field[1, :] - field[2, :]) / (2.0 * dt)
+    else:
+        out[0, :] = (field[1, :] - ghost) / (2.0 * dt)
+    if dirichlet:
+        out[-1, :] = (-field[-1, :] - field[-2, :]) / (2.0 * dt)
+    else:
+        out[-1, :] = (3.0 * field[-1, :] - 4.0 * field[-2, :] + field[-3, :]) / (2.0 * dt)
+    return out
+
+
 def divergence_field(p: DiskProblem) -> np.ndarray:
     """div(V) = d_t Vt + Vt d_t(log J) + (1/J) d_theta(J Vtheta) on the grid.
 
@@ -459,19 +480,9 @@ def divergence_field(p: DiskProblem) -> np.ndarray:
     ring (the radial unit vector reverses through the origin), J is
     differenced one-sidedly there; the last ring is one-sided second order.
     """
-    N, L = p.grid.n_t, p.grid.n_theta
     dt, dth = p.grid.dt, p.grid.dtheta
-
-    dVt = np.empty_like(p.Vt)
-    dVt[1:-1, :] = (p.Vt[2:, :] - p.Vt[:-2, :]) / (2.0 * dt)
-    ghost = -np.roll(p.Vt[0, :], L // 2)
-    dVt[0, :] = (p.Vt[1, :] - ghost) / (2.0 * dt)
-    dVt[-1, :] = (3.0 * p.Vt[-1, :] - 4.0 * p.Vt[-2, :] + p.Vt[-3, :]) / (2.0 * dt)
-
-    dJ = np.empty_like(p.J)
-    dJ[1:-1, :] = (p.J[2:, :] - p.J[:-2, :]) / (2.0 * dt)
-    dJ[0, :] = (-3.0 * p.J[0, :] + 4.0 * p.J[1, :] - p.J[2, :]) / (2.0 * dt)
-    dJ[-1, :] = (3.0 * p.J[-1, :] - 4.0 * p.J[-2, :] + p.J[-3, :]) / (2.0 * dt)
+    dVt = radial_derivative(p.Vt, dt, ghost=-np.roll(p.Vt[0, :], p.grid.n_theta // 2))
+    dJ = radial_derivative(p.J, dt)
 
     G = p.J * p.Vtheta
     dG = (np.roll(G, -1, axis=1) - np.roll(G, 1, axis=1)) / (2.0 * dth)

@@ -241,11 +241,23 @@ class TestConfigAndErrors:
         assert run(args + ["--output", str(p2)]) == EXIT_OK
         assert p1.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.parametrize("flag", [["--nt", "0"], ["--nt", "3"], ["--ntheta", "9"],
-                                      ["--tol", "0"], ["--cutoff", "nan"],
-                                      ["--cutoff", "inf"], ["--cutoff", "-5"]])
+    @pytest.mark.parametrize("flag", [
+        ["--nt", "0"], ["--nt", "3"], ["--ntheta", "9"], ["--tol", "0"], ["--cutoff", "nan"],
+        ["--cutoff", "inf"], ["--cutoff", "-5"],
+        # geometry the solvers cannot take: rho(0) != 0, rho vanishing inside the
+        # ball, J = 2t (not ~t at the origin) and J = -t (not positive)
+        ["--warping", "t+1"], ["--warping", "sin(t)", "--radius", "3.5"],
+        ["--perturbation", "1"], ["--perturbation", "-2"],
+        # compare pairs: angular or h(0) != 0 drifts, a radius past the sphere cap,
+        # and pair flags without --subject-kappa
+        ["--subject-kappa", "0", "--subject-drift", "sin(theta)"],
+        ["--subject-kappa", "0", "--subject-drift", "t^2+1"],
+        ["--subject-kappa", "1", "--model-kappa", "2", "--radius", "3"],
+        ["--model-kappa", "1"], ["--subject-drift", "t"], ["--model-drift", "t"]])
     def test_bad_grid_or_tol_is_usage_error(self, flag, capsys):
-        command = {"--ntheta": "disk2d", "--cutoff": "spectrum"}.get(flag[0], "principal")
+        command = {"--ntheta": "disk2d", "--cutoff": "spectrum", "--perturbation": "disk2d",
+                   "--subject-kappa": "compare", "--model-kappa": "compare",
+                   "--subject-drift": "compare", "--model-drift": "compare"}.get(flag[0], "principal")
         assert run([command, "--space-form", "0", "--dim", "2", "--radius", "1",
                     *flag]) == EXIT_USAGE
         captured = capsys.readouterr()

@@ -7,8 +7,7 @@ from driftspectra.compare import (AnalyticDisk, ComparisonCase, builtin_corpus,
                                   derivative_lambda_eps, eigenvalue_sandwich,
                                   radial_divergence_profile, radial_ibp_check,
                                   riccati_uniqueness, run_case, run_corpus, verdicts_to_csv,
-                                  verdicts_to_json, verify_divergence_comparison, verify_sectional_comparison,
-                                  verify_ricci_comparison)
+                                  verdicts_to_json, verify_divergence_comparison)
 from driftspectra.disk import build_model_disk
 from driftspectra.errors import LogarithmicBranchError
 from driftspectra.geometry import euclidean_ball, polynomial_drift, space_form_ball
@@ -20,7 +19,7 @@ class TestSectionalComparison:
     def test_flat_versus_sphere(self):
         case = ComparisonCase(space_form_ball(0.0, 2, 1.0), space_form_ball(1.0, 2, 1.0),
                               "sectional", "flat-vs-sphere")
-        v = verify_sectional_comparison(case)
+        v = run_case(case)
         assert v.premises_hold and v.conclusion_holds
         assert v.lambda_subject > v.lambda_model
         assert not v.equality_case
@@ -29,13 +28,13 @@ class TestSectionalComparison:
         # subject more curved than the model: hypothesis fails, no assertion
         case = ComparisonCase(space_form_ball(1.0, 2, 1.0), space_form_ball(0.0, 2, 1.0),
                               "sectional", "backwards")
-        v = verify_sectional_comparison(case)
+        v = run_case(case)
         assert not v.premises_hold
         assert math.isnan(v.lambda_subject)
 
     def test_identical_pair_is_equality_case(self):
         ball = space_form_ball(-1.0, 2, 1.0, polynomial_drift([0.5]))
-        v = verify_sectional_comparison(ComparisonCase(ball, ball, "sectional", "same"))
+        v = run_case(ComparisonCase(ball, ball, "sectional", "same"))
         assert v.premises_hold and v.conclusion_holds and v.equality_case
 
     def test_disk_subject_against_curved_model(self):
@@ -47,22 +46,55 @@ class TestSectionalComparison:
         case = ComparisonCase(flat_disk, space_form_ball(1.0, 2, 1.0),
                               "sectional", "disk-vs-sphere",
                               grid_2d=(128, 64))
-        v = verify_sectional_comparison(case)
+        v = run_case(case)
         assert v.premises_hold and v.conclusion_holds
         assert v.lambda_subject == pytest.approx(5.783186, abs=2e-3)
+
+
+class TestRunCaseBranches:
+    """One run_case call per verifier branch the corpus does not reach."""
+
+    @staticmethod
+    def _disk(J, J_t, **drift):
+        # J_tt = 0 is inconsistent with J on purpose: the curvature premise
+        # holds while (J/rho)' has the wrong sign
+        return AnalyticDisk(r0=1.0, J=lambda t, th: J(t) * np.ones_like(th * 1.0),
+                            J_t=lambda t, th: J_t(t) * np.ones_like(th * 1.0),
+                            J_tt=lambda t, th: np.zeros_like(t * th), **drift)
+
+    @pytest.mark.parametrize("mode,J,J_t,kappa,word", [
+        ("sectional", lambda t: t - t * t / 2, lambda t: 1 - t, 1.0, "curvature"),
+        ("ricci", lambda t: t + t * t / 2, lambda t: 1 + t, -1.0, "Ricci"),
+    ])
+    def test_volume_ratio_note(self, mode, J, J_t, kappa, word):
+        case = ComparisonCase(self._disk(J, J_t), space_form_ball(kappa, 2, 1.0), mode, "bishop")
+        v = run_case(case)
+        assert not v.premises_hold and math.isnan(v.margin)
+        assert v.premise_margins["volume_ratio_slope"] < -1e-9
+        assert v.notes == [f"volume-ratio monotonicity violated despite {word} premise"]
+
+    def test_ricci_rejects_angular_drift(self):
+        disk = self._disk(lambda t: t, lambda t: np.ones_like(t),
+                          vtheta=lambda t, th: 0.5 * t * np.ones_like(th))
+        with pytest.raises(ValueError, match="radial subject drift"):
+            run_case(ComparisonCase(disk, FLAT, "ricci", "angular"))
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown comparison mode 'divergence'"):
+            run_case(ComparisonCase(FLAT, FLAT, "divergence", "bad"))
 
 
 class TestRicciComparison:
     def test_sphere_versus_flat(self):
         case = ComparisonCase(space_form_ball(1.0, 2, 1.0), space_form_ball(0.0, 2, 1.0),
                               "ricci", "sphere-vs-flat")
-        v = verify_ricci_comparison(case)
+        v = run_case(case)
         assert v.premises_hold and v.conclusion_holds
         assert v.lambda_subject < v.lambda_model
 
     def test_equality_case_transport_relation(self):
         ball = space_form_ball(1.0, 2, 1.0, polynomial_drift([1.0]))
-        v = verify_ricci_comparison(ComparisonCase(ball, ball, "ricci", "same"))
+        v = run_case(ComparisonCase(ball, ball, "ricci", "same"))
         assert v.equality_case
         resid = [n for n in v.notes if n.startswith("transport residual")]
         assert resid and float(resid[0].split()[-1]) < 1e-6
@@ -71,19 +103,19 @@ class TestRicciComparison:
         # subject 2t on flat vs model t on hyperbolic: condition holds pointwise
         subject = space_form_ball(0.0, 2, 1.0, polynomial_drift([2.0]))
         model = space_form_ball(-1.0, 2, 1.0, polynomial_drift([1.0]))
-        v = verify_ricci_comparison(ComparisonCase(subject, model, "ricci", "2t-vs-t"))
+        v = run_case(ComparisonCase(subject, model, "ricci", "2t-vs-t"))
         assert v.premises_hold and v.conclusion_holds
 
     def test_negative_model_drift_fails_premise(self):
         subject = space_form_ball(0.0, 2, 1.0)
         model = space_form_ball(0.0, 2, 1.0, polynomial_drift([-1.0]))
-        v = verify_ricci_comparison(ComparisonCase(subject, model, "ricci", "h<0"))
+        v = run_case(ComparisonCase(subject, model, "ricci", "h<0"))
         assert not v.premises_hold
 
     def test_sign_changing_subject_drift_is_noted(self):
         subject = space_form_ball(0.0, 2, 1.0, polynomial_drift([1.0, -2.0]))
         model = space_form_ball(0.0, 2, 1.0, polynomial_drift([1.0]))
-        v = verify_ricci_comparison(ComparisonCase(subject, model, "ricci", "sign-change"))
+        v = run_case(ComparisonCase(subject, model, "ricci", "sign-change"))
         assert any("changes sign" in n for n in v.notes)
 
     def test_disk_subject_margins_reported_pointwise(self):
@@ -98,7 +130,7 @@ class TestRicciComparison:
             h1=lambda t, th: t * (1.0 + 0.1 * np.sin(th)),
             h1_t=lambda t, th: 1.0 + 0.1 * np.sin(th))
         model = space_form_ball(0.0, 2, 1.0, polynomial_drift([1.0]))
-        v = verify_ricci_comparison(ComparisonCase(wobble, model, "ricci", "wobble"))
+        v = run_case(ComparisonCase(wobble, model, "ricci", "wobble"))
         assert not v.premises_hold
         assert v.premise_margins["extra_condition"] < 0.0
         assert v.premise_margins["ricci"] >= -1e-9

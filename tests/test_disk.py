@@ -240,6 +240,33 @@ class TestFields:
         div = divergence_field(p)
         assert np.max(np.abs(div + 0.5)) < 1e-9
 
+    @pytest.mark.parametrize("variant", ["one-sided first ring", "antipodal ghost",
+                                         "Dirichlet wall", "one-sided wall"])
+    def test_radial_derivative_second_order(self, variant):
+        def field(T, TH):
+            # samples and exact d/dt.  The antipodal field is smooth through the
+            # origin; the Dirichlet one has f = f'' = 0 at the wall, so its odd
+            # reflection, which the ghost -f[-1] stands for, is smooth there too
+            if variant == "antipodal ghost":
+                x, y = T * np.cos(TH), T * np.sin(TH)
+                return np.exp(x) * np.cos(y), np.exp(x) * np.cos(y + TH)
+            s = 1.0 + 0.3 * np.sin(TH)
+            if variant == "Dirichlet wall":
+                return np.cos(0.5 * np.pi * T) * s, -0.5 * np.pi * np.sin(0.5 * np.pi * T) * s
+            return np.exp(T) * s, np.exp(T) * s
+
+        ring = -1 if variant.endswith("wall") else 0
+        errors = []
+        for n_t in (16, 32, 64):
+            grid = PolarGrid(n_t=n_t, n_theta=16, r0=1.0)
+            f, exact = field(*grid.mesh())
+            ghost = np.roll(f[0, :], 8) if variant == "antipodal ghost" else None
+            err = np.abs(disk.radial_derivative(f, grid.dt, ghost=ghost,
+                                                dirichlet=variant == "Dirichlet wall") - exact)
+            errors.append((np.max(err), np.max(err[ring])))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse[0] / fine[0] > 3.5 and coarse[1] / fine[1] > 3.5, errors
+
     def test_dump_formats(self, flat_pair):
         problem, pair, _ = flat_pair
         csv = eigenpair_csv(problem, pair)
