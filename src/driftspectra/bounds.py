@@ -14,7 +14,6 @@ bound statements hold at matrix level:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,12 +47,6 @@ class BartaBracket:
                 "argmax_point": list(self.argmax_point),
                 "excluded_boundary_rings": self.excluded_rings}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    def csv_row(self) -> str:
-        return f"{self.lower:.12g},{self.upper:.12g},{self.excluded_rings}"
-
 
 @dataclass(eq=False)
 class HollandReport:
@@ -69,12 +62,6 @@ class HollandReport:
     def to_dict(self) -> dict:
         return {"L": self.L_value, "Q_min": self.Q_min, "bound": self.bound,
                 "fast_path": self.fast_path}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    def csv_row(self) -> str:
-        return f"{self.L_value:.12g},{self.Q_min:.12g},{self.bound:.12g}"
 
 
 def barta_bracket(op_eval, u, exclude_rings: int = 1) -> BartaBracket:
@@ -178,8 +165,7 @@ def rayleigh_minimize(target, f, n_t: int = 512, tol: float = 1e-12,
 
 def _field_on_grid(problem: DiskProblem, f) -> np.ndarray:
     if callable(f):
-        T, TH = problem.grid.mesh()
-        return np.asarray(f(T, TH), dtype=float) * np.ones_like(T)
+        return problem.grid.sample(f)
     arr = np.asarray(f, dtype=float)
     if arr.shape != problem.J.shape:
         raise ValueError("field samples must match the grid")

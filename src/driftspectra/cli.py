@@ -290,8 +290,8 @@ def _cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
         model = _build_ball(replace(cfg, kappa=args.model_kappa or 0.0, warping=None,
                                     drift=args.model_drift))
         verdicts = [run_case(ComparisonCase(subject, model, args.mode, label="cli-pair"))]
-    elif (args.model_kappa, args.subject_drift, args.model_drift) != (None, None, None):
-        raise UsageError("--model-kappa, --subject-drift and --model-drift need --subject-kappa")
+    elif {args.dim, args.radius, args.model_kappa, args.subject_drift, args.model_drift} != {None}:
+        raise UsageError("compare takes --dim, --radius and the pair flags only with --subject-kappa")
     else:
         verdicts = run_corpus()
     text = verdicts_to_json(verdicts) if cfg.format == "json" else verdicts_to_csv(verdicts)
@@ -363,17 +363,19 @@ def _cmd_sweep(axes: list, base: RunConfig) -> int:
 
 # -- argument handling --------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, problem: bool = True):
+    """Shared flags; `compare` takes only those it reads (problem=False)."""
     p.add_argument("--config", help="plain-text config file (key=value sections)")
     p.add_argument("--dim", type=int, help="ball dimension m >= 2")
     p.add_argument("--radius", type=float, help="geodesic radius r0")
-    p.add_argument("--space-form", dest="kappa", type=float,
-                   help="constant curvature kappa of the model")
-    p.add_argument("--warping", help="custom warping expression in t")
-    p.add_argument("--drift", help="radial drift expression h(t), h(0)=0")
-    p.add_argument("--nt", dest="n_t", type=int, help="radial grid cells")
-    p.add_argument("--ntheta", dest="n_theta", type=int, help="angular grid cells (2-D)")
-    p.add_argument("--tol", type=float, help="solver tolerance")
+    if problem:
+        p.add_argument("--space-form", dest="kappa", type=float,
+                       help="constant curvature kappa of the model")
+        p.add_argument("--warping", help="custom warping expression in t")
+        p.add_argument("--drift", help="radial drift expression h(t), h(0)=0")
+        p.add_argument("--nt", dest="n_t", type=int, help="radial grid cells")
+        p.add_argument("--ntheta", dest="n_theta", type=int, help="angular grid cells (2-D)")
+        p.add_argument("--tol", type=float, help="solver tolerance")
     p.add_argument("--output", help="artifact file path")
     p.add_argument("--format", choices=("csv", "json"), help="artifact format")
 
@@ -384,7 +386,7 @@ def _make_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("spectrum", "principal", "disk2d", "bounds", "compare", "riccati"):
         p = sub.add_parser(name)
-        _add_common(p)
+        _add_common(p, problem=name != "compare")
         if name == "spectrum":
             p.add_argument("--cutoff", type=float, help="eigenvalue cutoff")
         if name in ("disk2d", "bounds"):
@@ -487,6 +489,8 @@ def _parse_axes(specs) -> list:
             raise UsageError(f"bad axis values in {spec!r}") from exc
         if not vals:
             raise UsageError(f"axis {name!r} has no values")
+        if name == "dim" and not all(v.is_integer() for v in vals):
+            raise UsageError(f"dimension values must be integers in {spec!r}")
         axes.append((name, vals))
     return axes
 

@@ -44,6 +44,10 @@ class AnalyticDisk:
     vtheta: Callable | None = None
     m: int = 2
 
+    def __post_init__(self):
+        if (self.h1 is None) != (self.h1_t is None):
+            raise ValueError("the radial drift h1 and its derivative h1_t come together")
+
     def curvature(self, t, th):
         return -np.asarray(self.J_tt(t, th)) / np.asarray(self.J(t, th))
 
@@ -54,13 +58,8 @@ class AnalyticDisk:
         from .disk import DiskProblem, PolarGrid
 
         grid = PolarGrid(n_t=n_t, n_theta=n_theta, r0=self.r0)
-        T, TH = grid.mesh()
-        J = np.asarray(self.J(T, TH), dtype=float) * np.ones_like(T)
-        Vt = (np.asarray(self.h1(T, TH), dtype=float) * np.ones_like(T)
-              if self.h1 is not None else np.zeros_like(T))
-        Vth = (np.asarray(self.vtheta(T, TH), dtype=float) * np.ones_like(T)
-               if self.vtheta is not None else np.zeros_like(T))
-        return DiskProblem(grid=grid, J=J, Vt=Vt, Vtheta=Vth)
+        return DiskProblem(grid=grid, J=grid.sample(self.J), Vt=grid.sample(self.h1),
+                           Vtheta=grid.sample(self.vtheta))
 
 
 @dataclass(eq=False)
@@ -116,26 +115,45 @@ def verdicts_to_csv(verdicts) -> str:
 
 # -- premise sampling --------------------------------------------------------
 
-def _sample_grid(r0: float):
-    return np.linspace(0.0, r0, SAMPLES_1D)
+class _Samples(NamedTuple):
+    """One side of a comparison sampled for its premises.
+
+    K, h and the drift profile div V - |V|^2/2 on the whole t-grid (limit
+    values at t = 0), J and J' on its interior.  A ball's samples are
+    columns that broadcast against a disk's (t, theta) arrays.
+    """
+
+    K: np.ndarray
+    h: np.ndarray
+    extra: np.ndarray
+    J: np.ndarray
+    J1: np.ndarray
+    swirl: bool  # a nonzero angular drift somewhere on the interior
 
 
-def _subject_curvature(subject, ts, thetas=None):
-    if isinstance(subject, ModelBall):
-        return radial_sectional_curvature(subject.rho, ts)
-    T, TH = np.meshgrid(ts[1:], thetas, indexing="ij")
-    vals = subject.curvature(T, TH)
-    at0 = subject.curvature(np.full_like(thetas, 1e-8 * subject.r0), thetas)
-    return np.vstack([at0[None, :], vals])
+def _sample(side, ts, thetas, fd_step) -> _Samples:
+    if isinstance(side, ModelBall):
+        J, J1, _ = side.rho.eval(ts[1:])
+        cols = (radial_sectional_curvature(side.rho, ts), side.drift.h(ts),
+                extra_drift_profile(side, ts), J, J1)
+        return _Samples(*(np.asarray(c, dtype=float)[:, None] for c in cols), False)
+    row = np.ones((1, thetas.size))
+    T = ts[:, None] * row
 
+    def at(f, t):
+        """f on the rows of t against the sample angles; zeros when f is None."""
+        th = np.broadcast_to(thetas, t.shape)
+        return np.zeros_like(t) if f is None else np.asarray(f(t, th), dtype=float) * np.ones_like(t)
 
-def _subject_drift(subject, ts, thetas=None):
-    if isinstance(subject, ModelBall):
-        return np.asarray(subject.drift.h(ts), dtype=float)
-    if subject.h1 is None:
-        return np.zeros((ts.size, thetas.size))
-    T, TH = np.meshgrid(ts, thetas, indexing="ij")
-    return np.asarray(subject.h1(T, TH), dtype=float) * np.ones_like(T)
+    h = at(side.h1, T)
+    K = np.vstack([at(side.curvature, 1e-8 * side.r0 * row), at(side.curvature, T[1:])])
+    J, J1, vtheta = (at(f, T[1:]) for f in (side.J, side.J_t, side.vtheta))
+    if side.h1 is None:
+        extra = h
+    else:  # the t = 0 limit of div V - |V|^2/2 is m h1'(0)
+        lhs = extra_condition_lhs(h[1:], at(side.h1_t, T[1:]), at(side.laplace_r, T[1:]))
+        extra = np.vstack([side.m * (at(side.h1, fd_step * row) / fd_step), lhs])
+    return _Samples(K, h, extra, J, J1, bool(np.any(vtheta != 0.0)))
 
 
 def _principal(ball: ModelBall, n_t: int, solved: dict | None):
@@ -146,89 +164,38 @@ def _principal(ball: ModelBall, n_t: int, solved: dict | None):
     return solved[ball, n_t]
 
 
-def _subject_lambda(case: ComparisonCase, solved: dict | None, tol_2d=1e-7):
+def _subject_lambda(case: ComparisonCase, solved: dict | None):
     if isinstance(case.subject, ModelBall):
         mode = _principal(case.subject, case.n_t_1d, solved)
         return mode.lam, 1e-9, mode
     from .disk import DEFAULT_NT, DEFAULT_NTHETA, solve_principal
 
     problem = case.subject.build(*(case.grid_2d or (DEFAULT_NT, DEFAULT_NTHETA)))
-    pair, _ = solve_principal(problem, tol=tol_2d)
+    pair, _ = solve_principal(problem, tol=1e-7)
     dt, dth = problem.grid.dt, problem.grid.dtheta
     return pair.lam, 10.0 * pair.lam * (dt * dt + dth * dth * 0.05), pair
 
 
-def _bishop_ratio_slope(subject, model: ModelBall, ts, thetas):
-    """Sign data for (J/rho)': (J' rho - J rho')/rho^2 on the sample grid."""
-    rho, rho1, _ = model.rho.eval(ts[1:])
-    if isinstance(subject, ModelBall):
-        J, J1, _ = subject.rho.eval(ts[1:])
-        return (J1 * rho - J * rho1) / rho ** 2
-    T, TH = np.meshgrid(ts[1:], thetas, indexing="ij")
-    J = np.asarray(subject.J(T, TH), dtype=float)
-    J1 = np.asarray(subject.J_t(T, TH), dtype=float)
-    return (J1 * rho[:, None] - J * rho1[:, None]) / rho[:, None] ** 2
-
-
-def _sectional_premises(case: ComparisonCase, ts, thetas, notes):
+def _sectional_premises(s: _Samples, m: _Samples, notes):
     """K_subject <= K_model and h1 <= h; their consequence is (J/rho)' >= 0."""
-    subject, model = case.subject, case.model
-    K_s = _subject_curvature(subject, ts, thetas)
-    K_m = radial_sectional_curvature(model.rho, ts)
-    curv_margin = float(np.min(np.atleast_1d(K_m if np.ndim(K_s) == 1 else K_m[:, None]) - K_s))
-    h_m = np.asarray(model.drift.h(ts), dtype=float)
-    h_s = _subject_drift(subject, ts, thetas)
-    drift_margin = float(np.min((h_m if h_s.ndim == 1 else h_m[:, None]) - h_s))
-    margins = {"curvature": curv_margin, "drift": drift_margin}
-    return margins, _bishop_ratio_slope(subject, model, ts, thetas)
+    return {"curvature": float(np.min(m.K - s.K)), "drift": float(np.min(m.h - s.h))}
 
 
-def _extra_profile_subject(subject, ts, thetas, fd_step):
-    """div(V) - |V|^2/2 for the subject side, with the t=0 limit m h1'(0)."""
-    if isinstance(subject, ModelBall):
-        return np.asarray(extra_drift_profile(subject, ts), dtype=float)
-    if subject.h1 is None:
-        return np.zeros((ts.size, thetas.size))
-    T, TH = np.meshgrid(ts[1:], thetas, indexing="ij")
-    h1 = np.asarray(subject.h1(T, TH), dtype=float)
-    h1t = np.asarray(subject.h1_t(T, TH), dtype=float)
-    vals = extra_condition_lhs(h1, h1t, subject.laplace_r(T, TH))
-    h1p0 = np.asarray(subject.h1(np.full_like(thetas, fd_step), thetas)) / fd_step
-    at0 = subject.m * h1p0
-    return np.vstack([at0[None, :], vals])
-
-
-def _ricci_premises(case: ComparisonCase, ts, thetas, notes):
+def _ricci_premises(s: _Samples, m: _Samples, notes):
     """Ric and div V - |V|^2/2 at least the model's, h >= 0; -(J/rho)' >= 0 follows."""
-    subject, model = case.subject, case.model
-    if isinstance(subject, AnalyticDisk) and subject.vtheta is not None:
-        T, TH = np.meshgrid(ts[1:], thetas, indexing="ij")
-        if np.any(np.asarray(subject.vtheta(T, TH)) != 0.0):
-            raise ValueError("the Ricci comparison requires a radial subject drift")
-
-    h_m = np.asarray(model.drift.h(ts), dtype=float)
-    model_h_min = float(np.min(h_m))
-    h_s = _subject_drift(subject, ts, thetas)
-    if np.min(h_s) < -PREMISE_TOL:
+    if s.swirl:
+        raise ValueError("the Ricci comparison requires a radial subject drift")
+    if np.min(s.h) < -PREMISE_TOL:
         notes.append("subject drift changes sign: outside the statement's exercised range")
-
-    K_s = _subject_curvature(subject, ts, thetas)
-    K_m = radial_sectional_curvature(model.rho, ts)
     # Ricci(d/dt, d/dt) = (m-1) * radial curvature on both sides
-    ricci_margin = float(np.min(K_s - (K_m if np.ndim(K_s) == 1 else K_m[:, None])))
-    fd_step = (model.r0 / case.n_t_1d) / 10.0
-    extra_m = np.asarray(extra_drift_profile(model, ts), dtype=float)
-    extra_s = _extra_profile_subject(subject, ts, thetas, fd_step)
-    extra_margin = float(np.min(extra_s - (extra_m if extra_s.ndim == 1 else extra_m[:, None])))
-    margins = {"ricci": ricci_margin, "extra_condition": extra_margin,
-               "model_drift_sign": model_h_min}
-    return margins, -_bishop_ratio_slope(subject, model, ts, thetas)
+    return {"ricci": float(np.min(s.K - m.K)), "extra_condition": float(np.min(s.extra - m.extra)),
+            "model_drift_sign": float(np.min(m.h))}
 
 
 class _Statement(NamedTuple):
-    premises: Callable  # (case, ts, thetas, notes) -> (margins, oriented (J/rho)')
+    premises: Callable  # (subject samples, model samples, notes) -> margins
     word: str  # names the premises in the volume-ratio note
-    subject_larger: bool  # the conclusion is lambda_subject >= lambda_model
+    subject_larger: bool  # lambda_subject >= lambda_model and (J/rho)' >= 0; else both reverse
     equality_margins: tuple  # premise margins that vanish in the equality case
 
 
@@ -249,12 +216,15 @@ def run_case(case: ComparisonCase, solved: dict | None = None) -> ComparisonVerd
     statement = _STATEMENTS.get(case.mode)
     if statement is None:
         raise ValueError(f"unknown comparison mode {case.mode!r}")
-    ts = _sample_grid(case.model.r0)
+    ts = np.linspace(0.0, case.model.r0, SAMPLES_1D)
     thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    fd_step = (case.model.r0 / case.n_t_1d) / 10.0
+    s, m = (_sample(side, ts, thetas, fd_step) for side in (case.subject, case.model))
     notes = []
-    margins, slope = statement.premises(case, ts, thetas, notes)
+    margins = statement.premises(s, m, notes)
     premises = all(v >= -PREMISE_TOL for v in margins.values())
-    margins["volume_ratio_slope"] = float(np.min(slope))
+    slope = (s.J1 * m.J - s.J * m.J1) / m.J ** 2  # (J/rho)'
+    margins["volume_ratio_slope"] = float(np.min(slope if statement.subject_larger else -slope))
     if premises and margins["volume_ratio_slope"] < -PREMISE_TOL:
         notes.append(f"volume-ratio monotonicity violated despite {statement.word} premise")
         premises = False
@@ -292,9 +262,7 @@ def _eigenfunction_transport_residual(subject: ModelBall, model: ModelBall,
     return float(np.max(np.abs(cand - ref)))
 
 
-def verify_divergence_comparison(problem: DiskProblem, tol: float = 1e-6,
-                   div_tol: float = 1e-9, solver_tol: float = 1e-7,
-                   label: str = "cor-div") -> ComparisonVerdict:
+def verify_divergence_comparison(problem: DiskProblem, tol: float = 1e-6) -> ComparisonVerdict:
     """Nonpositive drift divergence forces lambda*_0 <= lambda*_V.
 
     When div(V) vanishes identically and the drift is purely angular, the
@@ -305,25 +273,25 @@ def verify_divergence_comparison(problem: DiskProblem, tol: float = 1e-6,
     div = divergence_field(problem)
     div_max = float(np.max(div))
     margins = {"divergence": -div_max}
-    premises = div_max <= div_tol
+    premises = div_max <= PREMISE_TOL
     notes = []
-    pair0, _ = solve_principal(problem.with_drift(), tol=solver_tol)
+    pair0, _ = solve_principal(problem.with_drift(), tol=1e-7)
     if not premises:
-        return ComparisonVerdict(label, "divergence", False, margins,
+        return ComparisonVerdict("cor-div", "divergence", False, margins,
                                  math.nan, pair0.lam, math.nan, False, False,
                                  ["positive divergence on the grid"])
-    pairV, _ = solve_principal(problem, tol=solver_tol)
+    pairV, _ = solve_principal(problem, tol=1e-7)
     margin = pairV.lam - pair0.lam
     conclusion = margin >= -tol
     equality = False
-    if float(np.max(np.abs(div))) <= div_tol and np.all(problem.Vt == 0.0):
+    if float(np.max(np.abs(div))) <= PREMISE_TOL and np.all(problem.Vt == 0.0):
         equality = abs(margin) <= tol
         astd = angular_std(pairV.omega)
         notes.append(f"angular std of omega {astd:.2e}")
         if astd > 1e-6:
             notes.append("equality mechanism failed: omega not radial")
-            conclusion = conclusion and False
-    return ComparisonVerdict(label, "divergence", True, margins,
+            conclusion = False
+    return ComparisonVerdict("cor-div", "divergence", True, margins,
                              pairV.lam, pair0.lam, margin, conclusion,
                              equality, notes)
 
@@ -399,7 +367,7 @@ def derivative_lambda_eps(base, f, eps: float, tol: float = 1e-3,
     lams = []
     if isinstance(base, ModelBall):
         f0, f1, f2 = f
-        ts = _sample_grid(base.r0)[1:]
+        ts = np.linspace(0.0, base.r0, SAMPLES_1D)[1:]
         rho, rho1, _ = base.rho.eval(ts)
         lap = np.asarray(f2(ts), dtype=float) + (base.m - 1) * rho1 / rho * np.asarray(f1(ts), dtype=float)
         lap0 = base.m * float(f2(0.0))
@@ -421,8 +389,7 @@ def derivative_lambda_eps(base, f, eps: float, tol: float = 1e-3,
 
         problem: DiskProblem = base
         f0, ft, fth = f
-        T, TH = problem.grid.mesh()
-        fs = np.asarray(f0(T, TH), dtype=float) * np.ones_like(T)
+        fs = problem.grid.sample(f0)
         A0 = assemble_operator(problem.with_drift())
         lap = -(A0 @ fs.ravel()).reshape(fs.shape)
         vol = volumes(problem).reshape(fs.shape)
@@ -432,8 +399,8 @@ def derivative_lambda_eps(base, f, eps: float, tol: float = 1e-3,
         rms = math.sqrt(float((((core - 2.0 * c0) ** 2) * cvol).sum() / cvol.sum()))
         if rms > flat_tol * max(1.0, abs(2.0 * c0)):
             raise ValueError("f does not have a constant Laplacian on the disk")
-        Vt = np.asarray(ft(T, TH), dtype=float) * np.ones_like(T)
-        Vth = np.asarray(fth(T, TH), dtype=float) * np.ones_like(T) / problem.J ** 2
+        Vt = problem.grid.sample(ft)
+        Vth = problem.grid.sample(fth) / problem.J ** 2
         for sgn in (+1.0, -1.0):
             prob = DiskProblem(problem.grid, problem.J, sgn * eps * Vt, sgn * eps * Vth)
             pair, _ = solve_principal(prob, tol=1e-7)

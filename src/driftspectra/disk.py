@@ -70,6 +70,11 @@ class PolarGrid:
     def mesh(self):
         return np.meshgrid(self.radii(), self.angles(), indexing="ij")
 
+    def sample(self, f) -> np.ndarray:
+        """Cell-centre values of f(t, theta); zeros when f is None."""
+        T, TH = self.mesh()
+        return np.zeros_like(T) if f is None else np.asarray(f(T, TH), dtype=float) * np.ones_like(T)
+
     @property
     def size(self) -> int:
         return self.n_t * self.n_theta
@@ -99,10 +104,12 @@ class DiskProblem:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
         if np.any(self.J <= 0.0):
             raise ValueError("metric coefficient J must be positive everywhere")
-        ring0 = self.J[0, :] / self.grid.radii()[0]
-        if np.any(np.abs(ring0 - 1.0) > 0.05):
+        # J/t at t = 0 from the first three rings (exact for J/t quadratic in t)
+        ratio = self.J[:3, :] / self.grid.radii()[:3, None]
+        at0 = 1.875 * ratio[0] - 1.25 * ratio[1] + 0.375 * ratio[2]
+        if np.any(np.abs(at0 - 1.0) > 0.05):
             raise ValueError(
-                "J does not behave like t near the origin (first ring off by more than 5%)"
+                "J does not behave like t near the origin (J/t at t = 0 off by more than 5%)"
             )
 
     def with_drift(self, Vt=None, Vtheta=None) -> "DiskProblem":
@@ -436,18 +443,9 @@ def build_model_disk(ball: ModelBall, perturbation=None, drift_angular=None,
         raise ValueError("disk problems require a 2-dimensional ball")
     grid = PolarGrid(n_t=DEFAULT_NT if n_t is None else n_t,
                      n_theta=DEFAULT_NTHETA if n_theta is None else n_theta, r0=ball.r0)
-    T, TH = grid.mesh()
-    rho = np.asarray(ball.rho.eval(T)[0], dtype=float)
-    J = rho if perturbation is None else rho * (1.0 + np.asarray(perturbation(T, TH), dtype=float))
-    if vt_override is not None:
-        Vt = np.asarray(vt_override(T, TH), dtype=float) * np.ones_like(J)
-    else:
-        Vt = np.asarray(ball.drift.h(T), dtype=float) * np.ones_like(J)
-    if drift_angular is not None:
-        Vth = np.asarray(drift_angular(T, TH), dtype=float) * np.ones_like(J)
-    else:
-        Vth = np.zeros_like(J)
-    return DiskProblem(grid=grid, J=J, Vt=Vt, Vtheta=Vth)
+    J = grid.sample(lambda t, th: ball.rho.eval(t)[0]) * (1.0 + grid.sample(perturbation))
+    Vt = grid.sample(vt_override or (lambda t, th: ball.drift.h(t)))
+    return DiskProblem(grid=grid, J=J, Vt=Vt, Vtheta=grid.sample(drift_angular))
 
 
 def radial_derivative(field: np.ndarray, dt: float, ghost=None, dirichlet: bool = False):

@@ -30,9 +30,6 @@ class WarpingFunction:
     t_max: float
     kappa: float | None = None
 
-    def __call__(self, t):
-        return self.eval(t)
-
     def __post_init__(self):
         if self.t_max <= 0:
             raise ValueError("domain limit must be positive")

@@ -86,6 +86,11 @@ class TestDisk2D:
                     "--perturbation", "0.1*t^2*cos(theta)", "--nt", "64",
                     "--ntheta", "32"]) == EXIT_OK
 
+    def test_origin_test_does_not_depend_on_the_grid(self, capsys):
+        # J = t(1+t): its first ring is 6.25 % off t at 8 rings, J'(0) = 1
+        assert run(["disk2d", "--space-form", "0", "--dim", "2", "--radius", "1",
+                    "--perturbation", "t", "--nt", "8"]) == EXIT_OK
+
     def test_nonplanar_dimension_is_usage_error(self, capsys):
         assert run(["disk2d", "--space-form", "0", "--dim", "3",
                     "--radius", "1"]) == EXIT_USAGE
@@ -253,13 +258,26 @@ class TestConfigAndErrors:
         ["--subject-kappa", "0", "--subject-drift", "sin(theta)"],
         ["--subject-kappa", "0", "--subject-drift", "t^2+1"],
         ["--subject-kappa", "1", "--model-kappa", "2", "--radius", "3"],
-        ["--model-kappa", "1"], ["--subject-drift", "t"], ["--model-drift", "t"]])
+        ["--model-kappa", "1"], ["--subject-drift", "t"], ["--model-drift", "t"],
+        # whole argvs: compare takes no problem or numerics flags, nor --dim and
+        # --radius without --subject-kappa; a sweep's dim values are integers
+        *(["compare", *f] for f in (["--space-form", "0"], ["--warping", "t+1"],
+                                    ["--drift", "sin(theta)"], ["--nt", "64"],
+                                    ["--ntheta", "64"], ["--tol", "1e-8"],
+                                    ["--dim", "2"], ["--radius", "1"])),
+        ["sweep", "--dim", "2", "--radius", "1", "--axis", "dim=2,2.5,3"]])
     def test_bad_grid_or_tol_is_usage_error(self, flag, capsys):
-        command = {"--ntheta": "disk2d", "--cutoff": "spectrum", "--perturbation": "disk2d",
-                   "--subject-kappa": "compare", "--model-kappa": "compare",
-                   "--subject-drift": "compare", "--model-drift": "compare"}.get(flag[0], "principal")
-        assert run([command, "--space-form", "0", "--dim", "2", "--radius", "1",
-                    *flag]) == EXIT_USAGE
+        if flag[0] in ("compare", "sweep"):
+            argv = flag
+        else:
+            command = {"--ntheta": "disk2d", "--cutoff": "spectrum", "--perturbation": "disk2d",
+                       "--subject-kappa": "compare", "--model-kappa": "compare",
+                       "--subject-drift": "compare", "--model-drift": "compare"}.get(flag[0],
+                                                                                     "principal")
+            # compare reads no --space-form, and --dim/--radius only with --subject-kappa
+            common = ["--space-form", "0", "--dim", "2", "--radius", "1"]
+            argv = [command, *([] if command == "compare" else common), *flag]
+        assert run(argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == "" and "usage error" in captured.err
 

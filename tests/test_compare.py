@@ -73,6 +73,33 @@ class TestRunCaseBranches:
         assert v.premise_margins["volume_ratio_slope"] < -1e-9
         assert v.notes == [f"volume-ratio monotonicity violated despite {word} premise"]
 
+    @pytest.mark.parametrize("mode", ["sectional", "ricci"])
+    @pytest.mark.parametrize("kappa", [1.0, -1.0])
+    def test_disk_twin_of_a_ball_has_the_same_premises(self, kappa, mode):
+        # the ball's premise samples are columns broadcast against the disk's
+        # (t, theta) arrays: both subjects must give the same margins
+        ball = space_form_ball(kappa, 2, 1.0, polynomial_drift([0.5]))
+
+        def radial(f):
+            return lambda t, th: f(t) * np.ones_like(th * 1.0)
+
+        rho = [radial(lambda t, i=i: ball.rho.eval(t)[i]) for i in range(3)]
+        twin = AnalyticDisk(1.0, *rho, h1=radial(ball.drift.h), h1_t=radial(ball.drift.h_prime))
+        # flat models: drift t/2 for the sectional mode, none for the Ricci one
+        model = space_form_ball(0.0, 2, 1.0,
+                                polynomial_drift([0.5]) if mode == "sectional" else None)
+        v_ball, v_disk = (run_case(ComparisonCase(s, model, mode, "twin", grid_2d=(32, 16)))
+                          for s in (ball, twin))
+        assert v_ball.premises_hold == v_disk.premises_hold
+        assert v_ball.premises_hold == ((kappa < 0) == (mode == "sectional"))
+        assert set(v_ball.premise_margins) == set(v_disk.premise_margins)
+        for key, value in v_ball.premise_margins.items():
+            assert v_disk.premise_margins[key] == pytest.approx(value, abs=1e-9), key
+
+    def test_drift_needs_its_derivative(self):
+        with pytest.raises(ValueError, match="h1_t"):
+            self._disk(lambda t: t, lambda t: np.ones_like(t), h1=lambda t, th: 0.5 * t)
+
     def test_ricci_rejects_angular_drift(self):
         disk = self._disk(lambda t: t, lambda t: np.ones_like(t),
                           vtheta=lambda t, th: 0.5 * t * np.ones_like(th))

@@ -46,6 +46,13 @@ class TestGrid:
         with pytest.raises(ValueError):
             DiskProblem(grid, J=2.0 * T, Vt=np.zeros_like(T), Vtheta=np.zeros_like(T))
 
+    def test_sample(self):
+        grid = PolarGrid(n_t=8, n_theta=8, r0=1.0)
+        T, TH = grid.mesh()
+        assert np.array_equal(grid.sample(None), np.zeros((8, 8)))
+        assert np.array_equal(grid.sample(lambda t, th: 0.5), np.full((8, 8), 0.5))
+        assert np.array_equal(grid.sample(lambda t, th: t * np.cos(th)), T * np.cos(TH))
+
     def test_perturbation_keeps_metric_valid(self):
         p = build_model_disk(FLAT, perturbation=lambda t, th: 0.1 * t * t * np.cos(th),
                              n_t=32, n_theta=16)
