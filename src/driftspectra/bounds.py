@@ -64,25 +64,25 @@ class HollandReport:
                 "fast_path": self.fast_path}
 
 
-def barta_bracket(op_eval, u, exclude_rings: int = 1) -> BartaBracket:
+def barta_bracket(op_eval, u) -> BartaBracket:
     """inf and sup of (-Delta_V u)/u over interior cells of a positive trial.
 
     `op_eval` maps trial samples to (-Delta_V u) samples (typically the
-    assembled matrix action).  The `exclude_rings` outermost rings are
-    dropped from the extremal scan to suppress the one-sided boundary
-    stencil; the exclusion is part of the result.
+    assembled matrix action).  The outermost ring is dropped from the
+    extremal scan to suppress the one-sided boundary stencil; the exclusion
+    is part of the result.
     """
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0.0):
         raise ValueError("Barta trials must be strictly positive on the interior")
     ratio = np.asarray(op_eval(u), dtype=float) / u
-    core = ratio[:-exclude_rings, :] if exclude_rings > 0 else ratio
+    core = ratio[:-1, :]
     imin = np.unravel_index(np.argmin(core), core.shape)
     imax = np.unravel_index(np.argmax(core), core.shape)
     return BartaBracket(lower=float(core[imin]), upper=float(core[imax]),
                         argmin_point=tuple(int(x) for x in imin),
                         argmax_point=tuple(int(x) for x in imax),
-                        excluded_rings=exclude_rings)
+                        excluded_rings=1)
 
 
 # -- weighted Rayleigh quotient --------------------------------------------
@@ -252,7 +252,7 @@ def q_functional(problem: DiskProblem, u, v) -> float:
     return total
 
 
-def solve_G_V(problem: DiskProblem, omega, tol: float = 1e-8):
+def solve_G_V(problem: DiskProblem, omega):
     """Positive steady density G solving div(omega^2 (grad G + G V)) = 0.
 
     G spans the null space of the system: it is pinned to 1 at the cell of

@@ -14,7 +14,7 @@ Problem flags: --dim M --radius R0 and either --space-form KAPPA or
 --warping EXPR; --drift EXPR gives the radial drift h(t) (h(0)=0 required).
 disk2d additionally takes --perturbation EXPR(t,theta) and --vtheta
 EXPR(t,theta).  Expressions use the grammar of `driftspectra.expressions`
-(+, -, *, /, ^, sin, cos, sinh, cosh, exp, t, theta) and are
+(+, -, *, /, ^, sin, cos, sinh, cosh, exp, t, theta, pi) and are
 differentiated analytically.
 
 A config file (--config PATH) supplies the same data as key=value sections:
@@ -35,13 +35,15 @@ A config file (--config PATH) supplies the same data as key=value sections:
     path = out.csv
     format = csv
 
-Command-line flags override config values.  All floating point output is
-fixed at 12 significant digits; solvers are deterministic, so re-running a
-config byte-reproduces its artifacts.  Exit codes: 0 success, 1 solver
-failure, 2 premise failure in `compare`, 64 usage error, 73 unwritable
-output path.  `sweep` runs its points serially: `--workers N` and the
-DRIFT_SPECTRA_WORKERS variable are still accepted (an integer >= 1, else
-exit 64) but change neither its output nor its speed.
+Command-line flags override config values.  `compare` reads only the
+[output] keys, plus dimension and radius with --subject-kappa; any other
+[problem] or [numerics] key in its file is a usage error, as are the flags.
+All floating point output is fixed at 12 significant digits; solvers are
+deterministic, so re-running a config byte-reproduces its artifacts.  Exit
+codes: 0 success, 1 solver failure, 2 premise failure in `compare`, 64
+usage error, 73 unwritable output path.  `sweep` runs its points serially:
+`--workers N` is still accepted (an integer >= 1, else exit 64) but changes
+neither its output nor its speed.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ import configparser
 import importlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -226,16 +227,10 @@ def _disk_problem(cfg: RunConfig):
         raise UsageError("disk commands require --dim 2")
     from .disk import build_model_disk
 
-    def field(spec):
-        if not spec:
-            return None
-        expr = parse_expression(spec)
-        return lambda t, th: np.asarray(expr(t, th), dtype=float)
-
     ball = _build_ball(cfg)
-    try:
-        return build_model_disk(ball, perturbation=field(cfg.perturbation),
-                                drift_angular=field(cfg.vtheta), n_t=cfg.n_t, n_theta=cfg.n_theta)
+    fields = [parse_expression(s) if s else None for s in (cfg.perturbation, cfg.vtheta)]
+    try:  # the parsed perturbation and angular drift are callables of (t, theta)
+        return build_model_disk(ball, *fields, n_t=cfg.n_t, n_theta=cfg.n_theta)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -263,7 +258,7 @@ def _cmd_bounds(cfg: RunConfig) -> int:
     problem = _disk_problem(cfg)
     pair, A = solve_principal(problem, tol=cfg.tol_2d())
     bracket = barta_bracket(operator_action(A, problem.J.shape), pair.omega)
-    G, _ = solve_G_V(problem, pair.omega, tol=cfg.tol_2d())
+    G, _ = solve_G_V(problem, pair.omega)
     u_opt = pair.omega * np.sqrt(G)
     report = holland_bound(problem, u_opt, tol=cfg.tol_2d(), A=A)
     payload = {"lambda": pair.lam, "barta": bracket.to_dict(),
@@ -445,7 +440,14 @@ def _load_config_file(path: str) -> dict:
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     data = {"command": args.command}
     if getattr(args, "config", None):
-        data.update(_load_config_file(args.config))
+        loaded = _load_config_file(args.config)
+        if args.command == "compare":  # it reads [output], and dim/radius only for a pair
+            reads = {"output", "format"} | ({"dim", "radius"} if args.subject_kappa is not None else set())
+            unread = [f"[{section}] {key}" for (section, key), (name, _) in _CONFIG_KEYS.items()
+                      if name in loaded and name not in reads]
+            if unread:
+                raise UsageError(f"compare does not read {', '.join(unread)} from a config file")
+        data.update(loaded)
     for key, _ in _CONFIG_KEYS.values():
         val = getattr(args, key, None)
         if val is not None:
@@ -462,16 +464,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     if not (math.isfinite(defaults.cutoff) and defaults.cutoff > 0.0):
         raise UsageError(f"cutoff must be positive and finite, got {defaults.cutoff:g}")
     return defaults
-
-
-def _check_workers(value, source: str):
-    """Worker counts are accepted for compatibility; sweep runs serially."""
-    try:
-        workers = int(value)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise UsageError(f"{source} must be an integer >= 1, got {value!r}")
 
 
 def _parse_axes(specs) -> list:
@@ -501,9 +493,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "sweep":
             base = _merge_config(args)
-            _check_workers(args.workers, "--workers")
-            if "DRIFT_SPECTRA_WORKERS" in os.environ:
-                _check_workers(os.environ["DRIFT_SPECTRA_WORKERS"], "DRIFT_SPECTRA_WORKERS")
+            if args.workers < 1:  # accepted for compatibility; sweep runs serially
+                raise UsageError(f"--workers must be an integer >= 1, got {args.workers}")
             return _cmd_sweep(_parse_axes(args.axis), base)
         cfg = _merge_config(args)
         if args.command == "compare":

@@ -6,24 +6,29 @@ Grammar (command-line drift/warping/perturbation expressions):
     term   := unary (("*" | "/") unary)*
     unary  := "-" unary | power
     power  := atom ("^" unary)?          # right-associative, numeric exponent
-    atom   := NUMBER | "t" | "theta" | FUNC "(" expr ")" | "(" expr ")"
+    atom   := NUMBER | "t" | "theta" | "pi" | FUNC "(" expr ")" | "(" expr ")"
     FUNC   := sin | cos | sinh | cosh | exp
 
+This is a subset of Python's expression grammar with "^" for "**": the
+text is parsed by `ast.parse`, never evaluated, and a whitelist walker
+builds the `Node`s.  Rejected with ExpressionError: any other character
+("_", ",", "#", quotes, non-ASCII), unary plus and every other operator,
+attributes, conditionals, calls other than FUNC(expr), non-decimal
+literals (0x10, 1j, True, and 007 as in Python), and nesting deeper than
+a fixed bound, so evaluation and differentiation never exhaust the stack.
 Expressions evaluate on numpy arrays and differentiate symbolically in
 either variable, so the solvers receive exact derivatives.
 """
 
 from __future__ import annotations
 
-import re
+import ast
 from dataclasses import dataclass
 
 import numpy as np
 
 _FUNCS = {"sin": np.sin, "cos": np.cos, "sinh": np.sinh, "cosh": np.cosh,
           "exp": np.exp}
-_TOKEN = re.compile(r"\s*(?:(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-                    r"|([A-Za-z_]+)|(\*\*)|([()+\-*/^]))")
 
 
 class ExpressionError(ValueError):
@@ -164,103 +169,50 @@ def _simplify(n: Node) -> Node:
     return n
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            mobj = _TOKEN.match(text, pos)
-            if mobj is None:
-                if text[pos:].strip() == "":
-                    break
-                raise ExpressionError(f"bad token at {text[pos:]!r}")
-            num, name, dstar, sym = mobj.groups()
-            if num is not None:
-                self.tokens.append(("num", float(num)))
-            elif name is not None:
-                self.tokens.append(("name", name))
-            elif dstar is not None:
-                self.tokens.append(("sym", "^"))
-            else:
-                self.tokens.append(("sym", sym))
-            pos = mobj.end()
-        self.pos = 0
+_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+_NAMES = {"t": Node("t"), "theta": Node("theta"), "pi": Node("const", value=float(np.pi))}
+_DECIMAL = frozenset("0123456789.eE+-")
+_MAX_DEPTH = 100
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
 
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
+def _build(node: ast.AST, text: str, depth: int) -> Node:
+    if depth > _MAX_DEPTH:
+        raise ExpressionError(f"expression nested deeper than {_MAX_DEPTH} levels")
 
-    def expect(self, sym):
-        kind, val = self.take()
-        if kind != "sym" or val != sym:
-            raise ExpressionError(f"expected {sym!r}, got {val!r}")
+    def sub(child):
+        return _build(child, text, depth + 1)
 
-    def parse(self) -> Node:
-        node = self.expr()
-        if self.pos != len(self.tokens):
-            raise ExpressionError(f"unexpected trailing input near {self.peek()[1]!r}")
-        return node
-
-    def expr(self) -> Node:
-        node = self.term()
-        while self.peek() == ("sym", "+") or self.peek() == ("sym", "-"):
-            _, op = self.take()
-            node = _simplify(Node(op, (node, self.term())))
-        return node
-
-    def term(self) -> Node:
-        node = self.unary()
-        while self.peek() == ("sym", "*") or self.peek() == ("sym", "/"):
-            _, op = self.take()
-            node = _simplify(Node(op, (node, self.unary())))
-        return node
-
-    def unary(self) -> Node:
-        if self.peek() == ("sym", "-"):
-            self.take()
-            return _simplify(Node("neg", (self.unary(),)))
-        return self.power()
-
-    def power(self) -> Node:
-        base = self.atom()
-        if self.peek() == ("sym", "^"):
-            self.take()
-            exponent = self.unary()
+    match node:
+        case ast.BinOp(left, op, right) if type(op) in _BINOPS:
+            return _simplify(Node(_BINOPS[type(op)], (sub(left), sub(right))))
+        case ast.BinOp(left, ast.Pow(), right):
+            base, exponent = sub(left), sub(right)
             if not _is_const(exponent):
                 raise ExpressionError("exponents must be numeric constants")
             return _simplify(Node("pow", (base,), exponent.value))
-        return base
-
-    def atom(self) -> Node:
-        kind, val = self.take()
-        if kind == "num":
-            return Node("const", value=val)
-        if kind == "name":
-            if val == "t":
-                return Node("t")
-            if val == "theta":
-                return Node("theta")
-            if val in _FUNCS:
-                self.expect("(")
-                inner = self.expr()
-                self.expect(")")
-                return Node(val, (inner,))
-            if val == "pi":
-                return Node("const", value=float(np.pi))
-            raise ExpressionError(f"unknown name {val!r}")
-        if kind == "sym" and val == "(":
-            inner = self.expr()
-            self.expect(")")
-            return inner
-        raise ExpressionError(f"unexpected token {val!r}")
+        case ast.UnaryOp(ast.USub(), operand):
+            return _simplify(Node("neg", (sub(operand),)))
+        case ast.Constant(int() | float()) if set(ast.get_source_segment(text, node)) <= _DECIMAL:
+            return Node("const", value=float(ast.get_source_segment(text, node)))
+        case ast.Name(name) if name in _NAMES:
+            return _NAMES[name]
+        case ast.Call(ast.Name(name) as func, [arg], []) if name in _FUNCS:
+            if func.col_offset == node.col_offset:  # not "(sin)(t)"
+                return Node(name, (sub(arg),))
+    raise ExpressionError(f"unsupported syntax {ast.get_source_segment(text, node)!r}")
 
 
 def parse_expression(text: str) -> Node:
     """Parse an expression in t (and theta) into a differentiable node."""
-    if not text or not text.strip():
-        raise ExpressionError("empty expression")
-    return _Parser(text).parse()
+    text = " ".join(text.replace("^", "**").split())
+    if not all(c.isascii() and (c.isalnum() or c in ".()+-*/ ") for c in text):
+        raise ExpressionError(f"unsupported characters in {text!r}")
+    try:
+        tree = ast.parse(text, mode="eval")
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+        # too deep for CPython's parser: RecursionError or MemoryError; 5000 digits: ValueError
+        raise ExpressionError(f"malformed expression: {str(exc) or 'nested too deeply'}") from None
+    try:
+        return _build(tree.body, text, 0)
+    except ArithmeticError as exc:  # a folded constant power such as 0^-1 or 10^400
+        raise ExpressionError(f"constant power out of range: {exc}") from None

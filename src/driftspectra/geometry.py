@@ -137,8 +137,7 @@ def polynomial_drift(coeffs) -> DriftProfile:
     return DriftProfile(h=h, h_prime=h_prime, H=H)
 
 
-def drift_from_rate(h: Callable, h_prime: Callable, t_max: float,
-                    n_fine: int = 4096) -> DriftProfile:
+def drift_from_rate(h: Callable, h_prime: Callable, t_max: float) -> DriftProfile:
     """Build a profile when only h and h' are available analytically.
 
     The antiderivative is tabulated once by a derivative-corrected trapezoid
@@ -146,6 +145,7 @@ def drift_from_rate(h: Callable, h_prime: Callable, t_max: float,
     interpolant that takes the exact slopes H' = h at the nodes; both errors
     sit far below the 1e-6 consistency tolerance.  H(0) = 0 exactly.
     """
+    n_fine = 4096
     grid = np.linspace(0.0, float(t_max), n_fine + 1)
     vals = np.asarray(h(grid), dtype=float)
     slopes = np.asarray(h_prime(grid), dtype=float)

@@ -105,7 +105,7 @@ class _RadialPath:
     """
 
     def __init__(self, ball: ModelBall, k: int, n_t: int = DEFAULT_GRID,
-                 substeps: int = 2, eps_frac: float = 1e-6, coefs=None):
+                 substeps: int = 2, coefs=None):
         self.ball = ball
         self.k = int(k)
         self.n_t = int(n_t)
@@ -117,7 +117,7 @@ class _RadialPath:
         h_int = self.dt / substeps
         c_stab = min(0.2, 1.0 / (2.0 * self.alpha + m))
 
-        ts = [eps_frac * r0]
+        ts = [1e-6 * r0]  # first point, where (b, b') = (1, 0) is the regular start
         marks = []
         t = ts[0]
         for j in range(1, n_t + 1):

@@ -126,7 +126,7 @@ def test_criterion_07_integral_min_max():
     problem = build_model_disk(ball, drift_angular=lambda t, th: 0.5 * np.ones_like(t),
                                n_t=192, n_theta=96)
     pair, A = solve_principal(problem, tol=1e-7)
-    G, _ = solve_G_V(problem, pair.omega, tol=1e-7)
+    G, _ = solve_G_V(problem, pair.omega)
     u_opt = pair.omega * np.sqrt(G)
     rep = holland_bound(problem, u_opt, A=A)
     assert abs(rep.bound - pair.lam) < 1e-3
@@ -143,7 +143,7 @@ def test_criterion_07_integral_min_max():
     grad_ball = euclidean_ball(2, 1.0, polynomial_drift([1.0]))
     gproblem = build_model_disk(grad_ball, n_t=192, n_theta=96)
     gpair, _ = solve_principal(gproblem, tol=1e-7)
-    Gg, _ = solve_G_V(gproblem, gpair.omega, tol=1e-7)
+    Gg, _ = solve_G_V(gproblem, gpair.omega)
     Tg, _ = gproblem.grid.mesh()
     vol = volumes(gproblem).reshape(Tg.shape)
     target = np.exp(-Tg ** 2 / 2.0)

@@ -161,18 +161,8 @@ class TestSweep:
                     "--workers", "8", "--output", str(p8)]) == EXIT_OK
         assert p1.read_bytes() == p8.read_bytes()
 
-    def test_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DRIFT_SPECTRA_WORKERS", "4")
-        path = tmp_path / "env.csv"
-        assert run(["sweep", "--dim", "2", "--radius", "1",
-                    "--axis", "kappa=0,1", "--output", str(path)]) == EXIT_OK
-
-    @pytest.mark.parametrize("workers,env", [("-3", None), ("0", None), ("2", "abc"),
-                                             ("2", "0")])
-    def test_bad_worker_count_is_usage_error(self, workers, env, monkeypatch, capsys):
-        monkeypatch.delenv("DRIFT_SPECTRA_WORKERS", raising=False)
-        if env is not None:
-            monkeypatch.setenv("DRIFT_SPECTRA_WORKERS", env)
+    @pytest.mark.parametrize("workers", ["-3", "0"])
+    def test_bad_worker_count_is_usage_error(self, workers, capsys):
         assert run(["sweep", "--dim", "2", "--radius", "1", "--axis", "kappa=0,1",
                     "--workers", workers]) == EXIT_USAGE
         captured = capsys.readouterr()
@@ -265,7 +255,9 @@ class TestConfigAndErrors:
                                     ["--drift", "sin(theta)"], ["--nt", "64"],
                                     ["--ntheta", "64"], ["--tol", "1e-8"],
                                     ["--dim", "2"], ["--radius", "1"])),
-        ["sweep", "--dim", "2", "--radius", "1", "--axis", "dim=2,2.5,3"]])
+        ["sweep", "--dim", "2", "--radius", "1", "--axis", "dim=2,2.5,3"],
+        # expressions past the parser's nesting bounds
+        ["--drift", "(" * 300 + "t" + ")" * 300], ["--drift", "+".join(["t"] * 800)]])
     def test_bad_grid_or_tol_is_usage_error(self, flag, capsys):
         if flag[0] in ("compare", "sweep"):
             argv = flag
@@ -285,6 +277,40 @@ class TestConfigAndErrors:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[numerics]\nn_theta = 10\nn_t = 2\n")
         assert run(["bounds", "--config", str(cfg)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("text,pair", [
+        pytest.param("[problem]\nkappa = 5\nwarping = t+1\ndrift = sin(theta)\n"
+                     "[numerics]\nn_t = 64\ntol = 1e-3\n", False, id="problem-and-numerics"),
+        pytest.param("[problem]\nperturbation = 0.1*t^2\n", False, id="perturbation"),
+        pytest.param("[problem]\nvtheta = t\n", True, id="vtheta-with-pair"),
+        pytest.param("[numerics]\ncutoff = 10\n", True, id="cutoff-with-pair"),
+        pytest.param("[problem]\ndimension = 2\n", False, id="dimension-without-pair"),
+        pytest.param("[problem]\nradius = 1\n", False, id="radius-without-pair"),
+    ])
+    def test_compare_config_keys_it_does_not_read(self, tmp_path, capsys, text, pair):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        flags = ["--subject-kappa", "0", "--model-kappa", "1"] if pair else []
+        assert run(["compare", "--config", str(cfg), *flags]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage error" in captured.err
+
+    def test_compare_config_output_keys(self, tmp_path, capsys):
+        out = tmp_path / "verdicts.json"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[output]\npath = {out}\nformat = json\n")
+        assert run(["compare", "--config", str(cfg)]) == EXIT_OK
+        assert "12/12 cases verified" in capsys.readouterr().out
+        assert len(json.loads(out.read_text())) == 12
+
+    def test_compare_config_pair_geometry(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[problem]\ndimension = 3\nradius = 0.5\n")
+        pair = ["compare", "--subject-kappa", "0", "--model-kappa", "1", "--format", "json"]
+        paths = [tmp_path / f"{name}.json" for name in ("file", "flags", "default")]
+        for path, extra in zip(paths, (["--config", str(cfg)], ["--dim", "3", "--radius", "0.5"], [])):
+            assert run([*pair, *extra, "--output", str(path)]) == EXIT_OK
+        assert paths[0].read_bytes() == paths[1].read_bytes() != paths[2].read_bytes()
 
 
 _SRC = os.path.dirname(os.path.dirname(driftspectra.__file__))

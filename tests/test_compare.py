@@ -74,20 +74,23 @@ class TestRunCaseBranches:
         assert v.notes == [f"volume-ratio monotonicity violated despite {word} premise"]
 
     @pytest.mark.parametrize("mode", ["sectional", "ricci"])
-    @pytest.mark.parametrize("kappa", [1.0, -1.0])
-    def test_disk_twin_of_a_ball_has_the_same_premises(self, kappa, mode):
+    @pytest.mark.parametrize("kappa,coeffs", [
+        pytest.param(kappa, coeffs, id=f"{kappa}" + ("-quadratic" if len(coeffs) > 1 else ""))
+        for kappa in (1.0, -1.0) for coeffs in ([0.5], [0.5, 1.0])])
+    def test_disk_twin_of_a_ball_has_the_same_premises(self, kappa, coeffs, mode):
         # the ball's premise samples are columns broadcast against the disk's
-        # (t, theta) arrays: both subjects must give the same margins
-        ball = space_form_ball(kappa, 2, 1.0, polynomial_drift([0.5]))
+        # (t, theta) arrays: both subjects must give the same margins, the
+        # t = 0 limit of the drift profile included
+        ball = space_form_ball(kappa, 2, 1.0, polynomial_drift(coeffs))
 
         def radial(f):
             return lambda t, th: f(t) * np.ones_like(th * 1.0)
 
         rho = [radial(lambda t, i=i: ball.rho.eval(t)[i]) for i in range(3)]
         twin = AnalyticDisk(1.0, *rho, h1=radial(ball.drift.h), h1_t=radial(ball.drift.h_prime))
-        # flat models: drift t/2 for the sectional mode, none for the Ricci one
+        # flat models: the subject's drift for the sectional mode, none for the Ricci one
         model = space_form_ball(0.0, 2, 1.0,
-                                polynomial_drift([0.5]) if mode == "sectional" else None)
+                                polynomial_drift(coeffs) if mode == "sectional" else None)
         v_ball, v_disk = (run_case(ComparisonCase(s, model, mode, "twin", grid_2d=(32, 16)))
                           for s in (ball, twin))
         assert v_ball.premises_hold == v_disk.premises_hold

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from driftspectra.expressions import ExpressionError, parse_expression
+from driftspectra.expressions import ExpressionError, Node, parse_expression
 
 from _oracles import first_derivative
 
@@ -58,8 +58,36 @@ class TestDifferentiation:
         assert not parse_expression("sinh(t)^2").depends_on("theta")
 
 
+T = Node("t")
+
+
+def const(value):
+    return Node("const", value=value)
+
+
+class TestTrees:
+    @pytest.mark.parametrize("text,tree", [
+        ("-t^2", Node("neg", (Node("pow", (T,), 2.0),))),
+        ("2^-1*t", Node("*", (const(0.5), T))),
+        ("t^2^3", Node("pow", (T,), 8.0)),
+        ("3/4/5*t", Node("*", (Node("/", (Node("/", (const(3.0), const(4.0))), const(5.0))), T))),
+        ("t - -t", Node("-", (T, Node("neg", (T,))))),
+    ])
+    def test_precedence_and_associativity(self, text, tree):
+        assert parse_expression(text) == tree
+
+    def test_multiline_config_value(self):
+        assert parse_expression("0.5*t\n + 0.1*t^2") == parse_expression("0.5*t + 0.1*t^2")
+
+
 class TestErrors:
-    @pytest.mark.parametrize("bad", ["", "t +", "foo(t)", "t^t", "(t", "1..2", "t $ 2"])
+    @pytest.mark.parametrize("bad", [
+        "", "t +", "foo(t)", "t^t", "(t", "1..2", "t $ 2",
+        "0x10*t", "1_0*t", "1j*t", "t.real", "t//2", "+t", "t if t else 1", "__import__('os')",
+        # source-level checks the syntax tree cannot see, and a folded constant out of range
+        "(sin)(t)", "sin(t,)", "t # comment", pytest.param("\uff54", id="fullwidth-t"), "0^-1*t",
+        pytest.param("(" * 300 + "t" + ")" * 300, id="300-nested-parentheses"),
+        pytest.param("+".join(["t"] * 800), id="800-term-sum")])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ExpressionError):
             parse_expression(bad)
