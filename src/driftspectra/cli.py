@@ -1,14 +1,14 @@
 """Command-line front end.
 
-Subcommands
+Subcommands (artifact formats in brackets)
 -----------
-spectrum   all model eigenvalues up to a cutoff, with multiplicities (CSV)
-principal  ground eigenvalue of a model ball (1-D solver)
-disk2d     ground pair of a 2-D disk (model + perturbation + angular drift)
-bounds     Barta bracket and integral min-max bound for a disk problem
-compare    run the built-in comparison corpus (or a single pair) and report
-riccati    drift recovery through the equality-case Riccati flow
-sweep      cartesian parameter sweeps of `principal` with persistence
+spectrum   all model eigenvalues up to a cutoff, with multiplicities [csv, json]
+principal  ground eigenvalue of a model ball (1-D solver) [csv, json]
+disk2d     ground pair of a 2-D disk (model + perturbation + angular drift) [csv, json]
+bounds     Barta bracket and integral min-max bound for a disk problem [csv, json]
+compare    run the built-in comparison corpus (or a single pair) and report [csv, json]
+riccati    drift recovery through the equality-case Riccati flow [csv]
+sweep      cartesian parameter sweeps of `principal` with persistence [csv]
 
 Problem flags: --dim M --radius R0 and either --space-form KAPPA or
 --warping EXPR; --drift EXPR gives the radial drift h(t) (h(0)=0 required).
@@ -41,7 +41,11 @@ Command-line flags override config values.  `compare` reads only the
 All floating point output is fixed at 12 significant digits; solvers are
 deterministic, so re-running a config byte-reproduces its artifacts.  Exit
 codes: 0 success, 1 solver failure, 2 premise failure in `compare`, 64
-usage error, 73 unwritable output path.  `sweep` runs its points serially:
+usage error (a --format the command does not write among them), 73
+unwritable output path.  Both are decided before any solve: an --output
+that is a directory, or whose parent is not an existing directory, exits 73
+without creating or truncating the file.  Without --output, `sweep` prints
+its table after the header line.  `sweep` runs its points serially:
 `--workers N` is still accepted (an integer >= 1, else exit 64) but changes
 neither its output nor its speed.
 """
@@ -53,6 +57,7 @@ import configparser
 import importlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -159,16 +164,25 @@ def _build_ball(cfg: RunConfig) -> ModelBall:
             if h_expr.depends_on("theta"):
                 raise UsageError("model drifts may only involve t")
             hp_expr = h_expr.diff("t")
-            drift = drift_from_rate(
-                h=lambda t: scale * np.asarray(h_expr(t), dtype=float),
-                h_prime=lambda t: scale * np.asarray(hp_expr(t), dtype=float),
-                t_max=cfg.radius * 1.05)
+            try:
+                drift = drift_from_rate(
+                    h=lambda t: scale * np.asarray(h_expr(t), dtype=float),
+                    h_prime=lambda t: scale * np.asarray(hp_expr(t), dtype=float),
+                    t_max=cfg.radius * 1.05)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
     else:
         drift = zero_drift()
     try:
         return ModelBall(m=cfg.dim, r0=cfg.radius, rho=rho, drift=drift)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _check_output(path: str):
+    """Refuse a path that cannot take the artifact, without creating or truncating it."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise _OutputError(f"{path!r} is a directory or lies in no existing directory")
 
 
 def _write_text(path: str, text: str):
@@ -187,39 +201,36 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-# -- subcommands -------------------------------------------------------------
+def _csv(header: str, rows) -> str:
+    return "\n".join([header] + [",".join(map(_fmt, row)) for row in rows]) + "\n"
 
-def _cmd_spectrum(cfg: RunConfig) -> int:
-    ball = _build_ball(cfg)
-    table = radial_mod.assemble_spectrum(ball, cfg.cutoff, tol=cfg.tol_1d(),
+
+# -- subcommands -------------------------------------------------------------
+# Each handler takes (cfg, args) and returns (exit code, summary line,
+# {format: builder of the artifact text}); `main` builds only the artifact
+# it writes.
+
+def _cmd_spectrum(cfg: RunConfig, args) -> tuple:
+    table = radial_mod.assemble_spectrum(_build_ball(cfg), cfg.cutoff, tol=cfg.tol_1d(),
                                          n_t=cfg.n_t_1d())
-    if cfg.format == "json":
+
+    def as_json():
         payload = [{"lambda": e.lam, "k": e.k, "i": e.i, "multiplicity": e.multiplicity}
                    for e in table.entries]
-        text = json.dumps({"cutoff": table.lambda_cutoff, "entries": payload},
+        return json.dumps({"cutoff": table.lambda_cutoff, "entries": payload},
                           sort_keys=True, indent=2) + "\n"
-    else:
-        text = table.to_csv()
-    if cfg.output:
-        _write_text(cfg.output, text)
+
     lams = ", ".join(_fmt(e.lam) for e in table.entries[:6])
-    print(f"spectrum: {len(table.entries)} eigenvalues <= {_fmt(cfg.cutoff)}: {lams}")
-    return EXIT_OK
+    return (EXIT_OK, f"spectrum: {len(table.entries)} eigenvalues <= {_fmt(cfg.cutoff)}: {lams}",
+            {"csv": table.to_csv, "json": as_json})
 
 
-def _cmd_principal(cfg: RunConfig) -> int:
-    ball = _build_ball(cfg)
-    mode = radial_mod.principal_eigenpair(ball, tol=cfg.tol_1d(), n_t=cfg.n_t_1d())
-    if cfg.output:
-        if cfg.format == "json":
-            text = json.dumps({"lambda": mode.lam, "k": 0, "i": 1,
-                               "n_t": cfg.n_t_1d()}, sort_keys=True) + "\n"
-        else:
-            lines = ["t,a"] + [f"{tj:.12g},{aj:.12g}" for tj, aj in zip(mode.t, mode.a)]
-            text = "\n".join(lines) + "\n"
-        _write_text(cfg.output, text)
-    print(f"principal: lambda = {_fmt(mode.lam)}")
-    return EXIT_OK
+def _cmd_principal(cfg: RunConfig, args) -> tuple:
+    mode = radial_mod.principal_eigenpair(_build_ball(cfg), tol=cfg.tol_1d(), n_t=cfg.n_t_1d())
+    return EXIT_OK, f"principal: lambda = {_fmt(mode.lam)}", {
+        "csv": lambda: _csv("t,a", zip(mode.t, mode.a)),
+        "json": lambda: json.dumps({"lambda": mode.lam, "k": 0, "i": 1, "n_t": cfg.n_t_1d()},
+                                   sort_keys=True) + "\n"}
 
 
 def _disk_problem(cfg: RunConfig):
@@ -235,23 +246,18 @@ def _disk_problem(cfg: RunConfig):
         raise UsageError(str(exc)) from exc
 
 
-def _cmd_disk2d(cfg: RunConfig) -> int:
+def _cmd_disk2d(cfg: RunConfig, args) -> tuple:
     from .disk import eigenpair_csv, eigenpair_json, solve_principal
 
     problem = _disk_problem(cfg)
     pair, _ = solve_principal(problem, tol=cfg.tol_2d())
-    if cfg.output:
-        if cfg.format == "json":
-            text = eigenpair_json(problem, pair)
-        else:
-            text = eigenpair_csv(problem, pair)
-        _write_text(cfg.output, text)
-    print(f"disk2d: lambda = {_fmt(pair.lam)} residual = {pair.residual:.3e} "
-          f"iterations = {pair.iterations}")
-    return EXIT_OK
+    return (EXIT_OK, f"disk2d: lambda = {_fmt(pair.lam)} residual = {pair.residual:.3e} "
+                     f"iterations = {pair.iterations}",
+            {"csv": lambda: eigenpair_csv(problem, pair),
+             "json": lambda: eigenpair_json(problem, pair)})
 
 
-def _cmd_bounds(cfg: RunConfig) -> int:
+def _cmd_bounds(cfg: RunConfig, args) -> tuple:
     from .bounds import barta_bracket, holland_bound, solve_G_V
     from .disk import operator_action, solve_principal
 
@@ -261,22 +267,16 @@ def _cmd_bounds(cfg: RunConfig) -> int:
     G, _ = solve_G_V(problem, pair.omega)
     u_opt = pair.omega * np.sqrt(G)
     report = holland_bound(problem, u_opt, tol=cfg.tol_2d(), A=A)
-    payload = {"lambda": pair.lam, "barta": bracket.to_dict(),
-               "min_max_integral": report.to_dict()}
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if cfg.output:
-        if cfg.format == "csv":
-            text = ("lambda,barta_lower,barta_upper,bound\n"
-                    f"{_fmt(pair.lam)},{_fmt(bracket.lower)},{_fmt(bracket.upper)},"
-                    f"{_fmt(report.bound)}\n")
-        _write_text(cfg.output, text)
-    print(f"bounds: lambda = {_fmt(pair.lam)} bracket = "
-          f"[{_fmt(bracket.lower)}, {_fmt(bracket.upper)}] "
-          f"integral bound = {_fmt(report.bound)}")
-    return EXIT_OK
+    values = (pair.lam, bracket.lower, bracket.upper, report.bound)
+    return (EXIT_OK, "bounds: lambda = {} bracket = [{}, {}] integral bound = {}".format(
+                *map(_fmt, values)),
+            {"csv": lambda: _csv("lambda,barta_lower,barta_upper,bound", [values]),
+             "json": lambda: json.dumps({"lambda": pair.lam, "barta": bracket.to_dict(),
+                                         "min_max_integral": report.to_dict()},
+                                        sort_keys=True, indent=2) + "\n"})
 
 
-def _cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_compare(cfg: RunConfig, args) -> tuple:
     if args.subject_kappa is not None:
         from .compare import ComparisonCase, run_case
 
@@ -289,71 +289,78 @@ def _cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise UsageError("compare takes --dim, --radius and the pair flags only with --subject-kappa")
     else:
         verdicts = run_corpus()
-    text = verdicts_to_json(verdicts) if cfg.format == "json" else verdicts_to_csv(verdicts)
-    if cfg.output:
-        _write_text(cfg.output, text)
     ok = sum(1 for v in verdicts if v.premises_hold and v.conclusion_holds)
     fails = [v.label for v in verdicts if not v.premises_hold]
-    print(f"compare: {ok}/{len(verdicts)} cases verified; premise failures: "
-          f"{fails if fails else 'none'}")
-    if fails:
-        return EXIT_PREMISE
-    if any(v.premises_hold and not v.conclusion_holds for v in verdicts):
-        return EXIT_SOLVER
-    return EXIT_OK
+    code = EXIT_PREMISE if fails else EXIT_SOLVER if ok < len(verdicts) else EXIT_OK
+    return (code, f"compare: {ok}/{len(verdicts)} cases verified; premise failures: "
+                  f"{fails if fails else 'none'}",
+            {"csv": lambda: verdicts_to_csv(verdicts), "json": lambda: verdicts_to_json(verdicts)})
 
 
-def _cmd_riccati(cfg: RunConfig) -> int:
-    ball = _build_ball(cfg)
-    result = riccati_uniqueness(ball, tol=1e-6)
-    if cfg.output:
-        lines = ["t,h_recovered"] + [f"{tj:.12g},{hj:.12g}"
-                                     for tj, hj in zip(result.t, result.h_recovered)]
-        _write_text(cfg.output, "\n".join(lines) + "\n")
-    print(f"riccati: sup_error = {result.sup_error:.6e}")
-    return EXIT_OK
+def _cmd_riccati(cfg: RunConfig, args) -> tuple:
+    result = riccati_uniqueness(_build_ball(cfg), tol=1e-6)
+    return (EXIT_OK, f"riccati: sup_error = {result.sup_error:.6e}",
+            {"csv": lambda: _csv("t,h_recovered", zip(result.t, result.h_recovered))})
 
 
 _AXIS_PARAMS = ("kappa", "radius", "dim", "drift_scale")
 
 
-def _cmd_sweep(axes: list, base: RunConfig) -> int:
+def _cmd_sweep(cfg: RunConfig, args) -> tuple:
+    if args.workers < 1:  # accepted for compatibility; sweep runs serially
+        raise UsageError(f"--workers must be an integer >= 1, got {args.workers}")
+    axes = []
+    for spec in args.axis:
+        if "=" not in spec:
+            raise UsageError(f"axis spec {spec!r} must look like name=v1,v2")
+        name, _, values = spec.partition("=")
+        name = name.strip()
+        if name not in _AXIS_PARAMS:
+            raise UsageError(f"unknown sweep axis {name!r}; choose from {_AXIS_PARAMS}")
+        try:
+            vals = [float(v) for v in values.split(",") if v.strip() != ""]
+        except ValueError as exc:
+            raise UsageError(f"bad axis values in {spec!r}") from exc
+        if not vals:
+            raise UsageError(f"axis {name!r} has no values")
+        if name == "dim" and not all(v.is_integer() for v in vals):
+            raise UsageError(f"dimension values must be integers in {spec!r}")
+        axes.append((name, vals))
     if not axes:
         raise UsageError("sweep requires at least one --axis")
     names = [n for n, _ in axes]
-    grids = [v for _, v in axes]
     points = [[]]
-    for vals in grids:
+    for _, vals in axes:
         points = [p + [v] for p in points for v in vals]
-    print(f"sweep: {len(points)} configurations over axes {names}")
 
     def run_point(values):
-        cfg = base
+        point = cfg
         for name, val in zip(names, values):
-            if name == "dim":
-                cfg = replace(cfg, dim=int(val))
-            else:
-                cfg = replace(cfg, **{name: float(val)})
+            point = replace(point, **{name: int(val) if name == "dim" else val})
         try:
-            ball = _build_ball(cfg)
-            mode = radial_mod.principal_eigenpair(ball, tol=cfg.tol_1d(),
-                                                  n_t=cfg.n_t_1d())
+            mode = radial_mod.principal_eigenpair(_build_ball(point), tol=point.tol_1d(),
+                                                  n_t=point.n_t_1d())
             return _fmt(mode.lam), "ok"
         except (SolverError, UsageError, ValueError, ExpressionError) as exc:
             return "", f"error: {exc}"
 
-    results = [run_point(p) for p in points]
+    rows = "\n".join([",".join(names + ["lambda", "status"])]
+                     + [",".join([*map(_fmt, values), *run_point(values)]) for values in points])
+    header = f"sweep: {len(points)} configurations over axes {names}"
+    # without --output the table follows the header on stdout
+    return EXIT_OK, header if cfg.output else f"{header}\n{rows}", {"csv": lambda: rows + "\n"}
 
-    lines = [",".join(names + ["lambda", "status"])]
-    for values, (lam, status) in zip(points, results):
-        lines.append(",".join([_fmt(v) if isinstance(v, float) else str(v)
-                               for v in values] + [lam, status]))
-    text = "\n".join(lines) + "\n"
-    if base.output:
-        _write_text(base.output, text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+
+# subcommand -> (handler, artifact formats it writes)
+_COMMANDS = {
+    "spectrum": (_cmd_spectrum, ("csv", "json")),
+    "principal": (_cmd_principal, ("csv", "json")),
+    "disk2d": (_cmd_disk2d, ("csv", "json")),
+    "bounds": (_cmd_bounds, ("csv", "json")),
+    "compare": (_cmd_compare, ("csv", "json")),
+    "riccati": (_cmd_riccati, ("csv",)),
+    "sweep": (_cmd_sweep, ("csv",)),
+}
 
 
 # -- argument handling --------------------------------------------------------
@@ -379,7 +386,7 @@ def _make_parser() -> _Parser:
     parser = _Parser(prog="drift-spectra",
                      description="eigenvalues and bounds for drift Laplacians on balls")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("spectrum", "principal", "disk2d", "bounds", "compare", "riccati"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         _add_common(p, problem=name != "compare")
         if name == "spectrum":
@@ -394,11 +401,10 @@ def _make_parser() -> _Parser:
             p.add_argument("--subject-drift", help="subject drift expression h1(t)")
             p.add_argument("--model-drift", help="model drift expression h(t)")
             p.add_argument("--mode", choices=("sectional", "ricci"), default="sectional")
-    p = sub.add_parser("sweep")
-    _add_common(p)
-    p.add_argument("--axis", action="append", default=[],
-                   help=f"axis spec name=v1,v2,... with name in {_AXIS_PARAMS}")
-    p.add_argument("--workers", type=int, default=1)
+        if name == "sweep":
+            p.add_argument("--axis", action="append", default=[],
+                           help=f"axis spec name=v1,v2,... with name in {_AXIS_PARAMS}")
+            p.add_argument("--workers", type=int, default=1)
     return parser
 
 
@@ -432,8 +438,6 @@ def _load_config_file(path: str) -> dict:
                 out[name] = getattr(cp[section], reader)(key)
     except ValueError as exc:
         raise UsageError(f"malformed config file: {exc}") from exc
-    if out.get("format", "csv") not in ("csv", "json"):
-        raise UsageError(f"unknown output format {out['format']!r}")
     return out
 
 
@@ -466,47 +470,21 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     return defaults
 
 
-def _parse_axes(specs) -> list:
-    axes = []
-    for spec in specs:
-        if "=" not in spec:
-            raise UsageError(f"axis spec {spec!r} must look like name=v1,v2")
-        name, _, values = spec.partition("=")
-        name = name.strip()
-        if name not in _AXIS_PARAMS:
-            raise UsageError(f"unknown sweep axis {name!r}; choose from {_AXIS_PARAMS}")
-        try:
-            vals = [float(v) for v in values.split(",") if v.strip() != ""]
-        except ValueError as exc:
-            raise UsageError(f"bad axis values in {spec!r}") from exc
-        if not vals:
-            raise UsageError(f"axis {name!r} has no values")
-        if name == "dim" and not all(v.is_integer() for v in vals):
-            raise UsageError(f"dimension values must be integers in {spec!r}")
-        axes.append((name, vals))
-    return axes
-
-
 def main(argv=None) -> int:
     parser = _make_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "sweep":
-            base = _merge_config(args)
-            if args.workers < 1:  # accepted for compatibility; sweep runs serially
-                raise UsageError(f"--workers must be an integer >= 1, got {args.workers}")
-            return _cmd_sweep(_parse_axes(args.axis), base)
         cfg = _merge_config(args)
-        if args.command == "compare":
-            return _cmd_compare(cfg, args)
-        handler = {
-            "spectrum": _cmd_spectrum,
-            "principal": _cmd_principal,
-            "disk2d": _cmd_disk2d,
-            "bounds": _cmd_bounds,
-            "riccati": _cmd_riccati,
-        }[args.command]
-        return handler(cfg)
+        handler, formats = _COMMANDS[args.command]
+        if cfg.format not in formats:
+            raise UsageError(f"{args.command} writes {' or '.join(formats)}, not {cfg.format!r}")
+        if cfg.output:
+            _check_output(cfg.output)
+        code, line, artifacts = handler(cfg, args)
+        if cfg.output:
+            _write_text(cfg.output, artifacts[cfg.format]())
+        print(line)
+        return code
     except (UsageError, ExpressionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -431,9 +431,8 @@ def solve_principal(problem: DiskProblem, tol: float = DEFAULT_TOL):
 
 
 def build_model_disk(ball: ModelBall, perturbation=None, drift_angular=None,
-                     vt_override=None, n_t: int | None = None,
-                     n_theta: int | None = None) -> DiskProblem:
-    """Disk problem J = rho (1 + perturbation), Vt = h (or override).
+                     n_t: int | None = None, n_theta: int | None = None) -> DiskProblem:
+    """Disk problem J = rho (1 + perturbation), Vt = h.
 
     Only m=2 balls discretize to a polar disk; the perturbation must keep
     J positive and J ~ t near the origin.  Unset grid sizes take the
@@ -444,7 +443,7 @@ def build_model_disk(ball: ModelBall, perturbation=None, drift_angular=None,
     grid = PolarGrid(n_t=DEFAULT_NT if n_t is None else n_t,
                      n_theta=DEFAULT_NTHETA if n_theta is None else n_theta, r0=ball.r0)
     J = grid.sample(lambda t, th: ball.rho.eval(t)[0]) * (1.0 + grid.sample(perturbation))
-    Vt = grid.sample(vt_override or (lambda t, th: ball.drift.h(t)))
+    Vt = grid.sample(lambda t, th: ball.drift.h(t))
     return DiskProblem(grid=grid, J=J, Vt=Vt, Vtheta=grid.sample(drift_angular))
 
 

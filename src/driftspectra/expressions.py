@@ -165,7 +165,10 @@ def _simplify(n: Node) -> Node:
         if n.value == 1.0:
             return a[0]
         if _is_const(a[0]):
-            return Node("const", value=a[0].value ** n.value)
+            value = a[0].value ** n.value
+            if isinstance(value, complex):
+                raise ExpressionError(f"constant power ({a[0].value:g})^{n.value:g} is not real")
+            return Node("const", value=value)
     return n
 
 

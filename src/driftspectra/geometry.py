@@ -47,30 +47,23 @@ class WarpingFunction:
             raise ValueError(f"rho must stay positive on (0, t_max); vanishes near t={bad:.6g}")
 
 
-def make_space_form(kappa: float, l_cap: float | None = None) -> WarpingFunction:
+def make_space_form(kappa: float) -> WarpingFunction:
     """Constant-curvature warping: sin, identity or sinh profile.
 
-    For kappa > 0 the domain cap must not exceed pi/sqrt(kappa), where the
-    profile returns to zero.
+    For kappa > 0 the domain is (0, pi/sqrt(kappa)), where the profile
+    returns to zero; otherwise it is unbounded.
     """
     kappa = float(kappa)
     if kappa > 0.0:
         s = math.sqrt(kappa)
-        limit = math.pi / s
-        if l_cap is None:
-            l_cap = limit
-        elif l_cap > limit * (1.0 + 1e-12):
-            raise ValueError(
-                f"domain cap {l_cap:.6g} exceeds pi/sqrt(kappa)={limit:.6g}; rho would vanish inside"
-            )
+        t_max = math.pi / s
 
         def ev(t):
             t = np.asarray(t, dtype=float)
             return np.sin(s * t) / s, np.cos(s * t), -s * np.sin(s * t)
 
     elif kappa == 0.0:
-        if l_cap is None:
-            l_cap = math.inf
+        t_max = math.inf
 
         def ev(t):
             t = np.asarray(t, dtype=float)
@@ -78,14 +71,13 @@ def make_space_form(kappa: float, l_cap: float | None = None) -> WarpingFunction
 
     else:
         s = math.sqrt(-kappa)
-        if l_cap is None:
-            l_cap = math.inf
+        t_max = math.inf
 
         def ev(t):
             t = np.asarray(t, dtype=float)
             return np.sinh(s * t) / s, np.cosh(s * t), s * np.sinh(s * t)
 
-    return WarpingFunction(kind="space_form", eval=ev, t_max=float(l_cap), kappa=kappa)
+    return WarpingFunction(kind="space_form", eval=ev, t_max=t_max, kappa=kappa)
 
 
 def custom_warping(rho: Callable, rho_prime: Callable, rho_second: Callable,
@@ -147,8 +139,12 @@ def drift_from_rate(h: Callable, h_prime: Callable, t_max: float) -> DriftProfil
     """
     n_fine = 4096
     grid = np.linspace(0.0, float(t_max), n_fine + 1)
-    vals = np.asarray(h(grid), dtype=float)
-    slopes = np.asarray(h_prime(grid), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.asarray(h(grid), dtype=float)
+        slopes = np.asarray(h_prime(grid), dtype=float)
+    finite = np.isfinite(vals) & np.isfinite(slopes)
+    if not finite.all():
+        raise ValueError(f"drift h or h' is not finite at t={grid[np.argmin(finite)]:.6g}")
     dx = grid[1] - grid[0]
     prefix = np.zeros_like(grid)
     prefix[1:] = np.cumsum(0.5 * dx * (vals[1:] + vals[:-1]))

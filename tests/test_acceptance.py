@@ -176,16 +176,16 @@ def test_criterion_08_comparison_corpus():
 
 def test_criterion_09_sandwich():
     flat = euclidean_ball(2, 1.0)
+    base = build_model_disk(flat, n_t=128, n_theta=64)
     problems = [
-        build_model_disk(flat, n_t=128, n_theta=64),
+        base,
         build_model_disk(flat, drift_angular=lambda t, th: 0.5 * np.ones_like(t),
                          n_t=128, n_theta=64),
         build_model_disk(euclidean_ball(2, 1.0, polynomial_drift([0.2])),
                          n_t=128, n_theta=64),
         build_model_disk(euclidean_ball(2, 1.0, polynomial_drift([-0.25])),
                          n_t=128, n_theta=64),
-        build_model_disk(flat, vt_override=lambda t, th: 0.3 * t * (1.0 + 0.1 * np.sin(th)),
-                         n_t=128, n_theta=64),
+        base.with_drift(Vt=base.grid.sample(lambda t, th: 0.3 * t * (1.0 + 0.1 * np.sin(th)))),
     ]
     gaps = []
     for idx, p in enumerate(problems):

@@ -257,9 +257,15 @@ class TestConfigAndErrors:
                                     ["--dim", "2"], ["--radius", "1"])),
         ["sweep", "--dim", "2", "--radius", "1", "--axis", "dim=2,2.5,3"],
         # expressions past the parser's nesting bounds
-        ["--drift", "(" * 300 + "t" + ")" * 300], ["--drift", "+".join(["t"] * 800)]])
-    def test_bad_grid_or_tol_is_usage_error(self, flag, capsys):
-        if flag[0] in ("compare", "sweep"):
+        ["--drift", "(" * 300 + "t" + ")" * 300], ["--drift", "+".join(["t"] * 800)],
+        # a drift whose derivative is infinite at t = 0, a constant power that is not real
+        ["--drift", "t^0.5"], ["--drift", "(-2)^0.5*t"],
+        # formats the command does not write
+        ["riccati", "--space-form", "0", "--dim", "2", "--radius", "1", "--format", "json"],
+        ["sweep", "--dim", "2", "--radius", "1", "--axis", "kappa=0,1", "--format", "json"]])
+    def test_bad_grid_or_tol_is_usage_error(self, flag, capsys, tmp_path):
+        out = tmp_path / "out.csv"
+        if flag[0] in ("compare", "sweep", "riccati"):
             argv = flag
         else:
             command = {"--ntheta": "disk2d", "--cutoff": "spectrum", "--perturbation": "disk2d",
@@ -269,9 +275,42 @@ class TestConfigAndErrors:
             # compare reads no --space-form, and --dim/--radius only with --subject-kappa
             common = ["--space-form", "0", "--dim", "2", "--radius", "1"]
             argv = [command, *([] if command == "compare" else common), *flag]
-        assert run(argv) == EXIT_USAGE
+        assert run([*argv, "--output", str(out)]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == "" and "usage error" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["riccati", "sweep"])
+    def test_config_format_the_command_does_not_write(self, tmp_path, capsys, command):
+        out = tmp_path / "out.json"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[problem]\ndimension = 2\nradius = 1\n[output]\npath = {out}\nformat = json\n")
+        axis = ["--axis", "kappa=0,1"] if command == "sweep" else []
+        assert run([command, "--config", str(cfg), *axis]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage error" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,solvers", [
+        pytest.param(["bounds", "--space-form", "0", "--dim", "2", "--radius", "1", "--drift", "t"],
+                     [("disk", "solve_principal")], id="bounds"),
+        pytest.param(["compare"], [("compare", "run_corpus"), ("cli", "run_corpus")],
+                     id="compare-corpus"),
+        pytest.param(["compare", "--subject-kappa", "0", "--model-kappa", "1"],
+                     [("compare", "run_case")], id="compare-pair"),
+    ])
+    @pytest.mark.parametrize("target", ["missing/out.csv", "blocker/out.csv", "."])
+    def test_unwritable_output_before_the_solve(self, tmp_path, capsys, monkeypatch, argv,
+                                                solvers, target):
+        def solver(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        for module, name in solvers:
+            monkeypatch.setattr(f"driftspectra.{module}.{name}", solver)
+        (tmp_path / "blocker").write_text("x")
+        assert run([*argv, "--output", str(tmp_path / target)]) == EXIT_CANTCREAT
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cannot write output" in captured.err
 
     def test_bad_config_grid_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -77,7 +77,8 @@ class TestOperator:
         assert np.max(np.abs(res[:-1, :] + 4.0)) < 1e-9
 
     def test_radial_drift_action(self):
-        p = build_model_disk(FLAT, vt_override=lambda t, th: t, n_t=64, n_theta=32)
+        p = build_model_disk(FLAT, n_t=64, n_theta=32)
+        p = p.with_drift(Vt=p.grid.sample(lambda t, th: t))
         act = operator_action(assemble_operator(p), p.J.shape)
         T, _ = p.grid.mesh()
         res = act(T ** 2)

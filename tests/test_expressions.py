@@ -84,8 +84,10 @@ class TestErrors:
     @pytest.mark.parametrize("bad", [
         "", "t +", "foo(t)", "t^t", "(t", "1..2", "t $ 2",
         "0x10*t", "1_0*t", "1j*t", "t.real", "t//2", "+t", "t if t else 1", "__import__('os')",
-        # source-level checks the syntax tree cannot see, and a folded constant out of range
+        # source-level checks the syntax tree cannot see, and folded constants out of
+        # range or not real
         "(sin)(t)", "sin(t,)", "t # comment", pytest.param("\uff54", id="fullwidth-t"), "0^-1*t",
+        "(-2)^0.5*t",
         pytest.param("(" * 300 + "t" + ")" * 300, id="300-nested-parentheses"),
         pytest.param("+".join(["t"] * 800), id="800-term-sum")])
     def test_rejects_malformed(self, bad):

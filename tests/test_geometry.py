@@ -30,10 +30,6 @@ class TestSpaceForms:
         rho, _, _ = w.eval(1.0)
         assert rho == pytest.approx(math.sinh(1.0), rel=1e-14)
 
-    def test_positive_curvature_cap_rejected(self):
-        with pytest.raises(ValueError):
-            make_space_form(1.0, l_cap=3.5)
-
     def test_origin_invariants_enforced(self):
         with pytest.raises(ValueError):
             custom_warping(lambda t: t + 0.1, lambda t: np.ones_like(t),
