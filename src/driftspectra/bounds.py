@@ -41,12 +41,6 @@ class BartaBracket:
     argmax_point: tuple
     excluded_rings: int
 
-    def to_dict(self) -> dict:
-        return {"lower": self.lower, "upper": self.upper,
-                "argmin_point": list(self.argmin_point),
-                "argmax_point": list(self.argmax_point),
-                "excluded_boundary_rings": self.excluded_rings}
-
 
 @dataclass(eq=False)
 class HollandReport:
@@ -58,10 +52,6 @@ class HollandReport:
     w_u: np.ndarray
     G: np.ndarray | None = None
     fast_path: bool = False
-
-    def to_dict(self) -> dict:
-        return {"L": self.L_value, "Q_min": self.Q_min, "bound": self.bound,
-                "fast_path": self.fast_path}
 
 
 def barta_bracket(op_eval, u) -> BartaBracket:

@@ -38,33 +38,39 @@ A config file (--config PATH) supplies the same data as key=value sections:
 Command-line flags override config values.  `compare` reads only the
 [output] keys, plus dimension and radius with --subject-kappa; any other
 [problem] or [numerics] key in its file is a usage error, as are the flags.
-All floating point output is fixed at 12 significant digits; solvers are
-deterministic, so re-running a config byte-reproduces its artifacts.  Exit
-codes: 0 success, 1 solver failure, 2 premise failure in `compare`, 64
-usage error (a --format the command does not write among them), 73
-unwritable output path.  Both are decided before any solve: an --output
-that is a directory, or whose parent is not an existing directory, exits 73
-without creating or truncating the file.  Without --output, `sweep` prints
-its table after the header line.  `sweep` runs its points serially:
-`--workers N` is still accepted (an integer >= 1, else exit 64) but changes
-neither its output nor its speed.
+This module renders every artifact, through `_csv` and `_json`: CSV cells
+and stdout numbers carry 12 significant digits, JSON floats are written in
+full and round-trip the doubles.  Solvers are deterministic, so re-running
+a config byte-reproduces its artifacts.  Exit codes: 0 success, 1 solver
+failure, 2 premise failure in `compare`, 64 usage error (a --format the
+command does not write among them), 73 unwritable output path.  Both are
+decided before any solve: an --output that is a directory, or whose parent
+is not an existing directory, exits 73 without creating or truncating the
+file.  `sweep` builds the ball of every point before its first solve; a
+point that cannot be built, or a kappa axis next to a warping, exits 64
+and names the point, and only a solver failure becomes an error row.
+Without --output, `sweep` prints its table after the header line.  `sweep`
+runs its points serially: `--workers N` is still accepted (an integer >= 1,
+else exit 64) but changes neither its output nor its speed.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import importlib
+import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import radial as radial_mod
-from .compare import riccati_uniqueness, run_corpus, verdicts_to_csv, verdicts_to_json
+from .compare import riccati_uniqueness, run_corpus
 from .errors import SolverError
 from .expressions import ExpressionError, parse_expression
 from .geometry import (ModelBall, custom_warping, drift_from_rate, make_space_form,
@@ -78,10 +84,8 @@ EXIT_CANTCREAT = 73
 
 # 2-D solver names this module re-exports.  The disk2d/bounds handlers import
 # them where they run, so the 1-D commands never load scipy.sparse.
-_LAZY_2D = {"build_model_disk": "disk", "eigenpair_csv": "disk",
-            "operator_action": "disk", "solve_principal": "disk",
-            "barta_bracket": "bounds", "holland_bound": "bounds",
-            "solve_G_V": "bounds"}
+_LAZY_2D = {"solve_principal": "disk", "barta_bracket": "bounds",
+            "holland_bound": "bounds", "solve_G_V": "bounds"}
 
 
 def __getattr__(name):
@@ -127,54 +131,48 @@ class RunConfig:
         return self.tol if self.tol is not None else 1e-6
 
 
+def _warping(cfg: RunConfig):
+    if not cfg.warping:
+        return make_space_form(cfg.kappa if cfg.kappa is not None else 0.0)
+    spec = cfg.warping.strip()
+    if spec.startswith("space_form"):
+        try:
+            kappa = float(spec.split()[1])
+        except (IndexError, ValueError) as exc:
+            raise UsageError(f"bad warping spec {spec!r}") from exc
+        return make_space_form(kappa)
+    expr = parse_expression(spec)
+    if expr.depends_on("theta"):
+        raise UsageError("warping expressions may only involve t")
+    d1 = expr.diff("t")
+    return custom_warping(expr, d1, d1.diff("t"), t_max=cfg.radius * 1.5)
+
+
+def _drift(cfg: RunConfig):
+    if not cfg.drift or cfg.drift.strip() in ("0", "0.0"):
+        return zero_drift()
+    spec = cfg.drift.strip()
+    scale = cfg.drift_scale
+    if spec.startswith("poly"):
+        try:
+            coeffs = [scale * float(v) for v in spec.split()[1:]]
+        except ValueError as exc:
+            raise UsageError(f"bad drift coefficients in {spec!r}") from exc
+        if not coeffs:
+            raise UsageError("poly drift needs at least one coefficient")
+        return polynomial_drift(coeffs)
+    h_expr = parse_expression(spec)
+    if h_expr.depends_on("theta"):
+        raise UsageError("model drifts may only involve t")
+    hp_expr = h_expr.diff("t")
+    return drift_from_rate(h=lambda t: scale * np.asarray(h_expr(t), dtype=float),
+                           h_prime=lambda t: scale * np.asarray(hp_expr(t), dtype=float),
+                           t_max=cfg.radius * 1.05)
+
+
 def _build_ball(cfg: RunConfig) -> ModelBall:
-    if cfg.warping:
-        spec = cfg.warping.strip()
-        if spec.startswith("space_form"):
-            try:
-                kappa = float(spec.split()[1])
-            except (IndexError, ValueError) as exc:
-                raise UsageError(f"bad warping spec {spec!r}") from exc
-            rho = make_space_form(kappa)
-        else:
-            expr = parse_expression(spec)
-            if expr.depends_on("theta"):
-                raise UsageError("warping expressions may only involve t")
-            d1 = expr.diff("t")
-            d2 = d1.diff("t")
-            try:
-                rho = custom_warping(expr, d1, d2, t_max=cfg.radius * 1.5)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
-    else:
-        rho = make_space_form(cfg.kappa if cfg.kappa is not None else 0.0)
-    if cfg.drift and cfg.drift.strip() not in ("0", "0.0"):
-        spec = cfg.drift.strip()
-        scale = cfg.drift_scale
-        if spec.startswith("poly"):
-            try:
-                coeffs = [scale * float(v) for v in spec.split()[1:]]
-            except ValueError as exc:
-                raise UsageError(f"bad drift coefficients in {spec!r}") from exc
-            if not coeffs:
-                raise UsageError("poly drift needs at least one coefficient")
-            drift = polynomial_drift(coeffs)
-        else:
-            h_expr = parse_expression(spec)
-            if h_expr.depends_on("theta"):
-                raise UsageError("model drifts may only involve t")
-            hp_expr = h_expr.diff("t")
-            try:
-                drift = drift_from_rate(
-                    h=lambda t: scale * np.asarray(h_expr(t), dtype=float),
-                    h_prime=lambda t: scale * np.asarray(hp_expr(t), dtype=float),
-                    t_max=cfg.radius * 1.05)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
-    else:
-        drift = zero_drift()
-    try:
-        return ModelBall(m=cfg.dim, r0=cfg.radius, rho=rho, drift=drift)
+    try:  # a profile, drift or ball the geometry rejects is bad input
+        return ModelBall(m=cfg.dim, r0=cfg.radius, rho=_warping(cfg), drift=_drift(cfg))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -197,40 +195,42 @@ class _OutputError(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def _csv(header, rows) -> str:
+    """CSV text; float cells carry 12 significant digits, others (bools too) are str()."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([f"{x:.12g}" if isinstance(x, float) else str(x) for x in row]
+                     for row in rows)
+    return buf.getvalue()
 
 
-def _csv(header: str, rows) -> str:
-    return "\n".join([header] + [",".join(map(_fmt, row)) for row in rows]) + "\n"
+def _json(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 # -- subcommands -------------------------------------------------------------
 # Each handler takes (cfg, args) and returns (exit code, summary line,
-# {format: builder of the artifact text}); `main` builds only the artifact
-# it writes.
+# {format: artifact}), a CSV artifact being (header, rows) and a JSON one
+# its payload; `main` renders only the artifact it writes.
 
 def _cmd_spectrum(cfg: RunConfig, args) -> tuple:
     table = radial_mod.assemble_spectrum(_build_ball(cfg), cfg.cutoff, tol=cfg.tol_1d(),
                                          n_t=cfg.n_t_1d())
-
-    def as_json():
-        payload = [{"lambda": e.lam, "k": e.k, "i": e.i, "multiplicity": e.multiplicity}
-                   for e in table.entries]
-        return json.dumps({"cutoff": table.lambda_cutoff, "entries": payload},
-                          sort_keys=True, indent=2) + "\n"
-
-    lams = ", ".join(_fmt(e.lam) for e in table.entries[:6])
-    return (EXIT_OK, f"spectrum: {len(table.entries)} eigenvalues <= {_fmt(cfg.cutoff)}: {lams}",
-            {"csv": table.to_csv, "json": as_json})
+    rows = [(e.lam, e.k, e.i, e.multiplicity) for e in table.entries]
+    columns = ("lambda", "k", "i", "multiplicity")
+    lams = ", ".join(f"{e.lam:.12g}" for e in table.entries[:6])
+    return (EXIT_OK, f"spectrum: {len(rows)} eigenvalues <= {cfg.cutoff:.12g}: {lams}",
+            {"csv": (columns, rows),
+             "json": {"cutoff": table.lambda_cutoff,
+                      "entries": [dict(zip(columns, row)) for row in rows]}})
 
 
 def _cmd_principal(cfg: RunConfig, args) -> tuple:
     mode = radial_mod.principal_eigenpair(_build_ball(cfg), tol=cfg.tol_1d(), n_t=cfg.n_t_1d())
-    return EXIT_OK, f"principal: lambda = {_fmt(mode.lam)}", {
-        "csv": lambda: _csv("t,a", zip(mode.t, mode.a)),
-        "json": lambda: json.dumps({"lambda": mode.lam, "k": 0, "i": 1, "n_t": cfg.n_t_1d()},
-                                   sort_keys=True) + "\n"}
+    return EXIT_OK, f"principal: lambda = {mode.lam:.12g}", {
+        "csv": (("t", "a"), zip(mode.t, mode.a)),
+        "json": {"lambda": mode.lam, "k": 0, "i": 1, "n_t": cfg.n_t_1d()}}
 
 
 def _disk_problem(cfg: RunConfig):
@@ -247,14 +247,18 @@ def _disk_problem(cfg: RunConfig):
 
 
 def _cmd_disk2d(cfg: RunConfig, args) -> tuple:
-    from .disk import eigenpair_csv, eigenpair_json, solve_principal
+    from .disk import solve_principal
 
     problem = _disk_problem(cfg)
     pair, _ = solve_principal(problem, tol=cfg.tol_2d())
-    return (EXIT_OK, f"disk2d: lambda = {_fmt(pair.lam)} residual = {pair.residual:.3e} "
+    grid = problem.grid
+    T, TH = grid.mesh()
+    return (EXIT_OK, f"disk2d: lambda = {pair.lam:.12g} residual = {pair.residual:.3e} "
                      f"iterations = {pair.iterations}",
-            {"csv": lambda: eigenpair_csv(problem, pair),
-             "json": lambda: eigenpair_json(problem, pair)})
+            {"csv": (("t", "theta", "omega"), zip(T.ravel(), TH.ravel(), pair.omega.ravel())),
+             "json": {"lambda": pair.lam, "residual": pair.residual,
+                      "iterations": pair.iterations,
+                      "grid": {"n_t": grid.n_t, "n_theta": grid.n_theta, "r0": grid.r0}}})
 
 
 def _cmd_bounds(cfg: RunConfig, args) -> tuple:
@@ -268,12 +272,17 @@ def _cmd_bounds(cfg: RunConfig, args) -> tuple:
     u_opt = pair.omega * np.sqrt(G)
     report = holland_bound(problem, u_opt, tol=cfg.tol_2d(), A=A)
     values = (pair.lam, bracket.lower, bracket.upper, report.bound)
-    return (EXIT_OK, "bounds: lambda = {} bracket = [{}, {}] integral bound = {}".format(
-                *map(_fmt, values)),
-            {"csv": lambda: _csv("lambda,barta_lower,barta_upper,bound", [values]),
-             "json": lambda: json.dumps({"lambda": pair.lam, "barta": bracket.to_dict(),
-                                         "min_max_integral": report.to_dict()},
-                                        sort_keys=True, indent=2) + "\n"})
+    return (EXIT_OK, "bounds: lambda = {:.12g} bracket = [{:.12g}, {:.12g}] "
+                     "integral bound = {:.12g}".format(*values),
+            {"csv": (("lambda", "barta_lower", "barta_upper", "bound"), [values]),
+             "json": {"lambda": pair.lam,
+                      "barta": {"lower": bracket.lower, "upper": bracket.upper,
+                                "argmin_point": list(bracket.argmin_point),
+                                "argmax_point": list(bracket.argmax_point),
+                                "excluded_boundary_rings": bracket.excluded_rings},
+                      "min_max_integral": {"L": report.L_value, "Q_min": report.Q_min,
+                                           "bound": report.bound,
+                                           "fast_path": report.fast_path}}})
 
 
 def _cmd_compare(cfg: RunConfig, args) -> tuple:
@@ -292,15 +301,19 @@ def _cmd_compare(cfg: RunConfig, args) -> tuple:
     ok = sum(1 for v in verdicts if v.premises_hold and v.conclusion_holds)
     fails = [v.label for v in verdicts if not v.premises_hold]
     code = EXIT_PREMISE if fails else EXIT_SOLVER if ok < len(verdicts) else EXIT_OK
+    rows = [(v.label, v.premises_hold, v.lambda_subject, v.lambda_model, v.margin,
+             v.conclusion_holds) for v in verdicts]
     return (code, f"compare: {ok}/{len(verdicts)} cases verified; premise failures: "
                   f"{fails if fails else 'none'}",
-            {"csv": lambda: verdicts_to_csv(verdicts), "json": lambda: verdicts_to_json(verdicts)})
+            {"csv": (("case_id", "premises", "lambda_subject", "lambda_model", "margin",
+                      "conclusion"), rows),
+             "json": [asdict(v) for v in verdicts]})
 
 
 def _cmd_riccati(cfg: RunConfig, args) -> tuple:
     result = riccati_uniqueness(_build_ball(cfg), tol=1e-6)
     return (EXIT_OK, f"riccati: sup_error = {result.sup_error:.6e}",
-            {"csv": lambda: _csv("t,h_recovered", zip(result.t, result.h_recovered))})
+            {"csv": (("t", "h_recovered"), zip(result.t, result.h_recovered))})
 
 
 _AXIS_PARAMS = ("kappa", "radius", "dim", "drift_scale")
@@ -329,26 +342,33 @@ def _cmd_sweep(cfg: RunConfig, args) -> tuple:
     if not axes:
         raise UsageError("sweep requires at least one --axis")
     names = [n for n, _ in axes]
+    if "kappa" in names and cfg.warping:
+        raise UsageError("a kappa axis sets the space form; it cannot sweep a --warping ball")
     points = [[]]
     for _, vals in axes:
         points = [p + [v] for p in points for v in vals]
 
-    def run_point(values):
-        point = cfg
-        for name, val in zip(names, values):
-            point = replace(point, **{name: int(val) if name == "dim" else val})
+    balls = []  # every point's ball, before the first solve
+    for values in points:
+        point = replace(cfg, **{n: int(v) if n == "dim" else v for n, v in zip(names, values)})
         try:
-            mode = radial_mod.principal_eigenpair(_build_ball(point), tol=point.tol_1d(),
-                                                  n_t=point.n_t_1d())
-            return _fmt(mode.lam), "ok"
-        except (SolverError, UsageError, ValueError, ExpressionError) as exc:
-            return "", f"error: {exc}"
-
-    rows = "\n".join([",".join(names + ["lambda", "status"])]
-                     + [",".join([*map(_fmt, values), *run_point(values)]) for values in points])
-    header = f"sweep: {len(points)} configurations over axes {names}"
-    # without --output the table follows the header on stdout
-    return EXIT_OK, header if cfg.output else f"{header}\n{rows}", {"csv": lambda: rows + "\n"}
+            balls.append(_build_ball(point))
+        except UsageError as exc:
+            where = ", ".join(f"{n}={v:.12g}" for n, v in zip(names, values))
+            raise UsageError(f"sweep point {where}: {exc}") from exc
+    rows = []
+    for values, ball in zip(points, balls):
+        try:
+            lam, status = radial_mod.principal_eigenpair(ball, tol=cfg.tol_1d(),
+                                                         n_t=cfg.n_t_1d()).lam, "ok"
+        except SolverError as exc:
+            lam, status = "", f"error: {exc}"
+        rows.append([*values, lam, status])
+    columns = names + ["lambda", "status"]
+    line = f"sweep: {len(points)} configurations over axes {names}"
+    if not cfg.output:  # the table follows the header on stdout
+        line += "\n" + _csv(columns, rows)[:-1]
+    return EXIT_OK, line, {"csv": (columns, rows)}
 
 
 # subcommand -> (handler, artifact formats it writes)
@@ -428,7 +448,10 @@ _CONFIG_KEYS = {
 
 def _load_config_file(path: str) -> dict:
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise UsageError(f"malformed config file: {exc}") from exc
     if not read:
         raise UsageError(f"cannot read config file {path!r}")
     out = {}
@@ -482,7 +505,8 @@ def main(argv=None) -> int:
             _check_output(cfg.output)
         code, line, artifacts = handler(cfg, args)
         if cfg.output:
-            _write_text(cfg.output, artifacts[cfg.format]())
+            artifact = artifacts[cfg.format]
+            _write_text(cfg.output, _csv(*artifact) if cfg.format == "csv" else _json(artifact))
         print(line)
         return code
     except (UsageError, ExpressionError) as exc:

@@ -10,7 +10,6 @@ inequality's margin and an equality-case flag.  Premise failure is not raised.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -84,33 +83,6 @@ class ComparisonVerdict:
     conclusion_holds: bool
     equality_case: bool
     notes: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label, "mode": self.mode,
-            "premises_hold": self.premises_hold,
-            "premise_margins": self.premise_margins,
-            "lambda_subject": self.lambda_subject,
-            "lambda_model": self.lambda_model,
-            "margin": self.margin,
-            "conclusion_holds": self.conclusion_holds,
-            "equality_case": self.equality_case,
-            "notes": self.notes,
-        }
-
-    def csv_row(self) -> str:
-        return (f"{self.label},{self.premises_hold},{self.lambda_subject:.12g},"
-                f"{self.lambda_model:.12g},{self.margin:.12g},{self.conclusion_holds}")
-
-
-def verdicts_to_json(verdicts) -> str:
-    return json.dumps([v.to_dict() for v in verdicts], sort_keys=True, indent=2) + "\n"
-
-
-def verdicts_to_csv(verdicts) -> str:
-    lines = ["case_id,premises,lambda_subject,lambda_model,margin,conclusion"]
-    lines += [v.csv_row() for v in verdicts]
-    return "\n".join(lines) + "\n"
 
 
 # -- premise sampling --------------------------------------------------------
@@ -499,17 +471,6 @@ def radial_ibp_check(problem: DiskProblem, u, phi) -> float:
     lhs = float((phi * du * vol).sum())
     rhs = -float((u * (dphi + phi * lap_r) * vol).sum())
     return abs(lhs - rhs)
-
-
-def radial_divergence_profile(h1: np.ndarray, J: np.ndarray, t: np.ndarray, m: int):
-    """(div V, (h1 J^{m-1})') sample pair for the monotonicity equivalence."""
-    Jm = J ** (m - 1)
-    prod = h1 * Jm
-    dprod = np.gradient(prod, t)
-    dh1 = np.gradient(h1, t)
-    dJ = np.gradient(J, t)
-    div = dh1 + (m - 1) * h1 * dJ / J
-    return div, dprod
 
 
 # -- corpus ------------------------------------------------------------------

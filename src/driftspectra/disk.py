@@ -22,7 +22,6 @@ stopping test does not depend on the size of the disk.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,13 +133,6 @@ class EigenPair2D:
     left: np.ndarray
     left_residual: float
     restarts: int = 0
-
-    def summary(self, grid: PolarGrid | None = None) -> dict:
-        out = {"lambda": self.lam, "residual": self.residual,
-               "iterations": self.iterations}
-        if grid is not None:
-            out["grid"] = {"n_t": grid.n_t, "n_theta": grid.n_theta, "r0": grid.r0}
-        return out
 
 
 def volumes(p: DiskProblem) -> np.ndarray:
@@ -489,15 +481,3 @@ def divergence_field(p: DiskProblem) -> np.ndarray:
 def angular_std(omega: np.ndarray) -> float:
     """Largest per-ring angular standard deviation, relative to the peak."""
     return float(np.max(np.std(omega, axis=1)) / np.max(np.abs(omega)))
-
-
-def eigenpair_csv(p: DiskProblem, pair: EigenPair2D) -> str:
-    T, TH = p.grid.mesh()
-    lines = ["t,theta,omega"]
-    for tj, th, om in zip(T.ravel(), TH.ravel(), pair.omega.ravel()):
-        lines.append(f"{tj:.12g},{th:.12g},{om:.12g}")
-    return "\n".join(lines) + "\n"
-
-
-def eigenpair_json(p: DiskProblem, pair: EigenPair2D) -> str:
-    return json.dumps(pair.summary(p.grid), sort_keys=True, indent=2) + "\n"

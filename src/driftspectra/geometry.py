@@ -31,19 +31,20 @@ class WarpingFunction:
     kappa: float | None = None
 
     def __post_init__(self):
-        if self.t_max <= 0:
+        if not self.t_max > 0:
             raise ValueError("domain limit must be positive")
-        rho0, rho1_0, rho2_0 = (float(v) for v in self.eval(0.0))
-        if abs(rho0) > _ZERO_TOL or abs(rho1_0 - 1.0) > _ZERO_TOL or abs(rho2_0) > _ZERO_TOL:
+        with np.errstate(all="ignore"):  # a non-finite value fails the checks below
+            rho0, rho1_0, rho2_0 = (float(v) for v in self.eval(0.0))
+            probe_end = min(self.t_max, 20.0)
+            ts = np.linspace(probe_end / _PROBE_POINTS, probe_end * (1.0 - 1e-9), _PROBE_POINTS)
+            rho = np.asarray(self.eval(ts)[0], dtype=float)
+        if not max(abs(rho0), abs(rho1_0 - 1.0), abs(rho2_0)) <= _ZERO_TOL:
             raise ValueError(
                 "warping profile must satisfy rho(0)=0, rho'(0)=1, rho''(0)=0; "
                 f"got ({rho0:.3e}, {rho1_0:.6f}, {rho2_0:.3e})"
             )
-        probe_end = min(self.t_max, 20.0)
-        ts = np.linspace(probe_end / _PROBE_POINTS, probe_end * (1.0 - 1e-9), _PROBE_POINTS)
-        rho = np.asarray(self.eval(ts)[0], dtype=float)
-        if np.any(rho <= 0.0):
-            bad = float(ts[np.argmax(rho <= 0.0)])
+        if not np.all(rho > 0.0):
+            bad = float(ts[np.argmin(rho > 0.0)])
             raise ValueError(f"rho must stay positive on (0, t_max); vanishes near t={bad:.6g}")
 
 
@@ -54,6 +55,8 @@ def make_space_form(kappa: float) -> WarpingFunction:
     returns to zero; otherwise it is unbounded.
     """
     kappa = float(kappa)
+    if not math.isfinite(kappa):
+        raise ValueError(f"curvature must be finite, got {kappa:g}")
     if kappa > 0.0:
         s = math.sqrt(kappa)
         t_max = math.pi / s
@@ -137,18 +140,20 @@ def drift_from_rate(h: Callable, h_prime: Callable, t_max: float) -> DriftProfil
     interpolant that takes the exact slopes H' = h at the nodes; both errors
     sit far below the 1e-6 consistency tolerance.  H(0) = 0 exactly.
     """
+    if not 0.0 < t_max < math.inf:
+        raise ValueError(f"drift range must be positive and finite, got t_max={t_max:g}")
     n_fine = 4096
     grid = np.linspace(0.0, float(t_max), n_fine + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.asarray(h(grid), dtype=float)
-        slopes = np.asarray(h_prime(grid), dtype=float)
-    finite = np.isfinite(vals) & np.isfinite(slopes)
-    if not finite.all():
-        raise ValueError(f"drift h or h' is not finite at t={grid[np.argmin(finite)]:.6g}")
     dx = grid[1] - grid[0]
     prefix = np.zeros_like(grid)
-    prefix[1:] = np.cumsum(0.5 * dx * (vals[1:] + vals[:-1]))
-    prefix -= dx * dx / 12.0 * (slopes - slopes[0])
+    with np.errstate(all="ignore"):  # a value that overflows or is undefined fails the check
+        vals = np.asarray(h(grid), dtype=float)
+        slopes = np.asarray(h_prime(grid), dtype=float)
+        prefix[1:] = np.cumsum(0.5 * dx * (vals[1:] + vals[:-1]))
+        prefix -= dx * dx / 12.0 * (slopes - slopes[0])
+    finite = np.isfinite(vals) & np.isfinite(slopes) & np.isfinite(prefix)
+    if not finite.all():
+        raise ValueError(f"drift h, h' or H is not finite at t={grid[np.argmin(finite)]:.6g}")
     # per-cell cubic y0 + s (d0 + s (c2 + s c3)) in s = (t - x_j) / dx
     d0, d1 = dx * vals[:-1], dx * vals[1:]
     jump = prefix[1:] - prefix[:-1]
@@ -178,6 +183,9 @@ class ModelBall:
             raise ValueError("dimension m must be an integer >= 2")
         if not (0.0 < self.r0 < self.rho.t_max):
             raise ValueError(f"radius must satisfy 0 < r0 < {self.rho.t_max}")
+        r0_sq = float(self.r0) * float(self.r0)  # the solvers scale by r0^2 and r0^-2
+        if not (0.0 < r0_sq < math.inf and 1.0 / r0_sq < math.inf):
+            raise ValueError(f"radius {self.r0:g} is out of range: r0^2 or r0^-2 overflows")
         h0 = float(self.drift.h(0.0))
         H0 = float(self.drift.H(0.0))
         if abs(h0) > _ZERO_TOL or abs(H0) > _ZERO_TOL:

@@ -65,13 +65,6 @@ class RadialMode:
     a: np.ndarray
     a_prime: np.ndarray
 
-    def interior_sign_changes(self) -> int:
-        vals = self.a[1:-1]
-        signs = np.sign(vals[np.abs(vals) > 1e-9 * np.max(np.abs(self.a))])
-        if signs.size == 0:
-            return 0
-        return int(np.count_nonzero(np.diff(signs) != 0))
-
 
 @dataclass(eq=False)
 class SpectrumEntry:
@@ -85,12 +78,6 @@ class SpectrumEntry:
 class SpectrumTable:
     entries: list
     lambda_cutoff: float
-
-    def to_csv(self) -> str:
-        lines = ["lambda,k,i,multiplicity"]
-        for e in self.entries:
-            lines.append(f"{e.lam:.12g},{e.k},{e.i},{e.multiplicity}")
-        return "\n".join(lines) + "\n"
 
 
 class _RadialPath:
@@ -523,27 +510,3 @@ def weighted_inner_product(a, b, ball: ModelBall) -> float:
         raise ValueError("samples must share one uniform grid")
     dx = ta[1] - ta[0]
     return composite_simpson(va * vb * weight_p(ball, ta), dx)
-
-
-def maisuma_residual(mode: RadialMode, ball: ModelBall) -> float:
-    """Max residual of p a' + lam * int_0^t p a, the first-integral identity (k=0)."""
-    from scipy.integrate import cumulative_simpson
-
-    p = weight_p(ball, mode.t)
-    running = cumulative_simpson(p * mode.a, x=mode.t, initial=0.0)
-    resid = p * mode.a_prime + mode.lam * running
-    return float(np.max(np.abs(resid)))
-
-
-def derivative_identity_residual(mode: RadialMode, ball: ModelBall) -> float:
-    """Relative defect of ||a'||_p^2 = lam ||a||_p^2 - nu int p a^2 / rho^2."""
-    p = weight_p(ball, mode.t)
-    dx = mode.t[1] - mode.t[0]
-    lhs = composite_simpson(p * mode.a_prime ** 2, dx)
-    rhs = mode.lam * composite_simpson(p * mode.a ** 2, dx)
-    if mode.nu > 0.0:
-        rho = np.asarray(ball.rho.eval(np.where(mode.t == 0.0, mode.t[1], mode.t))[0])
-        dens = p * mode.a ** 2 / rho ** 2
-        dens[0] = 0.0 if mode.k >= 1 else dens[0]
-        rhs -= mode.nu * composite_simpson(dens, dx)
-    return abs(lhs - rhs) / max(abs(rhs), 1e-30)

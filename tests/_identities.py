@@ -1,0 +1,54 @@
+"""Residuals of identities the solvers' output must satisfy; used only by tests.
+
+Kept apart from `_oracles.py`, which the benchmark loads at set-up: these
+helpers import `scipy.integrate`, which the 1-D layer itself never needs.
+"""
+
+import numpy as np
+
+from driftspectra.geometry import weight_p
+from driftspectra.quadrature import composite_simpson
+
+
+def interior_sign_changes(mode) -> int:
+    """Sign changes of a radial mode strictly inside (0, r0), ignoring roundoff-level samples."""
+    vals = mode.a[1:-1]
+    signs = np.sign(vals[np.abs(vals) > 1e-9 * np.max(np.abs(mode.a))])
+    if signs.size == 0:
+        return 0
+    return int(np.count_nonzero(np.diff(signs) != 0))
+
+
+def maisuma_residual(mode, ball) -> float:
+    """Max residual of p a' + lam * int_0^t p a, the first-integral identity (k=0)."""
+    from scipy.integrate import cumulative_simpson
+
+    p = weight_p(ball, mode.t)
+    running = cumulative_simpson(p * mode.a, x=mode.t, initial=0.0)
+    resid = p * mode.a_prime + mode.lam * running
+    return float(np.max(np.abs(resid)))
+
+
+def derivative_identity_residual(mode, ball) -> float:
+    """Relative defect of ||a'||_p^2 = lam ||a||_p^2 - nu int p a^2 / rho^2."""
+    p = weight_p(ball, mode.t)
+    dx = mode.t[1] - mode.t[0]
+    lhs = composite_simpson(p * mode.a_prime ** 2, dx)
+    rhs = mode.lam * composite_simpson(p * mode.a ** 2, dx)
+    if mode.nu > 0.0:
+        rho = np.asarray(ball.rho.eval(np.where(mode.t == 0.0, mode.t[1], mode.t))[0])
+        dens = p * mode.a ** 2 / rho ** 2
+        dens[0] = 0.0 if mode.k >= 1 else dens[0]
+        rhs -= mode.nu * composite_simpson(dens, dx)
+    return abs(lhs - rhs) / max(abs(rhs), 1e-30)
+
+
+def radial_divergence_profile(h1: np.ndarray, J: np.ndarray, t: np.ndarray, m: int):
+    """(div V, (h1 J^{m-1})') sample pair for the monotonicity equivalence."""
+    Jm = J ** (m - 1)
+    prod = h1 * Jm
+    dprod = np.gradient(prod, t)
+    dh1 = np.gradient(h1, t)
+    dJ = np.gradient(J, t)
+    div = dh1 + (m - 1) * h1 * dJ / J
+    return div, dprod

@@ -18,10 +18,10 @@ from driftspectra.disk import (adjoint_principal, angular_std, build_model_disk,
                                operator_action, solve_principal, volumes)
 from driftspectra.errors import LogarithmicBranchError
 from driftspectra.geometry import euclidean_ball, polynomial_drift, space_form_ball
-from driftspectra.radial import (assemble_spectrum, derivative_identity_residual,
-                                 maisuma_residual, principal_eigenpair,
+from driftspectra.radial import (assemble_spectrum, principal_eigenpair,
                                  solve_radial_modes, weighted_inner_product)
 
+from _identities import derivative_identity_residual, maisuma_residual, radial_divergence_profile
 from _oracles import bessel_zero
 
 J01_SQ = 5.783185962947  # j_{0,1}^2, frozen from the series zero finder
@@ -262,7 +262,6 @@ def test_criterion_12_invariant_suites(flat_disk_default):
     assert np.max(np.abs(lhs - ((X * Zs).sum(1) + 0.25 * ((V + Zs) ** 2).sum(1)))) < 1e-12
 
     # divergence-monotonicity equivalence on random radial profiles
-    from driftspectra.compare import radial_divergence_profile
     t = np.linspace(0.05, 1.0, 200)
     for seed in range(5):
         r = np.random.default_rng(seed)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -82,14 +81,6 @@ class TestBarta:
         br = barta_bracket(operator_action(A, problem.J.shape), u)
         assert br.lower >= model.lam - 1e-3
         assert br.lower <= pair.lam <= br.upper
-
-    def test_serialization(self, flat_pair):
-        problem, pair, A = flat_pair
-        br = barta_bracket(operator_action(A, problem.J.shape), pair.omega)
-        d = br.to_dict()
-        assert set(d) == {"lower", "upper", "argmin_point", "argmax_point",
-                          "excluded_boundary_rings"}
-        assert json.loads(json.dumps(d))["lower"] == br.lower
 
 
 class TestRayleigh:
@@ -331,12 +322,6 @@ class TestIntegralBound:
         problem, pair, A = grad_pair
         rep = holland_bound(problem, pair.omega, A=A)
         assert rep.Q_min <= 0.0
-
-    def test_report_serialization(self, grad_pair):
-        problem, pair, A = grad_pair
-        rep = holland_bound(problem, pair.omega, A=A)
-        assert set(rep.to_dict()) == {"L", "Q_min", "bound", "fast_path"}
-        assert json.loads(json.dumps(rep.to_dict()))["bound"] == rep.bound
 
 
 def test_completing_the_square_inequality():

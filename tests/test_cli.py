@@ -1,15 +1,28 @@
+import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 import driftspectra
+from driftspectra import radial
+from driftspectra.bounds import barta_bracket, holland_bound, solve_G_V
 from driftspectra.cli import (EXIT_CANTCREAT, EXIT_OK, EXIT_PREMISE, EXIT_USAGE,
                               main)
+from driftspectra.compare import ComparisonCase, riccati_uniqueness, run_case
+from driftspectra.disk import build_model_disk, operator_action, solve_principal
+from driftspectra.errors import SolverError
+from driftspectra.expressions import parse_expression
+from driftspectra.geometry import polynomial_drift, space_form_ball
 
 from _oracles import bessel_zero
 
@@ -171,15 +184,46 @@ class TestSweep:
     def test_empty_axes_rejected(self):
         assert run(["sweep", "--dim", "2", "--radius", "1"]) == EXIT_USAGE
 
-    def test_partial_failures_recorded_per_row(self, tmp_path):
-        # kappa=5 caps the domain at pi/sqrt(5) < radius 2: that row fails,
-        # the others still complete
+    def test_partial_failures_recorded_per_row(self, tmp_path, monkeypatch):
+        # a solver failure at one point is that point's row; its message is quoted
+        solve = radial.principal_eigenpair
+
+        def failing(ball, **kw):
+            if ball.drift.h(0.5) > 0.0 and ball.rho.t_max < math.inf:
+                raise SolverError("a, b")
+            return solve(ball, **kw)
+
+        monkeypatch.setattr(radial, "principal_eigenpair", failing)
         path = tmp_path / "partial.csv"
-        assert run(["sweep", "--dim", "2", "--radius", "2",
-                    "--axis", "kappa=0,5", "--output", str(path)]) == EXIT_OK
-        rows = path.read_text().strip().split("\n")[1:]
-        assert rows[0].endswith(",ok")
-        assert "error" in rows[1]
+        assert run(["sweep", "--dim", "2", "--radius", "1", "--drift", "t",
+                    "--axis", "drift_scale=0,1", "--axis", "kappa=0,1",
+                    "--output", str(path)]) == EXIT_OK
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["drift_scale", "kappa", "lambda", "status"]
+        assert [len(r) for r in rows] == [4] * 5
+        assert [r[3] for r in rows[1:]] == ["ok", "ok", "ok", "error: a, b"]
+        assert rows[4][2] == ""
+
+    @pytest.mark.parametrize("argv,point", [
+        # kappa=5 caps the domain at pi/sqrt(5) < radius 2
+        (["--radius", "2", "--axis", "kappa=0,5"], "kappa=5"),
+        (["--radius", "1", "--drift", "sin(t,)", "--axis", "kappa=0,1"], "kappa=0"),
+        (["--radius", "1", "--warping", "t+1", "--axis", "radius=1,2"], "radius=1"),
+        (["--radius", "1", "--axis", "dim=2,1"], "dim=1"),
+        # a warping fixes the curvature, so a kappa axis has nothing to set
+        (["--radius", "1", "--warping", "sinh(t)", "--axis", "kappa=0,1"], "kappa axis"),
+    ])
+    def test_unbuildable_point_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, point):
+        def solver(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(radial, "principal_eigenpair", solver)
+        path = tmp_path / "sweep.csv"
+        assert run(["sweep", "--dim", "2", *argv, "--output", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and point in captured.err
+        assert not path.exists()
 
 
 class TestConfigAndErrors:
@@ -212,6 +256,16 @@ class TestConfigAndErrors:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[problem]\ndimension = fish\n")
         assert run(["principal", "--config", str(cfg)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("text", ["[problem]\ndimension = 2\ndimension = 3\n",
+                                      "[problem]\n[problem]\n", "dimension = 2\n"],
+                             ids=["repeated-key", "repeated-section", "no-section"])
+    def test_config_syntax_error_is_usage_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert run(["principal", "--config", str(cfg)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "malformed config file" in captured.err
 
     def test_missing_config(self, capsys):
         assert run(["principal", "--config", "/nonexistent.cfg"]) == EXIT_USAGE
@@ -260,6 +314,12 @@ class TestConfigAndErrors:
         ["--drift", "(" * 300 + "t" + ")" * 300], ["--drift", "+".join(["t"] * 800)],
         # a drift whose derivative is infinite at t = 0, a constant power that is not real
         ["--drift", "t^0.5"], ["--drift", "(-2)^0.5*t"],
+        # non-finite curvatures, and radii whose square or inverse square overflows
+        ["--space-form", "nan"], ["--subject-kappa", "nan", "--model-kappa", "1"],
+        ["--radius", "1e200"], ["--radius", "1e-200"], ["--space-form", "1e300", "--radius", "1e-160"],
+        # numpy overflow or division by zero while a warping or drift is checked
+        ["--radius", "1e200", "--drift", "t"], ["--radius", "1000", "--drift", "exp(t)-1"],
+        ["--warping", "t^0.5"], ["--warping", "1/t"],
         # formats the command does not write
         ["riccati", "--space-form", "0", "--dim", "2", "--radius", "1", "--format", "json"],
         ["sweep", "--dim", "2", "--radius", "1", "--axis", "kappa=0,1", "--format", "json"]])
@@ -350,6 +410,220 @@ class TestConfigAndErrors:
         for path, extra in zip(paths, (["--config", str(cfg)], ["--dim", "3", "--radius", "0.5"], [])):
             assert run([*pair, *extra, "--output", str(path)]) == EXIT_OK
         assert paths[0].read_bytes() == paths[1].read_bytes() != paths[2].read_bytes()
+
+
+# -- artifacts against the library -------------------------------------------
+# Each command, run on a small problem, next to the same result computed by
+# the library: {format: (header, rows)} for CSV, {format: payload} for JSON.
+
+_FLAT = ["--space-form", "0", "--dim", "2", "--radius", "1"]
+_DRIFT = ["--drift", "poly 1"]  # polynomial_drift([1.0]), the library's own drift
+_GRID = ["--nt", "32", "--ntheta", "16"]
+
+
+def _ball(kappa=0.0, m=2):
+    return space_form_ball(kappa, m, 1.0, polynomial_drift([1.0]))
+
+
+def _spectrum():
+    table = radial.assemble_spectrum(_ball(), 31.0)
+    rows = [(e.lam, e.k, e.i, e.multiplicity) for e in table.entries]
+    return {"csv": (["lambda", "k", "i", "multiplicity"], rows),
+            "json": {"cutoff": 31.0, "entries": [
+                {"lambda": lam, "k": k, "i": i, "multiplicity": mult}
+                for lam, k, i, mult in rows]}}
+
+
+def _principal():
+    mode = radial.principal_eigenpair(_ball())
+    return {"csv": (["t", "a"], list(zip(mode.t, mode.a))),
+            "json": {"lambda": mode.lam, "k": 0, "i": 1, "n_t": 512}}
+
+
+def _disk2d():
+    problem = build_model_disk(_ball(), n_t=32, n_theta=16)
+    pair, _ = solve_principal(problem)
+    T, TH = problem.grid.mesh()
+    return {"csv": (["t", "theta", "omega"],
+                    list(zip(T.ravel(), TH.ravel(), pair.omega.ravel()))),
+            "json": {"lambda": pair.lam, "residual": pair.residual,
+                     "iterations": pair.iterations,
+                     "grid": {"n_t": 32, "n_theta": 16, "r0": 1.0}}}
+
+
+def _bounds():
+    problem = build_model_disk(_ball(), None, parse_expression("0.5*t"), n_t=32, n_theta=16)
+    pair, A = solve_principal(problem)
+    br = barta_bracket(operator_action(A, problem.J.shape), pair.omega)
+    G, _ = solve_G_V(problem, pair.omega)
+    rep = holland_bound(problem, pair.omega * np.sqrt(G), tol=1e-6, A=A)
+    return {"csv": (["lambda", "barta_lower", "barta_upper", "bound"],
+                    [(pair.lam, br.lower, br.upper, rep.bound)]),
+            "json": {"lambda": pair.lam,
+                     "barta": {"lower": br.lower, "upper": br.upper,
+                               "argmin_point": list(br.argmin_point),
+                               "argmax_point": list(br.argmax_point),
+                               "excluded_boundary_rings": br.excluded_rings},
+                     "min_max_integral": {"L": rep.L_value, "Q_min": rep.Q_min,
+                                          "bound": rep.bound, "fast_path": rep.fast_path}}}
+
+
+def _compare():
+    flat = space_form_ball(0.0, 2, 1.0)
+    v = run_case(ComparisonCase(flat, space_form_ball(1.0, 2, 1.0), "sectional", label="cli-pair"))
+    payload = asdict(v)
+    assert set(payload) == {"label", "mode", "premises_hold", "premise_margins",
+                            "lambda_subject", "lambda_model", "margin",
+                            "conclusion_holds", "equality_case", "notes"}
+    return {"csv": (["case_id", "premises", "lambda_subject", "lambda_model", "margin",
+                     "conclusion"],
+                    [(v.label, v.premises_hold, v.lambda_subject, v.lambda_model, v.margin,
+                      v.conclusion_holds)]),
+            "json": [payload]}
+
+
+def _riccati():
+    result = riccati_uniqueness(_ball(m=3), tol=1e-6)
+    return {"csv": (["t", "h_recovered"], list(zip(result.t, result.h_recovered)))}
+
+
+def _sweep():
+    rows = [(kappa, radial.principal_eigenpair(_ball(kappa)).lam, "ok") for kappa in (0.0, 1.0)]
+    return {"csv": (["kappa", "lambda", "status"], rows)}
+
+
+_ARTIFACTS = {
+    "spectrum": (["spectrum", *_FLAT, *_DRIFT, "--cutoff", "31"], _spectrum),
+    "principal": (["principal", *_FLAT, *_DRIFT], _principal),
+    "disk2d": (["disk2d", *_FLAT, *_DRIFT, *_GRID], _disk2d),
+    "bounds": (["bounds", *_FLAT, *_DRIFT, *_GRID, "--vtheta", "0.5*t"], _bounds),
+    "compare": (["compare", "--dim", "2", "--radius", "1", "--subject-kappa", "0",
+                 "--model-kappa", "1"], _compare),
+    "riccati": (["riccati", "--space-form", "0", "--dim", "3", "--radius", "1", *_DRIFT],
+                _riccati),
+    "sweep": (["sweep", *_FLAT, *_DRIFT, "--axis", "kappa=0,1"], _sweep),
+}
+
+
+def _cell(x) -> str:
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
+
+
+@pytest.mark.parametrize("command,fmt", [(c, f) for c in _ARTIFACTS for f in ("csv", "json")
+                                         if c not in ("riccati", "sweep") or f == "csv"])
+def test_artifact_matches_the_library(command, fmt, tmp_path, capsys):
+    argv, library = _ARTIFACTS[command]
+    path = tmp_path / f"out.{fmt}"
+    assert run([*argv, "--format", fmt, "--output", str(path)]) in (EXIT_OK, EXIT_PREMISE)
+    expected = library()[fmt]
+    if fmt == "json":  # full-precision floats: the doubles round-trip
+        assert json.loads(path.read_text()) == expected
+        return
+    header, rows = expected
+    with open(path, newline="") as fh:
+        table = list(csv.reader(fh))
+    assert table[0] == header
+    assert len(table) == len(rows) + 1
+    assert table[1:] == [[_cell(x) for x in row] for row in rows]  # 12 significant digits
+
+
+# -- bad input never reaches a solver -------------------------------------------
+
+class _Solved(Exception):
+    """Raised by every solver in the fuzz below: the argv got past all checks."""
+
+
+_NUMBERS = st.sampled_from(["0", "1", "-1", "2", "3", "0.5", "5", "1e-3", "1e-160", "1e-200",
+                            "1e200", "1e300", "-1e300", "nan", "inf", "-inf", "x", "", "2.5"])
+_EXPRESSIONS = st.sampled_from([
+    "t", "0.5*t", "sin(t)", "sinh(t)", "t^2", "t+1", "t^0.5", "sin(t,)", "(-2)^0.5*t",
+    "sin(theta)", "t^2+1", "0.1*t^2*cos(theta)", "exp(t)-1", "1/t", "t/0", "wobble(t)",
+    "exp(exp(exp(t)))", "poly 1 0.5", "poly", "poly x", "space_form 1", "space_form",
+    "space_form nan", "space_form 1e300", "0", ""])
+_AXES = st.sampled_from(["kappa=0,1", "kappa=5", "kappa=nan", "radius=1,2", "radius=1e200",
+                         "radius=0", "dim=2,3", "dim=1", "dim=2.5", "drift_scale=0,1",
+                         "drift_scale=nan", "bogus=1", "kappa", "kappa="])
+_FLAGS = {
+    **{f: _NUMBERS for f in ("--dim", "--radius", "--space-form", "--nt", "--ntheta", "--tol",
+                             "--cutoff", "--subject-kappa", "--model-kappa", "--workers")},
+    **{f: _EXPRESSIONS for f in ("--warping", "--drift", "--perturbation", "--vtheta",
+                                 "--subject-drift", "--model-drift")},
+    "--axis": _AXES,
+    "--format": st.sampled_from(["csv", "json", "xml"]),
+    "--mode": st.sampled_from(["sectional", "ricci", "cheng"]),
+}
+_CONFIG_KEYS = {
+    "problem": {"dimension": _NUMBERS, "radius": _NUMBERS, "kappa": _NUMBERS,
+                "warping": _EXPRESSIONS, "drift": _EXPRESSIONS,
+                "perturbation": _EXPRESSIONS, "vtheta": _EXPRESSIONS},
+    "numerics": {"n_t": _NUMBERS, "n_theta": _NUMBERS, "tol": _NUMBERS, "cutoff": _NUMBERS},
+    "output": {"format": st.sampled_from(["csv", "json"])},
+}
+_CONFIG_LINES = st.sampled_from([(sec, key) for sec, keys in _CONFIG_KEYS.items() for key in keys]
+                                ).flatmap(lambda sk: _CONFIG_KEYS[sk[0]][sk[1]].map(
+                                    lambda v: (sk[0], f"{sk[1]} = {v}")))
+_PROBLEM_FLAGS = ["--dim", "--radius", "--space-form", "--warping", "--drift", "--nt",
+                  "--ntheta", "--tol", "--format"]
+_TAKES = {  # the flags of each command, drawn three times as often as any other flag
+    "spectrum": [*_PROBLEM_FLAGS, "--cutoff"],
+    "principal": _PROBLEM_FLAGS,
+    "riccati": _PROBLEM_FLAGS,
+    "disk2d": [*_PROBLEM_FLAGS, "--perturbation", "--vtheta"],
+    "bounds": [*_PROBLEM_FLAGS, "--perturbation", "--vtheta"],
+    "compare": ["--dim", "--radius", "--subject-kappa", "--model-kappa", "--subject-drift",
+                "--model-drift", "--mode", "--format"],
+    "sweep": [*_PROBLEM_FLAGS, "--axis", "--axis", "--workers"],
+}
+
+
+@st.composite
+def _argvs(draw, config_path, out_dir):
+    command = draw(st.sampled_from(sorted(_TAKES)))
+    names = st.sampled_from(_TAKES[command] * 3 + sorted(_FLAGS))
+    argv = [command]
+    for name in draw(st.lists(names, max_size=6)):
+        argv += [name, draw(_FLAGS[name])]
+    config_lines = draw(st.none() | st.lists(_CONFIG_LINES, max_size=5))
+    if config_lines is not None:
+        sections = {}
+        for section, line in config_lines:
+            sections.setdefault(section, []).append(line)
+        config_path.write_text("".join(f"[{sec}]\n" + "\n".join(lines) + "\n"
+                                       for sec, lines in sections.items()))
+        argv += ["--config", str(config_path)]
+    output = draw(st.sampled_from([None, "out.csv", "missing/out.csv", "."]))
+    return argv if output is None else [*argv, "--output", str(out_dir / output)]
+
+
+# where `cli` looks each solver up when a handler runs
+_SOLVERS = [("radial", "principal_eigenpair"), ("radial", "assemble_spectrum"),
+            ("cli", "run_corpus"), ("cli", "riccati_uniqueness"), ("compare", "run_case"),
+            ("disk", "solve_principal")]
+
+
+def test_bad_argv_or_config_exits_before_any_solve(tmp_path, monkeypatch):
+    """Every argv either reaches a solver, or exits 64/73 cleanly and writes nothing."""
+    def solver(*args, **kwargs):
+        raise _Solved
+
+    for module, name in _SOLVERS:
+        monkeypatch.setattr(f"driftspectra.{module}.{name}", solver)
+
+    @settings(max_examples=300)
+    @given(argv=_argvs(tmp_path / "run.cfg", tmp_path))
+    def check(argv):
+        err = io.StringIO()
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(argv)
+        except _Solved:
+            return
+        finally:
+            assert not (tmp_path / "out.csv").exists() and not (tmp_path / "missing").exists()
+        assert code in (EXIT_USAGE, EXIT_CANTCREAT), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+    check()
 
 
 _SRC = os.path.dirname(os.path.dirname(driftspectra.__file__))

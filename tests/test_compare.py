@@ -5,12 +5,13 @@ import pytest
 
 from driftspectra.compare import (AnalyticDisk, ComparisonCase, builtin_corpus,
                                   derivative_lambda_eps, eigenvalue_sandwich,
-                                  radial_divergence_profile, radial_ibp_check,
-                                  riccati_uniqueness, run_case, run_corpus, verdicts_to_csv,
-                                  verdicts_to_json, verify_divergence_comparison)
+                                  radial_ibp_check, riccati_uniqueness, run_case, run_corpus,
+                                  verify_divergence_comparison)
 from driftspectra.disk import build_model_disk
 from driftspectra.errors import LogarithmicBranchError
 from driftspectra.geometry import euclidean_ball, polynomial_drift, space_form_ball
+
+from _identities import radial_divergence_profile
 
 FLAT = euclidean_ball(2, 1.0)
 
@@ -323,12 +324,3 @@ class TestCorpus:
         # a second call solves again: nothing is kept between calls
         run_corpus(cases[:1])
         assert len(solved) == 13
-
-    def test_serializers(self):
-        cases = builtin_corpus()[:2]
-        verdicts = [run_case(c) for c in cases]
-        js = verdicts_to_json(verdicts)
-        assert '"premises_hold"' in js
-        csv = verdicts_to_csv(verdicts)
-        assert csv.startswith("case_id,premises,lambda_subject")
-        assert len(csv.strip().split("\n")) == 3

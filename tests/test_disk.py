@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from driftspectra import disk
 from driftspectra.disk import (DiskProblem, PolarGrid, adjoint_principal, angular_std,
                                assemble_operator, build_model_disk, divergence_field,
-                               eigenpair_csv, eigenpair_json, operator_action,
+                               operator_action,
                                principal_eigenpair_2d, solve_principal, volumes,
                                weighted_stiffness)
 from driftspectra.errors import ConvergenceError, NonPrincipalModeError, SolverError
@@ -274,11 +274,3 @@ class TestFields:
             errors.append((np.max(err), np.max(err[ring])))
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse[0] / fine[0] > 3.5 and coarse[1] / fine[1] > 3.5, errors
-
-    def test_dump_formats(self, flat_pair):
-        problem, pair, _ = flat_pair
-        csv = eigenpair_csv(problem, pair)
-        assert csv.startswith("t,theta,omega\n")
-        assert len(csv.strip().split("\n")) == problem.grid.size + 1
-        js = eigenpair_json(problem, pair)
-        assert '"lambda"' in js and '"residual"' in js
