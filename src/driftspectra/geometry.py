@@ -144,7 +144,9 @@ def drift_from_rate(h: Callable, h_prime: Callable, t_max: float) -> DriftProfil
         raise ValueError(f"drift range must be positive and finite, got t_max={t_max:g}")
     n_fine = 4096
     grid = np.linspace(0.0, float(t_max), n_fine + 1)
-    dx = grid[1] - grid[0]
+    dx = float(grid[1] - grid[0])
+    if not math.isfinite(dx * dx / 12.0):
+        raise ValueError(f"drift range t_max={t_max:g} is too large for the antiderivative table")
     prefix = np.zeros_like(grid)
     with np.errstate(all="ignore"):  # a value that overflows or is undefined fails the check
         vals = np.asarray(h(grid), dtype=float)

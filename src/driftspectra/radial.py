@@ -85,10 +85,15 @@ class _RadialPath:
 
         b'' + P(t) b' + (Q(t) + lam) b = 0
 
-    tabulated at the RK4 stage points.  For sphere level k, P and Q are
-    those of b = a / t^alpha; `coefs` replaces them by other (P, Q)
-    callables, as the Riccati flow does.  The coefficients do not depend on
-    lambda, so one path serves every shoot of the isolate/refine loop.
+    tabulated at the RK4 stage points.  With h_int = r0 / (n_t substeps), a
+    scalar loop builds the geometric startup from 1e-6 r0 in steps of
+    min(c_stab t, h_int); past the first node with c_stab t >= h_int, every
+    node interval is `substeps` steps of h_int, built by array operations
+    that give the loop's floats.  All stage points go through the
+    coefficients in one pass: for sphere level k, P and Q are those of
+    b = a / t^alpha; `coefs` replaces them by other (P, Q) callables, as the
+    Riccati flow does.  The coefficients do not depend on lambda, so one
+    path serves every shoot of the isolate/refine loop.
     """
 
     def __init__(self, ball: ModelBall, k: int, n_t: int = DEFAULT_GRID,
@@ -104,53 +109,45 @@ class _RadialPath:
         h_int = self.dt / substeps
         c_stab = min(0.2, 1.0 / (2.0 * self.alpha + m))
 
-        ts = [1e-6 * r0]  # first point, where (b, b') = (1, 0) is the regular start
-        marks = []
-        t = ts[0]
-        for j in range(1, n_t + 1):
-            target = self.nodes[j]
+        # the startup ends at node j0 - 1, the first with c_stab * t >= h_int
+        j0 = 1 + int(np.searchsorted(c_stab * self.nodes[:-1], h_int))
+        self.t_start = t = float(1e-6 * r0)  # where (b, b') = (1, 0) is the regular start
+        ts, node_steps = [t], []
+        for target in self.nodes[1:j0].tolist():
             while t < target - 1e-14 * r0:
                 s = min(c_stab * t, h_int, target - t)
                 if target - (t + s) < 0.2 * s:
                     s = target - t
                 t += s
                 ts.append(t)
-                marks.append(False)
-            ts[-1] = target
-            t = target
-            marks[-1] = True
-        ts = np.asarray(ts)
-        self.t_start = float(ts[0])
-        steps = np.diff(ts)
-        t0 = ts[:-1]
-        stages = (t0, t0 + 0.5 * steps, ts[1:])
-        P, Q = coefs if coefs is not None else (self._coef_P, self._coef_Q)
-        self.steps = steps
-        self.P_stages = np.array([P(x) for x in stages], dtype=float)
-        self.Q_stages = np.array([Q(x) for x in stages], dtype=float)
-        self.node_steps = np.flatnonzero(marks)
+            ts[-1] = t = target
+            node_steps.append(len(ts) - 2)
+        # regular part: from each node on, h_int is added `substeps` times in
+        # the loop's order and the last step is snapped to the next node by
+        # the loop's rule; rounding moves no snap while n_t substeps^2 << 1e15
+        left, right = self.nodes[j0 - 1:-1], self.nodes[j0:, None]
+        ends = np.cumsum(np.column_stack((left, np.full((left.size, substeps), h_int))),
+                         axis=1)[:, 1:]
+        ts = np.concatenate((ts, np.where(right - ends < 0.2 * h_int, right, ends).ravel()))
+        self.node_steps = np.concatenate(
+            (node_steps, node_steps[-1] + substeps * np.arange(1, left.size + 1)))
+        self.steps = steps = np.diff(ts)
+        x = np.concatenate((ts[:-1], ts[:-1] + 0.5 * steps, ts[1:]))  # the RK4 stage abscissae
+        P, Q = self._coefs(x) if coefs is None else (np.asarray(f(x), dtype=float) for f in coefs)
+        self.P_stages, self.Q_stages = P.reshape(3, -1), Q.reshape(3, -1)
         self.h_max = float(steps.max())
         self.p_nodes = weight_p(ball, self.nodes)
 
-    def _warp_parts(self, t):
+    def _coefs(self, t):
+        """P and Q of the level's regular unknown b = a / t^alpha at the points t."""
         rho, rho1, _ = self.ball.rho.eval(t)
-        rho = np.asarray(rho, dtype=float)
-        rho1 = np.asarray(rho1, dtype=float)
+        h = np.asarray(self.ball.drift.h(t), dtype=float)
         # (t rho' - rho)/(t rho) and (rho - t)(rho + t)/(t^2 rho^2) are analytic at 0
-        num = t * rho1 - rho
-        c1r_over_t = (self.ball.m - 1) * num / (t * t * rho)
+        c1r_over_t = (self.ball.m - 1) * (t * rho1 - rho) / (t * t * rho)
         S = (rho - t) * (rho + t) / (t * t * rho * rho)
-        return c1r_over_t, S
-
-    def _coef_P(self, t):
-        c1r_over_t, _ = self._warp_parts(t)
-        h = np.asarray(self.ball.drift.h(t), dtype=float)
-        return (2.0 * self.alpha + self.ball.m - 1.0) / t + t * c1r_over_t - h
-
-    def _coef_Q(self, t):
-        c1r_over_t, S = self._warp_parts(t)
-        h = np.asarray(self.ball.drift.h(t), dtype=float)
-        return self.alpha * (c1r_over_t - h / t) + self.nu * S
+        P = (2.0 * self.alpha + self.ball.m - 1.0) / t + t * c1r_over_t - h
+        Q = self.alpha * (c1r_over_t - h / t) + self.nu * S
+        return P, Q
 
     # -- integration ------------------------------------------------------
 
@@ -376,11 +373,11 @@ def _refine(path: _RadialPath, lo: float, hi: float, i: int, maxiter: int = 100)
     Safeguarded Newton (rtsafe): each sweep's Sturm count tells the side of
     the root, so it also shrinks [lo, hi]; a step that leaves the bracket or
     is not below half the step before last is replaced by bisection.  Once
-    the step or the bracket is below xtol = 1e-13 max(1, hi), a sweep at the
-    Newton point, if that moves lambda inside the bracket, is the last.
+    the step or the bracket is below the relative xtol = 1e-13 hi, a sweep at
+    the Newton point, if that moves lambda inside the bracket, is the last.
     """
     bracket = (lo, hi)
-    xtol = 1e-13 * max(1.0, hi)
+    xtol = 1e-13 * hi
     lam = _euclid_estimate(path, i)
     if not lo < lam < hi:
         lam = 0.5 * (lo + hi)

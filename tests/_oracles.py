@@ -4,10 +4,14 @@ Everything here is deliberately self-contained: Bessel functions come from
 their power series and zeros from bisection, so eigenvalue checks never
 share code with the solvers (or with scipy.special).  `rk4_sweep` is the
 step-by-step RK4 loop that the radial scan kernel is checked against; it
-reads only a path's tabulated steps and stage coefficients.
+reads only a path's tabulated steps and stage coefficients; `step_grid`
+and `stage_coefficients` are the scalar step-grid loop and the per-stage
+coefficient formulas that the radial path's array construction replaced.
 """
 
 import math
+
+import numpy as np
 
 
 def bessel_j_series(nu: int, x: float, terms: int = 60) -> float:
@@ -146,3 +150,48 @@ def rk4_sweep(path, lam: float, y1: float = 1.0, y2: float = 0.0):
             b.append(y1)
             bp.append(y2)
     return y1, changes, (b, bp)
+
+
+def step_grid(r0: float, n_t: int, substeps: int, alpha: float, m: int):
+    """The radial shooting grid built one RK4 step at a time.
+
+    Starts at 1e-6 r0 and steps min(c_stab t, h_int, distance to the next
+    node), c_stab = min(0.2, 1/(2 alpha + m)), h_int = r0/(n_t substeps); a
+    step that would leave less than a fifth of itself before the node is
+    stretched to the node.  Returns the step ends, starting point included,
+    and the indices of the steps that end on a node.
+    """
+    nodes = np.linspace(0.0, r0, n_t + 1)
+    h_int = r0 / n_t / substeps
+    c_stab = min(0.2, 1.0 / (2.0 * alpha + m))
+    ts = [1e-6 * r0]
+    marks = []
+    t = ts[0]
+    for j in range(1, n_t + 1):
+        target = nodes[j]
+        while t < target - 1e-14 * r0:
+            s = min(c_stab * t, h_int, target - t)
+            if target - (t + s) < 0.2 * s:
+                s = target - t
+            t += s
+            ts.append(t)
+            marks.append(False)
+        ts[-1] = target
+        t = target
+        marks[-1] = True
+    return np.asarray(ts), np.flatnonzero(marks)
+
+
+def stage_coefficients(ball, alpha: float, nu: float, ts):
+    """P and Q of b = a / t^alpha at the three RK4 stages of the steps ts,
+    each stage evaluated on its own: two (3, n) arrays."""
+    steps = np.diff(ts)
+    P, Q = [], []
+    for x in (ts[:-1], ts[:-1] + 0.5 * steps, ts[1:]):
+        rho, rho1, _ = ball.rho.eval(x)
+        h = np.asarray(ball.drift.h(x), dtype=float)
+        c1r_over_t = (ball.m - 1) * (x * rho1 - rho) / (x * x * rho)
+        S = (rho - x) * (rho + x) / (x * x * rho * rho)
+        P.append((2.0 * alpha + ball.m - 1.0) / x + x * c1r_over_t - h)
+        Q.append(alpha * (c1r_over_t - h / x) + nu * S)
+    return np.array(P), np.array(Q)

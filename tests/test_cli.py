@@ -226,6 +226,14 @@ class TestSweep:
         assert not path.exists()
 
 
+# usage errors whose message is checked too: the flag list and a piece of the message
+_USAGE_MESSAGES = {
+    # h' scaled by dx^2 overflows: the message names the range, not t = 0
+    ("--radius", "1e200", "--drift", "t"):
+        "t_max=1.05e+200 is too large for the antiderivative table",
+}
+
+
 class TestConfigAndErrors:
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -338,6 +346,7 @@ class TestConfigAndErrors:
         assert run([*argv, "--output", str(out)]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == "" and "usage error" in captured.err
+        assert _USAGE_MESSAGES.get(tuple(flag), "") in captured.err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["riccati", "sweep"])

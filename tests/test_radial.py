@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from driftspectra.errors import ConvergenceError, EigenvalueWindowError, SolverError
 from driftspectra.geometry import euclidean_ball, polynomial_drift, space_form_ball
@@ -13,7 +14,8 @@ from driftspectra.radial import (_count_brackets, _isolate, _RadialPath, _refine
                                  sphere_eigenvalue, weighted_inner_product)
 
 from _identities import derivative_identity_residual, interior_sign_changes, maisuma_residual
-from _oracles import bessel_zero, harmonic_multiplicity, rk4_sweep
+from _oracles import (bessel_zero, harmonic_multiplicity, rk4_sweep, stage_coefficients,
+                      step_grid)
 
 
 @pytest.fixture
@@ -367,6 +369,71 @@ class TestScanKernel:
         assert (b[0], bp[0]) == (1.5, -0.25)
         assert abs(end - ref_end) <= 1e-13 * np.max(np.abs(ref_b))
         assert changes == ref_changes
+
+
+class TestMetricScaling:
+    """g -> c^2 g maps the ball (kappa, r0, h) to (kappa/c^2, c r0, h(t/c)/c)
+    and every eigenvalue lam to lam/c^2."""
+
+    @settings(max_examples=80)
+    @given(m=st.sampled_from([2, 3, 4]), kappa=st.floats(-1.0, 0.9), r0=st.floats(0.5, 1.5),
+           c1=st.floats(0.0, 1.5), c2=st.floats(-0.5, 0.5), c=st.floats(0.1, 10.0))
+    def test_principal_eigenvalue(self, m, kappa, r0, c1, c2, c):
+        lam = principal_eigenpair(space_form_ball(kappa, m, r0, polynomial_drift([c1, c2]))).lam
+        scaled = space_form_ball(kappa / c ** 2, m, c * r0,
+                                 polynomial_drift([c1 / c ** 2, c2 / c ** 3]))
+        assert principal_eigenpair(scaled).lam * c ** 2 == pytest.approx(lam, rel=1e-12, abs=0)
+
+    def test_flat_disk_across_radii(self):
+        # the Newton stop is relative to lambda, so lam r0^2 keeps its digits
+        # far from r0 = 1 too
+        values = [principal_eigenpair(euclidean_ball(2, r0)).lam * r0 ** 2
+                  for r0 in (1e-50, 1e-3, 1.0, 1e3, 1e6, 1e20, 1e60)]
+        assert values == pytest.approx([values[2]] * len(values), rel=1e-12, abs=0)
+
+
+class TestPathGrid:
+    """The array-built step grid and the one-pass coefficients against the
+    scalar loop and the per-stage formulas of `_oracles`, bit for bit."""
+
+    @settings(max_examples=80)
+    @given(m=st.sampled_from([2, 3, 4]), kappa=st.floats(-1.0, 0.9),
+           log_r0=st.floats(-3.0, 3.0), k=st.integers(0, 5) | st.integers(0, 600),
+           n_t=st.integers(4, 4096), substeps=st.sampled_from([1, 2, 3]),
+           c1=st.floats(-1.0, 1.0), c2=st.floats(-1.0, 1.0))
+    def test_matches_the_scalar_loop(self, m, kappa, log_r0, k, n_t, substeps, c1, c2):
+        r0 = 10.0 ** log_r0
+        if kappa > 0.0:
+            r0 = min(r0, 0.95 * math.pi / math.sqrt(kappa))
+        ball = space_form_ball(kappa, m, r0, polynomial_drift([c1 / r0, c2 / r0 ** 2]))
+        # sinh overflows on the largest hyperbolic balls, in both constructions alike
+        with np.errstate(over="ignore", invalid="ignore"):
+            path = _RadialPath(ball, k, n_t=n_t, substeps=substeps)
+            ts, node_steps = step_grid(r0, n_t, substeps, path.alpha, m)
+            P, Q = stage_coefficients(ball, path.alpha, path.nu, ts)
+        steps = np.diff(ts)
+        assert np.array_equal(path.steps, steps)
+        assert np.array_equal(path.node_steps, node_steps)
+        assert path.t_start == ts[0]
+        assert path.h_max == steps.max()
+        assert np.array_equal(path.P_stages, P, equal_nan=True)
+        assert np.array_equal(path.Q_stages, Q, equal_nan=True)
+
+    def test_custom_coefficients_called_once_on_every_stage(self):
+        calls = []
+
+        def P(t):
+            calls.append(t.size)
+            return 2.0 / t
+
+        ball = space_form_ball(0.5, 3, 1.0, polynomial_drift([1.0]))
+        path = _RadialPath(ball, 0, n_t=64, coefs=(P, lambda t: -1.0 + 0.0 * t))
+        ts, _ = step_grid(1.0, 64, 2, path.alpha, 3)
+        steps = np.diff(ts)
+        assert calls == [3 * steps.size]
+        for x, row in zip((ts[:-1], ts[:-1] + 0.5 * steps, ts[1:]), path.P_stages):
+            assert np.array_equal(row, 2.0 / x)
+        assert np.all(path.Q_stages == -1.0)
 
 
 class TestNewton:
