@@ -20,8 +20,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .disk import (DiskProblem, advection_matrix, assemble_operator, drift_faces,
-                   drift_load, stiffness_faces, volumes, weighted_stiffness)
+from .disk import (SUPERLU_OPTIONS, DiskProblem, advection_matrix, assemble_operator,
+                   drift_faces, drift_load, stiffness_faces, volumes, wall_first,
+                   weighted_stiffness)
 from .errors import ConvergenceError, IrreducibilityError, SolverError
 from .geometry import ModelBall, weight_p
 from .quadrature import cumulative_trapezoid_from_origin
@@ -130,12 +131,14 @@ def rayleigh_minimize(target, f, n_t: int = 512, tol: float = 1e-12,
 
     Returns (lambda_f, minimizer samples).  The minimizer is normalized to
     max 1; for a ball the samples live on the uniform node grid including
-    both endpoints.
+    both endpoints.  K is factored by the recipe of the `disk` module.
     """
     ball = isinstance(target, ModelBall)
     K, mass = _forms(target, f, n_t)
+    order, K = wall_first(K)
+    mass = mass[order]
     # inverse iteration for K v = lambda M v with the lumped (diagonal) mass
-    lu = splu(K)
+    lu = splu(K, **SUPERLU_OPTIONS)
     v = np.ones(K.shape[0])
     lam_old = np.inf
     for _ in range(maxiter):
@@ -147,6 +150,7 @@ def rayleigh_minimize(target, f, n_t: int = 512, tol: float = 1e-12,
         lam_old = lam
     else:
         raise ConvergenceError(f"Rayleigh minimization stalled ({'ball' if ball else 'disk'})")
+    v = v[np.argsort(order)]
     if ball:
         full = np.concatenate([v, [0.0]])
         return lam, full / np.max(np.abs(full))
@@ -181,19 +185,15 @@ def _pinned_solve(A: sp.spmatrix, weight: np.ndarray, rhs: np.ndarray,
     same flux), so for a right-hand side with 1^T rhs = 0 any one equation
     is the negative sum of the others.  Row and column k are dropped,
     column k moves to the right-hand side, and the (n-1) x (n-1) matrix is
-    factored with minimum degree on the pattern of A^T + A.  The cells are
-    renumbered from the wall inward first: minimum degree breaks ties by
-    the numbering, and this order leaves about 28 % less fill than the
-    ring-major one (571k against 795k L+U nonzeros at 144 x 96).
+    factored by the recipe of the `disk` module.
     """
     n = A.shape[0]
     k = int(np.argmax(weight))
-    order = np.arange(n - 1, -1, -1)
-    order = order[order != k]
     A = sp.csc_matrix(A)
+    order, M = wall_first(A, drop=k)
     b = rhs[order] - pinned * A[:, k].toarray().ravel()[order]
     try:
-        lu = splu(A[:, order][order, :].tocsc(), permc_spec="MMD_AT_PLUS_A")
+        lu = splu(M, **SUPERLU_OPTIONS)
     except RuntimeError as exc:
         raise SolverError(f"degenerate elliptic solve failed: {exc}") from exc
     x = np.full(n, float(pinned))
@@ -206,10 +206,9 @@ def solve_w_u(problem: DiskProblem, u, tol: float = 1e-8):
 
     Solves the flux-form Euler-Lagrange system div(u^2 (2 grad w - V)) = 0
     with natural walls.  Its null space is the constants: w is pinned to 0
-    at the cell of largest u^2, the rest is factored with minimum-degree
-    ordering (`MMD_AT_PLUS_A`), and the additive constant is then fixed by
-    zero mean over the interior ball t < r0/4.  Returns (w, relative
-    residual).
+    at the cell of largest u^2, the rest is factored (`_pinned_solve`),
+    and the additive constant is then fixed by zero mean over the interior
+    ball t < r0/4.  Returns (w, relative residual).
     """
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0.0):
@@ -246,10 +245,10 @@ def solve_G_V(problem: DiskProblem, omega):
     """Positive steady density G solving div(omega^2 (grad G + G V)) = 0.
 
     G spans the null space of the system: it is pinned to 1 at the cell of
-    largest omega^2, the rest is factored with minimum-degree ordering
-    (`MMD_AT_PLUS_A`), and G is then scaled to volume mean one.  A
-    nonpositive solution means the discrete chain lost irreducibility
-    (grid or drift pathology).  Returns (G, residual).
+    largest omega^2, the rest is factored (`_pinned_solve`), and G is then
+    scaled to volume mean one.  A nonpositive solution means the discrete
+    chain lost irreducibility (grid or drift pathology).  Returns
+    (G, residual).
     """
     omega = np.asarray(omega, dtype=float)
     if np.any(omega <= 0.0):

@@ -142,9 +142,11 @@ class _RadialPath:
         """P and Q of the level's regular unknown b = a / t^alpha at the points t."""
         rho, rho1, _ = self.ball.rho.eval(t)
         h = np.asarray(self.ball.drift.h(t), dtype=float)
-        # (t rho' - rho)/(t rho) and (rho - t)(rho + t)/(t^2 rho^2) are analytic at 0
-        c1r_over_t = (self.ball.m - 1) * (t * rho1 - rho) / (t * t * rho)
-        S = (rho - t) * (rho + t) / (t * t * rho * rho)
+        # (t rho' - rho)/(t rho) and (rho - t)(rho + t)/(t^2 rho^2) are analytic
+        # at 0; formed as quotients they stay in the double range for every r0
+        t_rho = t * rho
+        c1r_over_t = (self.ball.m - 1) * ((t * rho1 - rho) / t_rho) / t
+        S = ((rho - t) / t_rho) * ((rho + t) / t_rho)
         P = (2.0 * self.alpha + self.ball.m - 1.0) / t + t * c1r_over_t - h
         Q = self.alpha * (c1r_over_t - h / t) + self.nu * S
         return P, Q

@@ -190,8 +190,8 @@ def stage_coefficients(ball, alpha: float, nu: float, ts):
     for x in (ts[:-1], ts[:-1] + 0.5 * steps, ts[1:]):
         rho, rho1, _ = ball.rho.eval(x)
         h = np.asarray(ball.drift.h(x), dtype=float)
-        c1r_over_t = (ball.m - 1) * (x * rho1 - rho) / (x * x * rho)
-        S = (rho - x) * (rho + x) / (x * x * rho * rho)
+        c1r_over_t = (ball.m - 1) * ((x * rho1 - rho) / (x * rho)) / x
+        S = ((rho - x) / (x * rho)) * ((rho + x) / (x * rho))
         P.append((2.0 * alpha + ball.m - 1.0) / x + x * c1r_over_t - h)
         Q.append(alpha * (c1r_over_t - h / x) + nu * S)
     return np.array(P), np.array(Q)

@@ -5,12 +5,12 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from driftspectra import bounds
+from driftspectra import bounds, disk
 from driftspectra.bounds import (barta_bracket, holland_bound, q_functional,
                                  rayleigh_minimize, rayleigh_quotient, solve_G_V,
                                  solve_w_u)
-from driftspectra.disk import (advection_matrix, build_model_disk, drift_load,
-                               operator_action, solve_principal, volumes,
+from driftspectra.disk import (SUPERLU_OPTIONS, advection_matrix, build_model_disk,
+                               drift_load, operator_action, solve_principal, volumes,
                                weighted_stiffness)
 from driftspectra.errors import IrreducibilityError, SolverError
 from driftspectra.geometry import euclidean_ball, polynomial_drift, space_form_ball
@@ -259,6 +259,29 @@ class TestPinnedSolves:
         assert calls == [(n - 1, n - 1)]
         solve_w_u(problem, pair.omega)
         assert calls == [(n - 1, n - 1)] * 2
+
+    def test_every_2d_factor_site_uses_the_recipe(self, swirl_pair, monkeypatch):
+        # the eigen, G, w_u and weighted Rayleigh factors share one set of
+        # SuperLU settings, each site through its own module's binding
+        problem, pair = swirl_pair
+        seen = []
+
+        def recording(module):
+            factor = module.splu
+
+            def wrapper(*args, **kwargs):
+                seen.append((module.__name__, kwargs))
+                return factor(*args, **kwargs)
+            monkeypatch.setattr(module, "splu", wrapper)
+
+        recording(disk)
+        recording(bounds)
+        solve_principal(problem)
+        solve_G_V(problem, pair.omega)
+        solve_w_u(problem, pair.omega)
+        rayleigh_minimize(problem, lambda t, th: 0.0 * t)
+        assert [name for name, _ in seen] == ["driftspectra.disk"] + ["driftspectra.bounds"] * 3
+        assert all(kwargs == SUPERLU_OPTIONS for _, kwargs in seen)
 
     def test_disconnected_weight_is_a_solver_error(self, swirl_pair):
         # u^2 underflows to 0 outside t < r0/2: the outer cells decouple

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from driftspectra import disk
 from driftspectra.disk import (DiskProblem, PolarGrid, adjoint_principal, angular_std,
@@ -9,7 +10,7 @@ from driftspectra.disk import (DiskProblem, PolarGrid, adjoint_principal, angula
                                principal_eigenpair_2d, solve_principal, volumes,
                                weighted_stiffness)
 from driftspectra.errors import ConvergenceError, NonPrincipalModeError, SolverError
-from driftspectra.geometry import euclidean_ball, polynomial_drift
+from driftspectra.geometry import euclidean_ball, polynomial_drift, space_form_ball
 from driftspectra.radial import principal_eigenpair
 
 from _oracles import bessel_zero
@@ -162,8 +163,11 @@ class TestEigen:
         assert not np.allclose(pair.left, pair.omega)
 
     def test_factor_input_is_the_shifted_operator(self, monkeypatch):
+        # A and A - 2I in the wall-first numbering: the cells in reverse
+        # ring-major order, built here as P A P^T with the flipped identity
         problem = build_model_disk(FLAT, n_t=32, n_theta=16)
         A = assemble_operator(problem)
+        n = A.shape[0]
         factored = []
         splu = disk.splu
 
@@ -174,9 +178,29 @@ class TestEigen:
         monkeypatch.setattr(disk, "splu", capturing)
         principal_eigenpair_2d(A)
         principal_eigenpair_2d(A, shift_guess=2.0)
-        assert (factored[0] != A.tocsc()).nnz == 0
-        shifted = A.tocsc() - 2.0 * sp.identity(A.shape[0], format="csc")
-        assert (factored[1] != shifted).nnz == 0
+        P = sp.identity(n, format="csr")[::-1]
+        assert (factored[0] != (P @ A @ P.T).tocsc()).nnz == 0
+        shifted = A.tocsc() - 2.0 * sp.identity(n, format="csc")
+        assert (factored[1] != (P @ shifted @ P.T).tocsc()).nnz == 0
+
+    def test_wall_first_factor_has_less_fill(self, monkeypatch):
+        # the recipe against minimum degree on the ring-major numbering with
+        # SuperLU's default supernodes; fill counts are deterministic
+        ball = space_form_ball(0.3, 2, 1.0, polynomial_drift([0.8]))
+        problem = build_model_disk(ball, perturbation=lambda t, th: 0.1 * t * t * np.cos(2 * th),
+                                   drift_angular=lambda t, th: 0.5 * t, n_t=96, n_theta=64)
+        A = assemble_operator(problem)
+        factors = []
+        splu = disk.splu
+
+        def capturing(*args, **kwargs):
+            factors.append(splu(*args, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(disk, "splu", capturing)
+        principal_eigenpair_2d(A, shape=problem.J.shape)
+        ring_major = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").nnz
+        assert factors[0].nnz <= 0.8 * ring_major
 
     @pytest.mark.parametrize("angular", [None, lambda t, th: 0.5 * t])
     def test_adjoint_matches_independent_transpose_solve(self, angular):
@@ -234,6 +258,25 @@ class TestEigen:
             scaled.append(pair.lam * c * c)
         assert scaled == pytest.approx([scaled[2]] * 4, rel=1e-9)
         assert scaled[2] == pytest.approx(lam1d, rel=1e-3)
+
+
+class TestRotation:
+    """Rolling the theta index of J, Vt and Vtheta by r rolls omega by r and
+    keeps lambda: the grid and the stencil are the same on every ray."""
+
+    @settings(max_examples=25)
+    @given(r=st.integers(1, 15), kappa=st.floats(-1.0, 1.0), c=st.floats(0.0, 1.5),
+           eps=st.floats(0.0, 0.15), j=st.integers(1, 3), a=st.floats(-1.0, 1.0))
+    def test_roll_rolls_omega_and_keeps_lambda(self, r, kappa, c, eps, j, a):
+        ball = space_form_ball(kappa, 2, 1.0, polynomial_drift([c]))
+        p = build_model_disk(ball, perturbation=lambda t, th: eps * t * t * np.cos(j * th),
+                             drift_angular=lambda t, th: a * t * (1.0 + 0.5 * np.sin(th)),
+                             n_t=32, n_theta=16)
+        rolled = DiskProblem(p.grid, *(np.roll(f, r, axis=1) for f in (p.J, p.Vt, p.Vtheta)))
+        pair, _ = solve_principal(p, tol=1e-8)
+        moved, _ = solve_principal(rolled, tol=1e-8)
+        assert moved.lam == pytest.approx(pair.lam, rel=1e-12, abs=0)
+        assert np.max(np.abs(moved.omega - np.roll(pair.omega, r, axis=1))) <= 1e-12
 
 
 class TestFields:

@@ -385,11 +385,13 @@ class TestMetricScaling:
         assert principal_eigenpair(scaled).lam * c ** 2 == pytest.approx(lam, rel=1e-12, abs=0)
 
     def test_flat_disk_across_radii(self):
-        # the Newton stop is relative to lambda, so lam r0^2 keeps its digits
-        # far from r0 = 1 too
+        # the Newton stop is relative to lambda, and the path coefficients
+        # are quotients that stay in the double range, so lam r0^2 keeps its
+        # digits far from r0 = 1 too
         values = [principal_eigenpair(euclidean_ball(2, r0)).lam * r0 ** 2
-                  for r0 in (1e-50, 1e-3, 1.0, 1e3, 1e6, 1e20, 1e60)]
-        assert values == pytest.approx([values[2]] * len(values), rel=1e-12, abs=0)
+                  for r0 in (1e-150, 1e-100, 1e-50, 1e-3, 1.0, 1e3, 1e6, 1e20, 1e60,
+                             1e80, 1e100, 1e150)]
+        assert values == pytest.approx([values[4]] * len(values), rel=1e-12, abs=0)
 
 
 class TestPathGrid:
