@@ -34,7 +34,12 @@ CONE_RATIO_LIMIT = 1e6
 
 @dataclass(eq=False)
 class BartaBracket:
-    """Two-sided pointwise bound; the true discrete eigenvalue lies inside."""
+    """Two-sided pointwise bound; the true discrete eigenvalue lies inside.
+
+    Where ratios tie up to roundoff, roundoff picks the reported cells: on
+    the README `bounds` disk the ratio spreads by 1.1e-8 (relative) inside
+    ring 0, against 4.2e-9 between the minima of the two lowest rings.
+    """
 
     lower: float
     upper: float
@@ -125,8 +130,7 @@ def rayleigh_quotient(target, f, u) -> float:
     return float(uv @ (K @ uv)) / denom
 
 
-def rayleigh_minimize(target, f, n_t: int = 512, tol: float = 1e-12,
-                      maxiter: int = 400):
+def rayleigh_minimize(target, f, n_t: int = 512):
     """Discrete minimum of the weighted quotient by inverse power iteration.
 
     Returns (lambda_f, minimizer samples).  The minimizer is normalized to
@@ -141,11 +145,11 @@ def rayleigh_minimize(target, f, n_t: int = 512, tol: float = 1e-12,
     lu = splu(K, **SUPERLU_OPTIONS)
     v = np.ones(K.shape[0])
     lam_old = np.inf
-    for _ in range(maxiter):
+    for _ in range(400):
         v = lu.solve(mass * v)
         v /= np.max(np.abs(v))
         lam = float(v @ (K @ v)) / float(v @ (mass * v))
-        if abs(lam - lam_old) < tol * max(1.0, abs(lam)):
+        if abs(lam - lam_old) < 1e-12 * max(1.0, abs(lam)):
             break
         lam_old = lam
     else:

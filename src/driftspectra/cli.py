@@ -125,9 +125,11 @@ class RunConfig:
         return self.n_t if self.n_t is not None else radial_mod.DEFAULT_GRID
 
     def tol_1d(self) -> float:
-        return self.tol if self.tol is not None else 1e-8
+        return self.tol if self.tol is not None else radial_mod.DEFAULT_TOL
 
     def tol_2d(self) -> float:
+        # disk.DEFAULT_TOL, written out: importing `disk` would load
+        # scipy.sparse for the 1-D commands too
         return self.tol if self.tol is not None else 1e-6
 
 

@@ -24,6 +24,7 @@ from .geometry import (DriftProfile, ModelBall, extra_condition_lhs,
 PREMISE_TOL = 1e-9
 TRANSPORT_TOL = 1e-6
 SAMPLES_1D = 401
+RICCATI_GRID = 1024  # node intervals of the Riccati flow's shooting path
 
 
 @dataclass(eq=False)
@@ -67,7 +68,6 @@ class ComparisonCase:
     model: ModelBall
     mode: str  # a key of _STATEMENTS: sectional | ricci
     label: str = ""
-    n_t_1d: int = radial_mod.DEFAULT_GRID
     grid_2d: tuple | None = None  # (n_t, n_theta); None: the disk defaults
 
 
@@ -128,17 +128,17 @@ def _sample(side, ts, thetas) -> _Samples:
     return _Samples(K, h, extra, J, J1, bool(np.any(vtheta != 0.0)))
 
 
-def _principal(ball: ModelBall, n_t: int, solved: dict | None):
-    """Ground mode of a model ball, solved once per (ball, n_t) in `solved`."""
+def _principal(ball: ModelBall, solved: dict | None):
+    """Ground mode of a model ball, solved once per ball in `solved`."""
     solved = {} if solved is None else solved
-    if (ball, n_t) not in solved:
-        solved[ball, n_t] = radial_mod.principal_eigenpair(ball, tol=1e-8, n_t=n_t)
-    return solved[ball, n_t]
+    if ball not in solved:
+        solved[ball] = radial_mod.principal_eigenpair(ball)
+    return solved[ball]
 
 
 def _subject_lambda(case: ComparisonCase, solved: dict | None):
     if isinstance(case.subject, ModelBall):
-        mode = _principal(case.subject, case.n_t_1d, solved)
+        mode = _principal(case.subject, solved)
         return mode.lam, 1e-9, mode
     from .disk import DEFAULT_NT, DEFAULT_NTHETA, solve_principal
 
@@ -200,7 +200,7 @@ def run_case(case: ComparisonCase, solved: dict | None = None) -> ComparisonVerd
         notes.append(f"volume-ratio monotonicity violated despite {statement.word} premise")
         premises = False
 
-    mode_m = _principal(case.model, case.n_t_1d, solved)
+    mode_m = _principal(case.model, solved)
     lam_m = mode_m.lam
     if not premises:
         return ComparisonVerdict(case.label, case.mode, False, margins,
@@ -353,7 +353,7 @@ def derivative_lambda_eps(base, f, eps: float, tol: float = 1e-3) -> float:
                 h_prime=lambda t, s=s: s * np.asarray(f2(t), dtype=float),
                 H=lambda t, s=s: s * (np.asarray(f0(t), dtype=float) - f_origin))
             ball = ModelBall(m=base.m, r0=base.r0, rho=base.rho, drift=drift)
-            lams.append(radial_mod.principal_eigenpair(ball, tol=1e-8).lam)
+            lams.append(radial_mod.principal_eigenpair(ball).lam)
     else:
         from .disk import DiskProblem, assemble_operator, solve_principal, volumes
 
@@ -392,7 +392,7 @@ class RiccatiResult:
     sup_error: float
 
 
-def riccati_uniqueness(ball: ModelBall, tol: float = 1e-6, n_t: int = 1024,
+def riccati_uniqueness(ball: ModelBall, tol: float = 1e-6,
                        u_prime0: float = 0.0) -> RiccatiResult:
     """Recover the drift from its own equality-case Riccati flow.
 
@@ -419,7 +419,7 @@ def riccati_uniqueness(ball: ModelBall, tol: float = 1e-6, n_t: int = 1024,
     def g(t):
         return 0.5 * np.asarray(extra_drift_profile(ball, t), dtype=float)
 
-    path = radial_mod._RadialPath(ball, 0, n_t=n_t, coefs=(lap_r, g))
+    path = radial_mod._RadialPath(ball, 0, n_t=RICCATI_GRID, coefs=(lap_r, g))
     c = -float(g(0.0)) / (2.0 * m)
     t0 = path.t_start
     _, crossings, (u, up) = path.integrate(0.0, 1.0 + c * t0 * t0, 2.0 * c * t0,
@@ -431,7 +431,7 @@ def riccati_uniqueness(ball: ModelBall, tol: float = 1e-6, n_t: int = 1024,
             f"u crossed zero by t={where:.6g}: the recovered drift blows up "
             "(logarithmic/singular branch)"
         )
-    h_rec = np.empty(n_t + 1)
+    h_rec = np.empty(RICCATI_GRID + 1)
     h_rec[0] = 0.0
     h_rec[1:] = -2.0 * up[1:] / u[1:]
     h_true = np.asarray(ball.drift.h(path.nodes), dtype=float)
@@ -509,7 +509,7 @@ def builtin_corpus() -> list:
 
 
 def run_corpus(cases=None) -> list:
-    """Verdicts of the cases; each distinct (ball, n_t) is solved once."""
+    """Verdicts of the cases; each distinct ball is solved once."""
     cases = builtin_corpus() if cases is None else cases
     solved = {}
     return [run_case(c, solved=solved) for c in cases]

@@ -336,12 +336,12 @@ def principal_eigenpair_2d(op: sp.spmatrix, shift_guess: float = 0.0,
     """Positive ground pair, with its left vector, by shifted inverse iteration.
 
     Right and left vectors are advanced with the same LU factorization of
-    A - shift I (transposed solves for the left one), both in the
-    wall-first numbering of the module's factorization recipe; the pair is
-    returned in the ring-major one.  The reported eigenvalue is the
-    two-sided quotient y^T A x / y^T x, accurate to O(residual^2).  Both residuals are relative, max|A x - lam x| / |lam|
-    with max|x| = 1 and likewise for y against A^T, and the iteration stops
-    when both are below `tol`.
+    A - shift I (transposed solves for the left one), both in the wall-first
+    numbering of the module's factorization recipe; the pair is returned in
+    the ring-major one.  The reported eigenvalue is the two-sided quotient
+    y^T A x / y^T x, accurate to O(residual^2).  Both residuals are relative,
+    max|A x - lam x| / |lam| with max|x| = 1 and likewise for y against A^T,
+    and the iteration stops when both are below `tol`.
     """
     n = op.shape[0]
     order, op = wall_first(op)

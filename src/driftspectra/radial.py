@@ -33,6 +33,17 @@ from .quadrature import composite_simpson
 
 DEFAULT_GRID = 512
 DEFAULT_TOL = 1e-8
+SUBSTEPS = 2  # RK4 steps per node interval of the regular part of a step grid
+
+
+def __getattr__(name):
+    # `brentq` is scipy.optimize.brentq, imported on lookup so that this module
+    # loads no scipy.  No solver calls it; it exists for the benchmark tracer,
+    # which wraps it, and a later benchmark change can drop hook and alias.
+    if name == "brentq":
+        from scipy.optimize import brentq
+        return brentq
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def sphere_eigenvalue(k: int, m: int):
@@ -85,10 +96,10 @@ class _RadialPath:
 
         b'' + P(t) b' + (Q(t) + lam) b = 0
 
-    tabulated at the RK4 stage points.  With h_int = r0 / (n_t substeps), a
+    tabulated at the RK4 stage points.  With h_int = r0 / (n_t SUBSTEPS), a
     scalar loop builds the geometric startup from 1e-6 r0 in steps of
     min(c_stab t, h_int); past the first node with c_stab t >= h_int, every
-    node interval is `substeps` steps of h_int, built by array operations
+    node interval is SUBSTEPS steps of h_int, built by array operations
     that give the loop's floats.  All stage points go through the
     coefficients in one pass: for sphere level k, P and Q are those of
     b = a / t^alpha; `coefs` replaces them by other (P, Q) callables, as the
@@ -96,8 +107,7 @@ class _RadialPath:
     path serves every shoot of the isolate/refine loop.
     """
 
-    def __init__(self, ball: ModelBall, k: int, n_t: int = DEFAULT_GRID,
-                 substeps: int = 2, coefs=None):
+    def __init__(self, ball: ModelBall, k: int, n_t: int = DEFAULT_GRID, coefs=None):
         self.ball = ball
         self.k = int(k)
         self.n_t = int(n_t)
@@ -106,7 +116,7 @@ class _RadialPath:
         self.alpha = frobenius_exponent(self.nu, m)
         self.dt = r0 / n_t
         self.nodes = np.linspace(0.0, r0, n_t + 1)
-        h_int = self.dt / substeps
+        h_int = self.dt / SUBSTEPS
         c_stab = min(0.2, 1.0 / (2.0 * self.alpha + m))
 
         # the startup ends at node j0 - 1, the first with c_stab * t >= h_int
@@ -122,15 +132,15 @@ class _RadialPath:
                 ts.append(t)
             ts[-1] = t = target
             node_steps.append(len(ts) - 2)
-        # regular part: from each node on, h_int is added `substeps` times in
+        # regular part: from each node on, h_int is added SUBSTEPS times in
         # the loop's order and the last step is snapped to the next node by
-        # the loop's rule; rounding moves no snap while n_t substeps^2 << 1e15
+        # the loop's rule; rounding moves no snap while n_t SUBSTEPS^2 << 1e15
         left, right = self.nodes[j0 - 1:-1], self.nodes[j0:, None]
-        ends = np.cumsum(np.column_stack((left, np.full((left.size, substeps), h_int))),
+        ends = np.cumsum(np.column_stack((left, np.full((left.size, SUBSTEPS), h_int))),
                          axis=1)[:, 1:]
         ts = np.concatenate((ts, np.where(right - ends < 0.2 * h_int, right, ends).ravel()))
         self.node_steps = np.concatenate(
-            (node_steps, node_steps[-1] + substeps * np.arange(1, left.size + 1)))
+            (node_steps, node_steps[-1] + SUBSTEPS * np.arange(1, left.size + 1)))
         self.steps = steps = np.diff(ts)
         x = np.concatenate((ts[:-1], ts[:-1] + 0.5 * steps, ts[1:]))  # the RK4 stage abscissae
         P, Q = self._coefs(x) if coefs is None else (np.asarray(f(x), dtype=float) for f in coefs)
@@ -197,10 +207,6 @@ class _RadialPath:
         j = self.node_steps
         return end, changes, (np.concatenate(([y1], b[j])),
                               np.concatenate(([y2], M[1, 0, j] * y1 + M[1, 1, j] * y2)))
-
-    def shoot(self, lam: float) -> float:
-        """Boundary value b(r0; lam)."""
-        return self.integrate(lam)[0]
 
     def count(self, lam: float) -> int:
         """Sign changes of b(.; lam) on (0, r0].
@@ -287,88 +293,6 @@ def _isolate(path: _RadialPath, n: int, max_lambda: float | None = None) -> list
     return _count_brackets(path, n, hi, c_hi)
 
 
-@dataclass(frozen=True)
-class BrentInfo:
-    """Diagnostics of one `brentq` call."""
-
-    root: float
-    iterations: int
-    function_calls: int
-    converged: bool = True
-
-
-def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = 8.881784197001252e-16,
-           maxiter: int = 100, full_output: bool = False):
-    """Root of f in the sign-changing bracket [a, b] by Brent's method.
-
-    A step-for-step port of the classic routine behind
-    `scipy.optimize.brentq` (inverse quadratic extrapolation guarded by
-    bisection; Brent 1973, ch. 4), so it takes the same iterates and the
-    same number of function calls.  Raises ValueError for a bracket without
-    a sign change and ConvergenceError after `maxiter` steps.  With
-    `full_output` the result is `(root, BrentInfo)`.
-    """
-    if xtol <= 0.0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    calls, steps = 2, 0
-
-    def done(x):
-        return (x, BrentInfo(x, steps, calls)) if full_output else x
-
-    if fpre == 0.0:
-        return done(xpre)
-    if fcur == 0.0:
-        return done(xcur)
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError(f"f(a) and f(b) must have different signs on [{a:.9g}, {b:.9g}]")
-    xblk = fblk = spre = scur = 0.0
-    for steps in range(1, maxiter + 1):
-        if fpre != 0.0 and fcur != 0.0 and \
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return done(xcur)
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # secant step
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # inverse quadratic extrapolation
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                # an underflowed denominator: C arithmetic gives inf or nan,
-                # which fails the acceptance test below, so bisect
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = float(f(xcur))
-        calls += 1
-    raise ConvergenceError(
-        f"Brent iteration did not converge in {maxiter} steps on the lambda-bracket "
-        f"[{a:.12g}, {b:.12g}]; last iterate {xcur:.12g}"
-    )
-
-
 def _refine(path: _RadialPath, lo: float, hi: float, i: int, maxiter: int = 100):
     """Eigenvalue i of the path's level in its count bracket, and its (a, a').
 
@@ -427,8 +351,7 @@ def _build_mode(path: _RadialPath, lo: float, hi: float, i: int, tol: float) -> 
 
 
 def solve_radial_modes(ball: ModelBall, k: int, count: int, tol: float = DEFAULT_TOL,
-                       n_t: int = DEFAULT_GRID, substeps: int = 2,
-                       max_lambda: float | None = None):
+                       n_t: int = DEFAULT_GRID, max_lambda: float | None = None):
     """First `count` eigenpairs of the level-k radial problem.
 
     An upper end with at least `count` zeros is found by doubling up to
@@ -437,15 +360,15 @@ def solve_radial_modes(ball: ModelBall, k: int, count: int, tol: float = DEFAULT
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    path = _RadialPath(ball, k, n_t=n_t, substeps=substeps)
+    path = _RadialPath(ball, k, n_t=n_t)
     return [_build_mode(path, lo, hi, i, tol)
             for i, (lo, hi) in enumerate(_isolate(path, count, max_lambda), start=1)]
 
 
 def principal_eigenpair(ball: ModelBall, tol: float = DEFAULT_TOL,
-                        n_t: int = DEFAULT_GRID, substeps: int = 2) -> RadialMode:
+                        n_t: int = DEFAULT_GRID) -> RadialMode:
     """Ground mode (k=0, i=1) with the positivity/monotonicity profile asserted."""
-    mode = solve_radial_modes(ball, 0, 1, tol=tol, n_t=n_t, substeps=substeps)[0]
+    mode = solve_radial_modes(ball, 0, 1, tol=tol, n_t=n_t)[0]
     a, ap = mode.a, mode.a_prime
     sup = np.max(np.abs(a))
     if np.any(a[:-1] <= 0.0):
@@ -460,7 +383,7 @@ def principal_eigenpair(ball: ModelBall, tol: float = DEFAULT_TOL,
 
 
 def assemble_spectrum(ball: ModelBall, lambda_cutoff: float, tol: float = DEFAULT_TOL,
-                      n_t: int = DEFAULT_GRID, substeps: int = 2) -> SpectrumTable:
+                      n_t: int = DEFAULT_GRID) -> SpectrumTable:
     """All model-space eigenvalues up to the cutoff with sphere multiplicities.
 
     The Sturm count at the cutoff gives the number of level-k eigenvalues
@@ -473,10 +396,10 @@ def assemble_spectrum(ball: ModelBall, lambda_cutoff: float, tol: float = DEFAUL
     entries = []
     k = 0
     while True:
-        path = _RadialPath(ball, k, n_t=n_t, substeps=substeps)
+        path = _RadialPath(ball, k, n_t=n_t)
         n = path.count(lambda_cutoff)
         if n == 0 and k == 0:
-            principal = principal_eigenpair(ball, tol=tol, n_t=n_t, substeps=substeps)
+            principal = principal_eigenpair(ball, tol=tol, n_t=n_t)
             raise ValueError(
                 f"cutoff {lambda_cutoff:.6g} does not exceed the principal eigenvalue "
                 f"{principal.lam:.6g}"

@@ -675,6 +675,15 @@ class TestImportBudget:
     def test_package_import_is_scipy_free(self, tmp_path):
         assert _fresh("import driftspectra\nrc = 0", tmp_path) == [0, []]
 
+    def test_brentq_alias_loads_scipy_on_lookup(self, tmp_path):
+        body = ("import driftspectra.radial as radial\n"
+                "before = sorted(k for k in sys.modules if k.split('.')[0] == 'scipy')\n"
+                "found = radial.brentq\n"
+                "import scipy.optimize\n"
+                "rc = [before, found is scipy.optimize.brentq]")
+        rc, _ = _fresh(body, tmp_path)
+        assert rc == [[], True]
+
     def test_lazy_2d_names_resolve(self, tmp_path):
         body = ("from driftspectra import DiskProblem, holland_bound\n"
                 "from driftspectra import cli\n"

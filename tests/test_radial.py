@@ -9,7 +9,7 @@ from driftspectra.errors import ConvergenceError, EigenvalueWindowError, SolverE
 from driftspectra.geometry import euclidean_ball, polynomial_drift, space_form_ball
 from driftspectra import radial
 from driftspectra.radial import (_count_brackets, _isolate, _RadialPath, _refine,
-                                 assemble_spectrum, brentq, frobenius_exponent,
+                                 assemble_spectrum, frobenius_exponent,
                                  principal_eigenpair, solve_radial_modes,
                                  sphere_eigenvalue, weighted_inner_product)
 
@@ -86,6 +86,19 @@ class TestPrincipal:
         assert mode.a_prime[-1] < 0
         assert mode.a_prime[0] == 0.0
 
+    @settings(max_examples=25)
+    @given(m=st.sampled_from([2, 3, 4]), kappa=st.floats(-1.0, 0.9), r0=st.floats(0.3, 1.0),
+           gaps=st.lists(st.floats(0.01, 0.3), min_size=1, max_size=3),
+           c1=st.floats(-1.0, 1.5), c2=st.floats(-0.5, 0.5))
+    def test_strictly_decreasing_in_radius(self, m, kappa, r0, gaps, c1, c2):
+        # domain monotonicity of the Dirichlet problem, drift included:
+        # the radii stay below 1.9 < pi / sqrt(0.9)
+        radii = r0 + np.cumsum([0.0] + gaps)
+        lams = [principal_eigenpair(space_form_ball(kappa, m, float(r),
+                                                    polynomial_drift([c1, c2]))).lam
+                for r in radii]
+        assert all(a > b for a, b in zip(lams, lams[1:]))
+
 
 class TestHigherModes:
     def test_first_angular_level(self):
@@ -137,6 +150,17 @@ class TestSturmCount:
 
         with pytest.raises(SolverError, match="cannot isolate"):
             _count_brackets(TwoAtOnce(), 1, 10.0, 2)
+
+    @settings(max_examples=25)
+    @given(m=st.sampled_from([2, 3, 4]), kappa=st.floats(-1.0, 0.9), r0=st.floats(0.5, 1.5),
+           c1=st.floats(-1.0, 1.5), c2=st.floats(-0.5, 0.5), k=st.integers(0, 5),
+           fractions=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=40))
+    def test_count_never_decreases_in_lambda(self, m, kappa, r0, c1, c2, k, fractions):
+        path = _RadialPath(space_form_ball(kappa, m, r0, polynomial_drift([c1, c2])), k,
+                           n_t=128)
+        # the grid spans the whole window lam * h^2 <= 1 that `count` accepts
+        counts = [path.count(f / path.h_max ** 2) for f in sorted(fractions)]
+        assert counts == sorted(counts)
 
     def test_unresolved_lambda_is_refused(self):
         ball = euclidean_ball(2, 1.0)
@@ -249,7 +273,7 @@ class TestIdentities:
         errs = []
         sizes = [32, 64, 128, 256]
         for n in sizes:
-            lam = principal_eigenpair(euclidean_ball(3, 1.0), n_t=n, substeps=1).lam
+            lam = principal_eigenpair(euclidean_ball(3, 1.0), n_t=n).lam
             errs.append(abs(lam - target))
         slopes = np.diff(np.log(errs)) / np.diff(np.log([1.0 / n for n in sizes]))
         assert np.mean(slopes) > 3.5
@@ -257,16 +281,15 @@ class TestIdentities:
     def test_residual_halving(self):
         # boundary defect of a deliberately off eigenvalue shrinks with the grid
         ball = euclidean_ball(3, 1.0)
-        from driftspectra.radial import _RadialPath
         vals = []
         for n in (64, 128, 256):
-            path = _RadialPath(ball, 0, n_t=n, substeps=1)
-            vals.append(abs(path.shoot(math.pi ** 2) - 0.0))
+            path = _RadialPath(ball, 0, n_t=n)
+            vals.append(abs(path.integrate(math.pi ** 2)[0]))
         assert vals[2] < vals[1] < vals[0]
 
 
 class TestBrent:
-    """The in-house Brent port against scipy.optimize.brentq."""
+    """Newton's roots against scipy.optimize.brentq on the same brackets."""
 
     @staticmethod
     def _radial_brackets(seed, balls=40, levels=(0, 1, 2), roots=3, n_t=64):
@@ -283,56 +306,15 @@ class TestBrent:
                 for i, (lo, hi) in enumerate(_isolate(path, roots), start=1):
                     yield path, i, lo, hi
 
-    def test_bit_identical_to_scipy_on_radial_brackets(self):
-        scipy_optimize = pytest.importorskip("scipy.optimize")
-        count = 0
-        for path, _, lo, hi in self._radial_brackets(seed=11):
-            f = path.shoot
-            opts = dict(xtol=1e-13 * max(1.0, hi), rtol=1e-15, maxiter=200)
-            ref, ref_info = scipy_optimize.brentq(f, lo, hi, full_output=True, **opts)
-            root, info = brentq(f, lo, hi, full_output=True, **opts)
-            assert root == ref
-            assert info.function_calls == ref_info.function_calls
-            assert info.iterations == ref_info.iterations
-            assert info.converged
-            count += 1
-        assert count == 40 * 3 * 3
-
-    def test_bit_identical_on_default_tolerances(self):
-        scipy_optimize = pytest.importorskip("scipy.optimize")
-        cases = [(lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
-                 (math.cos, 0.0, 3.0),
-                 (lambda x: math.exp(x) - 10.0, -5.0, 8.0),
-                 (lambda x: math.atan(1e3 * (x - 0.3)), -1.0, 1.0),
-                 # function values near 1e-160: the extrapolation denominator underflows
-                 (lambda x: 1e-160 * (x ** 3 - 2.0 * x - 5.0), 2.0, 3.0)]
-        for f, a, b in cases:
-            ref, ref_info = scipy_optimize.brentq(f, a, b, full_output=True)
-            root, info = brentq(f, a, b, full_output=True)
-            assert root == ref
-            assert info.function_calls == ref_info.function_calls
-
-    def test_root_at_endpoint(self):
-        f = lambda x: x * (x - 2.0)
-        for a, b in ((0.0, 1.0), (1.0, 2.0)):
-            root, info = brentq(f, a, b, full_output=True)
-            assert f(root) == 0.0 and root in (a, b)
-            assert info.function_calls == 2 and info.converged
-
-    def test_same_sign_bracket_rejected(self):
-        with pytest.raises(ValueError, match="different signs"):
-            brentq(lambda x: x * x + 1.0, -1.0, 1.0)
-
-    def test_nonconvergence_names_the_bracket(self):
-        with pytest.raises(ConvergenceError, match=r"lambda-bracket \[2, 3\]"):
-            brentq(lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0, maxiter=2)
-
     def test_newton_root_agrees_with_brentq(self):
+        from scipy.optimize import brentq
+
         # the reference root of the same bracket, to Brent's own tolerance
         count = 0
         for path, i, lo, hi in self._radial_brackets(seed=11):
             xtol = 1e-13 * max(1.0, hi)
-            ref = brentq(path.shoot, lo, hi, xtol=xtol, rtol=1e-15, maxiter=200)
+            ref = brentq(lambda lam: path.integrate(lam)[0], lo, hi, xtol=xtol, rtol=1e-15,
+                         maxiter=200)
             assert abs(_refine(path, lo, hi, i)[0] - ref) <= xtol
             count += 1
         assert count == 40 * 3 * 3
@@ -384,6 +366,21 @@ class TestMetricScaling:
                                  polynomial_drift([c1 / c ** 2, c2 / c ** 3]))
         assert principal_eigenpair(scaled).lam * c ** 2 == pytest.approx(lam, rel=1e-12, abs=0)
 
+    @settings(max_examples=12)
+    @given(m=st.sampled_from([2, 3, 4]), kappa=st.floats(-1.0, 0.9), r0=st.floats(0.5, 1.5),
+           c1=st.floats(0.0, 1.5), c2=st.floats(-0.5, 0.5), c=st.floats(0.1, 10.0))
+    def test_spectrum(self, m, kappa, r0, c1, c2, c):
+        ball = space_form_ball(kappa, m, r0, polynomial_drift([c1, c2]))
+        cutoff = 3.0 * principal_eigenpair(ball).lam
+        scaled = space_form_ball(kappa / c ** 2, m, c * r0,
+                                 polynomial_drift([c1 / c ** 2, c2 / c ** 3]))
+        table = assemble_spectrum(ball, cutoff).entries
+        table_scaled = assemble_spectrum(scaled, cutoff / c ** 2).entries
+        assert [(e.k, e.i, e.multiplicity) for e in table_scaled] == \
+            [(e.k, e.i, e.multiplicity) for e in table]
+        assert [e.lam * c ** 2 for e in table_scaled] == \
+            pytest.approx([e.lam for e in table], rel=1e-12, abs=0)
+
     def test_flat_disk_across_radii(self):
         # the Newton stop is relative to lambda, and the path coefficients
         # are quotients that stay in the double range, so lam r0^2 keeps its
@@ -401,17 +398,16 @@ class TestPathGrid:
     @settings(max_examples=80)
     @given(m=st.sampled_from([2, 3, 4]), kappa=st.floats(-1.0, 0.9),
            log_r0=st.floats(-3.0, 3.0), k=st.integers(0, 5) | st.integers(0, 600),
-           n_t=st.integers(4, 4096), substeps=st.sampled_from([1, 2, 3]),
-           c1=st.floats(-1.0, 1.0), c2=st.floats(-1.0, 1.0))
-    def test_matches_the_scalar_loop(self, m, kappa, log_r0, k, n_t, substeps, c1, c2):
+           n_t=st.integers(4, 4096), c1=st.floats(-1.0, 1.0), c2=st.floats(-1.0, 1.0))
+    def test_matches_the_scalar_loop(self, m, kappa, log_r0, k, n_t, c1, c2):
         r0 = 10.0 ** log_r0
         if kappa > 0.0:
             r0 = min(r0, 0.95 * math.pi / math.sqrt(kappa))
         ball = space_form_ball(kappa, m, r0, polynomial_drift([c1 / r0, c2 / r0 ** 2]))
         # sinh overflows on the largest hyperbolic balls, in both constructions alike
         with np.errstate(over="ignore", invalid="ignore"):
-            path = _RadialPath(ball, k, n_t=n_t, substeps=substeps)
-            ts, node_steps = step_grid(r0, n_t, substeps, path.alpha, m)
+            path = _RadialPath(ball, k, n_t=n_t)
+            ts, node_steps = step_grid(r0, n_t, radial.SUBSTEPS, path.alpha, m)
             P, Q = stage_coefficients(ball, path.alpha, path.nu, ts)
         steps = np.diff(ts)
         assert np.array_equal(path.steps, steps)
