@@ -6,6 +6,8 @@ eigenvalue, and the Ricci one, where div V - |V|^2/2 reverses the inequality.
 Premises are sampled pointwise (analytic closures, never grid differences of
 samples), both sides are solved, and the verdict holds premises_hold, the
 inequality's margin and an equality-case flag.  Premise failure is not raised.
+Ball sides come from `radial.principal_eigenpair`, whose memo solves each
+ball object once per process, however many cases or corpora name it.
 """
 
 from __future__ import annotations
@@ -128,17 +130,9 @@ def _sample(side, ts, thetas) -> _Samples:
     return _Samples(K, h, extra, J, J1, bool(np.any(vtheta != 0.0)))
 
 
-def _principal(ball: ModelBall, solved: dict | None):
-    """Ground mode of a model ball, solved once per ball in `solved`."""
-    solved = {} if solved is None else solved
-    if ball not in solved:
-        solved[ball] = radial_mod.principal_eigenpair(ball)
-    return solved[ball]
-
-
-def _subject_lambda(case: ComparisonCase, solved: dict | None):
+def _subject_lambda(case: ComparisonCase):
     if isinstance(case.subject, ModelBall):
-        mode = _principal(case.subject, solved)
+        mode = radial_mod.principal_eigenpair(case.subject)
         return mode.lam, 1e-9, mode
     from .disk import DEFAULT_NT, DEFAULT_NTHETA, solve_principal
 
@@ -177,7 +171,7 @@ _STATEMENTS = {
 }
 
 
-def run_case(case: ComparisonCase, solved: dict | None = None) -> ComparisonVerdict:
+def run_case(case: ComparisonCase) -> ComparisonVerdict:
     """Verdict of the comparison statement `case.mode` (a key of _STATEMENTS).
 
     The premises are sampled pointwise and the volume-ratio monotonicity they
@@ -200,12 +194,12 @@ def run_case(case: ComparisonCase, solved: dict | None = None) -> ComparisonVerd
         notes.append(f"volume-ratio monotonicity violated despite {statement.word} premise")
         premises = False
 
-    mode_m = _principal(case.model, solved)
+    mode_m = radial_mod.principal_eigenpair(case.model)
     lam_m = mode_m.lam
     if not premises:
         return ComparisonVerdict(case.label, case.mode, False, margins,
                                  math.nan, lam_m, math.nan, False, False, notes)
-    lam_s, allowance, sol_s = _subject_lambda(case, solved)
+    lam_s, allowance, sol_s = _subject_lambda(case)
     tol = 1e-9 + allowance
     margin = lam_s - lam_m if statement.subject_larger else lam_m - lam_s
     conclusion = margin >= -tol
@@ -509,7 +503,8 @@ def builtin_corpus() -> list:
 
 
 def run_corpus(cases=None) -> list:
-    """Verdicts of the cases; each distinct ball is solved once."""
+    """Verdicts of the cases.  Each distinct ball object is solved once, by
+    the ground-mode memo of `radial.principal_eigenpair`, which also serves
+    later calls on the same balls."""
     cases = builtin_corpus() if cases is None else cases
-    solved = {}
-    return [run_case(c, solved=solved) for c in cases]
+    return [run_case(c) for c in cases]

@@ -23,6 +23,7 @@ shrinks the bracket.  The same sweep integrates the Riccati flow of
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,9 +65,9 @@ def frobenius_exponent(nu: float, m: int) -> float:
     return 0.5 * (-(m - 2) + math.sqrt((m - 2) ** 2 + 4.0 * nu))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class RadialMode:
-    """One eigenpair of the separated radial problem, L2_p-normalized."""
+    """One eigenpair of the separated radial problem, L2_p-normalized; read-only."""
 
     nu: float
     k: int
@@ -339,7 +340,8 @@ def _build_mode(path: _RadialPath, lo: float, hi: float, i: int, tol: float) -> 
     norm = math.sqrt(composite_simpson(path.p_nodes * a * a, path.dt))
     if norm <= 0.0:
         raise SolverError(f"degenerate eigenfunction norm for i={i} of level k={path.k}")
-    a, ap = a / norm, ap / norm
+    a, ap, t = a / norm, ap / norm, path.nodes.copy()
+    a.flags.writeable = ap.flags.writeable = t.flags.writeable = False  # modes are shared
     resid = abs(a[-1]) / np.max(np.abs(a))
     if resid > tol:
         raise ConvergenceError(
@@ -347,7 +349,7 @@ def _build_mode(path: _RadialPath, lo: float, hi: float, i: int, tol: float) -> 
             f"(i={i} of level k={path.k}, n_t={path.n_t})"
         )
     return RadialMode(nu=path.nu, k=path.k, i=i, lam=float(lam),
-                      t=path.nodes.copy(), a=a, a_prime=ap)
+                      t=t, a=a, a_prime=ap)
 
 
 def solve_radial_modes(ball: ModelBall, k: int, count: int, tol: float = DEFAULT_TOL,
@@ -365,9 +367,20 @@ def solve_radial_modes(ball: ModelBall, k: int, count: int, tol: float = DEFAULT
             for i, (lo, hi) in enumerate(_isolate(path, count, max_lambda), start=1)]
 
 
+_PRINCIPAL = weakref.WeakKeyDictionary()  # ball -> {(tol, n_t): its ground mode}
+
+
 def principal_eigenpair(ball: ModelBall, tol: float = DEFAULT_TOL,
                         n_t: int = DEFAULT_GRID) -> RadialMode:
-    """Ground mode (k=0, i=1) with the positivity/monotonicity profile asserted."""
+    """Ground mode (k=0, i=1) with the positivity/monotonicity profile asserted.
+
+    Memoized by ball identity, tol and n_t for the ball's lifetime (a mode
+    holds no reference to its ball): later calls share the read-only mode.
+    A failed solve stores nothing.
+    """
+    mode = _PRINCIPAL.get(ball, {}).get((tol, n_t))
+    if mode is not None:
+        return mode
     mode = solve_radial_modes(ball, 0, 1, tol=tol, n_t=n_t)[0]
     a, ap = mode.a, mode.a_prime
     sup = np.max(np.abs(a))
@@ -379,6 +392,7 @@ def principal_eigenpair(ball: ModelBall, tol: float = DEFAULT_TOL,
         raise SolverError("principal eigenfunction has nonnegative slope at r0")
     if abs(ap[0]) > 1e-10 * sup / ball.r0:
         raise SolverError("principal eigenfunction has nonzero slope at 0")
+    _PRINCIPAL.setdefault(ball, {})[tol, n_t] = mode
     return mode
 
 

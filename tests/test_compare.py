@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from driftspectra.compare import (AnalyticDisk, ComparisonCase, builtin_corpus,
                                   derivative_lambda_eps, eigenvalue_sandwich,
@@ -167,6 +168,38 @@ class TestRicciComparison:
         assert v.premise_margins["ricci"] >= -1e-9
 
 
+class TestStatementsProperty:
+    """The paper's two comparisons on ball pairs that meet their premises by
+    construction, as in the benchmark's ball family: curvature and drift
+    coefficients never fall from subject to model for the sectional
+    statement; the Ricci pairs have zero drift and the subject the larger
+    curvature.  Moving the subject's curvature a fixed margin past the
+    model's voids the premises, and the verdict says so instead of failing."""
+
+    MARGIN = 0.1
+
+    @settings(max_examples=60)
+    @given(mode=st.sampled_from(["sectional", "ricci"]), m=st.sampled_from([2, 3, 4]),
+           r0=st.floats(0.5, 1.5), kappas=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+           c=st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 0.8)),
+           e=st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.3)))
+    def test_premises_by_construction_verify(self, mode, m, r0, kappas, c, e):
+        lo, hi = sorted(kappas)
+        if mode == "sectional":
+            subject = space_form_ball(lo, m, r0, polynomial_drift(list(c)))
+            model = space_form_ball(hi, m, r0, polynomial_drift([c[0] + e[0], c[1] + e[1]]))
+            k_bad = hi + self.MARGIN
+        else:
+            subject, model = space_form_ball(hi, m, r0), space_form_ball(lo, m, r0)
+            k_bad = lo - self.MARGIN
+        v = run_case(ComparisonCase(subject, model, mode, "by construction"))
+        assert v.premises_hold and v.conclusion_holds, v
+        bad = space_form_ball(k_bad, m, r0, subject.drift)
+        v = run_case(ComparisonCase(bad, model, mode, "premise violated"))
+        assert not v.premises_hold and not v.conclusion_holds
+        assert math.isnan(v.lambda_subject) and math.isnan(v.margin)
+
+
 class TestDivergenceComparison:
     def test_rotation_field_equality(self):
         p = build_model_disk(FLAT, drift_angular=lambda t, th: 0.5 * np.ones_like(t),
@@ -310,17 +343,23 @@ class TestCorpus:
         assert len(builtin_corpus()) == 12
 
     def test_each_ball_solved_once(self, monkeypatch):
-        from driftspectra import radial
+        # counts real solves, the ground-mode paths built, not calls to a wrapper
+        from driftspectra.radial import _RadialPath
         cases = builtin_corpus()
         balls = {id(b) for c in cases for b in (c.subject, c.model)}
         assert len(balls) == 11
-        solved = []
-        solve = radial.principal_eigenpair
-        monkeypatch.setattr(radial, "principal_eigenpair",
-                            lambda ball, **kw: solved.append(id(ball)) or solve(ball, **kw))
+        built = []
+        init = _RadialPath.__init__
+
+        def counting(self, ball, k, *args, **kwargs):
+            if k == 0:
+                built.append(id(ball))
+            init(self, ball, k, *args, **kwargs)
+
+        monkeypatch.setattr(_RadialPath, "__init__", counting)
         verdicts = run_corpus(cases)
-        assert sorted(solved) == sorted(balls)
+        assert sorted(built) == sorted(balls)
         assert all(v.premises_hold and v.conclusion_holds for v in verdicts)
-        # a second call solves again: nothing is kept between calls
+        # the memo outlives the call: the same ball objects are not solved again
         run_corpus(cases[:1])
-        assert len(solved) == 13
+        assert len(built) == 11

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from driftspectra.expressions import ExpressionError, Node, parse_expression
 
@@ -56,6 +57,46 @@ class TestDifferentiation:
     def test_depends_on(self):
         assert parse_expression("cos(theta)+t").depends_on("theta")
         assert not parse_expression("sinh(t)^2").depends_on("theta")
+
+
+# random trees of the grammar, as text; denominators are c + e^2 with c > 0
+# so that no pole spoils the difference quotient
+_LEAVES = st.sampled_from(["t", "theta", "pi"]) | st.floats(0.1, 2.0).map("{:.3f}".format)
+
+
+def _compound(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*"), inner).map(lambda x: f"({x[0]}{x[1]}{x[2]})"),
+        st.tuples(inner, st.floats(0.5, 2.0), inner).map(
+            lambda x: f"({x[0]})/({x[1]:.3f}+({x[2]})^2)"),
+        st.tuples(st.sampled_from(["sin", "cos", "sinh", "cosh", "exp"]), inner).map(
+            lambda x: f"{x[0]}({x[1]})"),
+        st.tuples(inner, st.sampled_from(["2", "3", "0.5"])).map(lambda x: f"({x[0]})^{x[1]}"),
+        inner.map(lambda x: f"-({x})"))
+
+
+class TestDifferentiationProperty:
+    @settings(max_examples=300)
+    @given(text=st.recursive(_LEAVES, _compound, max_leaves=8),
+           var=st.sampled_from(["t", "theta"]), t=st.floats(0.1, 1.5), theta=st.floats(0.0, 6.3))
+    def test_diff_agrees_with_central_difference(self, text, var, t, theta):
+        try:
+            e = parse_expression(text)
+        except ExpressionError as exc:  # a folded constant such as (-pi)^0.5
+            assume("is not real" not in str(exc))
+            raise
+        h = 1e-3
+
+        def f(s):
+            return float(e(*((t + s, theta) if var == "t" else (t, theta + s))))
+
+        with np.errstate(all="ignore"):
+            vals = [f(k * h) for k in (-2, -1, 1, 2)]
+            d = float(e.diff(var)(t, theta))
+        # ^0.5 of a negative base and overflowing exp/sinh/cosh towers leave the domain
+        assume(all(math.isfinite(v) and abs(v) < 1e6 for v in vals) and math.isfinite(d))
+        fd = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
+        assert d == pytest.approx(fd, rel=1e-6, abs=1e-9 * max(1.0, *map(abs, vals))), text
 
 
 T = Node("t")

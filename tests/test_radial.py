@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import math
 import re
 
@@ -98,6 +100,58 @@ class TestPrincipal:
                                                     polynomial_drift([c1, c2]))).lam
                 for r in radii]
         assert all(a > b for a, b in zip(lams, lams[1:]))
+
+
+class TestMemo:
+    """`principal_eigenpair` solves a (ball, tol, n_t) once while the ball lives."""
+
+    def test_repeat_call_returns_the_same_mode_without_sweeping(self, sweeps):
+        ball = euclidean_ball(2, 1.0)
+        mode = principal_eigenpair(ball)
+        assert sweeps
+        del sweeps[:]
+        assert principal_eigenpair(ball) is mode
+        assert principal_eigenpair(ball, tol=radial.DEFAULT_TOL, n_t=radial.DEFAULT_GRID) is mode
+        assert sweeps == []
+
+    @pytest.mark.parametrize("kw", [{"tol": 1e-7}, {"n_t": 256}])
+    def test_other_tol_or_grid_solves_afresh(self, kw, sweeps):
+        ball = euclidean_ball(2, 1.0)
+        mode = principal_eigenpair(ball)
+        del sweeps[:]
+        other = principal_eigenpair(ball, **kw)
+        assert other is not mode and sweeps
+        assert set(radial._PRINCIPAL[ball].values()) == {mode, other}
+
+    def test_failed_solve_stores_nothing(self, sweeps):
+        # the boundary residual's roundoff floor is ~2e-16, so this tol always fails
+        ball = euclidean_ball(2, 1.0)
+        for _ in range(2):
+            del sweeps[:]
+            with pytest.raises(ConvergenceError, match="boundary residual"):
+                principal_eigenpair(ball, tol=1e-300)
+            assert sweeps
+            assert ball not in radial._PRINCIPAL
+
+    def test_entry_dies_with_its_ball(self):
+        gc.collect()
+        before = len(radial._PRINCIPAL)
+        ball = euclidean_ball(2, 1.0)
+        mode = principal_eigenpair(ball)
+        assert len(radial._PRINCIPAL) == before + 1
+        del ball
+        gc.collect()
+        # the mode outlives the entry: it holds no reference to its ball
+        assert len(radial._PRINCIPAL) == before
+        assert mode.lam == pytest.approx(bessel_zero(0, 1) ** 2, abs=1e-9)
+
+    def test_mode_is_read_only(self):
+        mode = principal_eigenpair(euclidean_ball(2, 1.0))
+        for arr in (mode.t, mode.a, mode.a_prime):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mode.lam = 0.0
 
 
 class TestHigherModes:
@@ -440,8 +494,9 @@ class TestNewton:
                                       space_form_ball(-1.0, 4, 1.0)],
                              ids=["flat-m2", "flat-m3", "sphere-m2", "hyp-m4"])
     def test_sweep_budget(self, ball, sweeps):
+        # the parameter balls live as long as the session: a memo hit sweeps nothing
         principal_eigenpair(ball)
-        assert len(sweeps) <= 10
+        assert 0 < len(sweeps) <= 10
 
     def test_large_hyperbolic_level_222(self, sweeps):
         # b(r0) is ~1e-138 there and its sign is noise within ~1e-12 of each
