@@ -21,7 +21,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .disk import (SUPERLU_OPTIONS, DiskProblem, advection_matrix, assemble_operator,
-                   drift_faces, drift_load, stiffness_faces, volumes, wall_first,
+                   drift_faces, drift_load, in_grid_order, stiffness_faces, volumes,
                    weighted_stiffness)
 from .errors import ConvergenceError, IrreducibilityError, SolverError
 from .geometry import ModelBall, weight_p
@@ -36,15 +36,14 @@ CONE_RATIO_LIMIT = 1e6
 class BartaBracket:
     """Two-sided pointwise bound; the true discrete eigenvalue lies inside.
 
-    Where ratios tie up to roundoff, roundoff picks the reported cells: on
-    the README `bounds` disk the ratio spreads by 1.1e-8 (relative) inside
-    ring 0, against 4.2e-9 between the minima of the two lowest rings.
+    The cells where the extrema fall are not reported: ratios tie up to
+    roundoff, so roundoff would pick them (on the README `bounds` disk the
+    ratio spreads by 1.1e-8, relative, inside ring 0, against 4.2e-9
+    between the minima of the two lowest rings).
     """
 
     lower: float
     upper: float
-    argmin_point: tuple
-    argmax_point: tuple
     excluded_rings: int
 
 
@@ -73,12 +72,7 @@ def barta_bracket(op_eval, u) -> BartaBracket:
         raise ValueError("Barta trials must be strictly positive on the interior")
     ratio = np.asarray(op_eval(u), dtype=float) / u
     core = ratio[:-1, :]
-    imin = np.unravel_index(np.argmin(core), core.shape)
-    imax = np.unravel_index(np.argmax(core), core.shape)
-    return BartaBracket(lower=float(core[imin]), upper=float(core[imax]),
-                        argmin_point=tuple(int(x) for x in imin),
-                        argmax_point=tuple(int(x) for x in imax),
-                        excluded_rings=1)
+    return BartaBracket(lower=float(np.min(core)), upper=float(np.max(core)), excluded_rings=1)
 
 
 # -- weighted Rayleigh quotient --------------------------------------------
@@ -135,12 +129,16 @@ def rayleigh_minimize(target, f, n_t: int = 512):
 
     Returns (lambda_f, minimizer samples).  The minimizer is normalized to
     max 1; for a ball the samples live on the uniform node grid including
-    both endpoints.  K is factored by the recipe of the `disk` module.
+    both endpoints.  A disk's K is factored by the recipe of the `disk`
+    module; a ball's tridiagonal K keeps its natural order, which has no
+    fill.
     """
     ball = isinstance(target, ModelBall)
     K, mass = _forms(target, f, n_t)
-    order, K = wall_first(K)
-    mass = mass[order]
+    order = np.arange(K.shape[0])
+    if not ball:
+        order, K = in_grid_order(K, target.J.shape)
+        mass = mass[order]
     # inverse iteration for K v = lambda M v with the lumped (diagonal) mass
     lu = splu(K, **SUPERLU_OPTIONS)
     v = np.ones(K.shape[0])
@@ -180,7 +178,7 @@ def _gauge_vector(problem: DiskProblem) -> np.ndarray:
     return gauge / gauge.sum()
 
 
-def _pinned_solve(A: sp.spmatrix, weight: np.ndarray, rhs: np.ndarray,
+def _pinned_solve(A: sp.spmatrix, shape, weight: np.ndarray, rhs: np.ndarray,
                   pinned: float) -> np.ndarray:
     """Solution of A x = rhs with x_k = `pinned` at the cell k = argmax(weight).
 
@@ -189,12 +187,13 @@ def _pinned_solve(A: sp.spmatrix, weight: np.ndarray, rhs: np.ndarray,
     same flux), so for a right-hand side with 1^T rhs = 0 any one equation
     is the negative sum of the others.  Row and column k are dropped,
     column k moves to the right-hand side, and the (n-1) x (n-1) matrix is
-    factored by the recipe of the `disk` module.
+    factored by the recipe of the `disk` module, in the order of the grid
+    of `shape` with cell k deleted.
     """
     n = A.shape[0]
     k = int(np.argmax(weight))
     A = sp.csc_matrix(A)
-    order, M = wall_first(A, drop=k)
+    order, M = in_grid_order(A, shape, drop=k)
     b = rhs[order] - pinned * A[:, k].toarray().ravel()[order]
     try:
         lu = splu(M, **SUPERLU_OPTIONS)
@@ -220,7 +219,7 @@ def solve_w_u(problem: DiskProblem, u, tol: float = 1e-8):
     W = (u * u).reshape(problem.J.shape)
     K = weighted_stiffness(problem, W, dirichlet=False)
     b = drift_load(problem, W)
-    w = _pinned_solve(2.0 * K, W.ravel(), b, 0.0)
+    w = _pinned_solve(2.0 * K, problem.J.shape, W.ravel(), b, 0.0)
     w -= _gauge_vector(problem) @ w
     scale = max(float(np.max(np.abs(b))), 1e-300)
     residual = float(np.max(np.abs(2.0 * K @ w - b))) / scale
@@ -260,7 +259,7 @@ def solve_G_V(problem: DiskProblem, omega):
     W = (omega * omega).reshape(problem.J.shape)
     A = weighted_stiffness(problem, W, dirichlet=False) + advection_matrix(problem, W)
     vol = volumes(problem)
-    G = _pinned_solve(A, W.ravel(), np.zeros(problem.grid.size), 1.0)
+    G = _pinned_solve(A, problem.J.shape, W.ravel(), np.zeros(problem.grid.size), 1.0)
     G /= (vol / vol.sum()) @ G
     scale = float(np.max(np.abs(A.data))) * float(np.max(np.abs(G)))
     residual = float(np.max(np.abs(A @ G))) / max(scale, 1e-300)
@@ -311,11 +310,7 @@ def holland_bound(problem: DiskProblem, u, tol: float = 1e-8,
     if np.all(problem.Vtheta == 0.0):
         q_min = float(-(0.25 * (un ** 2) * problem.Vt ** 2 * problem.J).sum()
                       * problem.grid.dt * problem.grid.dtheta)
-        radii = problem.grid.radii()
-        w = 0.5 * np.column_stack([
-            cumulative_trapezoid_from_origin(problem.Vt[:, l], radii)
-            for l in range(problem.grid.n_theta)
-        ])
+        w = 0.5 * cumulative_trapezoid_from_origin(problem.Vt, problem.grid.radii())
         return HollandReport(L_value=L_val, Q_min=q_min, bound=L_val - q_min,
                              w_u=w, fast_path=True)
     w, _ = solve_w_u(problem, un, tol=tol)

@@ -279,8 +279,6 @@ def _cmd_bounds(cfg: RunConfig, args) -> tuple:
             {"csv": (("lambda", "barta_lower", "barta_upper", "bound"), [values]),
              "json": {"lambda": pair.lam,
                       "barta": {"lower": bracket.lower, "upper": bracket.upper,
-                                "argmin_point": list(bracket.argmin_point),
-                                "argmax_point": list(bracket.argmax_point),
                                 "excluded_boundary_rings": bracket.excluded_rings},
                       "min_max_integral": {"L": report.L_value, "Q_min": report.Q_min,
                                            "bound": report.bound,

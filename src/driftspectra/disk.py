@@ -9,23 +9,25 @@ the ghost behind the first ring is the antipodal cell (t0, theta+pi).
 
 Every five-point system of the 2-D layer is factored by one recipe: the
 eigen solves here, and in `bounds` the pinned `w_u`/`G` solves and the
-weighted Rayleigh stiffness.  The cells are numbered from the wall inward
-(`wall_first`), and SuperLU runs with `SUPERLU_OPTIONS`:
-* minimum degree on the pattern of A^T + A (`MMD_AT_PLUS_A`), which suits
-  the nearly symmetric pattern better than the default COLAMD.  Minimum
-  degree breaks ties by the numbering, and the wall-first numbering
-  leaves less fill than the ring-major one;
-* no relaxed supernodes and one-column panels (`relax`, `panel_size`).
-  SuperLU's defaults are sized for large dense supernodes; on five-point
-  grids they store relaxed zeros and factor slower.
-On a swirled kappa = 0.3 disk the L+U nonzeros of the eigen factor are
-286,551 ring-major with SuperLU's defaults, 232,158 wall-first and 217,214
-with the recipe at 96 x 64, and 1.60M against 1.10M at 192 x 128, where
-the factor time falls from about 160 to 80 ms on a 2-CPU Xeon (Demmel,
-Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix Anal. Appl. 20, 1999;
-X. S. Li, ACM TOMS 31, 2005).  The recipe moves results only by roundoff:
-eigenvalues keep 12 digits, and the Barta bracket ends, which divide by
-the eigenvector, move by about 1e-9 relative.
+weighted Rayleigh stiffness.  Its elimination order depends only on the
+grid, so `grid_order` computes it once per grid and process: SuperLU's
+minimum degree (`MMD_AT_PLUS_A`) on the grid's full stencil, five-point,
+periodic in theta and with the antipodal couplings of ring 0, numbered
+from the wall inward, which breaks its ties with less fill than the
+ring-major numbering.  It costs 2.6, 8.2, 18 and 32 ms at 48 x 32,
+96 x 64, 144 x 96 and 192 x 128.  Each system is permuted into that order
+and factored with `SUPERLU_OPTIONS`: natural column order, no relaxed
+supernodes and one-column panels (SuperLU's defaults store relaxed zeros
+on five-point grids and factor slower).  A disk without radial drift has
+no antipodal couplings, and minimum degree on its own pattern leaves more
+fill: the grid's order cuts the L+U nonzeros from 270,428 to 214,160 at
+96 x 64 and from 1.52M to 1.09M at 192 x 128, and the factor time from
+about 105 to 61 ms on a 2-CPU Xeon; a swirled kappa = 0.3 disk keeps its
+217,214 at 96 x 64, against 286,551 ring-major with SuperLU's defaults
+(Demmel, Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix Anal. Appl. 20,
+1999; X. S. Li, ACM TOMS 31, 2005).  The recipe moves results only by
+roundoff: eigenvalues keep 12 digits, and the Barta bracket ends, which
+divide by the eigenvector, move by about 1e-9 relative.
 
 The principal pair of the nonsymmetric operator is computed by shifted
 inverse power iteration on one sparse LU factorization per operator.
@@ -40,10 +42,11 @@ size of the disk.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import spilu, splu
 
 from .errors import ConvergenceError, NonPrincipalModeError, SolverError
 from .geometry import ModelBall
@@ -51,7 +54,7 @@ from .geometry import ModelBall
 DEFAULT_NT = 192
 DEFAULT_NTHETA = 128
 DEFAULT_TOL = 1e-6
-SUPERLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, "panel_size": 1}
+SUPERLU_OPTIONS = {"permc_spec": "NATURAL", "relax": 1, "panel_size": 1}
 
 
 @dataclass(frozen=True)
@@ -301,13 +304,53 @@ def assemble_operator(p: DiskProblem) -> sp.csr_matrix:
     return A.tocsr()
 
 
-def wall_first(mat: sp.spmatrix, drop: int | None = None):
-    """(order, P mat P^T in CSC) with the cells numbered from the wall inward.
+def min_degree_order(pattern: sp.spmatrix) -> np.ndarray:
+    """Original indices, in elimination order, of a square pattern.
 
-    order[i] is the ring-major index of the i-th wall-first cell; cell
-    `drop`, if given, is left out of both.
+    SuperLU's `MMD_AT_PLUS_A` runs on the pattern numbered from the last
+    index back (from the wall inward on a disk grid).  Only the ordering is
+    wanted, so it comes from a no-fill incomplete factor of a diagonally
+    dominant matrix on the pattern: its column order is the one `splu`
+    would use.
     """
-    order = np.arange(mat.shape[0] - 1, -1, -1)
+    n = pattern.shape[0]
+    P = sp.coo_matrix(pattern)
+    rows = np.concatenate([n - 1 - P.row, np.arange(n)])
+    cols = np.concatenate([n - 1 - P.col, np.arange(n)])
+    vals = np.concatenate([np.full(P.nnz, -1.0), np.full(n, P.nnz + 1.0)])
+    ilu = spilu(sp.csc_matrix((vals, (rows, cols)), shape=(n, n)), drop_tol=np.inf,
+                fill_factor=1, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
+    return n - 1 - np.argsort(ilu.perm_c)
+
+
+@lru_cache(maxsize=8)
+def grid_order(n_t: int, n_theta: int) -> np.ndarray:
+    """Ring-major indices, in elimination order, of the grid's full stencil.
+
+    The stencil couples each cell with its radial and (periodic) angular
+    neighbours and each first-ring cell with its antipodal cell, so it
+    holds the pattern of every operator assembled on the grid.  Cached
+    per grid; the array is read-only.
+    """
+    idx = np.arange(n_t * n_theta).reshape(n_t, n_theta)
+    a = np.concatenate([idx[:-1, :].ravel(), idx.ravel(), idx[0, :]])
+    b = np.concatenate([idx[1:, :].ravel(), np.roll(idx, -1, axis=1).ravel(),
+                        np.roll(idx[0, :], n_theta // 2)])
+    pattern = sp.coo_matrix((np.ones(2 * a.size), (np.concatenate([a, b]),
+                                                   np.concatenate([b, a]))), shape=(idx.size,) * 2)
+    order = min_degree_order(pattern)
+    order.setflags(write=False)
+    return order
+
+
+def in_grid_order(mat: sp.spmatrix, shape, drop: int | None = None):
+    """(order, P mat P^T in CSC) for the module's factorization recipe.
+
+    order[i] is the ring-major index of the i-th cell to eliminate: the
+    `grid_order` of `shape`, or without a shape the order of mat's own
+    pattern.  Cell `drop`, if given, is left out of both.
+    """
+    order = min_degree_order(mat) if shape is None else grid_order(*shape)
     if drop is not None:
         order = order[order != drop]
     return order, sp.csc_matrix(mat)[:, order][order, :].tocsc()
@@ -336,15 +379,16 @@ def principal_eigenpair_2d(op: sp.spmatrix, shift_guess: float = 0.0,
     """Positive ground pair, with its left vector, by shifted inverse iteration.
 
     Right and left vectors are advanced with the same LU factorization of
-    A - shift I (transposed solves for the left one), both in the wall-first
-    numbering of the module's factorization recipe; the pair is returned in
-    the ring-major one.  The reported eigenvalue is the two-sided quotient
-    y^T A x / y^T x, accurate to O(residual^2).  Both residuals are relative,
-    max|A x - lam x| / |lam| with max|x| = 1 and likewise for y against A^T,
-    and the iteration stops when both are below `tol`.
+    A - shift I (transposed solves for the left one), both in the
+    elimination order of the module's factorization recipe (`in_grid_order`);
+    the pair is returned in the ring-major numbering.  The reported
+    eigenvalue is the two-sided quotient y^T A x / y^T x, accurate to
+    O(residual^2).  Both residuals are relative, max|A x - lam x| / |lam|
+    with max|x| = 1 and likewise for y against A^T, and the iteration stops
+    when both are below `tol`.
     """
     n = op.shape[0]
-    order, op = wall_first(op)
+    order, op = in_grid_order(op, shape)
     mat = op if shift_guess == 0.0 else op - shift_guess * sp.identity(n, format="csc")
     try:
         lu = splu(mat, **SUPERLU_OPTIONS)

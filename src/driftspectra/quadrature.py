@@ -39,12 +39,14 @@ def cumulative_trapezoid_from_origin(values: np.ndarray, grid: np.ndarray) -> np
 
     `grid` holds strictly positive abscissae; the integrand is taken to vanish
     at t=0, which is the case for every radial drift component used here.
+    The integral runs along axis 0, so each column of 2-D samples is
+    integrated on its own, in the same order as a 1-D call on it.
     """
     values = np.asarray(values, dtype=float)
     grid = np.asarray(grid, dtype=float)
     out = np.empty_like(values)
     out[0] = 0.5 * grid[0] * values[0]
     if values.shape[0] > 1:
-        steps = np.diff(grid)
-        out[1:] = out[0] + np.cumsum(0.5 * steps * (values[1:] + values[:-1]))
+        steps = np.diff(grid).reshape((-1,) + (1,) * (values.ndim - 1))
+        out[1:] = out[0] + np.cumsum(0.5 * steps * (values[1:] + values[:-1]), axis=0)
     return out

@@ -195,3 +195,26 @@ def stage_coefficients(ball, alpha: float, nu: float, ts):
         P.append((2.0 * alpha + ball.m - 1.0) / x + x * c1r_over_t - h)
         Q.append(alpha * (c1r_over_t - h / x) + nu * S)
     return np.array(P), np.array(Q)
+
+
+def ring_averaged_lambda(A, n_t: int, n_theta: int) -> float:
+    """Exact discrete principal eigenvalue of a rotation-invariant disk operator.
+
+    When J and Vt do not depend on theta and Vtheta is constant on each
+    ring, the ring-major operator A maps theta-constant vectors to
+    theta-constant vectors: the antipodal ghost of the first ring lies in
+    the same ring, and a centred angular difference of a constant is 0.
+    So the principal (positive) eigenvector is theta-constant, and its
+    eigenvalue is the lowest of the n_t x n_t ring-averaged matrix
+    R = P^T A P / n_theta, P the ring indicator.  R is tridiagonal with
+    off-diagonal pairs of one sign, so the diagonal similarity that
+    replaces each pair by its geometric mean makes it symmetric, and
+    `numpy.linalg.eigvalsh` gives its lowest eigenvalue.
+    """
+    P = np.kron(np.eye(n_t), np.ones((n_theta, 1)))
+    R = P.T @ (A @ P) / n_theta
+    coupling = np.diag(R, 1) * np.diag(R, -1)
+    if np.any(np.triu(R, 2)) or np.any(np.tril(R, -2)) or np.any(coupling <= 0.0):
+        raise ValueError("ring-averaged operator is not a symmetrizable tridiagonal matrix")
+    off = np.sqrt(coupling)
+    return float(np.linalg.eigvalsh(np.diag(np.diag(R)) + np.diag(off, 1) + np.diag(off, -1))[0])

@@ -9,11 +9,12 @@ from driftspectra import bounds, disk
 from driftspectra.bounds import (barta_bracket, holland_bound, q_functional,
                                  rayleigh_minimize, rayleigh_quotient, solve_G_V,
                                  solve_w_u)
-from driftspectra.disk import (SUPERLU_OPTIONS, advection_matrix, build_model_disk,
-                               drift_load, operator_action, solve_principal, volumes,
-                               weighted_stiffness)
+from driftspectra.disk import (SUPERLU_OPTIONS, advection_matrix, assemble_operator,
+                               build_model_disk, drift_load, grid_order, operator_action,
+                               solve_principal, volumes, weighted_stiffness)
 from driftspectra.errors import IrreducibilityError, SolverError
 from driftspectra.geometry import euclidean_ball, polynomial_drift, space_form_ball
+from driftspectra.quadrature import cumulative_trapezoid_from_origin
 from driftspectra.radial import principal_eigenpair
 
 from _oracles import bessel_zero
@@ -262,7 +263,9 @@ class TestPinnedSolves:
 
     def test_every_2d_factor_site_uses_the_recipe(self, swirl_pair, monkeypatch):
         # the eigen, G, w_u and weighted Rayleigh factors share one set of
-        # SuperLU settings, each site through its own module's binding
+        # SuperLU settings, each site through its own module's binding, and
+        # each factors its matrix permuted into the grid's order (the pinned
+        # cell deleted): P M P^T with P the identity's rows in that order
         problem, pair = swirl_pair
         seen = []
 
@@ -270,7 +273,7 @@ class TestPinnedSolves:
             factor = module.splu
 
             def wrapper(*args, **kwargs):
-                seen.append((module.__name__, kwargs))
+                seen.append((module.__name__, args[0].copy(), kwargs))
                 return factor(*args, **kwargs)
             monkeypatch.setattr(module, "splu", wrapper)
 
@@ -280,8 +283,23 @@ class TestPinnedSolves:
         solve_G_V(problem, pair.omega)
         solve_w_u(problem, pair.omega)
         rayleigh_minimize(problem, lambda t, th: 0.0 * t)
-        assert [name for name, _ in seen] == ["driftspectra.disk"] + ["driftspectra.bounds"] * 3
-        assert all(kwargs == SUPERLU_OPTIONS for _, kwargs in seen)
+        assert [name for name, _, _ in seen] == ["driftspectra.disk"] + ["driftspectra.bounds"] * 3
+        assert all(kwargs == SUPERLU_OPTIONS for _, _, kwargs in seen)
+        assert SUPERLU_OPTIONS["permc_spec"] == "NATURAL"
+
+        W = pair.omega ** 2
+        k = int(np.argmax(W))
+        order = grid_order(problem.grid.n_t, problem.grid.n_theta)
+        pinned = order[order != k]
+        sites = [(assemble_operator(problem), order),
+                 (weighted_stiffness(problem, W, dirichlet=False) + advection_matrix(problem, W),
+                  pinned),
+                 (2.0 * weighted_stiffness(problem, W, dirichlet=False), pinned),
+                 (weighted_stiffness(problem, np.ones_like(W), dirichlet=True), order)]
+        n = problem.grid.size
+        for (_, factored, _), (M, rows) in zip(seen, sites):
+            P = sp.identity(n, format="csr")[rows]
+            assert (factored != (P @ M @ P.T).tocsc()).nnz == 0
 
     def test_disconnected_weight_is_a_solver_error(self, swirl_pair):
         # u^2 underflows to 0 outside t < r0/2: the outer cells decouple
@@ -300,6 +318,71 @@ class TestPinnedSolves:
         T, _ = problem.grid.mesh()
         with pytest.raises(IrreducibilityError, match="nonpositive entries"):
             solve_G_V(problem, np.cos(0.5 * np.pi * T))
+
+
+def _tiny_disk(n_t, n_theta):
+    ball = space_form_ball(0.5, 2, 1.0, polynomial_drift([0.8]))
+    return build_model_disk(ball, perturbation=lambda t, th: 0.1 * t * t * np.cos(th),
+                            drift_angular=lambda t, th: 0.6 * t * (1.0 + 0.3 * np.sin(th)),
+                            n_t=n_t, n_theta=n_theta)
+
+
+def _weight_peaked_at(problem, ring):
+    # positive weight whose largest square, the pinned cell, is in `ring`
+    T, TH = problem.grid.mesh()
+    radial = 1.5 - T * T if ring == 0 else 0.5 + T
+    u = radial * (1.0 + 0.1 * np.cos(TH))
+    assert np.argmax(u * u) // problem.grid.n_theta == (ring % problem.grid.n_t)
+    return u
+
+
+_TINY = [(4, 8), (6, 8), (8, 12), (12, 16)]
+
+
+class TestDenseOracle:
+    """Tiny grids, where numpy.linalg solves each factored system outright."""
+
+    @pytest.mark.parametrize("ring", [0, -1])
+    @pytest.mark.parametrize("n_t,n_theta", _TINY)
+    def test_density(self, n_t, n_theta, ring):
+        problem = _tiny_disk(n_t, n_theta)
+        omega = _weight_peaked_at(problem, ring)
+        G, _ = solve_G_V(problem, omega)
+        W = omega ** 2
+        A = (weighted_stiffness(problem, W, dirichlet=False)
+             + advection_matrix(problem, W)).toarray()
+        null = np.linalg.svd(A)[2][-1]
+        vol = volumes(problem)
+        ref = null / ((vol / vol.sum()) @ null)
+        assert np.max(np.abs(G.ravel() - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("ring", [0, -1])
+    @pytest.mark.parametrize("n_t,n_theta", _TINY)
+    def test_potential(self, n_t, n_theta, ring):
+        problem = _tiny_disk(n_t, n_theta)
+        u = _weight_peaked_at(problem, ring)
+        w, _ = solve_w_u(problem, u)
+        W = u * u
+        K2 = 2.0 * weighted_stiffness(problem, W, dirichlet=False).toarray()
+        ref = np.linalg.lstsq(K2, drift_load(problem, W), rcond=None)[0]
+        T, _ = problem.grid.mesh()
+        gauge = np.where((T < 0.25 * problem.grid.r0).ravel(), volumes(problem), 0.0)
+        ref -= (gauge / gauge.sum()) @ ref
+        assert np.max(np.abs(w.ravel() - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n_t,n_theta", _TINY)
+    def test_rayleigh_minimum(self, n_t, n_theta):
+        problem = _tiny_disk(n_t, n_theta)
+        f = lambda t, th: 0.5 * t * t * (1.0 + 0.2 * np.cos(th))
+        lam, v = rayleigh_minimize(problem, f)
+        weight = np.exp(-problem.grid.sample(f))
+        K = weighted_stiffness(problem, weight, dirichlet=True).toarray()
+        s = 1.0 / np.sqrt(weight.ravel() * volumes(problem))
+        ev, vecs = np.linalg.eigh(s[:, None] * K * s[None, :])
+        ref = s * vecs[:, 0]
+        ref /= ref[np.argmax(np.abs(ref))]
+        assert abs(lam - ev[0]) <= 1e-10 * ev[0]
+        assert np.max(np.abs(v.ravel() - ref)) <= 1e-6
 
 
 class TestIntegralBound:
@@ -330,6 +413,18 @@ class TestIntegralBound:
         w, _ = solve_w_u(problem, un)
         q_true = q_functional(problem, un, w)
         assert rep_fast.Q_min == pytest.approx(q_true, rel=1e-3)
+
+    def test_fast_path_potential_is_the_per_column_integral(self, grad_pair):
+        # one integral along axis 0 gives the bits of one call per theta column
+        problem, pair, _ = grad_pair
+        T, TH = problem.grid.mesh()
+        swirled = problem.with_drift(Vt=T * (1.0 + 0.3 * np.cos(TH)) + 0.2 * T * T)
+        rep = holland_bound(swirled, pair.omega)
+        assert rep.fast_path
+        radii = problem.grid.radii()
+        ref = 0.5 * np.column_stack([cumulative_trapezoid_from_origin(swirled.Vt[:, l], radii)
+                                     for l in range(problem.grid.n_theta)])
+        assert np.array_equal(rep.w_u, ref)
 
     def test_bound_dominates_eigenvalue(self, grad_pair):
         problem, pair, A = grad_pair

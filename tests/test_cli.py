@@ -470,8 +470,6 @@ def _bounds():
                     [(pair.lam, br.lower, br.upper, rep.bound)]),
             "json": {"lambda": pair.lam,
                      "barta": {"lower": br.lower, "upper": br.upper,
-                               "argmin_point": list(br.argmin_point),
-                               "argmax_point": list(br.argmax_point),
                                "excluded_boundary_rings": br.excluded_rings},
                      "min_max_integral": {"L": rep.L_value, "Q_min": rep.Q_min,
                                           "bound": rep.bound, "fast_path": rep.fast_path}}}
