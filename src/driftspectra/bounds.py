@@ -21,15 +21,17 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .disk import (SUPERLU_OPTIONS, DiskProblem, advection_matrix, assemble_operator,
-                   drift_faces, drift_load, in_grid_order, stiffness_faces, volumes,
-                   weighted_stiffness)
-from .errors import ConvergenceError, IrreducibilityError, SolverError
+                   drift_faces, drift_load, in_grid_order, principal_eigenpair_2d,
+                   stiffness_faces, volumes, weighted_stiffness)
+from .errors import IrreducibilityError, SolverError
 from .geometry import ModelBall, weight_p
 from .quadrature import cumulative_trapezoid_from_origin
 
 GAUGE_BALL_FRACTION = 0.25
 CONE_QUARTER = 0.75
 CONE_RATIO_LIMIT = 1e6
+# last step of the Rayleigh minimizer (max 1): puts it within about 1e-9
+RAYLEIGH_TOL = 1e-9
 
 
 @dataclass(eq=False)
@@ -125,38 +127,21 @@ def rayleigh_quotient(target, f, u) -> float:
 
 
 def rayleigh_minimize(target, f, n_t: int = 512):
-    """Discrete minimum of the weighted quotient by inverse power iteration.
+    """Discrete minimum of the weighted quotient: the ground pair of K v = lambda M v.
 
-    Returns (lambda_f, minimizer samples).  The minimizer is normalized to
-    max 1; for a ball the samples live on the uniform node grid including
-    both endpoints.  A disk's K is factored by the recipe of the `disk`
-    module; a ball's tridiagonal K keeps its natural order, which has no
-    fill.
+    Returns (lambda_f, minimizer samples normalized to max 1; for a ball on
+    the uniform node grid including both endpoints).  The symmetric pencil
+    of `_forms` (weighted stiffness K, lumped mass M, 0 at a ball's origin
+    node) goes to `disk.principal_eigenpair_2d`, whose step test
+    (`RAYLEIGH_TOL`) and long-double quotient keep about 12 digits of
+    lambda_f even when it is small against the pencil's largest
+    eigenvalue.  A ball's tridiagonal K is factored in natural order.
     """
     ball = isinstance(target, ModelBall)
     K, mass = _forms(target, f, n_t)
-    order = np.arange(K.shape[0])
-    if not ball:
-        order, K = in_grid_order(K, target.J.shape)
-        mass = mass[order]
-    # inverse iteration for K v = lambda M v with the lumped (diagonal) mass
-    lu = splu(K, **SUPERLU_OPTIONS)
-    v = np.ones(K.shape[0])
-    lam_old = np.inf
-    for _ in range(400):
-        v = lu.solve(mass * v)
-        v /= np.max(np.abs(v))
-        lam = float(v @ (K @ v)) / float(v @ (mass * v))
-        if abs(lam - lam_old) < 1e-12 * max(1.0, abs(lam)):
-            break
-        lam_old = lam
-    else:
-        raise ConvergenceError(f"Rayleigh minimization stalled ({'ball' if ball else 'disk'})")
-    v = v[np.argsort(order)]
-    if ball:
-        full = np.concatenate([v, [0.0]])
-        return lam, full / np.max(np.abs(full))
-    return lam, v.reshape(target.grid.n_t, target.grid.n_theta)
+    pair = principal_eigenpair_2d(K, tol=RAYLEIGH_TOL, shape=None if ball else target.J.shape,
+                                  mass=mass)
+    return pair.lam, np.append(pair.omega, 0.0) if ball else pair.omega
 
 
 def _field_on_grid(problem: DiskProblem, f) -> np.ndarray:
@@ -178,9 +163,14 @@ def _gauge_vector(problem: DiskProblem) -> np.ndarray:
     return gauge / gauge.sum()
 
 
-def _pinned_solve(A: sp.spmatrix, shape, weight: np.ndarray, rhs: np.ndarray,
+def _pinned_context(shape, k: int) -> str:
+    """The grid and the pinned cell k as (ring j, angle l), for error messages."""
+    return f"grid {shape[0]}x{shape[1]}, pinned cell (j, l) = {divmod(k, shape[1])}"
+
+
+def _pinned_solve(A: sp.spmatrix, shape, k: int, rhs: np.ndarray,
                   pinned: float) -> np.ndarray:
-    """Solution of A x = rhs with x_k = `pinned` at the cell k = argmax(weight).
+    """Solution of A x = rhs with x_k = `pinned` at the cell k.
 
     A has a one-dimensional null space whose vector is nonzero at k, and
     its columns add up to zero (1^T A = 0: each face adds and subtracts the
@@ -191,14 +181,14 @@ def _pinned_solve(A: sp.spmatrix, shape, weight: np.ndarray, rhs: np.ndarray,
     of `shape` with cell k deleted.
     """
     n = A.shape[0]
-    k = int(np.argmax(weight))
     A = sp.csc_matrix(A)
     order, M = in_grid_order(A, shape, drop=k)
     b = rhs[order] - pinned * A[:, k].toarray().ravel()[order]
     try:
         lu = splu(M, **SUPERLU_OPTIONS)
     except RuntimeError as exc:
-        raise SolverError(f"degenerate elliptic solve failed: {exc}") from exc
+        raise SolverError(
+            f"degenerate elliptic solve failed ({_pinned_context(shape, k)}): {exc}") from exc
     x = np.full(n, float(pinned))
     x[order] = lu.solve(b)
     return x
@@ -219,12 +209,14 @@ def solve_w_u(problem: DiskProblem, u, tol: float = 1e-8):
     W = (u * u).reshape(problem.J.shape)
     K = weighted_stiffness(problem, W, dirichlet=False)
     b = drift_load(problem, W)
-    w = _pinned_solve(2.0 * K, problem.J.shape, W.ravel(), b, 0.0)
+    k = int(np.argmax(W))
+    w = _pinned_solve(2.0 * K, problem.J.shape, k, b, 0.0)
     w -= _gauge_vector(problem) @ w
     scale = max(float(np.max(np.abs(b))), 1e-300)
     residual = float(np.max(np.abs(2.0 * K @ w - b))) / scale
     if residual > max(tol, 1e-6):
-        raise SolverError(f"potential solve residual {residual:.2e} too large")
+        raise SolverError(f"potential solve residual {residual:.2e} too large "
+                          f"({_pinned_context(problem.J.shape, k)})")
     return w.reshape(problem.J.shape), residual
 
 
@@ -259,7 +251,7 @@ def solve_G_V(problem: DiskProblem, omega):
     W = (omega * omega).reshape(problem.J.shape)
     A = weighted_stiffness(problem, W, dirichlet=False) + advection_matrix(problem, W)
     vol = volumes(problem)
-    G = _pinned_solve(A, problem.J.shape, W.ravel(), np.zeros(problem.grid.size), 1.0)
+    G = _pinned_solve(A, problem.J.shape, int(np.argmax(W)), np.zeros(problem.grid.size), 1.0)
     G /= (vol / vol.sum()) @ G
     scale = float(np.max(np.abs(A.data))) * float(np.max(np.abs(G)))
     residual = float(np.max(np.abs(A @ G))) / max(scale, 1e-300)

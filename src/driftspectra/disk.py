@@ -8,35 +8,35 @@ ghost value.  First derivatives for the drift use centered differences;
 the ghost behind the first ring is the antipodal cell (t0, theta+pi).
 
 Every five-point system of the 2-D layer is factored by one recipe: the
-eigen solves here, and in `bounds` the pinned `w_u`/`G` solves and the
-weighted Rayleigh stiffness.  Its elimination order depends only on the
-grid, so `grid_order` computes it once per grid and process: SuperLU's
-minimum degree (`MMD_AT_PLUS_A`) on the grid's full stencil, five-point,
-periodic in theta and with the antipodal couplings of ring 0, numbered
-from the wall inward, which breaks its ties with less fill than the
-ring-major numbering.  It costs 2.6, 8.2, 18 and 32 ms at 48 x 32,
-96 x 64, 144 x 96 and 192 x 128.  Each system is permuted into that order
-and factored with `SUPERLU_OPTIONS`: natural column order, no relaxed
-supernodes and one-column panels (SuperLU's defaults store relaxed zeros
-on five-point grids and factor slower).  A disk without radial drift has
-no antipodal couplings, and minimum degree on its own pattern leaves more
-fill: the grid's order cuts the L+U nonzeros from 270,428 to 214,160 at
-96 x 64 and from 1.52M to 1.09M at 192 x 128, and the factor time from
-about 105 to 61 ms on a 2-CPU Xeon; a swirled kappa = 0.3 disk keeps its
-217,214 at 96 x 64, against 286,551 ring-major with SuperLU's defaults
-(Demmel, Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix Anal. Appl. 20,
-1999; X. S. Li, ACM TOMS 31, 2005).  The recipe moves results only by
-roundoff: eigenvalues keep 12 digits, and the Barta bracket ends, which
-divide by the eigenvector, move by about 1e-9 relative.
+eigen solves here (the weighted Rayleigh pencil of `bounds` among them)
+and in `bounds` the pinned `w_u`/`G` solves.  Its elimination order
+depends only on the grid, so `grid_order` computes it once per grid and
+process: SuperLU's minimum degree (`MMD_AT_PLUS_A`) on the grid's full
+stencil, five-point, periodic in theta and with the antipodal couplings
+of ring 0, numbered from the wall inward, which breaks its ties with
+less fill than the ring-major numbering.  It costs 2.6, 8.2, 18 and
+32 ms at 48 x 32, 96 x 64, 144 x 96 and 192 x 128.  Each system is permuted
+into that order and factored with `SUPERLU_OPTIONS`: natural column
+order, no relaxed supernodes and one-column panels (SuperLU's defaults
+store relaxed zeros on five-point grids and factor slower).  A disk
+without radial drift has no antipodal couplings, and minimum degree on
+its own pattern leaves more fill: the grid's order cuts the L+U nonzeros
+from 270,428 to 214,160 at 96 x 64 and from 1.52M to 1.09M at 192 x 128,
+and the factor time from about 105 to 61 ms on a 2-CPU Xeon; a swirled
+kappa = 0.3 disk keeps its 217,214 at 96 x 64, against 286,551
+ring-major with SuperLU's defaults (Demmel, Eisenstat, Gilbert, Li &
+Liu, SIAM J. Matrix Anal. Appl. 20, 1999; X. S. Li, ACM TOMS 31, 2005).
+The recipe moves results only by roundoff: eigenvalues keep 12 digits,
+and the Barta bracket ends, which divide by the eigenvector, move by
+about 1e-9 relative.
 
-The principal pair of the nonsymmetric operator is computed by shifted
-inverse power iteration on one sparse LU factorization per operator.
-Left (adjoint) and right vectors are iterated together with the same
-factors, which gives a two-sided eigenvalue estimate accurate to the
-square of the residual; the left vector is kept, so the adjoint pair
-costs no second factorization.  Residuals are relative to |lambda|
-(vectors scaled to max 1), so the stopping test does not depend on the
-size of the disk.
+One inverse iteration, `principal_eigenpair_2d`, gives every principal
+pair: of the operator (S = A, M = I) and of the weighted Rayleigh pencils
+K v = lambda M v of `bounds` (M the lumped mass, 0 at a ball's origin
+node).  One LU factor of S advances right and left vectors, for a
+two-sided eigenvalue accurate to the residual squared and the adjoint
+pair at no extra factorization; residuals are relative to |lambda|
+max(M v) (vectors at max 1), so the test does not depend on disk size.
 """
 
 from __future__ import annotations
@@ -348,12 +348,17 @@ def in_grid_order(mat: sp.spmatrix, shape, drop: int | None = None):
 
     order[i] is the ring-major index of the i-th cell to eliminate: the
     `grid_order` of `shape`, or without a shape the order of mat's own
-    pattern.  Cell `drop`, if given, is left out of both.
+    pattern (natural for a tridiagonal mat: no fill).  Cell `drop`, if
+    given, is left out of both.
     """
+    mat = sp.csc_matrix(mat)
+    if shape is None and drop is None and np.all(
+            np.abs(mat.indices - np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))) <= 1):
+        return np.arange(mat.shape[0]), mat
     order = min_degree_order(mat) if shape is None else grid_order(*shape)
     if drop is not None:
         order = order[order != drop]
-    return order, sp.csc_matrix(mat)[:, order][order, :].tocsc()
+    return order, mat[:, order][order, :].tocsc()
 
 
 def operator_action(A: sp.spmatrix, shape):
@@ -363,76 +368,79 @@ def operator_action(A: sp.spmatrix, shape):
     return act
 
 
-def _context(shape, n, shift, it=None, residual=None, left_residual=None) -> str:
-    """Where an inverse iteration failed: grid (or size), shift, iteration, residuals."""
+def _context(shape, n, it=None, residual=None, left_residual=None) -> str:
+    """Where an inverse iteration failed: grid (or size), iteration, residuals."""
     text = f"grid {shape[0]}x{shape[1]}" if shape is not None else f"n = {n}"
-    text += f", shift {shift}"
     if it is not None:
         text += (f", iteration {it}, relative residuals {residual:.2e} (right) "
                  f"and {left_residual:.2e} (left)")
     return text
 
 
-def principal_eigenpair_2d(op: sp.spmatrix, shift_guess: float = 0.0,
-                           tol: float = DEFAULT_TOL, maxiter: int = 400,
-                           shape=None) -> EigenPair2D:
-    """Positive ground pair, with its left vector, by shifted inverse iteration.
+def _unit(x: np.ndarray) -> np.ndarray:
+    """x scaled to max 1 with its largest-magnitude entry made positive."""
+    return x / x[np.argmax(np.abs(x))]
 
-    Right and left vectors are advanced with the same LU factorization of
-    A - shift I (transposed solves for the left one), both in the
-    elimination order of the module's factorization recipe (`in_grid_order`);
-    the pair is returned in the ring-major numbering.  The reported
-    eigenvalue is the two-sided quotient y^T A x / y^T x, accurate to
-    O(residual^2).  Both residuals are relative, max|A x - lam x| / |lam|
-    with max|x| = 1 and likewise for y against A^T, and the iteration stops
-    when both are below `tol`.
+
+def principal_eigenpair_2d(op: sp.spmatrix, *, tol: float = DEFAULT_TOL, maxiter: int = 400,
+                           shape=None, mass=None) -> EigenPair2D:
+    """Positive ground pair of S v = lam M v, with its left vector, by inverse iteration.
+
+    S is `op`, M the diagonal `mass` (None: M = I; never inverted, so it may
+    vanish).  One LU factorization of S, in `in_grid_order`, advances
+    v <- S^-1 (M v) and y <- S^-T (M y), returned in the original numbering,
+    and lam = y^T S v / y^T M v.  It stops when max|S v - lam M v| /
+    (|lam| max(M v)), max|v| = 1, and its twin for y and S^T are below `tol`.
+    A symmetric pencil has y = v, and that residual's roundoff floor, about
+    eps ||S|| / (lam max M), can exceed `tol`: it iterates v alone, stops on
+    the step max|v_k - v_(k-1)| (v_k is off by about step lam / (lam_2 - lam)),
+    and sums lam = v^T S v / v^T M v, which cancels as much, in long double.
     """
     n = op.shape[0]
     order, op = in_grid_order(op, shape)
-    mat = op if shift_guess == 0.0 else op - shift_guess * sp.identity(n, format="csc")
+    if mass is not None:
+        mass = np.asarray(mass, dtype=float)[order]
     try:
-        lu = splu(mat, **SUPERLU_OPTIONS)
+        lu = splu(op, **SUPERLU_OPTIONS)
     except RuntimeError as exc:
-        raise SolverError(
-            f"factorization failed ({_context(shape, n, shift_guess)}): {exc}") from exc
+        raise SolverError(f"factorization failed ({_context(shape, n)}): {exc}") from exc
     op_t = op.T
-    v = np.ones(n)
-    y = np.ones(n)
+    symmetric = mass is not None and (op != op_t).nnz == 0  # M = I: the disk's A is not
+    v = Mv = My = np.ones(n) if mass is None else mass
     restarts = 0
-    lam = shift_guess
     residual = left_residual = np.inf
     best = np.inf
     stalled = 0
 
     def context(it):
-        return _context(shape, n, shift_guess, it, residual, left_residual)
+        return _context(shape, n, it, residual, left_residual)
 
     for it in range(1, maxiter + 1):
-        v = lu.solve(v)
-        y = lu.solve(y, trans="T")
+        v_old, v = v, lu.solve(Mv)
         vmax = np.max(np.abs(v))
         if vmax == 0.0 or not np.isfinite(vmax):
             raise SolverError(f"inverse iteration broke down ({context(it)})")
-        if v[np.argmax(np.abs(v))] < 0:
-            v = -v
-        if y[np.argmax(np.abs(y))] < 0:
-            y = -y
-        v /= np.max(np.abs(v))
-        y /= np.max(np.abs(y))
+        v = _unit(v)
+        y = v if symmetric else _unit(lu.solve(My, trans="T"))
         if np.any(v <= 0.0) or np.any(y <= 0.0):
             restarts += 1
             if restarts > 25:
                 raise NonPrincipalModeError(
-                    "iterates keep leaving the positive cone; the shift may exceed "
-                    f"the principal eigenvalue or the grid is too coarse ({context(it)})"
+                    "iterates keep leaving the positive cone; the matrix may be shifted past "
+                    f"its principal eigenvalue or the grid is too coarse ({context(it)})"
                 )
             v = np.abs(v)
-            y = np.abs(y)
-        Av = op @ v
-        lam = float(y @ Av) / float(y @ v)
-        scale = max(abs(lam), np.finfo(float).tiny)
-        residual = float(np.max(np.abs(Av - lam * v))) / scale
-        left_residual = float(np.max(np.abs(op_t @ y - lam * y))) / scale
+            y = v if symmetric else np.abs(y)
+        if symmetric:
+            Mv = My = mass * v
+            residual = left_residual = float(np.max(np.abs(v - v_old)))
+        else:
+            Sv = op @ v
+            Mv, My = (v, y) if mass is None else (mass * v, mass * y)
+            lam = float(y @ Sv) / float(y @ Mv)
+            scale = max(abs(lam), np.finfo(float).tiny)
+            residual, left_residual = (float(np.max(np.abs(r))) / (scale * float(np.max(m)))
+                                       for r, m in ((Sv - lam * Mv, Mv), (op_t @ y - lam * My, My)))
         worst = max(residual, left_residual)
         if worst < tol and it >= 3:
             break
@@ -445,7 +453,7 @@ def principal_eigenpair_2d(op: sp.spmatrix, shift_guess: float = 0.0,
                 if restarts > 3:
                     raise NonPrincipalModeError(
                         "iteration keeps leaving the positive cone without converging: "
-                        "shift above the principal eigenvalue, or grid too coarse "
+                        "matrix shifted past its principal eigenvalue, or grid too coarse "
                         f"({context(it)})"
                     )
                 # roundoff floor of the triangular solves
@@ -459,6 +467,9 @@ def principal_eigenpair_2d(op: sp.spmatrix, shift_guess: float = 0.0,
         )
     if np.any(v <= 0.0):
         raise NonPrincipalModeError(f"converged mode has nonpositive components ({context(it)})")
+    if symmetric:
+        v_ld = v.astype(np.longdouble)
+        lam = float((v_ld @ (op.astype(np.longdouble) @ v_ld)) / (v_ld @ (mass * v_ld)))
     if lam <= 0.0:
         raise SolverError(f"principal eigenvalue came out nonpositive: {lam} ({context(it)})")
     back = np.argsort(order)
@@ -473,18 +484,15 @@ def adjoint_principal(op: sp.spmatrix, tol: float = DEFAULT_TOL,
                       shape=None) -> EigenPair2D:
     """Principal pair of the transposed operator: the left pair of `op`.
 
-    One factorization serves both sides.  The left vector must be positive
-    and satisfy A^T y = lam y to `tol` at the shared eigenvalue.  This
+    One factorization serves both sides, and the iteration stops only when
+    A^T y = lam y holds to `tol` too; the left vector must be positive.  This
     solves `op` afresh; a caller that already holds its pair from
     `solve_principal` has the same left vector in `pair.left`.
     """
-    pair = principal_eigenpair_2d(op, 0.0, tol=tol, shape=shape)
-    context = _context(shape, op.shape[0], 0.0, pair.iterations, pair.residual,
-                       pair.left_residual)
+    pair = principal_eigenpair_2d(op, tol=tol, shape=shape)
+    context = _context(shape, op.shape[0], pair.iterations, pair.residual, pair.left_residual)
     if np.any(pair.left <= 0.0):
         raise NonPrincipalModeError(f"left principal vector has nonpositive components ({context})")
-    if pair.left_residual > tol:
-        raise SolverError(f"transpose spectrum mismatch at lambda = {pair.lam!r} ({context})")
     return EigenPair2D(lam=pair.lam, omega=pair.left, residual=pair.left_residual,
                        iterations=pair.iterations, left=pair.omega,
                        left_residual=pair.residual, restarts=pair.restarts)
@@ -493,8 +501,7 @@ def adjoint_principal(op: sp.spmatrix, tol: float = DEFAULT_TOL,
 def solve_principal(problem: DiskProblem, tol: float = DEFAULT_TOL):
     """Assemble the operator and return (eigenpair, matrix)."""
     A = assemble_operator(problem)
-    pair = principal_eigenpair_2d(A, 0.0, tol=tol,
-                                  shape=(problem.grid.n_t, problem.grid.n_theta))
+    pair = principal_eigenpair_2d(A, tol=tol, shape=(problem.grid.n_t, problem.grid.n_theta))
     return pair, A
 
 

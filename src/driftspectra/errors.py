@@ -16,8 +16,8 @@ class ConvergenceError(SolverError):
 class NonPrincipalModeError(SolverError):
     """Inverse iteration converged to a sign-changing mode.
 
-    Signals a shift above the principal eigenvalue or a grid too coarse
-    to separate the positive mode.
+    Signals a matrix shifted past its principal eigenvalue, or a grid too
+    coarse to separate the positive mode (operator and Rayleigh pencils).
     """
 
 

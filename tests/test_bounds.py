@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
@@ -109,6 +110,61 @@ class TestRayleigh:
         assert lam_ray == pytest.approx(lam_sl, abs=1e-4)
         # the minimizer round-trips through the quotient
         assert rayleigh_quotient(ball, f, u) == pytest.approx(lam_ray, rel=1e-12)
+
+    @pytest.mark.parametrize("r0, n_t, exact, rel", [
+        (4.0, 512, 0.004593362826586664, 1e-13),
+        (4.0, 2048, 0.004593200780113121, 1e-12),
+        (5.0, 512, 8.490090251145884e-05, 1e-11),
+    ])
+    def test_small_minimum_is_resolved(self, r0, n_t, exact, rel):
+        # lambda_f far below the pencil's largest eigenvalue: the relative
+        # residual's roundoff floor lies above the tolerance, and v^T K v
+        # cancels to about 1e-10 in double.  `exact` is the lowest eigenvalue
+        # of the same (K, M) by Sturm bisection in 40-digit arithmetic.
+        f = lambda t: 0.5 * np.asarray(t) ** 2
+        lam, u = rayleigh_minimize(euclidean_ball(2, r0), f, n_t=n_t)
+        assert abs(lam - exact) <= rel * exact
+        assert np.all(u[:-1] > 0.0) and u[-1] == 0.0
+        if (r0, n_t) == (4.0, 512):
+            # the value the earlier |delta lambda| < 1e-12 stop returned
+            assert lam == pytest.approx(0.004593362826585272, rel=1e-12)
+
+    def test_symmetric_pencil_iterates_one_vector(self, monkeypatch):
+        # K = K^T makes the left vector v, so no transposed system is solved,
+        # and the ball's tridiagonal K is factored as it is (no fill)
+        factored, modes = [], []
+        splu_ = disk.splu
+
+        class Recording:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs, trans="N"):
+                modes.append(trans)
+                return self.lu.solve(rhs, trans=trans)
+
+        def recording(mat, **kwargs):
+            factored.append(mat)
+            return Recording(splu_(mat, **kwargs))
+
+        monkeypatch.setattr(disk, "splu", recording)
+        ball = euclidean_ball(3, 1.0)
+        f = lambda t: 0.5 * np.asarray(t) ** 2
+        rayleigh_minimize(ball, f, n_t=64)
+        rayleigh_minimize(build_model_disk(FLAT, n_t=16, n_theta=8), lambda t, th: 0.5 * t * t)
+        assert len(factored) == 2 and (factored[0] != bounds._forms(ball, f, 64)[0]).nnz == 0
+        assert modes and set(modes) == {"N"}
+
+    def test_engine_errors_name_the_grid_or_the_size(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(disk, "splu", failing)
+        problem = build_model_disk(FLAT, n_t=16, n_theta=8)
+        with pytest.raises(SolverError, match=r"factorization failed \(grid 16x8\): Factor"):
+            rayleigh_minimize(problem, lambda t, th: 0.0 * t)
+        with pytest.raises(SolverError, match=r"factorization failed \(n = 64\): Factor"):
+            rayleigh_minimize(euclidean_ball(3, 1.0), lambda t: 0.0 * t, n_t=64)
 
     def test_zero_trial_rejected(self, flat_pair):
         problem, _, _ = flat_pair
@@ -263,7 +319,8 @@ class TestPinnedSolves:
 
     def test_every_2d_factor_site_uses_the_recipe(self, swirl_pair, monkeypatch):
         # the eigen, G, w_u and weighted Rayleigh factors share one set of
-        # SuperLU settings, each site through its own module's binding, and
+        # SuperLU settings, each site through its own module's binding (the
+        # Rayleigh pencil is factored by the eigen engine in `disk`), and
         # each factors its matrix permuted into the grid's order (the pinned
         # cell deleted): P M P^T with P the identity's rows in that order
         problem, pair = swirl_pair
@@ -283,7 +340,8 @@ class TestPinnedSolves:
         solve_G_V(problem, pair.omega)
         solve_w_u(problem, pair.omega)
         rayleigh_minimize(problem, lambda t, th: 0.0 * t)
-        assert [name for name, _, _ in seen] == ["driftspectra.disk"] + ["driftspectra.bounds"] * 3
+        assert [name for name, _, _ in seen] == ["driftspectra.disk"] + ["driftspectra.bounds"] * 2 \
+            + ["driftspectra.disk"]
         assert all(kwargs == SUPERLU_OPTIONS for _, _, kwargs in seen)
         assert SUPERLU_OPTIONS["permc_spec"] == "NATURAL"
 
@@ -310,6 +368,30 @@ class TestPinnedSolves:
             solve_w_u(problem, u)
         with pytest.raises(SolverError, match="degenerate elliptic solve failed"):
             solve_G_V(problem, u)
+
+    def test_failed_factorization_names_grid_and_pinned_cell(self, swirl_pair, monkeypatch):
+        problem, pair = swirl_pair
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(bounds, "splu", failing)
+        for solve in (solve_w_u, solve_G_V):
+            cell = divmod(int(np.argmax(pair.omega ** 2)), problem.grid.n_theta)
+            with pytest.raises(SolverError) as exc:
+                solve(problem, pair.omega)
+            assert str(exc.value) == ("degenerate elliptic solve failed (grid 96x64, pinned cell "
+                                      f"(j, l) = {cell}): Factor is exactly singular")
+
+    def test_potential_residual_error_names_grid_and_pinned_cell(self, swirl_pair, monkeypatch):
+        # a factor of twice the matrix solves to half the potential
+        problem, pair = swirl_pair
+        factor = bounds.splu
+        monkeypatch.setattr(bounds, "splu", lambda M, **kwargs: factor(2.0 * M, **kwargs))
+        cell = divmod(int(np.argmax(pair.omega ** 2)), problem.grid.n_theta)
+        with pytest.raises(SolverError, match=r"potential solve residual \S+ too large \(grid "
+                           rf"96x64, pinned cell \(j, l\) = \({cell[0]}, {cell[1]}\)\)"):
+            solve_w_u(problem, pair.omega)
 
     def test_unresolved_drift_loses_irreducibility(self):
         # a strong swirl on a coarse grid: the centered flux turns G negative
@@ -383,6 +465,29 @@ class TestDenseOracle:
         ref /= ref[np.argmax(np.abs(ref))]
         assert abs(lam - ev[0]) <= 1e-10 * ev[0]
         assert np.max(np.abs(v.ravel() - ref)) <= 1e-6
+
+
+class TestBallPencilOracle:
+    """The ball's Rayleigh pencil K v = lambda M v against scipy's dense QZ.
+
+    M is 0 at the origin node, so the dense pencil has an infinite
+    eigenvalue; the minimum is the lowest finite one."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("n_t", [8, 16, 32])
+    def test_minimum_and_minimizer(self, m, n_t):
+        ball = euclidean_ball(m, 1.0)
+        f = lambda t: 0.5 * np.asarray(t) ** 2 + 0.3 * np.asarray(t)
+        lam, v = rayleigh_minimize(ball, f, n_t=n_t)
+        K, mass = bounds._forms(ball, f, n_t)
+        assert mass[0] == 0.0
+        ev, vecs = sla.eig(K.toarray(), np.diag(mass))
+        finite = np.flatnonzero(np.isfinite(ev))
+        i = finite[np.argmin(ev[finite].real)]
+        ref = vecs[:, i].real
+        ref /= ref[np.argmax(np.abs(ref))]
+        assert abs(lam - ev[i].real) <= 1e-10 * ev[i].real
+        assert v[-1] == 0.0 and np.max(np.abs(v[:-1] - ref)) <= 1e-9
 
 
 class TestIntegralBound:

@@ -164,13 +164,14 @@ class TestEigen:
         assert not np.allclose(pair.left, pair.omega)
 
     def test_factor_input_is_the_shifted_operator(self, monkeypatch):
-        # A and A - 2I permuted into the grid's elimination order, built here
-        # as P A P^T with P the rows of the identity in that order, and
-        # factored in that order (natural column order); without a shape the
-        # order comes from A's own pattern
+        # A and a caller's A - 2I permuted into the grid's elimination order,
+        # built here as P A P^T with P the rows of the identity in that
+        # order, and factored in that order (natural column order); without
+        # a shape the order comes from A's own pattern
         problem = build_model_disk(FLAT, n_t=32, n_theta=16)
         A = assemble_operator(problem)
         n = A.shape[0]
+        shifted = _shifted(A, 2.0)
         factored = []
         splu = disk.splu
 
@@ -180,9 +181,8 @@ class TestEigen:
 
         monkeypatch.setattr(disk, "splu", capturing)
         principal_eigenpair_2d(A, shape=(32, 16))
-        principal_eigenpair_2d(A, shift_guess=2.0, shape=(32, 16))
+        principal_eigenpair_2d(shifted, shape=(32, 16))
         principal_eigenpair_2d(A)
-        shifted = A.tocsc() - 2.0 * sp.identity(n, format="csc")
         P = sp.identity(n, format="csr")[grid_order(32, 16)]
         Q = sp.identity(n, format="csr")[min_degree_order(A)]
         for (mat, kwargs), ref in zip(factored, (P @ A @ P.T, P @ shifted @ P.T, Q @ A @ Q.T)):
@@ -236,22 +236,57 @@ class TestEigen:
         assert pair.lam == pytest.approx(lam1d, abs=5e-3)
         assert angular_std(pair.omega) < 1e-10
 
+    def test_nonsymmetric_pencil_matches_the_operator(self):
+        # S = diag(vol) A with M = diag(vol) has A's pair; its left vector is
+        # A's divided by vol (S^T y = lam M y with y = z / vol, A^T z = lam z)
+        ball = space_form_ball(0.3, 2, 1.0, polynomial_drift([0.8]))
+        problem = build_model_disk(ball, perturbation=lambda t, th: 0.1 * t * t * np.cos(th),
+                                   drift_angular=lambda t, th: 0.6 * t, n_t=48, n_theta=32)
+        pair, A = solve_principal(problem, tol=1e-9)
+        vol = volumes(problem)
+        pencil = principal_eigenpair_2d(sp.diags(vol) @ A, tol=1e-9, shape=problem.J.shape,
+                                        mass=vol)
+        left = pair.left / vol.reshape(problem.J.shape)
+        assert abs(pencil.lam - pair.lam) <= 1e-10 * pair.lam
+        assert np.max(np.abs(pencil.omega - pair.omega)) <= 1e-8
+        assert np.max(np.abs(pencil.left - left / left.max())) <= 1e-8
+
+    def test_parameters_after_the_matrix_are_keyword_only(self, flat_pair):
+        # a positional second argument (once a shift) is refused, not taken
+        # for a tolerance
+        _, _, A = flat_pair
+        with pytest.raises(TypeError):
+            principal_eigenpair_2d(A, 2.0)
+
     def test_shift_above_principal_fails_loudly(self, flat_pair):
         _, _, A = flat_pair
         with pytest.raises((NonPrincipalModeError, SolverError)):
-            principal_eigenpair_2d(A, shift_guess=14.0, tol=1e-10)
+            principal_eigenpair_2d(_shifted(A, 14.0), tol=1e-10)
 
-    def test_errors_name_grid_shift_iteration_and_residuals(self, flat_pair):
+    def test_errors_name_grid_iteration_and_residuals(self, flat_pair):
         problem, _, A = flat_pair
         with pytest.raises(ConvergenceError) as exc:
             principal_eigenpair_2d(A, tol=1e-8, maxiter=3, shape=problem.J.shape)
         msg = str(exc.value)
-        for part in ("grid 128x64", "shift 0.0", "iteration 3", "(right)", "(left)"):
+        for part in ("grid 128x64, iteration 3", "(right)", "(left)"):
             assert part in msg
-        with pytest.raises(ConvergenceError, match=r"n = 8192, shift 0\.0, iteration 3"):
+        assert "shift" not in msg
+        with pytest.raises(ConvergenceError, match=r"n = 8192, iteration 3"):
             principal_eigenpair_2d(A, tol=1e-8, maxiter=3)
-        with pytest.raises((NonPrincipalModeError, SolverError), match="shift 14.0, iteration"):
-            principal_eigenpair_2d(A, shift_guess=14.0, tol=1e-10, shape=problem.J.shape)
+        with pytest.raises((NonPrincipalModeError, SolverError), match="grid 128x64, iteration"):
+            principal_eigenpair_2d(_shifted(A, 14.0), tol=1e-10, shape=problem.J.shape)
+
+    def test_factorization_failure_names_the_grid(self, flat_pair, monkeypatch):
+        problem, _, A = flat_pair
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(disk, "splu", failing)
+        with pytest.raises(SolverError, match=r"factorization failed \(grid 128x64\): Factor is"):
+            principal_eigenpair_2d(A, shape=problem.J.shape)
+        with pytest.raises(SolverError, match=r"factorization failed \(n = 8192\)"):
+            principal_eigenpair_2d(A, mass=volumes(problem))
 
     def test_scale_invariance(self):
         # lambda(c r0) c^2 = lambda(r0) at the default tolerance, within
@@ -264,6 +299,11 @@ class TestEigen:
             scaled.append(pair.lam * c * c)
         assert scaled == pytest.approx([scaled[2]] * 4, rel=1e-9)
         assert scaled[2] == pytest.approx(lam1d, rel=1e-3)
+
+
+def _shifted(A, sigma):
+    """A - sigma I: the engine takes no shift, so a caller shifts the matrix."""
+    return A.tocsc() - sigma * sp.identity(A.shape[0], format="csc")
 
 
 def _stencil_order(n_t, n_theta):
@@ -375,6 +415,47 @@ class TestDenseOracle:
         assert abs(pair.lam - lam_t) <= 1e-10 * lam
         assert np.max(np.abs(pair.omega.ravel() - right)) <= 1e-9
         assert np.max(np.abs(pair.left.ravel() - left)) <= 1e-9
+
+
+class TestTransposeAgreement:
+    """The operator and its transpose have one principal pair: solving A^T
+    by itself gives A's eigenvalue, with right and left vectors swapped."""
+
+    @settings(max_examples=30)
+    @given(kappa=st.integers(-10, 10).map(lambda k: 0.1 * k),
+           c=st.integers(0, 15).map(lambda k: 0.1 * k),
+           d=st.integers(-5, 5).map(lambda k: 0.1 * k),
+           eps=st.integers(0, 15).map(lambda k: 0.01 * k), j=st.integers(1, 3),
+           a=st.integers(-10, 10).map(lambda k: 0.1 * k),
+           b=st.integers(-5, 5).map(lambda k: 0.1 * k),
+           grid=st.sampled_from([(16, 8), (24, 16), (32, 16), (48, 32)]))
+    def test_transpose_solve_swaps_the_vectors(self, kappa, c, d, eps, j, a, b, grid):
+        ball = space_form_ball(kappa, 2, 1.0, polynomial_drift([c]))
+        p = build_model_disk(ball, perturbation=lambda t, th: eps * t * t * np.cos(j * th),
+                             drift_angular=lambda t, th: a * t * (1.0 + b * np.sin(th)),
+                             n_t=grid[0], n_theta=grid[1])
+        p = p.with_drift(Vt=p.Vt * (1.0 + d * np.cos(p.grid.sample(lambda t, th: th))),
+                         Vtheta=p.Vtheta)
+        pair, A = solve_principal(p, tol=1e-9)
+        adj = principal_eigenpair_2d(A.T.tocsr(), tol=1e-9, shape=grid)
+        assert abs(adj.lam - pair.lam) <= 1e-10 * pair.lam
+        assert np.max(np.abs(adj.omega - pair.left)) <= 1e-8
+        assert np.max(np.abs(adj.left - pair.omega)) <= 1e-8
+
+
+class TestRadialAgreement:
+    """On a rotation-invariant model disk the 2-D pair reduces to the 1-D
+    radial problem, up to the O(h^2) error of the 2-D grid."""
+
+    @settings(max_examples=25)
+    @given(kappa=st.integers(-10, 10).map(lambda k: 0.1 * k),
+           r0=st.sampled_from([0.25, 0.5, 1.0, 1.5]),
+           c=st.integers(-10, 15).map(lambda k: 0.1 * k))
+    def test_disk_matches_radial_solve(self, kappa, r0, c):
+        ball = space_form_ball(kappa, 2, r0, polynomial_drift([c]))
+        pair, _ = solve_principal(build_model_disk(ball, n_t=96, n_theta=64))
+        lam1d = principal_eigenpair(ball).lam
+        assert abs(pair.lam - lam1d) <= 1e-3 * lam1d
 
 
 class TestReducedOracle:
