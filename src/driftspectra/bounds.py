@@ -10,6 +10,10 @@ bound statements hold at matrix level:
 * the integral min-max functional L(u,u) - inf_v Q_u(v) with its two
   auxiliary degenerate elliptic solves (the potential w_u and the steady
   density G), which collapses to a closed form for radial drifts.
+
+Its optimal trial is omega sqrt(G), and G = omega*/omega with omega* the
+adjoint eigenfunction (Donsker & Varadhan, PNAS 72, 1975): on the grid
+sqrt(omega left / vol) from the eigen solve, O(h^2) from `solve_G_V`'s.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .disk import (SUPERLU_OPTIONS, DiskProblem, advection_matrix, assemble_operator,
-                   drift_faces, drift_load, in_grid_order, principal_eigenpair_2d,
-                   stiffness_faces, volumes, weighted_stiffness)
+                   drift_faces, drift_load, in_grid_order, pencil_quotient,
+                   principal_eigenpair_2d, stiffness_faces, volumes, weighted_stiffness)
 from .errors import IrreducibilityError, SolverError
 from .geometry import ModelBall, weight_p
 from .quadrature import cumulative_trapezoid_from_origin
@@ -32,6 +36,8 @@ CONE_QUARTER = 0.75
 CONE_RATIO_LIMIT = 1e6
 # last step of the Rayleigh minimizer (max 1): puts it within about 1e-9
 RAYLEIGH_TOL = 1e-9
+# largest relative residual a potential (w_u) solve may leave
+POTENTIAL_RESIDUAL_TOL = 1e-6
 
 
 @dataclass(eq=False)
@@ -111,7 +117,9 @@ def rayleigh_quotient(target, f, u) -> float:
     """Weighted Dirichlet quotient of a trial with zero boundary trace.
 
     Ball trials are node samples on the uniform grid over [0, r0] with the
-    last sample at the boundary, where they must vanish.
+    last sample at the boundary, where they must vanish.  The quotient is
+    the eigen engine's (`disk.pencil_quotient`, summed in long double), so
+    the minimizer of `rayleigh_minimize` gives back its lambda_f.
     """
     u = np.asarray(u, dtype=float)
     if isinstance(target, ModelBall):
@@ -119,11 +127,7 @@ def rayleigh_quotient(target, f, u) -> float:
             raise ValueError("ball trials must vanish at the boundary node")
         u = u[:-1]
     K, mass = _forms(target, f, u.shape[0])
-    uv = u.ravel()
-    denom = float(uv @ (mass * uv))
-    if denom <= 0.0:
-        raise ValueError("trial has zero weighted norm")
-    return float(uv @ (K @ uv)) / denom
+    return pencil_quotient(K, mass, u)
 
 
 def rayleigh_minimize(target, f, n_t: int = 512):
@@ -194,14 +198,15 @@ def _pinned_solve(A: sp.spmatrix, shape, k: int, rhs: np.ndarray,
     return x
 
 
-def solve_w_u(problem: DiskProblem, u, tol: float = 1e-8):
+def solve_w_u(problem: DiskProblem, u):
     """Minimizer of Q_u(v) = int u^2 (|grad v|^2 - g(V, grad v)) dM.
 
     Solves the flux-form Euler-Lagrange system div(u^2 (2 grad w - V)) = 0
     with natural walls.  Its null space is the constants: w is pinned to 0
     at the cell of largest u^2, the rest is factored (`_pinned_solve`),
     and the additive constant is then fixed by zero mean over the interior
-    ball t < r0/4.  Returns (w, relative residual).
+    ball t < r0/4.  Returns (w, relative residual); a residual above
+    `POTENTIAL_RESIDUAL_TOL` is a `SolverError`.
     """
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0.0):
@@ -214,7 +219,7 @@ def solve_w_u(problem: DiskProblem, u, tol: float = 1e-8):
     w -= _gauge_vector(problem) @ w
     scale = max(float(np.max(np.abs(b))), 1e-300)
     residual = float(np.max(np.abs(2.0 * K @ w - b))) / scale
-    if residual > max(tol, 1e-6):
+    if residual > POTENTIAL_RESIDUAL_TOL:
         raise SolverError(f"potential solve residual {residual:.2e} too large "
                           f"({_pinned_context(problem.J.shape, k)})")
     return w.reshape(problem.J.shape), residual
@@ -275,37 +280,32 @@ def _cone_check(problem: DiskProblem, u: np.ndarray):
         )
 
 
-def l_form(problem: DiskProblem, u, A: sp.spmatrix | None = None) -> float:
-    """L(u,u) = int (|grad u|^2 + u g(V, grad u)) dM via the operator pairing."""
-    if A is None:
-        A = assemble_operator(problem)
-    uv = np.asarray(u, dtype=float).ravel()
-    vol = volumes(problem)
-    return float((vol * uv) @ (A @ uv))
-
-
-def holland_bound(problem: DiskProblem, u, tol: float = 1e-8,
-                  A: sp.spmatrix | None = None) -> HollandReport:
+def holland_bound(problem: DiskProblem, u, A: sp.spmatrix | None = None) -> HollandReport:
     """One-sided variational bound L(u,u) - inf_v Q_u(v) >= lambda*.
 
     Trials are validated against the discrete boundary-decay cone and
-    L2-normalized internally.  When the drift has no angular component the
-    infimum has the closed form -1/4 int u^2 Vt^2 dM with potential
-    1/2 int_0^t Vt, and the elliptic solve is skipped.
+    L2-normalized internally.  L(u,u) = int (|grad u|^2 + u g(V, grad u)) dM
+    is the operator pairing (vol u)^T A u, with `A` assembled here unless
+    given.  When the drift has no angular component the infimum has the
+    closed form -1/4 int u^2 Vt^2 dM with potential 1/2 int_0^t Vt, and the
+    elliptic solve is skipped.
     """
     u = np.asarray(u, dtype=float).reshape(problem.J.shape)
     _cone_check(problem, u)
+    if A is None:
+        A = assemble_operator(problem)
     vol = volumes(problem)
     nrm = float(np.sqrt((u.ravel() ** 2 * vol).sum()))
     un = u / nrm
-    L_val = l_form(problem, un, A=A)
+    uv = un.ravel()
+    L_val = float((vol * uv) @ (A @ uv))
     if np.all(problem.Vtheta == 0.0):
         q_min = float(-(0.25 * (un ** 2) * problem.Vt ** 2 * problem.J).sum()
                       * problem.grid.dt * problem.grid.dtheta)
         w = 0.5 * cumulative_trapezoid_from_origin(problem.Vt, problem.grid.radii())
         return HollandReport(L_value=L_val, Q_min=q_min, bound=L_val - q_min,
                              w_u=w, fast_path=True)
-    w, _ = solve_w_u(problem, un, tol=tol)
+    w, _ = solve_w_u(problem, un)
     q_min = q_functional(problem, un, w)
     return HollandReport(L_value=L_val, Q_min=q_min, bound=L_val - q_min,
                          w_u=w, fast_path=False)

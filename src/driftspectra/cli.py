@@ -6,6 +6,8 @@ spectrum   all model eigenvalues up to a cutoff, with multiplicities [csv, json]
 principal  ground eigenvalue of a model ball (1-D solver) [csv, json]
 disk2d     ground pair of a 2-D disk (model + perturbation + angular drift) [csv, json]
 bounds     Barta bracket and integral min-max bound for a disk problem [csv, json]
+           (the bound's trial is omega sqrt(G) with G = left / (vol omega) from
+           the eigen solve's adjoint vector, so no G system is solved)
 compare    run the built-in comparison corpus (or a single pair) and report [csv, json]
 riccati    drift recovery through the equality-case Riccati flow [csv]
 sweep      cartesian parameter sweeps of `principal` with persistence [csv]
@@ -71,7 +73,7 @@ import numpy as np
 
 from . import radial as radial_mod
 from .compare import riccati_uniqueness, run_corpus
-from .errors import SolverError
+from .errors import NonPrincipalModeError, SolverError
 from .expressions import ExpressionError, parse_expression
 from .geometry import (ModelBall, custom_warping, drift_from_rate, make_space_form,
                        polynomial_drift, zero_drift)
@@ -128,9 +130,9 @@ class RunConfig:
         return self.tol if self.tol is not None else radial_mod.DEFAULT_TOL
 
     def tol_2d(self) -> float:
-        # disk.DEFAULT_TOL, written out: importing `disk` would load
-        # scipy.sparse for the 1-D commands too
-        return self.tol if self.tol is not None else 1e-6
+        from .disk import DEFAULT_TOL  # here: only the 2-D commands load scipy.sparse
+
+        return self.tol if self.tol is not None else DEFAULT_TOL
 
 
 def _warping(cfg: RunConfig):
@@ -264,15 +266,16 @@ def _cmd_disk2d(cfg: RunConfig, args) -> tuple:
 
 
 def _cmd_bounds(cfg: RunConfig, args) -> tuple:
-    from .bounds import barta_bracket, holland_bound, solve_G_V
-    from .disk import operator_action, solve_principal
+    from .bounds import barta_bracket, holland_bound
+    from .disk import operator_action, solve_principal, volumes
 
     problem = _disk_problem(cfg)
     pair, A = solve_principal(problem, tol=cfg.tol_2d())
     bracket = barta_bracket(operator_action(A, problem.J.shape), pair.omega)
-    G, _ = solve_G_V(problem, pair.omega)
-    u_opt = pair.omega * np.sqrt(G)
-    report = holland_bound(problem, u_opt, tol=cfg.tol_2d(), A=A)
+    if np.any(pair.left <= 0.0):
+        raise NonPrincipalModeError("left principal vector has nonpositive components")
+    u_opt = np.sqrt(pair.omega * pair.left / volumes(problem).reshape(problem.J.shape))
+    report = holland_bound(problem, u_opt, A=A)
     values = (pair.lam, bracket.lower, bracket.upper, report.bound)
     return (EXIT_OK, "bounds: lambda = {:.12g} bracket = [{:.12g}, {:.12g}] "
                      "integral bound = {:.12g}".format(*values),

@@ -4,7 +4,7 @@ The diffusion part is discretized in conservative flux form on a
 cell-centered polar grid (no node at the origin): radial fluxes use face
 averages of J, the inner face at t=0 carries zero flux because J vanishes
 there, and the Dirichlet condition at t=r0 enters through an antisymmetric
-ghost value.  First derivatives for the drift use centered differences;
+ghost value.  The drift's centered differences run over the same faces;
 the ghost behind the first ring is the antipodal cell (t0, theta+pi).
 
 Every five-point system of the 2-D layer is factored by one recipe: the
@@ -183,6 +183,12 @@ def _faces(p: DiskProblem, radial: np.ndarray, angular: np.ndarray) -> list:
              angular.ravel(), np.roll(angular, -1, axis=1).ravel())]
 
 
+def _csr(rows, cols, vals, n: int) -> sp.csr_matrix:
+    """n x n CSR matrix from lists of row, column and value arrays (repeats add up)."""
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n)).tocsr()
+
+
 def stiffness_faces(p: DiskProblem, cellweight=None) -> list:
     """(a, b, w) per face family, with int W |grad u|^2 dM = sum w (u_a - u_b)^2.
 
@@ -227,9 +233,7 @@ def weighted_stiffness(p: DiskProblem, cellweight=None, dirichlet: bool = True) 
         rows.append(wall)
         cols.append(wall)
         vals.append(2.0 * _outer_face_value(W * p.J) * p.grid.dtheta / p.grid.dt)
-    n = p.grid.size
-    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n, n)).tocsr()
+    return _csr(rows, cols, vals, p.grid.size)
 
 
 def drift_load(p: DiskProblem, cellweight) -> np.ndarray:
@@ -253,47 +257,27 @@ def advection_matrix(p: DiskProblem, cellweight) -> sp.csr_matrix:
         rows += [b, b, a, a]
         cols += [a, b, a, b]
         vals += [qa, qb, -qa, -qb]
-    n = p.grid.size
-    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n, n)).tocsr()
+    return _csr(rows, cols, vals, p.grid.size)
 
 
 def drift_matrix(p: DiskProblem) -> sp.csr_matrix:
     """Pointwise drift action u -> Vt u_t + Vtheta u_theta.
 
-    Centered differences; ghosts are the antipodal cell behind the first
-    ring and the Dirichlet-antisymmetric value past the last ring.
+    Centered differences on the faces of `_faces`: a face (a, b) gives a
+    its forward and b its backward neighbour.  Two ghosts remain: the
+    antipodal cell behind the first ring, and the Dirichlet-antisymmetric
+    value -u past the last ring (the diagonal -cr at the wall).
     """
-    dt, dth = p.grid.dt, p.grid.dtheta
     idx = _indices(p)
-    antip = np.roll(idx[0, :], p.grid.n_theta // 2)
-    cr = p.Vt / (2.0 * dt)
-    # interior rings
-    a = idx[1:-1, :].ravel()
-    rows = [a, a]
-    cols = [idx[2:, :].ravel(), idx[:-2, :].ravel()]
-    vals = [cr[1:-1, :].ravel(), -cr[1:-1, :].ravel()]
-    # first ring: backward neighbor is the antipodal cell
-    a = idx[0, :]
-    rows += [a, a]
-    cols += [idx[1, :], antip]
-    vals += [cr[0, :], -cr[0, :]]
-    # last ring: ghost u_N = -u_{N-1}
-    a = idx[-1, :]
-    rows += [a, a]
-    cols += [idx[-1, :], idx[-2, :]]
-    vals += [-cr[-1, :], -cr[-1, :]]
-
-    ca = p.Vtheta / (2.0 * dth)
-    a = idx.ravel()
-    rows += [a, a]
-    cols += [np.roll(idx, -1, axis=1).ravel(), np.roll(idx, 1, axis=1).ravel()]
-    vals += [ca.ravel(), -ca.ravel()]
-
-    rows = np.concatenate([np.asarray(r).ravel() for r in rows])
-    cols = np.concatenate([np.asarray(c).ravel() for c in cols])
-    vals = np.concatenate([np.asarray(v).ravel() for v in vals])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(p.grid.size, p.grid.size)).tocsr()
+    cr = p.Vt / (2.0 * p.grid.dt)
+    rows = [idx[0, :], idx[-1, :]]
+    cols = [np.roll(idx[0, :], p.grid.n_theta // 2), idx[-1, :]]
+    vals = [-cr[0, :], -cr[-1, :]]
+    for a, b, fa, fb in _faces(p, cr, p.Vtheta / (2.0 * p.grid.dtheta)):
+        rows += [a, b]
+        cols += [b, a]
+        vals += [fa, -fb]
+    return _csr(rows, cols, vals, p.grid.size)
 
 
 def assemble_operator(p: DiskProblem) -> sp.csr_matrix:
@@ -369,12 +353,23 @@ def operator_action(A: sp.spmatrix, shape):
 
 
 def _context(shape, n, it=None, residual=None, left_residual=None) -> str:
-    """Where an inverse iteration failed: grid (or size), iteration, residuals."""
+    """Where an inverse iteration failed: grid or size, iteration, residuals or step of v."""
     text = f"grid {shape[0]}x{shape[1]}" if shape is not None else f"n = {n}"
-    if it is not None:
+    if it is not None and left_residual is None:
+        text += f", iteration {it}, step {residual:.2e}"
+    elif it is not None:
         text += (f", iteration {it}, relative residuals {residual:.2e} (right) "
                  f"and {left_residual:.2e} (left)")
     return text
+
+
+def pencil_quotient(S: sp.spmatrix, mass: np.ndarray, v) -> float:
+    """v^T S v / v^T M v, M = diag(mass), summed in long double (both cancel when lam is small)."""
+    v = np.asarray(v, dtype=np.longdouble).ravel()
+    denom = v @ (mass * v)
+    if not denom > 0.0:
+        raise ValueError("trial has zero weighted norm")
+    return float((v @ (S.astype(np.longdouble) @ v)) / denom)
 
 
 def _unit(x: np.ndarray) -> np.ndarray:
@@ -394,7 +389,8 @@ def principal_eigenpair_2d(op: sp.spmatrix, *, tol: float = DEFAULT_TOL, maxiter
     A symmetric pencil has y = v, and that residual's roundoff floor, about
     eps ||S|| / (lam max M), can exceed `tol`: it iterates v alone, stops on
     the step max|v_k - v_(k-1)| (v_k is off by about step lam / (lam_2 - lam)),
-    and sums lam = v^T S v / v^T M v, which cancels as much, in long double.
+    and sums lam = v^T S v / v^T M v, which cancels as much, in long double
+    (`pencil_quotient`).
     """
     n = op.shape[0]
     order, op = in_grid_order(op, shape)
@@ -413,7 +409,7 @@ def principal_eigenpair_2d(op: sp.spmatrix, *, tol: float = DEFAULT_TOL, maxiter
     stalled = 0
 
     def context(it):
-        return _context(shape, n, it, residual, left_residual)
+        return _context(shape, n, it, residual, None if symmetric else left_residual)
 
     for it in range(1, maxiter + 1):
         v_old, v = v, lu.solve(Mv)
@@ -468,8 +464,7 @@ def principal_eigenpair_2d(op: sp.spmatrix, *, tol: float = DEFAULT_TOL, maxiter
     if np.any(v <= 0.0):
         raise NonPrincipalModeError(f"converged mode has nonpositive components ({context(it)})")
     if symmetric:
-        v_ld = v.astype(np.longdouble)
-        lam = float((v_ld @ (op.astype(np.longdouble) @ v_ld)) / (v_ld @ (mass * v_ld)))
+        lam = pencil_quotient(op, mass, v)
     if lam <= 0.0:
         raise SolverError(f"principal eigenvalue came out nonpositive: {lam} ({context(it)})")
     back = np.argsort(order)

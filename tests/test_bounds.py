@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import splu
 
 from driftspectra import bounds, disk
@@ -122,9 +123,12 @@ class TestRayleigh:
         # cancels to about 1e-10 in double.  `exact` is the lowest eigenvalue
         # of the same (K, M) by Sturm bisection in 40-digit arithmetic.
         f = lambda t: 0.5 * np.asarray(t) ** 2
-        lam, u = rayleigh_minimize(euclidean_ball(2, r0), f, n_t=n_t)
+        ball = euclidean_ball(2, r0)
+        lam, u = rayleigh_minimize(ball, f, n_t=n_t)
         assert abs(lam - exact) <= rel * exact
         assert np.all(u[:-1] > 0.0) and u[-1] == 0.0
+        # the quotient sums as the engine does, so the minimizer gives lam back
+        assert rayleigh_quotient(ball, f, u) == pytest.approx(lam, rel=1e-13)
         if (r0, n_t) == (4.0, 512):
             # the value the earlier |delta lambda| < 1e-12 stop returned
             assert lam == pytest.approx(0.004593362826585272, rel=1e-12)
@@ -165,6 +169,15 @@ class TestRayleigh:
             rayleigh_minimize(problem, lambda t, th: 0.0 * t)
         with pytest.raises(SolverError, match=r"factorization failed \(n = 64\): Factor"):
             rayleigh_minimize(euclidean_ball(3, 1.0), lambda t: 0.0 * t, n_t=64)
+
+    def test_symmetric_pencil_errors_name_the_step(self):
+        # a symmetric pencil stops on the step of v, so its errors report the
+        # step, not right and left residuals
+        with pytest.raises(SolverError) as exc:
+            rayleigh_minimize(euclidean_ball(3, 5.0), lambda t: 2 * t ** 3 - t, n_t=128)
+        msg = str(exc.value)
+        assert "n = 128, iteration" in msg and "step" in msg
+        assert "(left)" not in msg and "residuals" not in msg
 
     def test_zero_trial_rejected(self, flat_pair):
         problem, _, _ = flat_pair
@@ -545,6 +558,56 @@ class TestIntegralBound:
         problem, pair, A = grad_pair
         rep = holland_bound(problem, pair.omega, A=A)
         assert rep.Q_min <= 0.0
+
+
+def _left_trial(problem, pair):
+    """omega sqrt(G) with G = left / (vol omega): the trial `drift-spectra bounds` uses."""
+    return np.sqrt(pair.omega * pair.left / volumes(problem).reshape(problem.J.shape))
+
+
+def _swirled(kappa, c, eps, j, a, grid, r0=1.0):
+    ball = space_form_ball(kappa, 2, r0, polynomial_drift([c]))
+    return build_model_disk(ball, perturbation=lambda t, th: eps * t * t * np.cos(j * th),
+                            drift_angular=lambda t, th: a * t, n_t=grid[0], n_theta=grid[1])
+
+
+class TestLeftVectorTrial:
+    """In the continuum G = omega*/omega, with omega* the adjoint
+    eigenfunction; on the grid omega* is pair.left / vol, so `solve_G_V`'s G
+    and left / (vol omega) are two discretizations of one function."""
+
+    @pytest.mark.parametrize("kappa,c,eps,j,a", [(0.5, 0.8, 0.1, 2, 0.6),
+                                                 (-0.4, 1.2, 0.05, 1, 0.9)])
+    def test_density_is_the_adjoint_over_omega(self, kappa, c, eps, j, a):
+        gaps = []
+        for grid in ((48, 32), (96, 64)):
+            problem = _swirled(kappa, c, eps, j, a, grid)
+            pair, _ = solve_principal(problem, tol=1e-8)
+            G, _ = solve_G_V(problem, pair.omega)
+            vol = volumes(problem)
+            H = pair.left.ravel() / (vol * pair.omega.ravel())
+            H /= (vol / vol.sum()) @ H  # volume mean one, as G
+            gaps.append(float(np.max(np.abs(G.ravel() - H))))
+        assert 3.0 <= gaps[0] / gaps[1] <= 5.0  # O(h^2): 3.51 and 4.01 measured
+
+    @settings(max_examples=20)
+    @given(kappa=st.integers(-10, 10).map(lambda k: 0.1 * k),
+           c=st.integers(0, 15).map(lambda k: 0.1 * k),
+           eps=st.integers(0, 15).map(lambda k: 0.01 * k), j=st.integers(1, 3),
+           a=st.integers(-10, 10).map(lambda k: 0.1 * k),
+           r0=st.sampled_from([0.5, 1.0, 1.5]),
+           grid=st.sampled_from([(24, 16), (32, 16), (48, 32)]))
+    def test_bound_dominates_eigenvalue(self, kappa, c, eps, j, a, r0, grid):
+        # the discrete functional is a bound up to O(h^2) for either trial
+        # (6.8e-8 below lambda, relative, on one 48 x 32 disk): it is held
+        # to the acceptance slack, and it sits where solve_G_V's trial puts it
+        problem = _swirled(kappa, c, eps, j, a, grid, r0)
+        pair, A = solve_principal(problem)
+        rep = holland_bound(problem, _left_trial(problem, pair), A=A)
+        G, _ = solve_G_V(problem, pair.omega)
+        ref = holland_bound(problem, pair.omega * np.sqrt(G), A=A)
+        assert rep.bound >= pair.lam - 1e-6
+        assert abs(rep.bound - ref.bound) <= 1e-6 * pair.lam
 
 
 def test_completing_the_square_inequality():

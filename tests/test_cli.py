@@ -14,12 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import driftspectra
-from driftspectra import radial
-from driftspectra.bounds import barta_bracket, holland_bound, solve_G_V
+from driftspectra import bounds, radial
+from driftspectra.bounds import barta_bracket, holland_bound
 from driftspectra.cli import (EXIT_CANTCREAT, EXIT_OK, EXIT_PREMISE, EXIT_USAGE,
                               main)
 from driftspectra.compare import ComparisonCase, riccati_uniqueness, run_case
-from driftspectra.disk import build_model_disk, operator_action, solve_principal
+from driftspectra.disk import build_model_disk, operator_action, solve_principal, volumes
 from driftspectra.errors import SolverError
 from driftspectra.expressions import parse_expression
 from driftspectra.geometry import polynomial_drift, space_form_ball
@@ -119,6 +119,31 @@ class TestBounds:
         lam = data["lambda"]
         assert data["barta"]["lower"] <= lam <= data["barta"]["upper"]
         assert data["min_max_integral"]["bound"] == pytest.approx(lam, abs=1e-3)
+
+    @pytest.mark.parametrize("angular,factors", [([], 0), (["--vtheta", "0.5*t"], 1)])
+    def test_trial_needs_no_density_solve(self, angular, factors, tmp_path, monkeypatch):
+        # the trial comes from the eigen solve's left vector: no G solve, and
+        # the only auxiliary factorization is the w_u solve of an angular drift
+        calls = []
+
+        def counting(name):
+            inner = getattr(bounds, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return inner(*args, **kwargs)
+            return call
+
+        for name in ("splu", "solve_G_V"):
+            monkeypatch.setattr(bounds, name, counting(name))
+        path = tmp_path / "bounds.json"
+        assert run(["bounds", "--space-form", "0.5", "--dim", "2", "--radius", "1",
+                    "--drift", "t", "--nt", "48", "--ntheta", "32", *angular,
+                    "--output", str(path), "--format", "json"]) == EXIT_OK
+        assert calls == ["splu"] * factors
+        data = json.loads(path.read_text())
+        assert data["min_max_integral"]["fast_path"] == (not angular)
+        assert data["min_max_integral"]["bound"] >= data["lambda"]
 
 
 class TestCompare:
@@ -464,8 +489,9 @@ def _bounds():
     problem = build_model_disk(_ball(), None, parse_expression("0.5*t"), n_t=32, n_theta=16)
     pair, A = solve_principal(problem)
     br = barta_bracket(operator_action(A, problem.J.shape), pair.omega)
-    G, _ = solve_G_V(problem, pair.omega)
-    rep = holland_bound(problem, pair.omega * np.sqrt(G), tol=1e-6, A=A)
+    # the left-vector trial: omega sqrt(G) with G = left / (vol omega)
+    u = np.sqrt(pair.omega * pair.left / volumes(problem).reshape(problem.J.shape))
+    rep = holland_bound(problem, u, A=A)
     return {"csv": (["lambda", "barta_lower", "barta_upper", "bound"],
                     [(pair.lam, br.lower, br.upper, rep.bound)]),
             "json": {"lambda": pair.lam,

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from driftspectra import disk
 from driftspectra.disk import (SUPERLU_OPTIONS, DiskProblem, PolarGrid, adjoint_principal,
-                               angular_std, assemble_operator, build_model_disk,
-                               divergence_field, grid_order, min_degree_order, operator_action,
-                               principal_eigenpair_2d, solve_principal, volumes,
-                               weighted_stiffness)
+                               advection_matrix, angular_std, assemble_operator,
+                               build_model_disk, divergence_field, drift_matrix, grid_order,
+                               min_degree_order, operator_action, principal_eigenpair_2d,
+                               solve_principal, volumes, weighted_stiffness)
 from driftspectra.errors import ConvergenceError, NonPrincipalModeError, SolverError
 from driftspectra.geometry import euclidean_ball, polynomial_drift, space_form_ball
 from driftspectra.radial import principal_eigenpair
@@ -85,6 +85,27 @@ class TestOperator:
         T, _ = p.grid.mesh()
         res = act(T ** 2)
         assert np.max(np.abs((res - (-4.0 + 2.0 * T ** 2))[:-1, :])) < 1e-9
+
+    def test_drift_action_ghosts_and_angular_difference(self):
+        # centred differences, exact to roundoff: u = t has slope 1 inside,
+        # ring 0 differences against its antipodal cell (same radius, so
+        # half the slope) and the wall against the ghost -u; u = t cos(theta)
+        # is linear across the origin, so ring 0 gets its slope cos(theta)
+        # exactly; u = sin(theta) gives the angular centred difference of sin
+        p = build_model_disk(FLAT, n_t=8, n_theta=16)
+        T, TH = p.grid.mesh()
+        one = np.ones_like(T)
+        n, dth = p.grid.n_t, p.grid.dtheta
+        R = drift_matrix(p.with_drift(Vt=one))
+        radial = (R @ T.ravel()).reshape(T.shape)
+        assert np.allclose(radial[0], 0.5, rtol=0, atol=1e-14)
+        assert np.allclose(radial[1:-1], 1.0, rtol=0, atol=1e-14)
+        assert np.allclose(radial[-1], -(n - 1.0), rtol=0, atol=1e-13)
+        x = (R @ (T * np.cos(TH)).ravel()).reshape(T.shape)
+        assert np.allclose(x[:-1], np.cos(TH[:-1]), rtol=0, atol=1e-14)
+        angular = drift_matrix(p.with_drift(Vtheta=one)) @ np.sin(TH).ravel()
+        assert np.allclose(angular, (np.cos(TH) * np.sin(dth) / dth).ravel(), rtol=0,
+                           atol=1e-14)
 
     def test_volume_scaled_diffusion_is_symmetric(self):
         p = build_model_disk(FLAT, perturbation=lambda t, th: 0.05 * t * np.cos(th),
@@ -306,31 +327,65 @@ def _shifted(A, sigma):
     return A.tocsc() - sigma * sp.identity(A.shape[0], format="csc")
 
 
-def _stencil_order(n_t, n_theta):
-    """Elimination order of the grid's full stencil from `splu` itself.
+def _stencil(n_t, n_theta):
+    """The grid's full stencil, built cell by cell, as a CSC pattern.
 
-    The pattern is built cell by cell: radial and periodic angular
-    neighbours, and the antipodal cell for the first ring.  It is numbered
-    from the wall inward and factored with minimum degree on A^T + A; the
-    returned ring-major indices follow the factor's column order.
+    Each cell is coupled with itself, its radial and periodic angular
+    neighbours and, on the first ring, its antipodal cell.
     """
     n = n_t * n_theta
     rows, cols = [], []
     for j in range(n_t):
         for l in range(n_theta):
             cell = j * n_theta + l
-            nbrs = [j * n_theta + (l + 1) % n_theta, j * n_theta + (l - 1) % n_theta]
+            nbrs = [cell, j * n_theta + (l + 1) % n_theta, j * n_theta + (l - 1) % n_theta]
             nbrs += [(j + s) * n_theta + l for s in (-1, 1) if 0 <= j + s < n_t]
             if j == 0:
                 nbrs.append((l + n_theta // 2) % n_theta)
             rows += [cell] * len(nbrs)
             cols += nbrs
-    M = sp.coo_matrix((-np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsc()
-    M = M + 10.0 * sp.identity(n, format="csc")
+    return sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsc()
+
+
+def _stencil_order(n_t, n_theta):
+    """Elimination order of the grid's full stencil from `splu` itself.
+
+    The stencil is numbered from the wall inward and factored with minimum
+    degree on A^T + A; the returned ring-major indices follow the factor's
+    column order.
+    """
+    n = n_t * n_theta
+    M = 11.0 * sp.identity(n, format="csc") - _stencil(n_t, n_theta)
     wall_first = np.arange(n - 1, -1, -1)
     lu = superlu(M[:, wall_first][wall_first, :].tocsc(), permc_spec="MMD_AT_PLUS_A",
                  relax=1, panel_size=1)
     return wall_first[np.argsort(lu.perm_c)]
+
+
+class TestStencil:
+    """Every matrix assembled on a disk lies in the pattern `grid_order` is
+    computed for, so that order suits every factorization on the grid."""
+
+    @settings(max_examples=20)
+    @given(kappa=st.integers(-10, 10).map(lambda k: 0.1 * k),
+           c=st.integers(0, 15).map(lambda k: 0.1 * k),
+           d=st.integers(-5, 5).map(lambda k: 0.1 * k),
+           eps=st.integers(0, 15).map(lambda k: 0.01 * k), j=st.integers(1, 3),
+           a=st.integers(-10, 10).map(lambda k: 0.1 * k),
+           grid=st.sampled_from([(4, 8), (8, 8), (16, 8), (12, 16), (24, 16)]))
+    def test_assembled_matrices_lie_in_the_grid_stencil(self, kappa, c, d, eps, j, a, grid):
+        ball = space_form_ball(kappa, 2, 1.0, polynomial_drift([c]))
+        p = build_model_disk(ball, perturbation=lambda t, th: eps * t * t * np.cos(j * th),
+                             drift_angular=lambda t, th: a * t * (1.0 + 0.5 * np.sin(th)),
+                             n_t=grid[0], n_theta=grid[1])
+        p = p.with_drift(Vt=p.Vt * (1.0 + d * np.cos(p.grid.sample(lambda t, th: th))),
+                         Vtheta=p.Vtheta)
+        W = 1.0 + p.grid.sample(lambda t, th: t * np.cos(th) ** 2)
+        stencil = _stencil(*grid).toarray() != 0.0
+        for mat in (assemble_operator(p), weighted_stiffness(p, W, dirichlet=True),
+                    weighted_stiffness(p, W, dirichlet=False), advection_matrix(p, W)):
+            coo = mat.tocoo()
+            assert np.all(stencil[coo.row, coo.col])
 
 
 def _zero_radial_drift(n_t, n_theta):
