@@ -63,7 +63,6 @@ class HollandReport:
     Q_min: float
     bound: float
     w_u: np.ndarray
-    G: np.ndarray | None = None
     fast_path: bool = False
 
 

@@ -5,6 +5,7 @@ Subcommands (artifact formats in brackets)
 spectrum   all model eigenvalues up to a cutoff, with multiplicities [csv, json]
 principal  ground eigenvalue of a model ball (1-D solver) [csv, json]
 disk2d     ground pair of a 2-D disk (model + perturbation + angular drift) [csv, json]
+           (its `residual` is the last step max|omega_k - omega_(k-1)|, below tol)
 bounds     Barta bracket and integral min-max bound for a disk problem [csv, json]
            (the bound's trial is omega sqrt(G) with G = left / (vol omega) from
            the eigen solve's adjoint vector, so no G system is solved)

@@ -44,7 +44,6 @@ class AnalyticDisk:
     h1: Callable | None = None
     h1_t: Callable | None = None
     vtheta: Callable | None = None
-    m: int = 2
 
     def __post_init__(self):
         if (self.h1 is None) != (self.h1_t is None):
@@ -53,8 +52,8 @@ class AnalyticDisk:
     def curvature(self, t, th):
         return -np.asarray(self.J_tt(t, th)) / np.asarray(self.J(t, th))
 
-    def laplace_r(self, t, th):
-        return (self.m - 1) * np.asarray(self.J_t(t, th)) / np.asarray(self.J(t, th))
+    def laplace_r(self, t, th):  # (m - 1) J_t / J with m = 2
+        return np.asarray(self.J_t(t, th)) / np.asarray(self.J(t, th))
 
     def build(self, n_t: int, n_theta: int) -> DiskProblem:
         from .disk import DiskProblem, PolarGrid
@@ -124,9 +123,9 @@ def _sample(side, ts, thetas) -> _Samples:
     J, J1, vtheta = (at(f, T[1:]) for f in (side.J, side.J_t, side.vtheta))
     if side.h1 is None:
         extra = h
-    else:  # the t = 0 limit of div V - |V|^2/2 is m h1'(0)
+    else:  # the t = 0 limit of div V - |V|^2/2 is m h1'(0), m = 2
         lhs = extra_condition_lhs(h[1:], at(side.h1_t, T[1:]), at(side.laplace_r, T[1:]))
-        extra = np.vstack([side.m * at(side.h1_t, 0.0 * row), lhs])
+        extra = np.vstack([2 * at(side.h1_t, 0.0 * row), lhs])
     return _Samples(K, h, extra, J, J1, bool(np.any(vtheta != 0.0)))
 
 
@@ -310,7 +309,7 @@ def eigenvalue_sandwich(problem: DiskProblem, tol: float = 1e-7) -> SandwichResu
     lower_gap = pair0.lam - pairV.lam - 0.5 * int_div_0 + grad_int
 
     dt, dth = problem.grid.dt, problem.grid.dtheta
-    # eigenpair residuals are relative to lambda; the slacks are absolute
+    # each pair's step bounds its residual relative to lambda; the slacks are absolute
     combined = (pair0.lam * pair0.residual + pairV.lam * pairV.residual
                 + 2.0 * pair0.lam * (dt * dt + dth * dth * 0.05))
     return SandwichResult(lower_gap=float(lower_gap), upper_gap=float(upper_gap),

@@ -34,9 +34,11 @@ One inverse iteration, `principal_eigenpair_2d`, gives every principal
 pair: of the operator (S = A, M = I) and of the weighted Rayleigh pencils
 K v = lambda M v of `bounds` (M the lumped mass, 0 at a ball's origin
 node).  One LU factor of S advances right and left vectors, for a
-two-sided eigenvalue accurate to the residual squared and the adjoint
-pair at no extra factorization; residuals are relative to |lambda|
-max(M v) (vectors at max 1), so the test does not depend on disk size.
+two-sided eigenvalue accurate to the product of their errors and the
+adjoint pair at no extra factorization.  Every pencil stops on the steps
+of its vectors (at max 1), which are their relative residuals without
+the roundoff floor of a product with S, so the test depends on neither
+the disk's size nor its grid.
 """
 
 from __future__ import annotations
@@ -144,7 +146,8 @@ class EigenPair2D:
     """Principal eigenvalue with its right (omega) and left vectors.
 
     Both vectors are positive with max 1; `residual` and `left_residual`
-    are relative to |lam|.
+    are the last steps max|v_k - v_(k-1)| of the right and left vectors,
+    both below the solve's tolerance.
     """
 
     lam: float
@@ -353,23 +356,24 @@ def operator_action(A: sp.spmatrix, shape):
 
 
 def _context(shape, n, it=None, residual=None, left_residual=None) -> str:
-    """Where an inverse iteration failed: grid or size, iteration, residuals or step of v."""
+    """Where an inverse iteration failed: grid or size, iteration, steps of v and y."""
     text = f"grid {shape[0]}x{shape[1]}" if shape is not None else f"n = {n}"
-    if it is not None and left_residual is None:
-        text += f", iteration {it}, step {residual:.2e}"
-    elif it is not None:
-        text += (f", iteration {it}, relative residuals {residual:.2e} (right) "
-                 f"and {left_residual:.2e} (left)")
+    if it is not None:
+        text += f", iteration {it}, step {residual:.2e} (right) and {left_residual:.2e} (left)"
     return text
 
 
-def pencil_quotient(S: sp.spmatrix, mass: np.ndarray, v) -> float:
-    """v^T S v / v^T M v, M = diag(mass), summed in long double (both cancel when lam is small)."""
+def pencil_quotient(S: sp.spmatrix, mass, v, y=None) -> float:
+    """y^T S v / y^T M v, M = diag(mass) (None: I), y = v unless given.
+
+    Summed in long double: both sums cancel when lam is small.
+    """
     v = np.asarray(v, dtype=np.longdouble).ravel()
-    denom = v @ (mass * v)
+    y = v if y is None else np.asarray(y, dtype=np.longdouble).ravel()
+    denom = y @ (v if mass is None else mass * v)
     if not denom > 0.0:
         raise ValueError("trial has zero weighted norm")
-    return float((v @ (S.astype(np.longdouble) @ v)) / denom)
+    return float((y @ (S.astype(np.longdouble) @ v)) / denom)
 
 
 def _unit(x: np.ndarray) -> np.ndarray:
@@ -383,14 +387,17 @@ def principal_eigenpair_2d(op: sp.spmatrix, *, tol: float = DEFAULT_TOL, maxiter
 
     S is `op`, M the diagonal `mass` (None: M = I; never inverted, so it may
     vanish).  One LU factorization of S, in `in_grid_order`, advances
-    v <- S^-1 (M v) and y <- S^-T (M y), returned in the original numbering,
-    and lam = y^T S v / y^T M v.  It stops when max|S v - lam M v| /
-    (|lam| max(M v)), max|v| = 1, and its twin for y and S^T are below `tol`.
-    A symmetric pencil has y = v, and that residual's roundoff floor, about
-    eps ||S|| / (lam max M), can exceed `tol`: it iterates v alone, stops on
-    the step max|v_k - v_(k-1)| (v_k is off by about step lam / (lam_2 - lam)),
-    and sums lam = v^T S v / v^T M v, which cancels as much, in long double
-    (`pencil_quotient`).
+    v <- S^-1 (M v) and y <- S^-T (M y), each scaled to max 1 (a symmetric
+    pencil has y = v and iterates v alone), and stops when the steps
+    max|v_k - v_(k-1)| and max|y_k - y_(k-1)| are below `tol`.  With mu_k
+    the reciprocal of the scaling, S v_k - mu_k M v_k = mu_k M (v_(k-1) - v_k)
+    exactly, so the step bounds the residual relative to mu_k max(M) without
+    a product with S, whose roundoff floor is about eps ||S|| / (lam max M)
+    (I. C. F. Ipsen, SIAM Rev. 39, 1997); v_k is off by about
+    step lam / (lam_2 - lam).  lam = y^T S v / y^T M v is formed once, after
+    the loop, in long double (`pencil_quotient`).  A last iterate that needed
+    a sign fix is no positive pair.  The vectors are returned in the
+    original numbering.
     """
     n = op.shape[0]
     order, op = in_grid_order(op, shape)
@@ -400,25 +407,25 @@ def principal_eigenpair_2d(op: sp.spmatrix, *, tol: float = DEFAULT_TOL, maxiter
         lu = splu(op, **SUPERLU_OPTIONS)
     except RuntimeError as exc:
         raise SolverError(f"factorization failed ({_context(shape, n)}): {exc}") from exc
-    op_t = op.T
-    symmetric = mass is not None and (op != op_t).nnz == 0  # M = I: the disk's A is not
-    v = Mv = My = np.ones(n) if mass is None else mass
+    symmetric = mass is not None and (op != op.T).nnz == 0  # M = I: the disk's A is not
+    v = y = Mv = My = np.ones(n) if mass is None else mass
     restarts = 0
     residual = left_residual = np.inf
     best = np.inf
     stalled = 0
 
     def context(it):
-        return _context(shape, n, it, residual, None if symmetric else left_residual)
+        return _context(shape, n, it, residual, left_residual)
 
     for it in range(1, maxiter + 1):
-        v_old, v = v, lu.solve(Mv)
+        v_old, y_old, v = v, y, lu.solve(Mv)
         vmax = np.max(np.abs(v))
         if vmax == 0.0 or not np.isfinite(vmax):
             raise SolverError(f"inverse iteration broke down ({context(it)})")
         v = _unit(v)
         y = v if symmetric else _unit(lu.solve(My, trans="T"))
-        if np.any(v <= 0.0) or np.any(y <= 0.0):
+        flipped = np.any(v <= 0.0) or np.any(y <= 0.0)
+        if flipped:
             restarts += 1
             if restarts > 25:
                 raise NonPrincipalModeError(
@@ -427,16 +434,9 @@ def principal_eigenpair_2d(op: sp.spmatrix, *, tol: float = DEFAULT_TOL, maxiter
                 )
             v = np.abs(v)
             y = v if symmetric else np.abs(y)
-        if symmetric:
-            Mv = My = mass * v
-            residual = left_residual = float(np.max(np.abs(v - v_old)))
-        else:
-            Sv = op @ v
-            Mv, My = (v, y) if mass is None else (mass * v, mass * y)
-            lam = float(y @ Sv) / float(y @ Mv)
-            scale = max(abs(lam), np.finfo(float).tiny)
-            residual, left_residual = (float(np.max(np.abs(r))) / (scale * float(np.max(m)))
-                                       for r, m in ((Sv - lam * Mv, Mv), (op_t @ y - lam * My, My)))
+        Mv, My = (v, y) if mass is None else (mass * v, mass * y)
+        residual = float(np.max(np.abs(v - v_old)))
+        left_residual = residual if symmetric else float(np.max(np.abs(y - y_old)))
         worst = max(residual, left_residual)
         if worst < tol and it >= 3:
             break
@@ -454,17 +454,16 @@ def principal_eigenpair_2d(op: sp.spmatrix, *, tol: float = DEFAULT_TOL, maxiter
                     )
                 # roundoff floor of the triangular solves
                 raise ConvergenceError(
-                    f"residual stagnated above tol={tol:.1e} (roundoff floor; {context(it)})"
+                    f"steps stagnated above tol={tol:.1e} (roundoff floor; {context(it)})"
                 )
     else:
         raise ConvergenceError(
             f"inverse iteration did not reach tol={tol:.1e} in {maxiter} iterations "
             f"({context(maxiter)})"
         )
-    if np.any(v <= 0.0):
+    if flipped:  # the small step was between sign-fixed iterates, not of a positive pair
         raise NonPrincipalModeError(f"converged mode has nonpositive components ({context(it)})")
-    if symmetric:
-        lam = pencil_quotient(op, mass, v)
+    lam = pencil_quotient(op, mass, v, y)
     if lam <= 0.0:
         raise SolverError(f"principal eigenvalue came out nonpositive: {lam} ({context(it)})")
     back = np.argsort(order)
@@ -480,9 +479,9 @@ def adjoint_principal(op: sp.spmatrix, tol: float = DEFAULT_TOL,
     """Principal pair of the transposed operator: the left pair of `op`.
 
     One factorization serves both sides, and the iteration stops only when
-    A^T y = lam y holds to `tol` too; the left vector must be positive.  This
-    solves `op` afresh; a caller that already holds its pair from
-    `solve_principal` has the same left vector in `pair.left`.
+    the step of the left vector is below `tol` too; the left vector must be
+    positive.  This solves `op` afresh; a caller that already holds its pair
+    from `solve_principal` has the same left vector in `pair.left`.
     """
     pair = principal_eigenpair_2d(op, tol=tol, shape=shape)
     context = _context(shape, op.shape[0], pair.iterations, pair.residual, pair.left_residual)

@@ -115,9 +115,11 @@ def test_criterion_06_barta_bracket(flat_disk_default):
     width = br_opt.upper - br_opt.lower
     assert br_opt.lower <= pair.lam <= br_opt.upper
     # ten times the absolute residual max|A omega - lam omega|
-    assert width < 10.0 * pair.lam * pair.residual
+    omega = pair.omega.ravel()
+    residual = np.max(np.abs(A @ omega - pair.lam * omega))
+    assert width < 10.0 * residual
     _report(6, f"20 brackets contain lambda; width at omega {width:.2e} "
-               f"< 10 x residual {pair.lam * pair.residual:.2e}")
+               f"< 10 x residual {residual:.2e}")
 
 
 def test_criterion_07_integral_min_max():

@@ -108,6 +108,16 @@ class TestDisk2D:
         assert run(["disk2d", "--space-form", "0", "--dim", "3",
                     "--radius", "1"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("flags, tol", [(["--tol", "1e-9"], 1e-9), (["--drift", "20*t"], 1e-6)])
+    def test_stop_has_no_roundoff_floor(self, flags, tol, capsys):
+        # the relative residual's roundoff floor on the default grid lies above
+        # 1e-9 (flat disk) and 1e-6 (lambda = 0.016 under h = 20 t); the steps
+        # of the iterates have none
+        assert run(["disk2d", "--space-form", "0", "--dim", "2", "--radius", "1"]
+                   + flags) == EXIT_OK
+        out = capsys.readouterr().out
+        assert 0.0 < float(out.split("residual = ")[1].split()[0]) < tol
+
 
 class TestBounds:
     def test_bracket_and_bound(self, tmp_path, capsys):
@@ -268,6 +278,15 @@ class TestConfigAndErrors:
         assert run(["principal", "--config", str(cfg)]) == EXIT_OK
         lam = float(capsys.readouterr().out.split("=")[-1])
         assert lam == pytest.approx(5.2968096, abs=1e-5)
+
+    def test_module_docstring_config_runs(self, tmp_path, capsys):
+        text = driftspectra.cli.__doc__.split("key=value sections:\n\n")[1].split("\n\n")[0]
+        out = tmp_path / "out.csv"
+        cfg = tmp_path / "doc.cfg"
+        cfg.write_text(text.replace("path = out.csv", f"path = {out}"))
+        assert run(["disk2d", "--config", str(cfg)]) == EXIT_OK
+        assert out.read_text().splitlines()[0] == "t,theta,omega"
+        assert len(out.read_text().splitlines()) == 512 * 128 + 1
 
     def test_cli_overrides_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -157,7 +159,15 @@ class TestEigen:
         assert np.all(y > 0) and np.max(y) == 1.0
         left_res = np.max(np.abs(A.T @ y - pair.lam * y)) / abs(pair.lam)
         assert left_res <= 1e-8
-        assert left_res == pytest.approx(pair.left_residual, rel=1e-6)
+        # left_residual is the last step of y <- A^-T y (max 1), from y = 1
+        lu = superlu(sp.csc_matrix(A.T))
+        steps = [np.ones(A.shape[0])]
+        for _ in range(pair.iterations):
+            z = lu.solve(steps[-1])
+            steps.append(z / z.max())
+        assert np.max(np.abs(steps[-1] - y)) <= 1e-12
+        assert pair.left_residual == pytest.approx(np.max(np.abs(steps[-1] - steps[-2])), rel=1e-3)
+        assert pair.left_residual < 1e-8
 
     def test_adjoint_factors_once(self, flat_pair, monkeypatch):
         problem, _, A = flat_pair
@@ -289,8 +299,7 @@ class TestEigen:
         with pytest.raises(ConvergenceError) as exc:
             principal_eigenpair_2d(A, tol=1e-8, maxiter=3, shape=problem.J.shape)
         msg = str(exc.value)
-        for part in ("grid 128x64, iteration 3", "(right)", "(left)"):
-            assert part in msg
+        assert re.search(r"grid 128x64, iteration 3, step \S+ \(right\) and \S+ \(left\)", msg)
         assert "shift" not in msg
         with pytest.raises(ConvergenceError, match=r"n = 8192, iteration 3"):
             principal_eigenpair_2d(A, tol=1e-8, maxiter=3)
@@ -530,6 +539,27 @@ class TestReducedOracle:
         pair, A = solve_principal(problem)
         exact = ring_averaged_lambda(A, *grid)
         assert abs(pair.lam - exact) <= 1e-10 * exact
+
+
+class TestStepStop:
+    """The iteration stops on the steps of its vectors, which have no
+    roundoff floor: the relative residual max|A v - lam v| / lam reads
+    eps ||A|| / lam at best, 6e-9 on the flat 192 x 128 disk."""
+
+    def test_tight_tolerance_reaches_the_ring_averaged_lambda(self):
+        pair, A = solve_principal(build_model_disk(FLAT, n_t=192, n_theta=128), tol=1e-10)
+        exact = ring_averaged_lambda(A, 192, 128)
+        assert pair.residual < 1e-10 and pair.left_residual < 1e-10
+        assert abs(pair.lam - exact) <= 1e-11 * exact
+
+    def test_sign_fixed_iterates_do_not_converge(self):
+        # h = 10 t on r0 = 10: cell Peclet numbers near 10, lambda far below
+        # eps ||A||; every iterate leaves the positive cone, and their absolute
+        # values stop moving after three solves
+        problem = build_model_disk(euclidean_ball(2, 10.0, polynomial_drift([10.0])),
+                                   n_t=96, n_theta=64)
+        with pytest.raises(NonPrincipalModeError):
+            solve_principal(problem)
 
 
 class TestRotation:
