@@ -92,7 +92,7 @@ def _forms(target, f, n_t: int):
     vanishes there.  On a disk: the cells of its grid (`n_t` is unused).
     """
     if not isinstance(target, ModelBall):
-        w = np.exp(-_field_on_grid(target, f))
+        w = np.exp(-target.grid.sample(f))
         return weighted_stiffness(target, w, dirichlet=True).tocsc(), w.ravel() * volumes(target)
     r0 = target.r0
     nodes = np.linspace(0.0, r0, n_t + 1)
@@ -145,15 +145,6 @@ def rayleigh_minimize(target, f, n_t: int = 512):
     pair = principal_eigenpair_2d(K, tol=RAYLEIGH_TOL, shape=None if ball else target.J.shape,
                                   mass=mass)
     return pair.lam, np.append(pair.omega, 0.0) if ball else pair.omega
-
-
-def _field_on_grid(problem: DiskProblem, f) -> np.ndarray:
-    if callable(f):
-        return problem.grid.sample(f)
-    arr = np.asarray(f, dtype=float)
-    if arr.shape != problem.J.shape:
-        raise ValueError("field samples must match the grid")
-    return arr
 
 
 # -- auxiliary degenerate elliptic solves -----------------------------------

@@ -74,7 +74,7 @@ import numpy as np
 
 from . import radial as radial_mod
 from .compare import riccati_uniqueness, run_corpus
-from .errors import NonPrincipalModeError, SolverError
+from .errors import SolverError
 from .expressions import ExpressionError, parse_expression
 from .geometry import (ModelBall, custom_warping, drift_from_rate, make_space_form,
                        polynomial_drift, zero_drift)
@@ -273,8 +273,6 @@ def _cmd_bounds(cfg: RunConfig, args) -> tuple:
     problem = _disk_problem(cfg)
     pair, A = solve_principal(problem, tol=cfg.tol_2d())
     bracket = barta_bracket(operator_action(A, problem.J.shape), pair.omega)
-    if np.any(pair.left <= 0.0):
-        raise NonPrincipalModeError("left principal vector has nonpositive components")
     u_opt = np.sqrt(pair.omega * pair.left / volumes(problem).reshape(problem.J.shape))
     report = holland_bound(problem, u_opt, A=A)
     values = (pair.lam, bracket.lower, bracket.upper, report.bound)

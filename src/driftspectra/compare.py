@@ -303,7 +303,7 @@ def eigenvalue_sandwich(problem: DiskProblem, tol: float = 1e-7) -> SandwichResu
     int_div_0 = -2.0 * drift_pairing_0
     upper_gap = pairV.lam + 0.5 * int_div_V - pair0.lam
 
-    w_pot, _ = solve_w_u(problem, np.abs(w0.reshape(shape)))
+    w_pot, _ = solve_w_u(problem, w0.reshape(shape))
     Kw = weighted_stiffness(problem, (w0.reshape(shape)) ** 2, dirichlet=False)
     grad_int = float(w_pot.ravel() @ (Kw @ w_pot.ravel()))
     lower_gap = pair0.lam - pairV.lam - 0.5 * int_div_0 + grad_int

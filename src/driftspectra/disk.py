@@ -56,6 +56,7 @@ from .geometry import ModelBall
 DEFAULT_NT = 192
 DEFAULT_NTHETA = 128
 DEFAULT_TOL = 1e-6
+MAXITER = 400  # iteration budget of `principal_eigenpair_2d`
 SUPERLU_OPTIONS = {"permc_spec": "NATURAL", "relax": 1, "panel_size": 1}
 
 
@@ -145,9 +146,10 @@ class DiskProblem:
 class EigenPair2D:
     """Principal eigenvalue with its right (omega) and left vectors.
 
-    Both vectors are positive with max 1; `residual` and `left_residual`
-    are the last steps max|v_k - v_(k-1)| of the right and left vectors,
-    both below the solve's tolerance.
+    As `principal_eigenpair_2d` guarantees: both vectors are strictly
+    positive with max 1, `residual` and `left_residual` (the last steps
+    max|v_k - v_(k-1)| of the right and left vectors) are below the solve's
+    tolerance, and lam > 0.  Callers rely on this and do not test it again.
     """
 
     lam: float
@@ -364,13 +366,13 @@ def _context(shape, n, it=None, residual=None, left_residual=None) -> str:
 
 
 def pencil_quotient(S: sp.spmatrix, mass, v, y=None) -> float:
-    """y^T S v / y^T M v, M = diag(mass) (None: I), y = v unless given.
+    """y^T S v / y^T M v, M = diag(mass), y = v unless given.
 
     Summed in long double: both sums cancel when lam is small.
     """
     v = np.asarray(v, dtype=np.longdouble).ravel()
     y = v if y is None else np.asarray(y, dtype=np.longdouble).ravel()
-    denom = y @ (v if mass is None else mass * v)
+    denom = y @ (mass * v)
     if not denom > 0.0:
         raise ValueError("trial has zero weighted norm")
     return float((y @ (S.astype(np.longdouble) @ v)) / denom)
@@ -381,34 +383,35 @@ def _unit(x: np.ndarray) -> np.ndarray:
     return x / x[np.argmax(np.abs(x))]
 
 
-def principal_eigenpair_2d(op: sp.spmatrix, *, tol: float = DEFAULT_TOL, maxiter: int = 400,
-                           shape=None, mass=None) -> EigenPair2D:
+def principal_eigenpair_2d(op: sp.spmatrix, *, tol: float = DEFAULT_TOL, shape=None,
+                           mass=None) -> EigenPair2D:
     """Positive ground pair of S v = lam M v, with its left vector, by inverse iteration.
 
-    S is `op`, M the diagonal `mass` (None: M = I; never inverted, so it may
-    vanish).  One LU factorization of S, in `in_grid_order`, advances
-    v <- S^-1 (M v) and y <- S^-T (M y), each scaled to max 1 (a symmetric
-    pencil has y = v and iterates v alone), and stops when the steps
-    max|v_k - v_(k-1)| and max|y_k - y_(k-1)| are below `tol`.  With mu_k
+    S is `op`, M the diagonal `mass` (None: the unit mass, M = I; never
+    inverted, so it may vanish).  One LU factorization of S, in
+    `in_grid_order`, advances v <- S^-1 (M v) and y <- S^-T (M y) from
+    v = y = 1, each scaled to max 1 (a symmetric pencil has y = v and
+    iterates v alone), and stops when the steps max|v_k - v_(k-1)| and
+    max|y_k - y_(k-1)| are below `tol`, within `MAXITER` iterations.  With mu_k
     the reciprocal of the scaling, S v_k - mu_k M v_k = mu_k M (v_(k-1) - v_k)
     exactly, so the step bounds the residual relative to mu_k max(M) without
     a product with S, whose roundoff floor is about eps ||S|| / (lam max M)
     (I. C. F. Ipsen, SIAM Rev. 39, 1997); v_k is off by about
     step lam / (lam_2 - lam).  lam = y^T S v / y^T M v is formed once, after
     the loop, in long double (`pencil_quotient`).  A last iterate that needed
-    a sign fix is no positive pair.  The vectors are returned in the
-    original numbering.
+    a sign fix is no positive pair.  This is the one check of a pair: each
+    one returned has `omega` and `left` strictly positive with max 1, both
+    steps below `tol` and lam > 0, in the original numbering.
     """
     n = op.shape[0]
     order, op = in_grid_order(op, shape)
-    if mass is not None:
-        mass = np.asarray(mass, dtype=float)[order]
     try:
         lu = splu(op, **SUPERLU_OPTIONS)
     except RuntimeError as exc:
         raise SolverError(f"factorization failed ({_context(shape, n)}): {exc}") from exc
     symmetric = mass is not None and (op != op.T).nnz == 0  # M = I: the disk's A is not
-    v = y = Mv = My = np.ones(n) if mass is None else mass
+    mass = np.ones(n) if mass is None else np.asarray(mass, dtype=float)[order]
+    v = y = np.ones(n)
     restarts = 0
     residual = left_residual = np.inf
     best = np.inf
@@ -417,13 +420,13 @@ def principal_eigenpair_2d(op: sp.spmatrix, *, tol: float = DEFAULT_TOL, maxiter
     def context(it):
         return _context(shape, n, it, residual, left_residual)
 
-    for it in range(1, maxiter + 1):
-        v_old, y_old, v = v, y, lu.solve(Mv)
+    for it in range(1, MAXITER + 1):
+        v_old, y_old, v = v, y, lu.solve(mass * v)
         vmax = np.max(np.abs(v))
         if vmax == 0.0 or not np.isfinite(vmax):
             raise SolverError(f"inverse iteration broke down ({context(it)})")
         v = _unit(v)
-        y = v if symmetric else _unit(lu.solve(My, trans="T"))
+        y = v if symmetric else _unit(lu.solve(mass * y, trans="T"))
         flipped = np.any(v <= 0.0) or np.any(y <= 0.0)
         if flipped:
             restarts += 1
@@ -434,7 +437,6 @@ def principal_eigenpair_2d(op: sp.spmatrix, *, tol: float = DEFAULT_TOL, maxiter
                 )
             v = np.abs(v)
             y = v if symmetric else np.abs(y)
-        Mv, My = (v, y) if mass is None else (mass * v, mass * y)
         residual = float(np.max(np.abs(v - v_old)))
         left_residual = residual if symmetric else float(np.max(np.abs(y - y_old)))
         worst = max(residual, left_residual)
@@ -458,8 +460,8 @@ def principal_eigenpair_2d(op: sp.spmatrix, *, tol: float = DEFAULT_TOL, maxiter
                 )
     else:
         raise ConvergenceError(
-            f"inverse iteration did not reach tol={tol:.1e} in {maxiter} iterations "
-            f"({context(maxiter)})"
+            f"inverse iteration did not reach tol={tol:.1e} in {MAXITER} iterations "
+            f"({context(MAXITER)})"
         )
     if flipped:  # the small step was between sign-fixed iterates, not of a positive pair
         raise NonPrincipalModeError(f"converged mode has nonpositive components ({context(it)})")
@@ -478,15 +480,13 @@ def adjoint_principal(op: sp.spmatrix, tol: float = DEFAULT_TOL,
                       shape=None) -> EigenPair2D:
     """Principal pair of the transposed operator: the left pair of `op`.
 
-    One factorization serves both sides, and the iteration stops only when
-    the step of the left vector is below `tol` too; the left vector must be
-    positive.  This solves `op` afresh; a caller that already holds its pair
-    from `solve_principal` has the same left vector in `pair.left`.
+    The pair of `principal_eigenpair_2d` with its vectors swapped, so it
+    carries the same guarantees: both vectors strictly positive with max 1,
+    both steps below `tol`, lam > 0.  This solves `op` afresh; a caller
+    that already holds its pair from `solve_principal` has the same left
+    vector in `pair.left`.
     """
     pair = principal_eigenpair_2d(op, tol=tol, shape=shape)
-    context = _context(shape, op.shape[0], pair.iterations, pair.residual, pair.left_residual)
-    if np.any(pair.left <= 0.0):
-        raise NonPrincipalModeError(f"left principal vector has nonpositive components ({context})")
     return EigenPair2D(lam=pair.lam, omega=pair.left, residual=pair.left_residual,
                        iterations=pair.iterations, left=pair.omega,
                        left_residual=pair.residual, restarts=pair.restarts)

@@ -9,6 +9,7 @@ and `stage_coefficients` are the scalar step-grid loop and the per-stage
 coefficient formulas that the radial path's array construction replaced.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -207,14 +208,54 @@ def ring_averaged_lambda(A, n_t: int, n_theta: int) -> float:
     So the principal (positive) eigenvector is theta-constant, and its
     eigenvalue is the lowest of the n_t x n_t ring-averaged matrix
     R = P^T A P / n_theta, P the ring indicator.  R is tridiagonal with
-    off-diagonal pairs of one sign, so the diagonal similarity that
-    replaces each pair by its geometric mean makes it symmetric, and
-    `numpy.linalg.eigvalsh` gives its lowest eigenvalue.
+    off-diagonal pairs of one sign, so it is similar to a symmetric
+    tridiagonal matrix with the same diagonal and off-diagonal products.
+    The ring sums of A's doubles are formed in 60-digit `decimal`
+    arithmetic (`Decimal(float)` is exact), and the lowest eigenvalue is
+    found by Sturm bisection on them: the number of negative pivots
+    q_i = d_i - x - c_(i-1) / q_(i-1) of T - x I (c the off-diagonal
+    products) is the number of eigenvalues below x.  Bisection stops when
+    both ends round to one double.
     """
-    P = np.kron(np.eye(n_t), np.ones((n_theta, 1)))
-    R = P.T @ (A @ P) / n_theta
-    coupling = np.diag(R, 1) * np.diag(R, -1)
-    if np.any(np.triu(R, 2)) or np.any(np.tril(R, -2)) or np.any(coupling <= 0.0):
-        raise ValueError("ring-averaged operator is not a symmetrizable tridiagonal matrix")
-    off = np.sqrt(coupling)
-    return float(np.linalg.eigvalsh(np.diag(np.diag(R)) + np.diag(off, 1) + np.diag(off, -1))[0])
+    with decimal.localcontext(decimal.Context(prec=60)):
+        C = A.tocoo()
+        ring_a, ring_b = C.row // n_theta, C.col // n_theta
+        if np.any(np.abs(ring_a - ring_b) > 1):
+            raise ValueError("ring-averaged operator is not a tridiagonal matrix")
+        # rings repeat their coefficients: convert each distinct value once
+        entries, counts = np.unique(np.column_stack([ring_a, ring_b, C.data]), axis=0,
+                                    return_counts=True)
+        sums = {}
+        for (i, j, x), m in zip(entries.tolist(), counts.tolist()):
+            sums[int(i), int(j)] = sums.get((int(i), int(j)), 0) + m * decimal.Decimal(x)
+        zero = decimal.Decimal(0)
+        d = [sums.get((i, i), zero) / n_theta for i in range(n_t)]
+        c = [sums.get((i, i + 1), zero) * sums.get((i + 1, i), zero) / (n_theta * n_theta)
+             for i in range(n_t - 1)]
+        if any(x <= 0 for x in c):
+            raise ValueError("ring-averaged operator is not a symmetrizable tridiagonal matrix")
+
+        def above_lowest(x):
+            """Whether a pivot of T - x I is negative: x is above an eigenvalue."""
+            q = decimal.Decimal(1)
+            for i in range(n_t):
+                q = d[i] - x - (c[i - 1] / q if i else 0)
+                if q < 0:
+                    return True
+                q = q or decimal.Decimal("1e-200")
+            return False
+
+        # Gershgorin interval of the symmetric form
+        off = [x.sqrt() for x in c] + [zero]
+        radius = [off[i] + (off[i - 1] if i else zero) for i in range(n_t)]
+        lo = min(di - ri for di, ri in zip(d, radius))
+        hi = max(di + ri for di, ri in zip(d, radius))
+        while float(lo) != float(hi):
+            mid = (lo + hi) / 2
+            if mid in (lo, hi):
+                break
+            if above_lowest(mid):
+                hi = mid
+            else:
+                lo = mid
+        return float(hi)

@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 import driftspectra
 from driftspectra import bounds, radial
 from driftspectra.bounds import barta_bracket, holland_bound
-from driftspectra.cli import (EXIT_CANTCREAT, EXIT_OK, EXIT_PREMISE, EXIT_USAGE,
-                              main)
+from driftspectra.cli import (EXIT_CANTCREAT, EXIT_OK, EXIT_PREMISE, EXIT_SOLVER,
+                              EXIT_USAGE, main)
 from driftspectra.compare import ComparisonCase, riccati_uniqueness, run_case
 from driftspectra.disk import build_model_disk, operator_action, solve_principal, volumes
 from driftspectra.errors import SolverError
@@ -117,6 +117,15 @@ class TestDisk2D:
                    + flags) == EXIT_OK
         out = capsys.readouterr().out
         assert 0.0 < float(out.split("residual = ")[1].split()[0]) < tol
+
+    def test_iterates_that_keep_leaving_the_cone_exit_1(self, capsys):
+        # a strong inward drift on a coarse grid: every iterate needs a sign
+        # fix, and the solve gives up after 25 of them
+        assert run(["disk2d", "--space-form", "0", "--dim", "2", "--radius", "4.295",
+                    "--drift=-94.655*t", "--nt", "24", "--ntheta", "16"]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "iterates keep leaving the positive cone" in err
+        assert "grid 24x16, iteration 27," in err
 
 
 class TestBounds:

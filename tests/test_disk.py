@@ -294,15 +294,16 @@ class TestEigen:
         with pytest.raises((NonPrincipalModeError, SolverError)):
             principal_eigenpair_2d(_shifted(A, 14.0), tol=1e-10)
 
-    def test_errors_name_grid_iteration_and_residuals(self, flat_pair):
+    def test_errors_name_grid_iteration_and_residuals(self, flat_pair, monkeypatch):
         problem, _, A = flat_pair
+        monkeypatch.setattr(disk, "MAXITER", 3)
         with pytest.raises(ConvergenceError) as exc:
-            principal_eigenpair_2d(A, tol=1e-8, maxiter=3, shape=problem.J.shape)
+            principal_eigenpair_2d(A, tol=1e-8, shape=problem.J.shape)
         msg = str(exc.value)
         assert re.search(r"grid 128x64, iteration 3, step \S+ \(right\) and \S+ \(left\)", msg)
-        assert "shift" not in msg
+        assert "in 3 iterations" in msg and "shift" not in msg
         with pytest.raises(ConvergenceError, match=r"n = 8192, iteration 3"):
-            principal_eigenpair_2d(A, tol=1e-8, maxiter=3)
+            principal_eigenpair_2d(A, tol=1e-8)
         with pytest.raises((NonPrincipalModeError, SolverError), match="grid 128x64, iteration"):
             principal_eigenpair_2d(_shifted(A, 14.0), tol=1e-10, shape=problem.J.shape)
 
@@ -507,6 +508,34 @@ class TestTransposeAgreement:
         assert np.max(np.abs(adj.left - pair.omega)) <= 1e-8
 
 
+class TestPairContract:
+    """What `principal_eigenpair_2d` guarantees of every pair it returns,
+    so that no caller tests it again: both vectors strictly positive with
+    max exactly 1, both steps below tol, lam > 0.  The operator and its
+    transpose share lam."""
+
+    @settings(max_examples=20)
+    @given(kappa=st.integers(-10, 10).map(lambda k: 0.1 * k),
+           r0=st.integers(5, 15).map(lambda k: 0.1 * k),
+           c=st.integers(0, 15).map(lambda k: 0.1 * k),
+           eps=st.integers(0, 15).map(lambda k: 0.01 * k), j=st.integers(1, 3),
+           a=st.integers(-10, 10).map(lambda k: 0.1 * k),
+           grid=st.sampled_from([(24, 16), (32, 16), (32, 24), (48, 32)]))
+    def test_pairs_of_the_operator_and_its_transpose(self, kappa, r0, c, eps, j, a, grid):
+        ball = space_form_ball(kappa, 2, r0, polynomial_drift([c]))
+        problem = build_model_disk(ball, perturbation=lambda t, th: eps * t * t * np.cos(j * th),
+                                   drift_angular=lambda t, th: a * t * (1.0 + 0.5 * np.sin(th)),
+                                   n_t=grid[0], n_theta=grid[1])
+        pair, A = solve_principal(problem)
+        adj = principal_eigenpair_2d(A.T.tocsr(), shape=grid)
+        assert abs(adj.lam - pair.lam) <= 1e-10 * pair.lam
+        for p in (pair, adj):
+            assert p.lam > 0.0
+            for vec, step in ((p.omega, p.residual), (p.left, p.left_residual)):
+                assert np.all(vec > 0.0) and np.max(vec) == 1.0
+                assert step < disk.DEFAULT_TOL
+
+
 class TestRadialAgreement:
     """On a rotation-invariant model disk the 2-D pair reduces to the 1-D
     radial problem, up to the O(h^2) error of the 2-D grid."""
@@ -551,6 +580,23 @@ class TestStepStop:
         exact = ring_averaged_lambda(A, 192, 128)
         assert pair.residual < 1e-10 and pair.left_residual < 1e-10
         assert abs(pair.lam - exact) <= 1e-11 * exact
+
+    def test_unreachable_tolerance_stagnates(self):
+        A = assemble_operator(build_model_disk(FLAT, n_t=24, n_theta=16))
+        with pytest.raises(ConvergenceError, match=r"steps stagnated above tol=1\.0e-17 .*"
+                                                   r"iteration 39,"):
+            principal_eigenpair_2d(A, tol=1e-17)
+
+    @pytest.mark.parametrize("grid", [(48, 32), (96, 64)])
+    def test_strong_radial_drift_matches_the_exact_oracle(self, grid):
+        # h = 50 t: lambda is about 1e-8, far below eps ||A|| / lambda of
+        # the relative residual; the steps and the long-double quotient
+        # still give it to 1.6e-9
+        problem = build_model_disk(euclidean_ball(2, 1.0, polynomial_drift([50.0])),
+                                   n_t=grid[0], n_theta=grid[1])
+        pair, A = solve_principal(problem)
+        exact = ring_averaged_lambda(A, *grid)
+        assert abs(pair.lam - exact) <= 1e-8 * exact
 
     def test_sign_fixed_iterates_do_not_converge(self):
         # h = 10 t on r0 = 10: cell Peclet numbers near 10, lambda far below

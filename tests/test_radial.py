@@ -205,6 +205,33 @@ class TestSturmCount:
         with pytest.raises(SolverError, match="cannot isolate"):
             _count_brackets(TwoAtOnce(), 1, 10.0, 2)
 
+    def test_probes_below_an_eigenvalue_raise_the_lower_end(self):
+        class ThreeEigenvalues:
+            """Counts the eigenvalues 1, 14 and 15 below lambda."""
+            k = 0
+
+            def count(self, lam):
+                return sum(1 for mu in (1.0, 14.0, 15.0) if mu < lam)
+
+        brackets = _count_brackets(ThreeEigenvalues(), 3, 16.0, 3)
+        assert brackets == [(0.0, 8.0), (14.0, 15.0), (15.0, 16.0)]
+
+    def test_isolation_doubles_a_low_upper_end(self, monkeypatch):
+        # on the curved 3-ball kappa = -4, r0 = 3 the Euclidean estimate
+        # (pi/3)^2 and its double have no zero below them, four times it two
+        probes = []
+        count = _RadialPath.count
+
+        def recording(path, lam):
+            probes.append((lam, count(path, lam)))
+            return probes[-1][1]
+
+        monkeypatch.setattr(_RadialPath, "count", recording)
+        lam = principal_eigenpair(space_form_ball(-4.0, 3, 3.0)).lam
+        start = probes[0][0]
+        assert probes[:3] == [(start, 0), (2.0 * start, 0), (4.0 * start, 2)]
+        assert lam == pytest.approx(math.pi ** 2 / 9.0 + 4.0, rel=1e-10)
+
     @settings(max_examples=25)
     @given(m=st.sampled_from([2, 3, 4]), kappa=st.floats(-1.0, 0.9), r0=st.floats(0.5, 1.5),
            c1=st.floats(-1.0, 1.5), c2=st.floats(-0.5, 0.5), k=st.integers(0, 5),
