@@ -25,8 +25,7 @@ from .radial import (RadialMode, SpectrumTable, assemble_spectrum,
                      sphere_eigenvalue, weighted_inner_product)
 from .compare import (AnalyticDisk, ComparisonCase, ComparisonVerdict,
                       builtin_corpus, derivative_lambda_eps, eigenvalue_sandwich,
-                      radial_ibp_check, riccati_uniqueness, run_case, run_corpus,
-                      verify_divergence_comparison)
+                      riccati_uniqueness, run_case, run_corpus, verify_divergence_comparison)
 
 _LAZY = {
     "disk": ("DiskProblem", "EigenPair2D", "PolarGrid", "adjoint_principal",

@@ -436,36 +436,6 @@ def riccati_uniqueness(ball: ModelBall, tol: float = 1e-6,
     return RiccatiResult(t=path.nodes, h_recovered=h_rec, sup_error=sup_err)
 
 
-def radial_ibp_check(problem: DiskProblem, u, phi) -> float:
-    """Absolute defect of the radial integration-by-parts identity
-
-        int phi du/dt dM = - int u (dphi/dt + phi * Lap r) dM
-
-    for u vanishing on the wall and phi vanishing at the origin (checked by
-    extrapolating the first two rings).  Probes the quadrature plus the
-    distance-Laplacian stencils.
-    """
-    from .disk import radial_derivative, volumes
-
-    dt = problem.grid.dt
-    u = np.asarray(u, dtype=float).reshape(problem.J.shape)
-    phi = np.asarray(phi, dtype=float).reshape(problem.J.shape)
-    phi_at0 = 1.5 * phi[0, :] - 0.5 * phi[1, :]
-    scale = max(float(np.max(np.abs(phi))), 1e-300)
-    if np.max(np.abs(phi_at0)) > 1e-6 * scale:
-        raise ValueError("phi must extrapolate to 0 at the origin")
-
-    half = problem.grid.n_theta // 2
-    du = radial_derivative(u, dt, ghost=np.roll(u[0, :], half), dirichlet=True)
-    dphi = radial_derivative(phi, dt, ghost=np.roll(phi[0, :], half))
-    Jt = radial_derivative(problem.J, dt)
-    lap_r = Jt / problem.J
-    vol = volumes(problem).reshape(problem.J.shape)
-    lhs = float((phi * du * vol).sum())
-    rhs = -float((u * (dphi + phi * lap_r) * vol).sum())
-    return abs(lhs - rhs)
-
-
 # -- corpus ------------------------------------------------------------------
 
 def builtin_corpus() -> list:

@@ -516,27 +516,6 @@ def build_model_disk(ball: ModelBall, perturbation=None, drift_angular=None,
     return DiskProblem(grid=grid, J=J, Vt=Vt, Vtheta=grid.sample(drift_angular))
 
 
-def radial_derivative(field: np.ndarray, dt: float, ghost=None, dirichlet: bool = False):
-    """d/dt of a cell field by second-order differences, centered inside.
-
-    The first ring is differenced against `ghost`, the values behind the
-    origin (the antipodal cells), or one-sidedly when there is none; the
-    last ring against the Dirichlet-antisymmetric ghost -field[-1] with
-    `dirichlet`, else one-sidedly.
-    """
-    out = np.empty_like(field)
-    out[1:-1, :] = (field[2:, :] - field[:-2, :]) / (2.0 * dt)
-    if ghost is None:
-        out[0, :] = (-3.0 * field[0, :] + 4.0 * field[1, :] - field[2, :]) / (2.0 * dt)
-    else:
-        out[0, :] = (field[1, :] - ghost) / (2.0 * dt)
-    if dirichlet:
-        out[-1, :] = (-field[-1, :] - field[-2, :]) / (2.0 * dt)
-    else:
-        out[-1, :] = (3.0 * field[-1, :] - 4.0 * field[-2, :] + field[-3, :]) / (2.0 * dt)
-    return out
-
-
 def divergence_field(p: DiskProblem) -> np.ndarray:
     """div(V) = d_t Vt + Vt d_t(log J) + (1/J) d_theta(J Vtheta) on the grid.
 
@@ -547,8 +526,12 @@ def divergence_field(p: DiskProblem) -> np.ndarray:
     differenced one-sidedly there; the last ring is one-sided second order.
     """
     dt, dth = p.grid.dt, p.grid.dtheta
-    dVt = radial_derivative(p.Vt, dt, ghost=-np.roll(p.Vt[0, :], p.grid.n_theta // 2))
-    dJ = radial_derivative(p.J, dt)
+    dVt, dJ = np.empty_like(p.Vt), np.empty_like(p.J)
+    for df, f in ((dVt, p.Vt), (dJ, p.J)):
+        df[1:-1, :] = (f[2:, :] - f[:-2, :]) / (2.0 * dt)
+        df[-1, :] = (3.0 * f[-1, :] - 4.0 * f[-2, :] + f[-3, :]) / (2.0 * dt)
+    dVt[0, :] = (p.Vt[1, :] + np.roll(p.Vt[0, :], p.grid.n_theta // 2)) / (2.0 * dt)
+    dJ[0, :] = (-3.0 * p.J[0, :] + 4.0 * p.J[1, :] - p.J[2, :]) / (2.0 * dt)
 
     G = p.J * p.Vtheta
     dG = (np.roll(G, -1, axis=1) - np.roll(G, 1, axis=1)) / (2.0 * dth)

@@ -16,8 +16,10 @@ lam, so the i-th eigenvalue is isolated by bisecting on the count until
 count(lo) = i - 1 and count(hi) = i.  A safeguarded Newton iteration in
 that bracket refines it, with the step from the variational identity
 d a(r0)/d lam = int p a^2 / (p(r0) a'(r0)); every sweep's count also
-shrinks the bracket.  The same sweep integrates the Riccati flow of
-`compare.riccati_uniqueness`.
+shrinks the bracket.  The first eigenvalue of a level starts from a
+Rayleigh quotient of the level, the others from the flat-ball estimate,
+and the result is the last Newton update with the mode of the last sweep.
+The same sweep integrates the Riccati flow of `compare.riccati_uniqueness`.
 """
 
 from __future__ import annotations
@@ -294,36 +296,65 @@ def _isolate(path: _RadialPath, n: int, max_lambda: float | None = None) -> list
     return _count_brackets(path, n, hi, c_hi)
 
 
+def _rayleigh_estimate(path: _RadialPath) -> float:
+    """Least Rayleigh quotient int p (a'^2 + nu a^2 / rho^2) / int p a^2 over
+    the trials a = x^alpha cos(pi x / 2) (c1 + c2 x^2), x = t / r0, on the
+    path's nodes: the lower root of the 2x2 pencil det(K - lam M) = 0.
+
+    Every radial drift h = H' is a gradient, so the level's first eigenvalue
+    is the minimum of this quotient over all trials and the estimate lies a
+    little above it.  It is nan or inf where the samples leave the double
+    range.
+    """
+    r0, al, p = path.ball.r0, path.alpha, path.p_nodes
+    x = path.nodes / r0
+    c, s = np.cos(0.5 * math.pi * x), np.sin(0.5 * math.pi * x)
+    with np.errstate(all="ignore"):
+        a = x ** al * c
+        ap = (al * x ** (al - 1.0) * c - 0.5 * math.pi * x ** al * s) / r0
+        u, up = (a, x * x * a), (ap, x * x * ap + 2.0 * x * a / r0)
+        pot = path.nu / path.ball.rho.eval(path.nodes)[0] ** 2
+
+        def forms(i, j):
+            dens = p * (up[i] * up[j] + pot * u[i] * u[j])
+            dens[0] = 0.0   # p(0) = 0 against the 0/0 of the formulas at the origin
+            return composite_simpson(dens, path.dt), composite_simpson(p * u[i] * u[j], path.dt)
+
+        (k00, m00), (k01, m01), (k11, m11) = forms(0, 0), forms(0, 1), forms(1, 1)
+        A, C = m00 * m11 - m01 * m01, k00 * k11 - k01 * k01
+        B = k00 * m11 + k11 * m00 - 2.0 * k01 * m01
+        # the root's form free of cancellation; a 0/0 gives nan, not an error
+        return float(np.divide(2.0 * C, B + math.sqrt(max(B * B - 4.0 * A * C, 0.0))))
+
+
 def _refine(path: _RadialPath, lo: float, hi: float, i: int, maxiter: int = 100):
     """Eigenvalue i of the path's level in its count bracket, and its (a, a').
 
-    Safeguarded Newton (rtsafe): each sweep's Sturm count tells the side of
-    the root, so it also shrinks [lo, hi]; a step that leaves the bracket or
-    is not below half the step before last is replaced by bisection.  Once
-    the step or the bracket is below the relative xtol = 1e-13 hi, a sweep at
-    the Newton point, if that moves lambda inside the bracket, is the last.
+    Safeguarded Newton (rtsafe) from the Rayleigh estimate for i = 1 and the
+    Euclidean one for i >= 2: each sweep's Sturm count tells the side of the
+    root, so it also shrinks [lo, hi]; a step that leaves the bracket or is
+    not below half the step before last is replaced by bisection.  Once the
+    step or the bracket is below the relative xtol = 1e-13 hi, the last
+    Newton update is returned (lambda itself if the update leaves the
+    bracket) with the mode of the last sweep.
     """
     bracket = (lo, hi)
     xtol = 1e-13 * hi
-    lam = _euclid_estimate(path, i)
+    lam = _rayleigh_estimate(path) if i == 1 else _euclid_estimate(path, i)
     if not lo < lam < hi:
         lam = 0.5 * (lo + hi)
     step = step_old = hi - lo
-    last = False
     for _ in range(maxiter):
         _, changes, (b, bp) = path.integrate(lam, samples=True)
         a, ap = path.to_eigenfunction(b, bp)
-        if last:
-            return lam, a, ap
         lo, hi = (lo, lam) if changes >= i else (lam, hi)
         # Newton step from d a(r0)/d lam = int p a^2 / (p(r0) a'(r0))
         delta = float(-a[-1] * path.p_nodes[-1] * ap[-1]
                       / composite_simpson(path.p_nodes * a * a, path.dt))
         inside = lo < lam + delta < hi
-        last = abs(delta) < xtol or hi - lo < xtol
-        if last and (not inside or lam + delta == lam):
-            return lam, a, ap
-        if inside and (last or 2.0 * abs(delta) <= abs(step_old)):
+        if abs(delta) < xtol or hi - lo < xtol:
+            return (lam + delta if inside else lam), a, ap
+        if inside and 2.0 * abs(delta) <= abs(step_old):
             step_old, step, lam = step, delta, lam + delta
         else:
             step_old, step = step, 0.5 * (hi - lo)
@@ -403,7 +434,8 @@ def assemble_spectrum(ball: ModelBall, lambda_cutoff: float, tol: float = DEFAUL
     The Sturm count at the cutoff gives the number of level-k eigenvalues
     below it.  The first eigenvalue of level k is nondecreasing in k, so
     the k loop stops at the first level with none; a level-0 count of zero
-    means the cutoff does not exceed the principal eigenvalue.
+    means the cutoff does not exceed the principal eigenvalue.  The ground
+    pair comes from the `principal_eigenpair` memo, so it is solved once.
     """
     if not math.isfinite(lambda_cutoff):
         raise ValueError(f"cutoff must be finite, got {lambda_cutoff}")
@@ -422,7 +454,8 @@ def assemble_spectrum(ball: ModelBall, lambda_cutoff: float, tol: float = DEFAUL
             break
         _, mult = sphere_eigenvalue(k, ball.m)
         for i, (lo, hi) in enumerate(_count_brackets(path, n, lambda_cutoff, n), start=1):
-            mode = _build_mode(path, lo, hi, i, tol)
+            mode = (principal_eigenpair(ball, tol=tol, n_t=n_t) if k == 0 and i == 1
+                    else _build_mode(path, lo, hi, i, tol))
             entries.append(SpectrumEntry(lam=mode.lam, k=k, i=i, multiplicity=mult))
         k += 1
         if k > 1000:

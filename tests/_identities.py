@@ -1,7 +1,8 @@
 """Residuals of identities the solvers' output must satisfy; used only by tests.
 
 Kept apart from `_oracles.py`, which the benchmark loads at set-up: these
-helpers import `scipy.integrate`, which the 1-D layer itself never needs.
+helpers import `scipy.integrate`, which the 1-D layer itself never needs,
+and `radial_ibp_check` loads the 2-D layer on its call.
 """
 
 import numpy as np
@@ -52,3 +53,54 @@ def radial_divergence_profile(h1: np.ndarray, J: np.ndarray, t: np.ndarray, m: i
     dJ = np.gradient(J, t)
     div = dh1 + (m - 1) * h1 * dJ / J
     return div, dprod
+
+
+def radial_derivative(field: np.ndarray, dt: float, ghost=None, dirichlet: bool = False):
+    """d/dt of a cell field by second-order differences, centered inside.
+
+    The first ring is differenced against `ghost`, the values behind the
+    origin (the antipodal cells), or one-sidedly when there is none; the
+    last ring against the Dirichlet-antisymmetric ghost -field[-1] with
+    `dirichlet`, else one-sidedly.
+    """
+    out = np.empty_like(field)
+    out[1:-1, :] = (field[2:, :] - field[:-2, :]) / (2.0 * dt)
+    if ghost is None:
+        out[0, :] = (-3.0 * field[0, :] + 4.0 * field[1, :] - field[2, :]) / (2.0 * dt)
+    else:
+        out[0, :] = (field[1, :] - ghost) / (2.0 * dt)
+    if dirichlet:
+        out[-1, :] = (-field[-1, :] - field[-2, :]) / (2.0 * dt)
+    else:
+        out[-1, :] = (3.0 * field[-1, :] - 4.0 * field[-2, :] + field[-3, :]) / (2.0 * dt)
+    return out
+
+
+def radial_ibp_check(problem, u, phi) -> float:
+    """Absolute defect of the radial integration-by-parts identity
+
+        int phi du/dt dM = - int u (dphi/dt + phi * Lap r) dM
+
+    for u vanishing on the wall and phi vanishing at the origin (checked by
+    extrapolating the first two rings).  Probes the quadrature plus the
+    distance-Laplacian stencils.
+    """
+    from driftspectra.disk import volumes
+
+    dt = problem.grid.dt
+    u = np.asarray(u, dtype=float).reshape(problem.J.shape)
+    phi = np.asarray(phi, dtype=float).reshape(problem.J.shape)
+    phi_at0 = 1.5 * phi[0, :] - 0.5 * phi[1, :]
+    scale = max(float(np.max(np.abs(phi))), 1e-300)
+    if np.max(np.abs(phi_at0)) > 1e-6 * scale:
+        raise ValueError("phi must extrapolate to 0 at the origin")
+
+    half = problem.grid.n_theta // 2
+    du = radial_derivative(u, dt, ghost=np.roll(u[0, :], half), dirichlet=True)
+    dphi = radial_derivative(phi, dt, ghost=np.roll(phi[0, :], half))
+    Jt = radial_derivative(problem.J, dt)
+    lap_r = Jt / problem.J
+    vol = volumes(problem).reshape(problem.J.shape)
+    lhs = float((phi * du * vol).sum())
+    rhs = -float((u * (dphi + phi * lap_r) * vol).sum())
+    return abs(lhs - rhs)

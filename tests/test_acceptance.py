@@ -13,7 +13,7 @@ import pytest
 from driftspectra.bounds import (barta_bracket, holland_bound, rayleigh_minimize,
                                  solve_G_V, solve_w_u)
 from driftspectra.compare import (derivative_lambda_eps, eigenvalue_sandwich,
-                                  radial_ibp_check, riccati_uniqueness, run_corpus)
+                                  riccati_uniqueness, run_corpus)
 from driftspectra.disk import (adjoint_principal, angular_std, build_model_disk,
                                operator_action, solve_principal, volumes)
 from driftspectra.errors import LogarithmicBranchError
@@ -21,7 +21,8 @@ from driftspectra.geometry import euclidean_ball, polynomial_drift, space_form_b
 from driftspectra.radial import (assemble_spectrum, principal_eigenpair,
                                  solve_radial_modes, weighted_inner_product)
 
-from _identities import derivative_identity_residual, maisuma_residual, radial_divergence_profile
+from _identities import (derivative_identity_residual, maisuma_residual,
+                         radial_divergence_profile, radial_ibp_check)
 from _oracles import bessel_zero
 
 J01_SQ = 5.783185962947  # j_{0,1}^2, frozen from the series zero finder

@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from driftspectra.compare import (AnalyticDisk, ComparisonCase, builtin_corpus,
                                   derivative_lambda_eps, eigenvalue_sandwich,
-                                  radial_ibp_check, riccati_uniqueness, run_case, run_corpus,
+                                  riccati_uniqueness, run_case, run_corpus,
                                   verify_divergence_comparison)
 from driftspectra.disk import build_model_disk
 from driftspectra.errors import LogarithmicBranchError
 from driftspectra.geometry import euclidean_ball, polynomial_drift, space_form_ball
 
-from _identities import radial_divergence_profile
+from _identities import radial_divergence_profile, radial_ibp_check
 
 FLAT = euclidean_ball(2, 1.0)
 

@@ -16,6 +16,7 @@ from driftspectra.errors import ConvergenceError, NonPrincipalModeError, SolverE
 from driftspectra.geometry import euclidean_ball, polynomial_drift, space_form_ball
 from driftspectra.radial import principal_eigenpair
 
+from _identities import radial_derivative
 from _oracles import bessel_zero, ring_averaged_lambda
 
 FLAT = euclidean_ball(2, 1.0)
@@ -660,8 +661,8 @@ class TestFields:
             grid = PolarGrid(n_t=n_t, n_theta=16, r0=1.0)
             f, exact = field(*grid.mesh())
             ghost = np.roll(f[0, :], 8) if variant == "antipodal ghost" else None
-            err = np.abs(disk.radial_derivative(f, grid.dt, ghost=ghost,
-                                                dirichlet=variant == "Dirichlet wall") - exact)
+            err = np.abs(radial_derivative(f, grid.dt, ghost=ghost,
+                                           dirichlet=variant == "Dirichlet wall") - exact)
             errors.append((np.max(err), np.max(err[ring])))
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse[0] / fine[0] > 3.5 and coarse[1] / fine[1] > 3.5, errors

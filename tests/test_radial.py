@@ -1,7 +1,9 @@
 import dataclasses
 import gc
 import math
+import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from driftspectra.errors import ConvergenceError, EigenvalueWindowError, SolverError
 from driftspectra.geometry import euclidean_ball, polynomial_drift, space_form_ball
 from driftspectra import radial
-from driftspectra.radial import (_count_brackets, _isolate, _RadialPath, _refine,
-                                 assemble_spectrum, frobenius_exponent,
+from driftspectra.radial import (_count_brackets, _isolate, _RadialPath, _rayleigh_estimate,
+                                 _refine, assemble_spectrum, frobenius_exponent,
                                  principal_eigenpair, solve_radial_modes,
                                  sphere_eigenvalue, weighted_inner_product)
 
@@ -281,17 +283,26 @@ class TestSpectrum:
             assemble_spectrum(euclidean_ball(2, 1.0), 3.0)
 
     def test_ground_pair_solved_once(self, monkeypatch):
-        # the level-0 count checks the cutoff; lambda_1 is solved only to
-        # word the error
-        calls = []
-        solve = radial.principal_eigenpair
-        monkeypatch.setattr(radial, "principal_eigenpair",
-                            lambda *a, **kw: calls.append(1) or solve(*a, **kw))
-        assemble_spectrum(euclidean_ball(2, 1.0), 16.0)
-        assert calls == []
+        # the spectrum takes its (k, i) = (0, 1) entry from the principal memo,
+        # so lambda_1 of a ball is refined once, whichever call comes first
+        refined = []
+        refine = radial._refine
+        monkeypatch.setattr(radial, "_refine", lambda path, lo, hi, i, *a, **kw:
+                            refined.append((path.k, i)) or refine(path, lo, hi, i, *a, **kw))
+        ball = euclidean_ball(2, 1.0)
+        mode = principal_eigenpair(ball)
+        table = assemble_spectrum(ball, 16.0)
+        assert refined.count((0, 1)) == 1
+        assert table.entries[0].lam == mode.lam
+
+        del refined[:]
+        cold = euclidean_ball(2, 1.0)
+        table = assemble_spectrum(cold, 16.0)
+        assert refined.count((0, 1)) == 1
+        assert table.entries[0].lam == principal_eigenpair(cold).lam
+        assert refined.count((0, 1)) == 1
         with pytest.raises(ValueError, match="principal eigenvalue 5.78319"):
             assemble_spectrum(euclidean_ball(2, 1.0), 5.78)
-        assert calls == [1]
 
     @pytest.mark.parametrize("cutoff", [math.nan, math.inf])
     def test_non_finite_cutoff_rejected(self, cutoff):
@@ -523,7 +534,7 @@ class TestNewton:
     def test_sweep_budget(self, ball, sweeps):
         # the parameter balls live as long as the session: a memo hit sweeps nothing
         principal_eigenpair(ball)
-        assert 0 < len(sweeps) <= 10
+        assert 0 < len(sweeps) <= 6
 
     def test_large_hyperbolic_level_222(self, sweeps):
         # b(r0) is ~1e-138 there and its sign is noise within ~1e-12 of each
@@ -550,3 +561,45 @@ class TestNewton:
         assert f"lambda-bracket [{lo:.12g}, {hi:.12g}]" in msg
         assert "n_t=64" in msg
         assert re.search(r"last iterate \d+\.\d+", msg)
+
+    def test_ball_family_sweep_count(self, sweeps):
+        # families shaped like the benchmark's: four balls sharing (m, r0),
+        # curvature rising and the last two drifted, the principal pair of
+        # each, then the spectrum up to 3 lambda_1 of one of them.  Measured:
+        # 24.6 sweeps per family; 43.6 when Newton started from the Euclidean
+        # estimate, ran a confirming sweep and the spectrum re-solved lambda_1.
+        rng = random.Random("sweep-count")
+        for _ in range(10):
+            m, r0 = rng.choice((2, 3, 4)), rng.uniform(0.5, 1.5)
+            kappas = sorted(rng.uniform(-1.0, 1.0) for _ in range(4))
+            c1, c2 = rng.uniform(0.2, 1.5), rng.uniform(0.0, 0.8)
+            drifts = [None, None, polynomial_drift([c1, c2]),
+                      polynomial_drift([c1 + rng.uniform(0.05, 0.5), c2 + rng.uniform(0.0, 0.3)])]
+            balls = [space_form_ball(kappa, m, r0, drift) if drift else space_form_ball(kappa, m, r0)
+                     for kappa, drift in zip(kappas, drifts)]
+            lams = [principal_eigenpair(ball).lam for ball in balls]
+            s = rng.randrange(4)
+            assemble_spectrum(balls[s], 3.0 * lams[s])
+        assert len(sweeps) / 10 <= 27.0
+
+
+class TestRayleighStart:
+    """The first Newton iterate of a level is the least Rayleigh quotient of two
+    trials, a variational upper bound of the level's first eigenvalue."""
+
+    @settings(max_examples=40)
+    @given(m=st.sampled_from([2, 3, 4]), kappa=st.floats(-1.0, 1.0), r0=st.floats(0.5, 1.5),
+           c1=st.floats(0.0, 1.5), c2=st.floats(-0.5, 0.8))
+    def test_just_above_the_first_eigenvalue(self, m, kappa, r0, c1, c2):
+        ball = space_form_ball(kappa, m, r0, polynomial_drift([c1, c2]))
+        for k in (0, 1, 2):
+            lam = solve_radial_modes(ball, k, 1)[0].lam
+            estimate = _rayleigh_estimate(_RadialPath(ball, k))
+            assert math.isfinite(estimate)
+            assert lam <= estimate <= 1.05 * lam
+
+    def test_quiet_on_a_large_hyperbolic_level(self):
+        path = _RadialPath(space_form_ball(-0.5, 4, 10.0), 222)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _rayleigh_estimate(path)
