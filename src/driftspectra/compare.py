@@ -433,7 +433,7 @@ def riccati_uniqueness(ball: ModelBall, tol: float = 1e-6,
         raise SolverError(
             f"drift recovery error {sup_err:.3e} exceeds tol {tol:.1e}"
         )
-    return RiccatiResult(t=path.nodes, h_recovered=h_rec, sup_error=sup_err)
+    return RiccatiResult(t=path.nodes.copy(), h_recovered=h_rec, sup_error=sup_err)
 
 
 # -- corpus ------------------------------------------------------------------

@@ -113,23 +113,29 @@ def zero_drift() -> DriftProfile:
 
 
 def polynomial_drift(coeffs) -> DriftProfile:
-    """h(t) = sum_j coeffs[j] * t**(j+1); the constant term is forced to zero."""
-    c = np.asarray(coeffs, dtype=float)
+    """h(t) = sum_j coeffs[j] * t**(j+1); the constant term is forced to zero.
+
+    h, h' and H sum their terms in order of degree, each power of t the
+    product of the one before and t.  Coefficients must be finite.
+    """
+    c = np.asarray(coeffs, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(c)):
+        raise ValueError(f"drift coefficients must be finite, got {c.tolist()}")
     powers = np.arange(1, c.shape[0] + 1)
 
-    def h(t):
-        t = np.asarray(t, dtype=float)
-        return np.sum(c * np.power(t[..., None], powers), axis=-1)
+    def series(coefs, first):
+        def f(t):
+            t = np.asarray(t, dtype=float)
+            out = np.zeros_like(t)
+            for j, cj in enumerate(coefs):
+                p = first(t) if j == 0 else p * t
+                out = out + cj * p
+            return out
 
-    def h_prime(t):
-        t = np.asarray(t, dtype=float)
-        return np.sum(c * powers * np.power(t[..., None], powers - 1), axis=-1)
+        return f
 
-    def H(t):
-        t = np.asarray(t, dtype=float)
-        return np.sum(c / (powers + 1.0) * np.power(t[..., None], powers + 1), axis=-1)
-
-    return DriftProfile(h=h, h_prime=h_prime, H=H)
+    return DriftProfile(h=series(c, lambda t: t), h_prime=series(c * powers, np.ones_like),
+                        H=series(c / (powers + 1.0), lambda t: t * t))
 
 
 def drift_from_rate(h: Callable, h_prime: Callable, t_max: float) -> DriftProfile:
@@ -188,9 +194,8 @@ class ModelBall:
         r0_sq = float(self.r0) * float(self.r0)  # the solvers scale by r0^2 and r0^-2
         if not (0.0 < r0_sq < math.inf and 1.0 / r0_sq < math.inf):
             raise ValueError(f"radius {self.r0:g} is out of range: r0^2 or r0^-2 overflows")
-        h0 = float(self.drift.h(0.0))
-        H0 = float(self.drift.H(0.0))
-        if abs(h0) > _ZERO_TOL or abs(H0) > _ZERO_TOL:
+        h0, H0 = float(self.drift.h(0.0)), float(self.drift.H(0.0))
+        if not (abs(h0) <= _ZERO_TOL and abs(H0) <= _ZERO_TOL):  # nan fails too
             raise ValueError("drift must satisfy h(0)=0 and H(0)=0")
         # antiderivative consistency H' = h by central differences
         ts = np.linspace(self.r0 / 7.0, self.r0 * 0.95, 7)
@@ -198,7 +203,7 @@ class ModelBall:
         fd = (np.asarray(self.drift.H(ts + delta)) - np.asarray(self.drift.H(ts - delta))) / (2 * delta)
         hv = np.asarray(self.drift.h(ts), dtype=float)
         scale = np.maximum(1.0, np.abs(hv))
-        if np.any(np.abs(fd - hv) / scale > 1e-6):
+        if not np.all(np.abs(fd - hv) / scale <= 1e-6):
             raise ValueError("drift antiderivative is inconsistent: H' != h beyond 1e-6")
 
 

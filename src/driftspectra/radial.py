@@ -7,23 +7,26 @@ For sphere level k the separated equation is
 
 with nu_k = k(k+m-2) and alpha the nonnegative indicial root.  Shooting
 integrates the regularized unknown b = a / t^alpha, whose equation is free
-of the nu/t^2 potential, on one RK4 step grid with a stability-limited
-geometric startup for every k.  A sweep builds the 2x2 matrices of all RK4
-steps at once and takes their prefix products by a log-depth scan; it
-returns b(r0), the sign changes of b on (0, r0] and the node samples.  By
-Sturm oscillation the count is the number of level-k eigenvalues below
-lam, so the i-th eigenvalue is isolated by bisecting on the count until
-count(lo) = i - 1 and count(hi) = i.  A safeguarded Newton iteration in
-that bracket refines it, with the step from the variational identity
-d a(r0)/d lam = int p a^2 / (p(r0) a'(r0)); every sweep's count also
-shrinks the bracket.  The first eigenvalue of a level starts from a
-Rayleigh quotient of the level, the others from the flat-ball estimate,
-and the result is the last Newton update with the mode of the last sweep.
+of the nu/t^2 potential, on an RK4 step grid with a stability-limited
+geometric startup, one per (r0, n_t, startup ratio) whatever the curvature,
+drift or level.  A sweep builds the 2x2 matrices of all RK4 steps at once
+and takes their prefix products by a log-depth scan; it returns b(r0), the
+sign changes of b on (0, r0] and the node samples.  By Sturm oscillation
+the count is the number of level-k eigenvalues below lam, so the i-th
+eigenvalue is isolated by bisecting on the count until count(lo) = i - 1
+and count(hi) = i; a lone first eigenvalue is probed at the level's
+Rayleigh quotient, which lies a little above it.  A safeguarded Newton
+iteration in that bracket refines it, with the step from the variational
+identity d a(r0)/d lam = int p a^2 / (p(r0) a'(r0)); every sweep's count
+also shrinks the bracket.  The first eigenvalue of a level starts from the
+Rayleigh quotient, reusing the probe's sweep, the others from the flat-ball
+estimate; the result is the last Newton update with the last sweep's mode.
 The same sweep integrates the Riccati flow of `compare.riccati_uniqueness`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -94,21 +97,58 @@ class SpectrumTable:
     lambda_cutoff: float
 
 
+@functools.lru_cache(maxsize=8)
+def _step_grid(r0: float, n_t: int, c_stab: float):
+    """Nodes, start, steps, RK4 stage abscissae, indices of the steps that end
+    on a node and largest step of the grid on (0, r0]; read-only, as every
+    path of the key shares them.  With h_int = r0 / (n_t SUBSTEPS), a scalar
+    loop builds the geometric startup from 1e-6 r0 in steps of
+    min(c_stab t, h_int); past the first node with c_stab t >= h_int, every
+    node interval is SUBSTEPS steps of h_int, built by array operations that
+    give the loop's floats."""
+    nodes = np.linspace(0.0, r0, n_t + 1)
+    h_int = r0 / n_t / SUBSTEPS
+    # the startup ends at node j0 - 1, the first with c_stab * t >= h_int
+    j0 = 1 + int(np.searchsorted(c_stab * nodes[:-1], h_int))
+    t_start = t = float(1e-6 * r0)  # where (b, b') = (1, 0) is the regular start
+    ts, node_steps = [t], []
+    for target in nodes[1:j0].tolist():
+        while t < target - 1e-14 * r0:
+            s = min(c_stab * t, h_int, target - t)
+            if target - (t + s) < 0.2 * s:
+                s = target - t
+            t += s
+            ts.append(t)
+        ts[-1] = t = target
+        node_steps.append(len(ts) - 2)
+    # regular part: from each node on, h_int is added SUBSTEPS times in
+    # the loop's order and the last step is snapped to the next node by
+    # the loop's rule; rounding moves no snap while n_t SUBSTEPS^2 << 1e15
+    left, right = nodes[j0 - 1:-1], nodes[j0:, None]
+    ends = np.cumsum(np.column_stack((left, np.full((left.size, SUBSTEPS), h_int))),
+                     axis=1)[:, 1:]
+    ts = np.concatenate((ts, np.where(right - ends < 0.2 * h_int, right, ends).ravel()))
+    node_steps = np.concatenate(
+        (node_steps, node_steps[-1] + SUBSTEPS * np.arange(1, left.size + 1)))
+    steps = np.diff(ts)
+    x = np.concatenate((ts[:-1], ts[:-1] + 0.5 * steps, ts[1:]))
+    nodes.flags.writeable = steps.flags.writeable = x.flags.writeable = False
+    node_steps.flags.writeable = False
+    return nodes, t_start, steps, x, node_steps, float(steps.max())
+
+
 class _RadialPath:
     """Step grid on (0, r0] with the coefficients of
 
         b'' + P(t) b' + (Q(t) + lam) b = 0
 
-    tabulated at the RK4 stage points.  With h_int = r0 / (n_t SUBSTEPS), a
-    scalar loop builds the geometric startup from 1e-6 r0 in steps of
-    min(c_stab t, h_int); past the first node with c_stab t >= h_int, every
-    node interval is SUBSTEPS steps of h_int, built by array operations
-    that give the loop's floats.  All stage points go through the
+    tabulated at the RK4 stage points of the `_step_grid` of (r0, n_t,
+    c_stab = min(0.2, 1/(2 alpha + m))).  All stage points go through the
     coefficients in one pass: for sphere level k, P and Q are those of
     b = a / t^alpha; `coefs` replaces them by other (P, Q) callables, as the
-    Riccati flow does.  The coefficients do not depend on lambda, so one
-    path serves every shoot of the isolate/refine loop.
-    """
+    Riccati flow does.  They do not depend on lambda, so one path serves
+    every shoot of the isolate/refine loop.  It keeps its last sweep and its
+    Rayleigh estimate."""
 
     def __init__(self, ball: ModelBall, k: int, n_t: int = DEFAULT_GRID, coefs=None):
         self.ball = ball
@@ -118,38 +158,12 @@ class _RadialPath:
         self.nu, _ = sphere_eigenvalue(k, m)
         self.alpha = frobenius_exponent(self.nu, m)
         self.dt = r0 / n_t
-        self.nodes = np.linspace(0.0, r0, n_t + 1)
-        h_int = self.dt / SUBSTEPS
-        c_stab = min(0.2, 1.0 / (2.0 * self.alpha + m))
-
-        # the startup ends at node j0 - 1, the first with c_stab * t >= h_int
-        j0 = 1 + int(np.searchsorted(c_stab * self.nodes[:-1], h_int))
-        self.t_start = t = float(1e-6 * r0)  # where (b, b') = (1, 0) is the regular start
-        ts, node_steps = [t], []
-        for target in self.nodes[1:j0].tolist():
-            while t < target - 1e-14 * r0:
-                s = min(c_stab * t, h_int, target - t)
-                if target - (t + s) < 0.2 * s:
-                    s = target - t
-                t += s
-                ts.append(t)
-            ts[-1] = t = target
-            node_steps.append(len(ts) - 2)
-        # regular part: from each node on, h_int is added SUBSTEPS times in
-        # the loop's order and the last step is snapped to the next node by
-        # the loop's rule; rounding moves no snap while n_t SUBSTEPS^2 << 1e15
-        left, right = self.nodes[j0 - 1:-1], self.nodes[j0:, None]
-        ends = np.cumsum(np.column_stack((left, np.full((left.size, SUBSTEPS), h_int))),
-                         axis=1)[:, 1:]
-        ts = np.concatenate((ts, np.where(right - ends < 0.2 * h_int, right, ends).ravel()))
-        self.node_steps = np.concatenate(
-            (node_steps, node_steps[-1] + SUBSTEPS * np.arange(1, left.size + 1)))
-        self.steps = steps = np.diff(ts)
-        x = np.concatenate((ts[:-1], ts[:-1] + 0.5 * steps, ts[1:]))  # the RK4 stage abscissae
+        (self.nodes, self.t_start, self.steps, x, self.node_steps,
+         self.h_max) = _step_grid(float(r0), self.n_t, min(0.2, 1.0 / (2.0 * self.alpha + m)))
         P, Q = self._coefs(x) if coefs is None else (np.asarray(f(x), dtype=float) for f in coefs)
         self.P_stages, self.Q_stages = P.reshape(3, -1), Q.reshape(3, -1)
-        self.h_max = float(steps.max())
         self.p_nodes = weight_p(ball, self.nodes)
+        self._last = None, None  # (lam, y1, y2) of the last sweep and what it returned
 
     def _coefs(self, t):
         """P and Q of the level's regular unknown b = a / t^alpha at the points t."""
@@ -170,13 +184,25 @@ class _RadialPath:
                   samples: bool = False):
         """One RK4 sweep from the path's first point, where (b, b') = (y1, y2).
 
-        Every RK4 step of the linear system is a 2x2 matrix; all of them are
-        built at once from the stage arrays and their inclusive prefix
-        products are taken by a log-depth (Hillis-Steele) scan.  Returns
-        b(r0), the number of sign changes of b along the path and, with
-        `samples`, the arrays (b, b') at the nodes (node 0 holds the start
-        values), else None.
+        Returns b(r0), the number of sign changes of b along the path and,
+        with `samples`, the arrays (b, b') at the nodes (node 0 holds the
+        start values), else None.  A repeat of the last call's (lam, y1, y2)
+        reuses its sweep.
         """
+        if self._last[0] != (lam, y1, y2):
+            self._last = (lam, y1, y2), self._sweep(lam, y1, y2)
+        end, changes, b, M = self._last[1]
+        if not samples:
+            return end, changes, None
+        j = self.node_steps
+        return end, changes, (np.concatenate(([y1], b[j])),
+                              np.concatenate(([y2], M[1, 0, j] * y1 + M[1, 1, j] * y2)))
+
+    def _sweep(self, lam: float, y1: float, y2: float):
+        """The kernel of `integrate`.  Every RK4 step of the linear system is a
+        2x2 matrix; all of them are built at once from the stage arrays and
+        their inclusive prefix products M are taken by a log-depth
+        (Hillis-Steele) scan.  Returns b(r0), its sign changes, b and M."""
         s, h = self.steps, 0.5 * self.steps
         P0, P1, P2 = self.P_stages
         q0, q1, q2 = self.Q_stages + lam
@@ -205,11 +231,7 @@ class _RadialPath:
                               f"k={self.k} (n_t={self.n_t}); step size too large")
         neg = b < 0.0
         changes = int(np.count_nonzero(neg[1:] != neg[:-1])) + int(neg[0] != (y1 < 0.0))
-        if not samples:
-            return end, changes, None
-        j = self.node_steps
-        return end, changes, (np.concatenate(([y1], b[j])),
-                              np.concatenate(([y2], M[1, 0, j] * y1 + M[1, 1, j] * y2)))
+        return end, changes, b, M
 
     def count(self, lam: float) -> int:
         """Sign changes of b(.; lam) on (0, r0].
@@ -236,6 +258,8 @@ class _RadialPath:
             ap = x ** al * bp + al / self.ball.r0 * x ** (al - 1.0) * b
         e = math.frexp(float(np.max(np.abs(a))))[1]
         return np.ldexp(a, -e), np.ldexp(ap, -e)
+
+    rayleigh = functools.cached_property(lambda self: _rayleigh_estimate(self))  # formed once
 
 
 def _euclid_estimate(path: _RadialPath, i: float) -> float:
@@ -277,13 +301,16 @@ def _count_brackets(path: _RadialPath, n: int, hi: float, c_hi: int) -> list:
 def _isolate(path: _RadialPath, n: int, max_lambda: float | None = None) -> list:
     """Count brackets of the first n level-k eigenvalues.
 
-    An upper end with at least n zeros is found by doubling from the
-    Euclidean estimate, up to `max_lambda`.
+    The first probe is the Rayleigh estimate, a little above the level's
+    first eigenvalue, for n = 1 and the Euclidean estimate otherwise; an upper
+    end with at least n zeros is found by doubling from it, up to `max_lambda`.
     """
     k = path.k
     if max_lambda is None:
         max_lambda = 60.0 * max(1.0, _euclid_estimate(path, n + 2))
     hi = min(_euclid_estimate(path, n + 0.5), max_lambda)
+    if n == 1 and 0.0 < path.rayleigh < max_lambda:
+        hi = path.rayleigh
     c_hi = path.count(hi)
     while c_hi < n:
         if hi >= max_lambda:
@@ -331,17 +358,18 @@ def _refine(path: _RadialPath, lo: float, hi: float, i: int, maxiter: int = 100)
     """Eigenvalue i of the path's level in its count bracket, and its (a, a').
 
     Safeguarded Newton (rtsafe) from the Rayleigh estimate for i = 1 and the
-    Euclidean one for i >= 2: each sweep's Sturm count tells the side of the
-    root, so it also shrinks [lo, hi]; a step that leaves the bracket or is
-    not below half the step before last is replaced by bisection.  Once the
-    step or the bracket is below the relative xtol = 1e-13 hi, the last
-    Newton update is returned (lambda itself if the update leaves the
-    bracket) with the mode of the last sweep.
+    Euclidean one for i >= 2, or the midpoint if that is not in (lo, hi]; a
+    start at hi, where `_isolate` probed, reuses the probe's sweep.  Each
+    sweep's Sturm count tells the side of the root, so it also shrinks
+    [lo, hi]; a step that leaves the bracket or is not below half the step
+    before last is replaced by bisection.  Once the step or the bracket is
+    below the relative xtol = 1e-13 hi, the last Newton update is returned
+    (lambda itself if it leaves the bracket) with the mode of the last sweep.
     """
     bracket = (lo, hi)
     xtol = 1e-13 * hi
-    lam = _rayleigh_estimate(path) if i == 1 else _euclid_estimate(path, i)
-    if not lo < lam < hi:
+    lam = path.rayleigh if i == 1 else _euclid_estimate(path, i)
+    if not lo < lam <= hi:
         lam = 0.5 * (lo + hi)
     step = step_old = hi - lo
     for _ in range(maxiter):

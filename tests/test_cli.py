@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict
 
@@ -334,6 +335,15 @@ class TestConfigAndErrors:
     def test_bad_expression(self, capsys):
         assert run(["principal", "--space-form", "0", "--dim", "2", "--radius", "1",
                     "--drift", "wobble(t)"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("coeff", ["nan", "inf", "1e400"])
+    def test_non_finite_poly_drift_is_usage_error(self, coeff, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["principal", "--dim", "2", "--radius", "1",
+                        "--drift", f"poly {coeff}"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "drift coefficients must be finite" in captured.err
 
     def test_unwritable_output(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

@@ -171,6 +171,47 @@ class TestDriftProfiles:
         ts = np.linspace(0.0, 1.05, 10007)
         assert np.max(np.abs(num.H(ts) - (1.0 - np.cos(3.0 * ts)) / 3.0)) <= 1e-13
 
+    @pytest.mark.parametrize("degree", range(6))
+    def test_polynomial_drift_matches_polyval(self, degree):
+        rng = np.random.default_rng(degree)
+        c = rng.uniform(-2.0, 2.0, degree)
+        d = polynomial_drift(c)
+        ts = np.linspace(0.0, 2.5, 1001)
+        j = np.arange(1, degree + 1)
+        for f, coefs in ((d.h, np.r_[0.0, c]), (d.h_prime, np.r_[c * j, 0.0]),
+                         (d.H, np.r_[0.0, 0.0, c / (j + 1.0)])):
+            exact = np.polynomial.polynomial.polyval(ts, coefs)
+            # a few ulps of the largest term's sum, where the terms cancel
+            scale = np.polynomial.polynomial.polyval(ts, np.abs(coefs))
+            assert np.all(np.abs(f(ts) - exact) <= 4.0 * np.spacing(scale))
+            for t in (0.0, 0.7, 2.5):
+                value = f(t)
+                assert np.ndim(value) == 0
+                assert float(value) == pytest.approx(
+                    np.polynomial.polynomial.polyval(t, coefs), rel=1e-14, abs=1e-15)
+        assert float(d.h(0.0)) == 0.0 and float(d.H(0.0)) == 0.0
+
+    def test_empty_polynomial_is_zero_drift(self):
+        d = polynomial_drift([])
+        ts = np.linspace(0.0, 1.0, 5)
+        for f in (d.h, d.h_prime, d.H):
+            assert np.array_equal(f(ts), np.zeros(5))
+            assert float(f(0.3)) == 0.0
+
+    @pytest.mark.parametrize("coeffs", [[math.nan], [1.0, math.inf], [-math.inf]])
+    def test_non_finite_coefficients_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="drift coefficients must be finite"):
+            polynomial_drift(coeffs)
+
+    @pytest.mark.parametrize("h", [lambda t: np.full_like(np.asarray(t, dtype=float), math.nan),
+                                   lambda t: np.where(np.asarray(t) == 0.0, 0.0, math.nan)],
+                             ids=["everywhere", "off-origin"])
+    def test_ball_rejects_nan_drift(self, h):
+        zero = zero_drift().H
+        bad = DriftProfile(h=h, h_prime=h, H=zero)
+        with pytest.raises(ValueError, match="drift"):
+            ModelBall(m=2, r0=1.0, rho=make_space_form(0.0), drift=bad)
+
     def test_ball_rejects_bad_radius(self):
         with pytest.raises(ValueError):
             ModelBall(m=2, r0=4.0, rho=make_space_form(1.0), drift=zero_drift())

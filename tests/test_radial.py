@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from driftspectra.compare import riccati_uniqueness
 from driftspectra.errors import ConvergenceError, EigenvalueWindowError, SolverError
 from driftspectra.geometry import euclidean_ball, polynomial_drift, space_form_ball
 from driftspectra import radial
@@ -24,11 +25,12 @@ from _oracles import (bessel_zero, harmonic_multiplicity, rk4_sweep, stage_coeff
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """The lambdas of every `_RadialPath.integrate` call made while the test runs."""
+    """The lambdas of every sweep computed while the test runs; a sweep that
+    `_RadialPath.integrate` reuses is not one."""
     lams = []
-    integrate = _RadialPath.integrate
-    monkeypatch.setattr(_RadialPath, "integrate",
-                        lambda self, lam, *a, **kw: lams.append(lam) or integrate(self, lam, *a, **kw))
+    sweep = _RadialPath._sweep
+    monkeypatch.setattr(_RadialPath, "_sweep",
+                        lambda self, lam, *a: lams.append(lam) or sweep(self, lam, *a))
     return lams
 
 
@@ -219,8 +221,8 @@ class TestSturmCount:
         assert brackets == [(0.0, 8.0), (14.0, 15.0), (15.0, 16.0)]
 
     def test_isolation_doubles_a_low_upper_end(self, monkeypatch):
-        # on the curved 3-ball kappa = -4, r0 = 3 the Euclidean estimate
-        # (pi/3)^2 and its double have no zero below them, four times it two
+        # on the curved 3-ball kappa = -4, r0 = 3 the Euclidean estimate for
+        # two eigenvalues, (5 pi/6)^2, has one zero below it, its double two
         probes = []
         count = _RadialPath.count
 
@@ -229,9 +231,13 @@ class TestSturmCount:
             return probes[-1][1]
 
         monkeypatch.setattr(_RadialPath, "count", recording)
-        lam = principal_eigenpair(space_form_ball(-4.0, 3, 3.0)).lam
+        ball = space_form_ball(-4.0, 3, 3.0)
+        brackets = _isolate(_RadialPath(ball, 0), 2)
         start = probes[0][0]
-        assert probes[:3] == [(start, 0), (2.0 * start, 0), (4.0 * start, 2)]
+        assert start == pytest.approx((2.5 * math.pi / 3.0) ** 2, rel=1e-15)
+        assert probes[:2] == [(start, 1), (2.0 * start, 2)]
+        assert brackets[1][1] == 2.0 * start
+        lam = principal_eigenpair(ball).lam
         assert lam == pytest.approx(math.pi ** 2 / 9.0 + 4.0, rel=1e-10)
 
     @settings(max_examples=25)
@@ -509,6 +515,23 @@ class TestPathGrid:
         assert np.array_equal(path.P_stages, P, equal_nan=True)
         assert np.array_equal(path.Q_stages, Q, equal_nan=True)
 
+    def test_one_read_only_grid_per_radius(self):
+        # curvature and drift do not enter the grid: both paths hold one
+        a = _RadialPath(space_form_ball(-0.7, 3, 1.3, polynomial_drift([0.9, 0.3])), 0)
+        b = _RadialPath(space_form_ball(0.4, 3, 1.3), 0)
+        for name in ("nodes", "steps", "node_steps"):
+            arr = getattr(a, name)
+            assert arr is getattr(b, name)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+        ts, node_steps = step_grid(1.3, radial.DEFAULT_GRID, radial.SUBSTEPS, a.alpha, 3)
+        assert np.array_equal(a.steps, np.diff(ts))
+        assert np.array_equal(a.node_steps, node_steps)
+        # the Riccati flow hands out its nodes, so it hands out a copy
+        result = riccati_uniqueness(space_form_ball(-0.5, 3, 1.3, polynomial_drift([0.4])))
+        assert result.t.flags.writeable
+
     def test_custom_coefficients_called_once_on_every_stage(self):
         calls = []
 
@@ -534,7 +557,7 @@ class TestNewton:
     def test_sweep_budget(self, ball, sweeps):
         # the parameter balls live as long as the session: a memo hit sweeps nothing
         principal_eigenpair(ball)
-        assert 0 < len(sweeps) <= 6
+        assert 0 < len(sweeps) <= 3
 
     def test_large_hyperbolic_level_222(self, sweeps):
         # b(r0) is ~1e-138 there and its sign is noise within ~1e-12 of each
@@ -566,8 +589,10 @@ class TestNewton:
         # families shaped like the benchmark's: four balls sharing (m, r0),
         # curvature rising and the last two drifted, the principal pair of
         # each, then the spectrum up to 3 lambda_1 of one of them.  Measured:
-        # 24.6 sweeps per family; 43.6 when Newton started from the Euclidean
-        # estimate, ran a confirming sweep and the spectrum re-solved lambda_1.
+        # 20.8 sweeps per family; 24.6 when a lone eigenvalue was isolated at
+        # the Euclidean estimate and Newton swept its Rayleigh start afresh;
+        # 43.6 when Newton started from the Euclidean estimate, ran a
+        # confirming sweep and the spectrum re-solved lambda_1.
         rng = random.Random("sweep-count")
         for _ in range(10):
             m, r0 = rng.choice((2, 3, 4)), rng.uniform(0.5, 1.5)
@@ -580,7 +605,7 @@ class TestNewton:
             lams = [principal_eigenpair(ball).lam for ball in balls]
             s = rng.randrange(4)
             assemble_spectrum(balls[s], 3.0 * lams[s])
-        assert len(sweeps) / 10 <= 27.0
+        assert len(sweeps) / 10 <= 22.8
 
 
 class TestRayleighStart:
@@ -597,6 +622,31 @@ class TestRayleighStart:
             estimate = _rayleigh_estimate(_RadialPath(ball, k))
             assert math.isfinite(estimate)
             assert lam <= estimate <= 1.05 * lam
+
+    @settings(max_examples=40)
+    @given(m=st.sampled_from([2, 3, 4]), kappa=st.floats(-1.0, 1.0), r0=st.floats(0.5, 1.5),
+           c1=st.floats(0.0, 1.5), c2=st.floats(-0.5, 0.8), k=st.integers(0, 2))
+    def test_isolates_a_lone_eigenvalue(self, m, kappa, r0, c1, c2, k):
+        path = _RadialPath(space_form_ball(kappa, m, r0, polynomial_drift([c1, c2])), k)
+        assert _isolate(path, 1) == [(0.0, path.rayleigh)]
+        assert path.count(path.rayleigh) == 1
+
+    def test_two_zeros_at_the_estimate_bisect(self, monkeypatch):
+        path = _RadialPath(space_form_ball(0.3, 3, 1.0, polynomial_drift([0.5])), 0)
+        estimate, count = path.rayleigh, _RadialPath.count
+        probes = []
+
+        def two_at_the_estimate(p, lam):
+            probes.append(lam)
+            return 2 if lam == estimate else count(p, lam)
+
+        monkeypatch.setattr(_RadialPath, "count", two_at_the_estimate)
+        (lo, hi), = _isolate(path, 1)
+        assert probes[0] == estimate and len(probes) > 1
+        assert hi < estimate
+        assert (count(path, lo), count(path, hi)) == (0, 1)
+        lam = principal_eigenpair(path.ball).lam
+        assert lo < lam < hi
 
     def test_quiet_on_a_large_hyperbolic_level(self):
         path = _RadialPath(space_form_ball(-0.5, 4, 10.0), 222)
