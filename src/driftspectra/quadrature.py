@@ -34,6 +34,23 @@ def composite_simpson(y, dx: float) -> float:
     return float(total)
 
 
+def simpson_weights(n: int, dx: float) -> np.ndarray:
+    """Weights w of `composite_simpson` on n intervals: w @ y is its integral
+    of the samples y, up to the order of summation."""
+    w = np.zeros(n + 1)
+    if n == 1:
+        w[:] = 0.5 * dx
+        return w
+    even = n - 3 if n % 2 else n   # the Simpson part; the 3/8 rule takes the rest
+    if even:
+        w[1:even:2], w[2:even:2] = 4.0, 2.0
+        w[[0, even]] = 1.0
+        w *= dx / 3.0
+    if n % 2:
+        w[even:] += 3.0 * dx / 8.0 * np.array([1.0, 3.0, 3.0, 1.0])
+    return w
+
+
 def cumulative_trapezoid_from_origin(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Running trapezoid integral of samples, with an implicit (0, 0) start node.
 

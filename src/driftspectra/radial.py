@@ -15,12 +15,14 @@ sign changes of b on (0, r0] and the node samples.  By Sturm oscillation
 the count is the number of level-k eigenvalues below lam, so the i-th
 eigenvalue is isolated by bisecting on the count until count(lo) = i - 1
 and count(hi) = i; a lone first eigenvalue is probed at the level's
-Rayleigh quotient, which lies a little above it.  A safeguarded Newton
-iteration in that bracket refines it, with the step from the variational
-identity d a(r0)/d lam = int p a^2 / (p(r0) a'(r0)); every sweep's count
-also shrinks the bracket.  The first eigenvalue of a level starts from the
-Rayleigh quotient, reusing the probe's sweep, the others from the flat-ball
-estimate; the result is the last Newton update with the last sweep's mode.
+Rayleigh-Ritz estimate, the least Ritz value over five trials, which lies
+about 1e-9 above it.  A safeguarded Newton iteration in that bracket
+refines it, with the step from the variational identity
+d a(r0)/d lam = int p a^2 / (p(r0) a'(r0)); every sweep's count also
+shrinks the bracket.  The first eigenvalue of a level starts from the Ritz
+estimate, reusing the probe's sweep, so it takes two sweeps; the others
+start from the flat-ball estimate.  The result is the last Newton update
+with the last sweep's mode.
 The same sweep integrates the Riccati flow of `compare.riccati_uniqueness`.
 """
 
@@ -35,11 +37,21 @@ import numpy as np
 
 from .errors import ConvergenceError, EigenvalueWindowError, SolverError
 from .geometry import ModelBall, weight_p
-from .quadrature import composite_simpson
+from .quadrature import composite_simpson, simpson_weights
 
 DEFAULT_GRID = 512
 DEFAULT_TOL = 1e-8
 SUBSTEPS = 2  # RK4 steps per node interval of the regular part of a step grid
+# On 600 balls at levels k <= 2 (m in {2, 3, 4}, |kappa| <= 1, r0 in [0.5, 1.5],
+# h = c1 t + c2 t^2) the least Ritz value of j < RITZ_TRIALS trials lies at most
+# 1.2e-2 (2 trials), 3.1e-4 (3), 3.7e-6 (4), 8.2e-8 (5) and 2.2e-8 (6) above
+# lambda.  From five trials one Newton step nearly always meets the 1e-13 stop:
+# a principal pair took two sweeps on 591 (4 trials), 599 (5) and 600 (6) of 600
+# other balls, and a sixth trial costs more than the one sweep it saved.
+RITZ_TRIALS = 5
+# Simpson and RK4 error put the unraised value up to 3.0e-11 below the discrete
+# lambda on those balls; raised by the margin it stays above, so its count is 1.
+RITZ_MARGIN = 1e-9
 
 
 def __getattr__(name):
@@ -148,7 +160,7 @@ class _RadialPath:
     b = a / t^alpha; `coefs` replaces them by other (P, Q) callables, as the
     Riccati flow does.  They do not depend on lambda, so one path serves
     every shoot of the isolate/refine loop.  It keeps its last sweep and its
-    Rayleigh estimate."""
+    Ritz estimate."""
 
     def __init__(self, ball: ModelBall, k: int, n_t: int = DEFAULT_GRID, coefs=None):
         self.ball = ball
@@ -301,9 +313,11 @@ def _count_brackets(path: _RadialPath, n: int, hi: float, c_hi: int) -> list:
 def _isolate(path: _RadialPath, n: int, max_lambda: float | None = None) -> list:
     """Count brackets of the first n level-k eigenvalues.
 
-    The first probe is the Rayleigh estimate, a little above the level's
-    first eigenvalue, for n = 1 and the Euclidean estimate otherwise; an upper
-    end with at least n zeros is found by doubling from it, up to `max_lambda`.
+    The first probe is the Ritz estimate `path.rayleigh`, about 1e-9 above the
+    level's first eigenvalue, for n = 1 and the Euclidean estimate otherwise
+    or where the Ritz estimate is nan or outside (0, max_lambda); an upper end
+    with at least n zeros is found by doubling from it, up to `max_lambda`,
+    so an estimate below the eigenvalue costs sweeps, not the bracket.
     """
     k = path.k
     if max_lambda is None:
@@ -324,42 +338,43 @@ def _isolate(path: _RadialPath, n: int, max_lambda: float | None = None) -> list
 
 
 def _rayleigh_estimate(path: _RadialPath) -> float:
-    """Least Rayleigh quotient int p (a'^2 + nu a^2 / rho^2) / int p a^2 over
-    the trials a = x^alpha cos(pi x / 2) (c1 + c2 x^2), x = t / r0, on the
-    path's nodes: the lower root of the 2x2 pencil det(K - lam M) = 0.
+    """Least Ritz value of the quotient int p (a'^2 + nu a^2 / rho^2) / int p a^2
+    over the trials a = x^alpha cos(pi x / 2) x^(2j), j < RITZ_TRIALS,
+    x = t / r0, on the path's nodes, raised by the relative RITZ_MARGIN.
 
     Every radial drift h = H' is a gradient, so the level's first eigenvalue
     is the minimum of this quotient over all trials and the estimate lies a
-    little above it.  It is nan or inf where the samples leave the double
-    range.
+    little above it.  The Gram matrices K and M are Simpson sums; the least
+    root of det(K - lam M) = 0 comes from the Cholesky factor of M.  The
+    estimate is nan where K or M is not finite or M is not positive definite.
     """
-    r0, al, p = path.ball.r0, path.alpha, path.p_nodes
-    x = path.nodes / r0
+    r0, al = path.ball.r0, path.alpha
+    x = path.nodes[1:] / r0   # p(0) = 0 drops the origin, where the trials' formulas are 0/0
+    w = (simpson_weights(path.nodes.size - 1, path.dt) * path.p_nodes)[1:]
     c, s = np.cos(0.5 * math.pi * x), np.sin(0.5 * math.pi * x)
+    powers = al + 2.0 * np.arange(RITZ_TRIALS)[:, None]
     with np.errstate(all="ignore"):
-        a = x ** al * c
-        ap = (al * x ** (al - 1.0) * c - 0.5 * math.pi * x ** al * s) / r0
-        u, up = (a, x * x * a), (ap, x * x * ap + 2.0 * x * a / r0)
-        pot = path.nu / path.ball.rho.eval(path.nodes)[0] ** 2
-
-        def forms(i, j):
-            dens = p * (up[i] * up[j] + pot * u[i] * u[j])
-            dens[0] = 0.0   # p(0) = 0 against the 0/0 of the formulas at the origin
-            return composite_simpson(dens, path.dt), composite_simpson(p * u[i] * u[j], path.dt)
-
-        (k00, m00), (k01, m01), (k11, m11) = forms(0, 0), forms(0, 1), forms(1, 1)
-        A, C = m00 * m11 - m01 * m01, k00 * k11 - k01 * k01
-        B = k00 * m11 + k11 * m00 - 2.0 * k01 * m01
-        # the root's form free of cancellation; a 0/0 gives nan, not an error
-        return float(np.divide(2.0 * C, B + math.sqrt(max(B * B - 4.0 * A * C, 0.0))))
+        xp = x ** powers
+        u, up = xp * c, xp * (powers / x * c - 0.5 * math.pi * s) / r0
+        pot = path.nu / path.ball.rho.eval(path.nodes[1:])[0] ** 2
+        K = (up * w) @ up.T + (u * (w * pot)) @ u.T
+        M = (u * w) @ u.T
+    if not (np.all(np.isfinite(K)) and np.all(np.isfinite(M))):
+        return math.nan
+    try:
+        inv_l = np.linalg.inv(np.linalg.cholesky(M))
+    except np.linalg.LinAlgError:
+        return math.nan
+    return float(np.linalg.eigvalsh(inv_l @ K @ inv_l.T)[0]) * (1.0 + RITZ_MARGIN)
 
 
 def _refine(path: _RadialPath, lo: float, hi: float, i: int, maxiter: int = 100):
     """Eigenvalue i of the path's level in its count bracket, and its (a, a').
 
-    Safeguarded Newton (rtsafe) from the Rayleigh estimate for i = 1 and the
-    Euclidean one for i >= 2, or the midpoint if that is not in (lo, hi]; a
-    start at hi, where `_isolate` probed, reuses the probe's sweep.  Each
+    Safeguarded Newton (rtsafe) from the Ritz estimate for i = 1 and the
+    Euclidean one for i >= 2, or the midpoint if that is nan or not in
+    (lo, hi]; a start at hi, where `_isolate` probed, reuses the probe's
+    sweep, and from the Ritz estimate one more sweep meets the stop.  Each
     sweep's Sturm count tells the side of the root, so it also shrinks
     [lo, hi]; a step that leaves the bracket or is not below half the step
     before last is replaced by bisection.  Once the step or the bracket is

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from driftspectra.compare import riccati_uniqueness
 from driftspectra.errors import ConvergenceError, EigenvalueWindowError, SolverError
 from driftspectra.geometry import euclidean_ball, polynomial_drift, space_form_ball
+from driftspectra.quadrature import composite_simpson, simpson_weights
 from driftspectra import radial
 from driftspectra.radial import (_count_brackets, _isolate, _RadialPath, _rayleigh_estimate,
                                  _refine, assemble_spectrum, frobenius_exponent,
@@ -354,6 +355,12 @@ class TestInnerProducts:
         with pytest.raises(ValueError):
             weighted_inner_product((t1, t1), (t2, t2), ball)
 
+    @pytest.mark.parametrize("n", range(10))
+    def test_simpson_weights_are_the_rule(self, n):
+        y = np.cos(np.linspace(0.0, 3.0, n + 1)) + 2.0
+        assert simpson_weights(n, 0.3) @ y == pytest.approx(composite_simpson(y, 0.3),
+                                                            rel=1e-15, abs=1e-16)
+
 
 class TestIdentities:
     def test_first_integral_residual(self):
@@ -557,7 +564,7 @@ class TestNewton:
     def test_sweep_budget(self, ball, sweeps):
         # the parameter balls live as long as the session: a memo hit sweeps nothing
         principal_eigenpair(ball)
-        assert 0 < len(sweeps) <= 3
+        assert 0 < len(sweeps) <= 2
 
     def test_large_hyperbolic_level_222(self, sweeps):
         # b(r0) is ~1e-138 there and its sign is noise within ~1e-12 of each
@@ -589,10 +596,11 @@ class TestNewton:
         # families shaped like the benchmark's: four balls sharing (m, r0),
         # curvature rising and the last two drifted, the principal pair of
         # each, then the spectrum up to 3 lambda_1 of one of them.  Measured:
-        # 20.8 sweeps per family; 24.6 when a lone eigenvalue was isolated at
-        # the Euclidean estimate and Newton swept its Rayleigh start afresh;
-        # 43.6 when Newton started from the Euclidean estimate, ran a
-        # confirming sweep and the spectrum re-solved lambda_1.
+        # 14.7 sweeps per family; 20.8 when Newton started from the Ritz value
+        # of two trials; 24.6 when a lone eigenvalue was isolated at the
+        # Euclidean estimate and Newton swept its Rayleigh start afresh; 43.6
+        # when Newton started from the Euclidean estimate, ran a confirming
+        # sweep and the spectrum re-solved lambda_1.
         rng = random.Random("sweep-count")
         for _ in range(10):
             m, r0 = rng.choice((2, 3, 4)), rng.uniform(0.5, 1.5)
@@ -605,11 +613,11 @@ class TestNewton:
             lams = [principal_eigenpair(ball).lam for ball in balls]
             s = rng.randrange(4)
             assemble_spectrum(balls[s], 3.0 * lams[s])
-        assert len(sweeps) / 10 <= 22.8
+        assert len(sweeps) / 10 <= 16.1
 
 
 class TestRayleighStart:
-    """The first Newton iterate of a level is the least Rayleigh quotient of two
+    """The first Newton iterate of a level is the least Ritz value of five
     trials, a variational upper bound of the level's first eigenvalue."""
 
     @settings(max_examples=40)
@@ -621,7 +629,7 @@ class TestRayleighStart:
             lam = solve_radial_modes(ball, k, 1)[0].lam
             estimate = _rayleigh_estimate(_RadialPath(ball, k))
             assert math.isfinite(estimate)
-            assert lam <= estimate <= 1.05 * lam
+            assert lam <= estimate <= (1.0 + 1e-5) * lam
 
     @settings(max_examples=40)
     @given(m=st.sampled_from([2, 3, 4]), kappa=st.floats(-1.0, 1.0), r0=st.floats(0.5, 1.5),
@@ -653,3 +661,40 @@ class TestRayleighStart:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _rayleigh_estimate(path)
+
+    @pytest.mark.parametrize("spoil", ["negative", "zero", "nan"])
+    def test_no_positive_finite_gram_matrix_gives_nan(self, spoil):
+        # the weight p spoils the Gram matrices: M is negative definite, zero
+        # or not finite
+        path = _RadialPath(space_form_ball(0.3, 3, 1.0, polynomial_drift([0.5])), 1)
+        p = {"negative": -path.p_nodes, "zero": 0.0 * path.p_nodes,
+             "nan": np.where(np.arange(path.p_nodes.size) == 7, np.nan, path.p_nodes)}[spoil]
+        path.p_nodes = p
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(_rayleigh_estimate(path))
+
+    def test_without_an_estimate_probe_euclidean_and_start_at_the_midpoint(self, monkeypatch,
+                                                                           sweeps):
+        ball = space_form_ball(0.3, 3, 1.0, polynomial_drift([0.5]))
+        lam = solve_radial_modes(ball, 0, 1)[0].lam
+        monkeypatch.setattr(radial, "_rayleigh_estimate", lambda path: math.nan)
+        path = _RadialPath(ball, 0)
+        del sweeps[:]
+        (lo, hi), = _isolate(path, 1)
+        assert sweeps[0] == radial._euclid_estimate(path, 1.5)
+        del sweeps[:]
+        assert abs(_refine(path, lo, hi, 1)[0] - lam) <= 1e-12 * lam
+        assert sweeps[0] == 0.5 * (lo + hi)
+
+    def test_an_estimate_below_the_eigenvalue_doubles(self, monkeypatch, sweeps):
+        ball = space_form_ball(-0.6, 2, 1.2, polynomial_drift([0.8, 0.2]))
+        lam = solve_radial_modes(ball, 0, 1)[0].lam
+        low = lam * (1.0 - 1e-7)
+        monkeypatch.setattr(radial, "_rayleigh_estimate", lambda path: low)
+        path = _RadialPath(ball, 0)
+        del sweeps[:]
+        (lo, hi), = _isolate(path, 1)
+        assert sweeps[:2] == [low, 2.0 * low]
+        assert path.count(low) == 0 and lo <= lam < hi
+        assert abs(_refine(path, lo, hi, 1)[0] - lam) <= 1e-12 * lam
