@@ -122,7 +122,7 @@ def _step_grid(r0: float, n_t: int, c_stab: float):
     h_int = r0 / n_t / SUBSTEPS
     # the startup ends at node j0 - 1, the first with c_stab * t >= h_int
     j0 = 1 + int(np.searchsorted(c_stab * nodes[:-1], h_int))
-    t_start = t = float(1e-6 * r0)  # where (b, b') = (1, 0) is the regular start
+    t_start = t = float(1e-6 * r0)  # where the regular solution's series starts
     ts, node_steps = [t], []
     for target in nodes[1:j0].tolist():
         while t < target - 1e-14 * r0:
@@ -192,23 +192,31 @@ class _RadialPath:
 
     # -- integration ------------------------------------------------------
 
-    def integrate(self, lam: float, y1: float = 1.0, y2: float = 0.0,
+    def integrate(self, lam: float, y1: float | None = None, y2: float | None = None,
                   samples: bool = False):
-        """One RK4 sweep from the path's first point, where (b, b') = (y1, y2).
+        """One RK4 sweep from the path's first point t_s, where (b, b') = (y1, y2).
 
+        The default start is the level's regular solution, the series
+        b = 1 + c t_s^2, b' = 2 c t_s with c = -(Q(t_s) + lam) / (2 (2 alpha + m)),
+        and node 0 holds its values (1, 0) at t = 0; (b, b') = (1, 0) at t_s
+        would excite the second solution, log t at m = 2, k = 0, and bias lam
+        by a few 1e-12 on every grid.  A given start is held at node 0.
         Returns b(r0), the number of sign changes of b along the path and,
-        with `samples`, the arrays (b, b') at the nodes (node 0 holds the
-        start values), else None.  A repeat of the last call's (lam, y1, y2)
-        reuses its sweep.
+        with `samples`, the arrays (b, b') at the nodes, else None.  A repeat
+        of the last call's (lam, y1, y2) reuses its sweep.
         """
+        origin = y1, y2
+        if y1 is None:
+            c = -float(self.Q_stages[0, 0] + lam) / (2.0 * (2.0 * self.alpha + self.ball.m))
+            y1, y2, origin = 1.0 + c * self.t_start ** 2, 2.0 * c * self.t_start, (1.0, 0.0)
         if self._last[0] != (lam, y1, y2):
             self._last = (lam, y1, y2), self._sweep(lam, y1, y2)
         end, changes, b, M = self._last[1]
         if not samples:
             return end, changes, None
         j = self.node_steps
-        return end, changes, (np.concatenate(([y1], b[j])),
-                              np.concatenate(([y2], M[1, 0, j] * y1 + M[1, 1, j] * y2)))
+        return end, changes, (np.concatenate(([origin[0]], b[j])),
+                              np.concatenate(([origin[1]], M[1, 0, j] * y1 + M[1, 1, j] * y2)))
 
     def _sweep(self, lam: float, y1: float, y2: float):
         """The kernel of `integrate`.  Every RK4 step of the linear system is a

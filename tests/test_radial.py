@@ -82,6 +82,18 @@ class TestPrincipal:
         mode = principal_eigenpair(euclidean_ball(2, 1.0))
         assert mode.lam == pytest.approx(bessel_zero(0, 1) ** 2, abs=1e-9)
 
+    @pytest.mark.parametrize("n_t", [256, 512, 1024])
+    def test_flat_disk_levels_to_the_grid_error(self, n_t):
+        # RK4's h^4 error: |lam_h / lam - 1| = C (lam dt^2)^2, with C at most
+        # 6.2e-4 over k <= 2, i <= 3, n_t = 128..1024 and r0 in {0.5, 1, 2}.
+        # A sweep started at (b, b') = (1, 0) excited log t at k = 0, which
+        # gave C = 7.5e-3 at n_t = 512 (3.65e-12 relative) and 0.12 at 1024.
+        ball = euclidean_ball(2, 1.0)
+        for k in range(3):
+            for i, mode in enumerate(solve_radial_modes(ball, k, 3, n_t=n_t), start=1):
+                lam = bessel_zero(k, i) ** 2
+                assert abs(mode.lam / lam - 1.0) <= 1e-3 * (lam / n_t ** 2) ** 2
+
     def test_euclidean_scaling(self):
         lam1 = principal_eigenpair(euclidean_ball(3, 1.0)).lam
         lam2 = principal_eigenpair(euclidean_ball(3, 2.0)).lam
@@ -440,12 +452,17 @@ class TestScanKernel:
             # across the count window lam * h^2 <= 1
             for lam in rng.uniform(0.0, 1.0 / path.h_max ** 2, 4):
                 end, changes, (b, bp) = path.integrate(lam, samples=True)
-                ref_end, ref_changes, (ref_b, ref_bp) = rk4_sweep(path, lam)
+                # the regular solution's series b = 1 + c t^2 at the first point,
+                # and its values (1, 0) at t = 0 on node 0
+                t_s, c = path.t_start, -(path.Q_stages[0, 0] + lam) / (2.0 * (2 * k + ball.m))
+                ref_end, ref_changes, (ref_b, ref_bp) = rk4_sweep(
+                    path, lam, 1.0 + c * t_s * t_s, 2.0 * c * t_s)
+                assert (b[0], bp[0]) == (1.0, 0.0)
                 # relative to the sweep's scale: b(r0) itself is ~0 near an eigenvalue
                 scale = np.max(np.abs(ref_b))
                 assert abs(end - ref_end) <= 1e-13 * scale
-                assert np.max(np.abs(b - ref_b)) <= 1e-13 * scale
-                assert np.max(np.abs(bp - ref_bp)) <= 1e-13 * np.max(np.abs(ref_bp))
+                assert np.max(np.abs(b[1:] - ref_b[1:])) <= 1e-13 * scale
+                assert np.max(np.abs(bp[1:] - ref_bp[1:])) <= 1e-13 * np.max(np.abs(ref_bp))
                 assert changes == ref_changes
 
     def test_start_values_and_riccati_style_coefficients(self):
