@@ -25,18 +25,18 @@ from driftspectra.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-README_DISK = ["--space-form", "0", "--dim", "2", "--radius", "1"]
+FLAT_DISK = ["--space-form", "0", "--dim", "2", "--radius", "1"]
 
 # name -> argv; a run with an artifact names it `out.csv` or `out.json`
 CASES = {
     # the README commands
-    "readme_spectrum": ["spectrum", *README_DISK, "--cutoff", "31", "--output", "out.csv"],
+    "readme_spectrum": ["spectrum", *FLAT_DISK, "--cutoff", "31", "--output", "out.csv"],
     "readme_principal_m3": ["principal", "--space-form", "0", "--dim", "3", "--radius", "1"],
     "readme_principal_warping": ["principal", "--warping", "sinh(t)", "--dim", "2",
                                  "--radius", "1", "--drift", "0.5*t"],
-    "readme_disk2d": ["disk2d", *README_DISK, "--perturbation", "0.1*t^2*cos(theta)",
+    "readme_disk2d": ["disk2d", *FLAT_DISK, "--perturbation", "0.1*t^2*cos(theta)",
                       "--format", "json", "--output", "out.json"],
-    "readme_bounds": ["bounds", *README_DISK, "--drift", "t", "--tol", "1e-7"],
+    "readme_bounds": ["bounds", *FLAT_DISK, "--drift", "t", "--tol", "1e-7"],
     "readme_compare_corpus": ["compare", "--output", "out.csv"],
     "readme_compare_pair": ["compare", "--dim", "2", "--radius", "1", "--subject-kappa", "0",
                             "--model-kappa", "1"],
@@ -50,9 +50,9 @@ CASES = {
                          "--drift", "0.9*t+0.3*t^2", "--cutoff", "80", "--output", "out.csv"],
     "spectrum_sphere_m3": ["spectrum", "--space-form", "0.8", "--dim", "3", "--radius", "1.4",
                            "--cutoff", "60", "--format", "json", "--output", "out.json"],
-    "spectrum_poly_keyword": ["spectrum", *README_DISK, "--drift", "poly 0.7 0.2",
+    "spectrum_poly_keyword": ["spectrum", *FLAT_DISK, "--drift", "poly 0.7 0.2",
                               "--cutoff", "60", "--output", "out.csv"],
-    "principal_m2_json": ["principal", *README_DISK, "--format", "json",
+    "principal_m2_json": ["principal", *FLAT_DISK, "--format", "json",
                           "--output", "out.json"],
     "principal_poly_m4": ["principal", "--space-form=-1", "--dim", "4", "--radius", "1.5",
                           "--drift", "poly 1.5 0.8", "--output", "out.csv"],
@@ -60,12 +60,12 @@ CASES = {
                                 "--radius", "1e-100"],
     "principal_radius_1e100": ["principal", "--space-form", "0", "--dim", "2",
                                "--radius", "1e100"],
-    "riccati_poly": ["riccati", *README_DISK, "--drift", "poly 0.7 0.2", "--output", "out.csv"],
-    "spectrum_cutoff_below_principal": ["spectrum", *README_DISK, "--cutoff", "5.78"],
-    "principal_poly_nan": ["principal", *README_DISK, "--drift", "poly nan"],
-    "disk2d_tol_1e-9": ["disk2d", *README_DISK, "--tol", "1e-9", "--format", "json",
+    "riccati_poly": ["riccati", *FLAT_DISK, "--drift", "poly 0.7 0.2", "--output", "out.csv"],
+    "spectrum_cutoff_below_principal": ["spectrum", *FLAT_DISK, "--cutoff", "5.78"],
+    "principal_poly_nan": ["principal", *FLAT_DISK, "--drift", "poly nan"],
+    "disk2d_tol_1e-9": ["disk2d", *FLAT_DISK, "--tol", "1e-9", "--format", "json",
                         "--output", "out.json"],
-    "disk2d_drift_20t": ["disk2d", *README_DISK, "--drift", "20*t", "--format", "json",
+    "disk2d_drift_20t": ["disk2d", *FLAT_DISK, "--drift", "20*t", "--format", "json",
                          "--output", "out.json"],
 }
 
