@@ -25,8 +25,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .disk import (SUPERLU_OPTIONS, DiskProblem, advection_matrix, assemble_operator,
-                   drift_faces, drift_load, in_grid_order, pencil_quotient,
-                   principal_eigenpair_2d, stiffness_faces, volumes, weighted_stiffness)
+                   drift_load, face_forms, in_grid_order, pencil_quotient,
+                   principal_eigenpair_2d, volumes, weighted_stiffness)
 from .errors import IrreducibilityError, SolverError
 from .geometry import ModelBall, weight_p
 from .quadrature import cumulative_trapezoid_from_origin
@@ -93,7 +93,7 @@ def _forms(target, f, n_t: int):
     """
     if not isinstance(target, ModelBall):
         w = np.exp(-target.grid.sample(f))
-        return weighted_stiffness(target, w, dirichlet=True).tocsc(), w.ravel() * volumes(target)
+        return weighted_stiffness(target, w, dirichlet=True), w.ravel() * volumes(target)
     r0 = target.r0
     nodes = np.linspace(0.0, r0, n_t + 1)
     mids = 0.5 * (nodes[:-1] + nodes[1:])
@@ -175,7 +175,6 @@ def _pinned_solve(A: sp.spmatrix, shape, k: int, rhs: np.ndarray,
     of `shape` with cell k deleted.
     """
     n = A.shape[0]
-    A = sp.csc_matrix(A)
     order, M = in_grid_order(A, shape, drop=k)
     b = rhs[order] - pinned * A[:, k].toarray().ravel()[order]
     try:
@@ -223,10 +222,9 @@ def q_functional(problem: DiskProblem, u, v) -> float:
     """
     u = np.asarray(u, dtype=float)
     W = (u * u).reshape(problem.J.shape)
-    vv = np.asarray(v, dtype=float).ravel()
     total = 0.0
-    for (a, b, w), (_, _, c) in zip(stiffness_faces(problem, W), drift_faces(problem, W)):
-        d = vv[a] - vv[b]
+    for w, c, d in face_forms(problem, W, np.asarray(v, dtype=float)):
+        w, c, d = w.ravel(), c.ravel(), d.ravel()
         total += float(w @ (d * d) + c @ d)
     return total
 

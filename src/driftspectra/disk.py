@@ -7,28 +7,26 @@ there, and the Dirichlet condition at t=r0 enters through an antisymmetric
 ghost value.  The drift's centered differences run over the same faces;
 the ghost behind the first ring is the antipodal cell (t0, theta+pi).
 
-Every five-point system of the 2-D layer is factored by one recipe: the
-eigen solves here (the weighted Rayleigh pencil of `bounds` among them)
-and in `bounds` the pinned `w_u`/`G` solves.  Its elimination order
-depends only on the grid, so `grid_order` computes it once per grid and
-process: SuperLU's minimum degree (`MMD_AT_PLUS_A`) on the grid's full
-stencil, five-point, periodic in theta and with the antipodal couplings
-of ring 0, numbered from the wall inward, which breaks its ties with
-less fill than the ring-major numbering.  It costs 2.6, 8.2, 18 and
-32 ms at 48 x 32, 96 x 64, 144 x 96 and 192 x 128.  Each system is permuted
-into that order and factored with `SUPERLU_OPTIONS`: natural column
-order, no relaxed supernodes and one-column panels (SuperLU's defaults
-store relaxed zeros on five-point grids and factor slower).  A disk
-without radial drift has no antipodal couplings, and minimum degree on
-its own pattern leaves more fill: the grid's order cuts the L+U nonzeros
-from 270,428 to 214,160 at 96 x 64 and from 1.52M to 1.09M at 192 x 128,
-and the factor time from about 105 to 61 ms on a 2-CPU Xeon; a swirled
-kappa = 0.3 disk keeps its 217,214 at 96 x 64, against 286,551
-ring-major with SuperLU's defaults (Demmel, Eisenstat, Gilbert, Li &
-Liu, SIAM J. Matrix Anal. Appl. 20, 1999; X. S. Li, ACM TOMS 31, 2005).
-The recipe moves results only by roundoff: eigenvalues keep 12 digits,
-and the Barta bracket ends, which divide by the eigenvector, move by
-about 1e-9 relative.
+Every five-point system of the 2-D layer is assembled and factored by one
+recipe: the operator and the weighted Rayleigh pencil of `bounds`, solved
+here, and the pinned `w_u`/`G` systems of `bounds`.  Per grid and process,
+`grid_order` computes the elimination order, SuperLU's minimum degree
+(`MMD_AT_PLUS_A`) on the grid's full stencil (five-point, periodic in
+theta, with the antipodal couplings of ring 0) numbered from the wall
+inward, and `grid_stencil` caches the stencil's ring-major CSR pattern
+with and without those couplings.  Assembly writes face values into the
+pattern's slots, with no sort or sum of duplicates; `in_grid_order`
+gathers the data into the grid's order (masking out a pinned cell) for
+`splu` with `SUPERLU_OPTIONS`: natural column order, no relaxed
+supernodes and one-column panels (SuperLU's defaults store relaxed zeros
+on five-point grids and factor slower).  A disk without radial drift has
+no antipodal couplings, and minimum degree on its own pattern leaves more
+fill: the grid's order cuts the L+U nonzeros from 270,428 to 214,160 at
+96 x 64 and from 1.52M to 1.09M at 192 x 128, and the factor time from
+about 105 to 61 ms; a swirled kappa = 0.3 disk keeps its 217,214 at
+96 x 64, against 286,551 ring-major with SuperLU's defaults (Demmel,
+Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix Anal. Appl. 20, 1999;
+X. S. Li, ACM TOMS 31, 2005).
 
 One inverse iteration, `principal_eigenpair_2d`, gives every principal
 pair: of the operator (S = A, M = I) and of the weighted Rayleigh pencils
@@ -165,59 +163,73 @@ def volumes(p: DiskProblem) -> np.ndarray:
     return (p.J * p.grid.dt * p.grid.dtheta).ravel()
 
 
-def _indices(p: DiskProblem) -> np.ndarray:
-    return np.arange(p.grid.size).reshape(p.grid.n_t, p.grid.n_theta)
-
-
 def _outer_face_value(field: np.ndarray) -> np.ndarray:
     """Linear extrapolation of a cell field to the boundary face."""
     val = 1.5 * field[-1, :] - 0.5 * field[-2, :]
     return np.maximum(val, 0.5 * np.minimum(field[-1, :], field[-2, :]))
 
 
-def _faces(p: DiskProblem, radial: np.ndarray, angular: np.ndarray) -> list:
+def _sides(radial: np.ndarray, angular: np.ndarray) -> list:
     """Interior faces in two families: radial (j, j+1), angular (l, l+1) with wrap.
 
-    Each family is (a, b, fa, fb): the indices of the cells on either side
-    of its faces and the values there of its cell field, `radial` or
-    `angular`.
+    Each family is (fa, fb): its cell field on the sides a and b of its faces.
     """
-    idx = _indices(p)
-    return [(idx[:-1, :].ravel(), idx[1:, :].ravel(), radial[:-1, :].ravel(), radial[1:, :].ravel()),
-            (idx.ravel(), np.roll(idx, -1, axis=1).ravel(),
-             angular.ravel(), np.roll(angular, -1, axis=1).ravel())]
+    return [(radial[:-1, :], radial[1:, :]), (angular, np.roll(angular, -1, axis=1))]
 
 
-def _csr(rows, cols, vals, n: int) -> sp.csr_matrix:
-    """n x n CSR matrix from lists of row, column and value arrays (repeats add up)."""
-    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n, n)).tocsr()
+def _stiffness(p: DiskProblem, cellweight, dirichlet: bool) -> tuple:
+    """Face weights (radial, angular) and diagonal of the weighted stiffness.
 
-
-def stiffness_faces(p: DiskProblem, cellweight=None) -> list:
-    """(a, b, w) per face family, with int W |grad u|^2 dM = sum w (u_a - u_b)^2.
-
-    This is the form with natural (no-flux) walls.
+    A cell's diagonal adds its outward, inward, right, left and wall weights
+    in that order, the order of the face-by-face sum in the tests' oracle.
     """
     dt, dth = p.grid.dt, p.grid.dtheta
     W = np.ones_like(p.J) if cellweight is None else np.asarray(cellweight, dtype=float)
-    (ra, rb, rfa, rfb), (aa, ab, afa, afb) = _faces(p, W * p.J, W / p.J)
-    return [(ra, rb, 0.5 * (rfa + rfb) * dth / dt), (aa, ab, 0.5 * (afa + afb) * dt / dth)]
+    (rfa, rfb), (afa, afb) = _sides(W * p.J, W / p.J)
+    wr, wa = 0.5 * (rfa + rfb) * dth / dt, 0.5 * (afa + afb) * dt / dth
+    diag = np.zeros_like(p.J)
+    diag[:-1, :] += wr
+    diag[1:, :] += wr
+    diag += wa
+    diag += np.roll(wa, 1, axis=1)
+    if dirichlet:
+        diag[-1, :] += 2.0 * _outer_face_value(W * p.J) * dth / dt
+    return wr, wa, diag
 
 
-def _drift_fluxes(p: DiskProblem, cellweight):
-    """Face families of the cell drift flux W J g(V, n), each with its face length."""
+def _drift_fluxes(p: DiskProblem, cellweight, mean: bool = False) -> list:
+    """Per face family, the cell drift flux W J g(V, n) times half the face
+    length on the sides (a, b) of its faces, or their sum with `mean`."""
     W = np.asarray(cellweight, dtype=float)
-    return zip(_faces(p, W * p.Vt * p.J, W * p.Vtheta * p.J), (p.grid.dtheta, p.grid.dt))
+    sides = zip(_sides(W * p.Vt * p.J, W * p.Vtheta * p.J), (p.grid.dtheta, p.grid.dt))
+    if mean:
+        return [0.5 * (fa + fb) * h for (fa, fb), h in sides]
+    return [(0.5 * fa * h, 0.5 * fb * h) for (fa, fb), h in sides]
 
 
-def drift_faces(p: DiskProblem, cellweight) -> list:
-    """(a, b, c) per face family, with int W g(V, grad phi) dM = sum c (phi_b - phi_a).
+def face_forms(p: DiskProblem, cellweight, v) -> list:
+    """(w, c, d) per face family (`_sides`), d = v_a - v_b: int W |grad v|^2 dM =
+    sum w d^2 (natural walls) and int W g(V, grad v) dM = -sum c d (no term on
+    boundary faces: the weight vanishes at the wall and J at the origin)."""
+    V = np.reshape(v, p.J.shape)
+    return [(w, c, va - vb) for w, c, (va, vb) in zip(_stiffness(p, cellweight, False)[:2],
+                                                      _drift_fluxes(p, cellweight, mean=True),
+                                                      _sides(V, V))]
 
-    Boundary faces carry no term: the weight vanishes at the Dirichlet wall
-    and J vanishes at the origin.
-    """
-    return [(a, b, 0.5 * (fa + fb) * h) for (a, b, fa, fb), h in _drift_fluxes(p, cellweight)]
+
+def _on_stencil(p: DiskProblem, diag, radial, angular, antipodal=None) -> sp.csr_matrix:
+    """CSR matrix on the `grid_stencil` pattern from its entry values: nothing is
+    sorted or summed.  `radial` and `angular` give their faces' (a, b) and
+    (b, a) values; with no `antipodal` the matrix stores no such coupling.
+    The matrix owns its index arrays, which scipy may sort in place."""
+    n_theta = p.grid.n_theta
+    indptr, indices, take = grid_stencil(p.grid.n_t, n_theta)
+    parts = [diag, *radial, *angular, np.zeros(n_theta) if antipodal is None else antipodal]
+    data = np.concatenate([x.ravel() for x in parts])[take]
+    if antipodal is None:  # the couplings lead the ring-0 rows
+        indptr, indices, data = _delete(indptr, indptr[:n_theta], indices, data)
+    return sp.csr_matrix((data, indices, indptr), shape=(p.grid.size,) * 2,
+                         copy=antipodal is not None)
 
 
 def weighted_stiffness(p: DiskProblem, cellweight=None, dirichlet: bool = True) -> sp.csr_matrix:
@@ -227,18 +239,8 @@ def weighted_stiffness(p: DiskProblem, cellweight=None, dirichlet: bool = True) 
     from u=0 on the face; without it the form has natural (no-flux) walls,
     annihilates constants and is only positive semidefinite.
     """
-    rows, cols, vals = [], [], []
-    for a, b, w in stiffness_faces(p, cellweight):
-        rows += [a, b, a, b]
-        cols += [a, b, b, a]
-        vals += [w, w, -w, -w]
-    if dirichlet:
-        W = np.ones_like(p.J) if cellweight is None else np.asarray(cellweight, dtype=float)
-        wall = _indices(p)[-1, :]
-        rows.append(wall)
-        cols.append(wall)
-        vals.append(2.0 * _outer_face_value(W * p.J) * p.grid.dtheta / p.grid.dt)
-    return _csr(rows, cols, vals, p.grid.size)
+    wr, wa, diag = _stiffness(p, cellweight, dirichlet)
+    return _on_stencil(p, diag, (-wr, -wr), (-wa, -wa))
 
 
 def drift_load(p: DiskProblem, cellweight) -> np.ndarray:
@@ -247,50 +249,70 @@ def drift_load(p: DiskProblem, cellweight) -> np.ndarray:
     Assembled from the same interior faces as the weighted stiffness, so it
     annihilates constants exactly.
     """
-    load = np.zeros(p.grid.size)
-    for a, b, c in drift_faces(p, cellweight):
-        np.add.at(load, b, c)
-        np.add.at(load, a, -c)
-    return load
+    cr, ca = _drift_fluxes(p, cellweight, mean=True)
+    load = np.zeros_like(p.J)
+    load[1:, :] += cr
+    load[:-1, :] -= cr
+    load += np.roll(ca, 1, axis=1)
+    load -= ca
+    return load.ravel()
 
 
 def advection_matrix(p: DiskProblem, cellweight) -> sp.csr_matrix:
     """Matrix of (G, phi) -> int G W g(V, grad phi) dM with face-averaged G."""
-    rows, cols, vals = [], [], []
-    for (a, b, fa, fb), h in _drift_fluxes(p, cellweight):
-        qa, qb = 0.5 * fa * h, 0.5 * fb * h
-        rows += [b, b, a, a]
-        cols += [a, b, a, b]
-        vals += [qa, qb, -qa, -qb]
-    return _csr(rows, cols, vals, p.grid.size)
+    (ra, rb), (aa, ab) = _drift_fluxes(p, cellweight)
+    diag = np.zeros_like(p.J)
+    diag[1:, :] += rb
+    diag[:-1, :] -= ra
+    diag += np.roll(ab, 1, axis=1)
+    diag -= aa
+    return _on_stencil(p, diag, (-rb, ra), (-ab, aa))
 
 
-def drift_matrix(p: DiskProblem) -> sp.csr_matrix:
-    """Pointwise drift action u -> Vt u_t + Vtheta u_theta.
+def _drift_entries(p: DiskProblem) -> tuple:
+    """`drift_matrix` by stencil entries: diagonal, radial, angular, antipodal.
 
-    Centered differences on the faces of `_faces`: a face (a, b) gives a
+    Centered differences on the faces of `_sides`: a face (a, b) gives a
     its forward and b its backward neighbour.  Two ghosts remain: the
     antipodal cell behind the first ring, and the Dirichlet-antisymmetric
     value -u past the last ring (the diagonal -cr at the wall).
     """
-    idx = _indices(p)
     cr = p.Vt / (2.0 * p.grid.dt)
-    rows = [idx[0, :], idx[-1, :]]
-    cols = [np.roll(idx[0, :], p.grid.n_theta // 2), idx[-1, :]]
-    vals = [-cr[0, :], -cr[-1, :]]
-    for a, b, fa, fb in _faces(p, cr, p.Vtheta / (2.0 * p.grid.dtheta)):
-        rows += [a, b]
-        cols += [b, a]
-        vals += [fa, -fb]
-    return _csr(rows, cols, vals, p.grid.size)
+    (ra, rb), (aa, ab) = _sides(cr, p.Vtheta / (2.0 * p.grid.dtheta))
+    diag = np.zeros_like(cr)
+    diag[-1, :] = -cr[-1, :]
+    return diag, (ra, -rb), (aa, -ab), -cr[0, :]
+
+
+def drift_matrix(p: DiskProblem) -> sp.csr_matrix:
+    """Pointwise drift action u -> Vt u_t + Vtheta u_theta; only the wall ring
+    stores a diagonal (`_drift_entries`)."""
+    D = _on_stencil(p, *_drift_entries(p))
+    rows = np.repeat(np.arange(p.grid.size), np.diff(D.indptr))
+    inner = np.flatnonzero((D.indices == rows) & (rows < p.grid.size - p.grid.n_theta))
+    indptr, indices, data = _delete(D.indptr, inner, D.indices, D.data)
+    D = sp.csr_matrix((data, indices, indptr), shape=D.shape)
+    D.sort_indices()
+    return D
 
 
 def assemble_operator(p: DiskProblem) -> sp.csr_matrix:
-    """Matrix of -Delta_V = -Delta_0 + (drift action) with Dirichlet wall."""
-    K = weighted_stiffness(p, None, dirichlet=True)
-    inv_vol = 1.0 / volumes(p)
-    A = sp.diags(inv_vol) @ K + drift_matrix(p)
-    return A.tocsr()
+    """Matrix of -Delta_V = -Delta_0 + (drift action) with Dirichlet wall.
+
+    Entry for entry diag(1/vol) K + `drift_matrix` and stored as that sum
+    stores it: no zeros (so no antipodal couplings without radial drift in
+    ring 0), and a ring-0 row's antipodal coupling ahead of its other entries.
+    """
+    wr, wa, K = _stiffness(p, None, True)
+    inv_vol = 1.0 / volumes(p).reshape(p.J.shape)
+    diag, (ra, rb), (aa, ab), across = _drift_entries(p)
+    (va, vb), (ua, ub) = _sides(inv_vol, inv_vol)
+    A = _on_stencil(p, inv_vol * K + diag, (va * -wr + ra, vb * -wr + rb),
+                    (ua * -wa + aa, ub * -wa + ab), across if np.any(across) else None)
+    if not np.all(A.data):
+        A = A.copy()
+        A.eliminate_zeros()
+    return A
 
 
 def min_degree_order(pattern: sp.spmatrix) -> np.ndarray:
@@ -321,25 +343,66 @@ def grid_order(n_t: int, n_theta: int) -> np.ndarray:
     holds the pattern of every operator assembled on the grid.  Cached
     per grid; the array is read-only.
     """
-    idx = np.arange(n_t * n_theta).reshape(n_t, n_theta)
-    a = np.concatenate([idx[:-1, :].ravel(), idx.ravel(), idx[0, :]])
-    b = np.concatenate([idx[1:, :].ravel(), np.roll(idx, -1, axis=1).ravel(),
-                        np.roll(idx[0, :], n_theta // 2)])
-    pattern = sp.coo_matrix((np.ones(2 * a.size), (np.concatenate([a, b]),
-                                                   np.concatenate([b, a]))), shape=(idx.size,) * 2)
-    order = min_degree_order(pattern)
+    indptr, indices, _ = grid_stencil(n_t, n_theta)
+    order = min_degree_order(sp.csr_matrix((np.ones(indices.size), indices, indptr)))
     order.setflags(write=False)
     return order
 
 
-def in_grid_order(mat: sp.spmatrix, shape, drop: int | None = None):
-    """(order, P mat P^T in CSC) for the module's factorization recipe.
+def _frozen(*arrays) -> tuple:
+    """The arrays as read-only int32 arrays."""
+    arrays = tuple(np.asarray(x, dtype=np.int32) for x in arrays)
+    for x in arrays:
+        x.setflags(write=False)
+    return arrays
 
-    order[i] is the ring-major index of the i-th cell to eliminate: the
-    `grid_order` of `shape`, or without a shape the order of mat's own
-    pattern (natural for a tridiagonal mat: no fill).  Cell `drop`, if
-    given, is left out of both.
+
+@lru_cache(maxsize=8)
+def grid_stencil(n_t: int, n_theta: int) -> tuple:
+    """The grid's full stencil as a ring-major CSR pattern (indptr, indices, take).
+
+    The arrays are int32 and read-only.  A matrix's data is its entry values
+    at `take`, the entries listed as the diagonal, the radial faces (a, b)
+    and (b, a), the angular faces (a, b) and (b, a) (`_sides`), then the
+    antipodal couplings (l, l + n_theta/2) of ring 0.  Every row is sorted,
+    except that a ring-0 row stores its coupling first (at indptr[:n_theta]),
+    where the sum of `assemble_operator` puts it.
     """
+    idx = np.arange(n_t * n_theta, dtype=np.int32).reshape(n_t, n_theta)
+    (ra, rb), (aa, ab) = _sides(idx, idx)
+    rows = np.concatenate([x.ravel() for x in (idx, ra, rb, aa, ab, idx[0, :])])
+    cols = np.concatenate([x.ravel() for x in (idx, rb, ra, ab, aa,
+                                               np.roll(idx[0, :], n_theta // 2))])
+    m = rows.size - n_theta
+    ring = sp.csr_matrix((np.arange(rows.size), (rows, cols)), shape=(n_t * n_theta,) * 2)
+    head = ring.indptr[n_theta]  # entry ids, sorted in each row: move the couplings first
+    first = np.argsort(2 * rows[ring.data[:head]] + (ring.data[:head] < m), kind="stable")
+    ring.data[:head], ring.indices[:head] = ring.data[first], ring.indices[first]
+    return _frozen(ring.indptr, ring.indices, ring.data)
+
+
+def _delete(indptr, dead, *arrays) -> tuple:
+    """A compressed pattern's indptr and entry arrays without the sorted positions `dead`."""
+    return (indptr - np.searchsorted(dead, indptr).astype(np.int32),
+            *(np.delete(x, dead) for x in arrays))
+
+
+@lru_cache(maxsize=8)
+def _stencil_in_order(n_t: int, n_theta: int) -> tuple:
+    """(grid_indptr, grid_indices, gather, antipodal), int32 and read-only:
+    the `grid_stencil` pattern in `grid_order` as sorted CSC, whose data is
+    the CSR data at `gather`, and the positions of the couplings in it."""
+    indptr, indices, _ = grid_stencil(n_t, n_theta)
+    rank = np.empty(n_t * n_theta, dtype=np.int32)
+    rank[grid_order(n_t, n_theta)] = np.arange(rank.size)
+    rows = np.repeat(rank, np.diff(indptr))
+    grid = sp.csc_matrix((np.arange(indices.size), (rows, rank[indices])), shape=(rank.size,) * 2)
+    return _frozen(grid.indptr, grid.indices, grid.data,
+                   np.flatnonzero(np.isin(grid.data, indptr[:n_theta])))
+
+
+def _fancy_order(mat: sp.spmatrix, shape, drop: int | None):
+    """`in_grid_order` of a matrix on no `grid_stencil` pattern, by fancy indexing."""
     mat = sp.csc_matrix(mat)
     if shape is None and drop is None and np.all(
             np.abs(mat.indices - np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))) <= 1):
@@ -348,6 +411,43 @@ def in_grid_order(mat: sp.spmatrix, shape, drop: int | None = None):
     if drop is not None:
         order = order[order != drop]
     return order, mat[:, order][order, :].tocsc()
+
+
+def in_grid_order(mat: sp.spmatrix, shape, drop: int | None = None):
+    """(order, P mat P^T in CSC) for the module's factorization recipe.
+
+    order[i] is the ring-major index of the i-th cell to eliminate: the
+    `grid_order` of `shape`, or without a shape the order of mat's own
+    pattern (natural for a tridiagonal mat: no fill).  Cell `drop`, if
+    given, is left out of both.  A CSR mat on the `grid_stencil` pattern,
+    with or without the antipodal couplings, is gathered into place; a
+    pinned cell and absent couplings are masked out of the cached pattern,
+    whose read-only index arrays the result shares when nothing is masked.
+    """
+    if shape is None or mat.format != "csr":
+        return _fancy_order(mat, shape, drop)
+    indptr, indices, _ = grid_stencil(*shape)
+    flat = mat.nnz == indices.size - shape[1]
+    if flat:
+        indptr, indices = _delete(indptr, indptr[:shape[1]], indices)
+    if not (np.array_equal(mat.indptr, indptr) and np.array_equal(mat.indices, indices)):
+        return _fancy_order(mat, shape, drop)
+    grid_ptr, grid_rows, gather, across = _stencil_in_order(*shape)
+    order, data = grid_order(*shape), mat.data
+    if drop is None and not flat:
+        return order, sp.csc_matrix((data[gather], grid_rows, grid_ptr), shape=mat.shape)
+    if flat:  # back on the full pattern, with empty antipodal slots
+        data = np.insert(data, indptr[:shape[1]], 0.0)
+    dead = across if flat else np.empty(0, dtype=np.int32)
+    if drop is not None:
+        k = int(np.flatnonzero(order == drop)[0])
+        dead = np.union1d(dead, np.r_[np.flatnonzero(grid_rows == k), grid_ptr[k]:grid_ptr[k + 1]])
+        order = np.delete(order, k)
+    ptr, rows, data = _delete(grid_ptr, dead, grid_rows, data[gather])
+    if drop is not None:
+        rows -= rows > k
+        ptr = np.delete(ptr, k)
+    return order, sp.csc_matrix((data, rows, ptr), shape=(order.size,) * 2)
 
 
 def operator_action(A: sp.spmatrix, shape):
@@ -366,16 +466,18 @@ def _context(shape, n, it=None, residual=None, left_residual=None) -> str:
 
 
 def pencil_quotient(S: sp.spmatrix, mass, v, y=None) -> float:
-    """y^T S v / y^T M v, M = diag(mass), y = v unless given.
+    """y^T S v / y^T M v, M = diag(mass), y = v unless given, S in CSR or CSC.
 
-    Summed in long double: both sums cancel when lam is small.
+    Summed in long double: both sums cancel when lam is small.  The long
+    double copy of S shares S's index arrays.
     """
     v = np.asarray(v, dtype=np.longdouble).ravel()
     y = v if y is None else np.asarray(y, dtype=np.longdouble).ravel()
     denom = y @ (mass * v)
     if not denom > 0.0:
         raise ValueError("trial has zero weighted norm")
-    return float((y @ (S.astype(np.longdouble) @ v)) / denom)
+    S = type(S)((S.data.astype(np.longdouble), S.indices, S.indptr), shape=S.shape, copy=False)
+    return float((y @ (S @ v)) / denom)
 
 
 def _unit(x: np.ndarray) -> np.ndarray:
@@ -410,7 +512,7 @@ def principal_eigenpair_2d(op: sp.spmatrix, *, tol: float = DEFAULT_TOL, shape=N
     except RuntimeError as exc:
         raise SolverError(f"factorization failed ({_context(shape, n)}): {exc}") from exc
     symmetric = mass is not None and (op != op.T).nnz == 0  # M = I: the disk's A is not
-    mass = np.ones(n) if mass is None else np.asarray(mass, dtype=float)[order]
+    mass = None if mass is None else np.asarray(mass, dtype=float)[order]
     v = y = np.ones(n)
     restarts = 0
     residual = left_residual = np.inf
@@ -421,12 +523,13 @@ def principal_eigenpair_2d(op: sp.spmatrix, *, tol: float = DEFAULT_TOL, shape=N
         return _context(shape, n, it, residual, left_residual)
 
     for it in range(1, MAXITER + 1):
-        v_old, y_old, v = v, y, lu.solve(mass * v)
-        vmax = np.max(np.abs(v))
-        if vmax == 0.0 or not np.isfinite(vmax):
+        v_old, y_old, v = v, y, lu.solve(v if mass is None else mass * v)
+        size = np.abs(v)
+        top = np.argmax(size)
+        if size[top] == 0.0 or not np.isfinite(size[top]):
             raise SolverError(f"inverse iteration broke down ({context(it)})")
-        v = _unit(v)
-        y = v if symmetric else _unit(lu.solve(mass * y, trans="T"))
+        v = v / v[top]
+        y = v if symmetric else _unit(lu.solve(y if mass is None else mass * y, trans="T"))
         flipped = np.any(v <= 0.0) or np.any(y <= 0.0)
         if flipped:
             restarts += 1
@@ -465,7 +568,7 @@ def principal_eigenpair_2d(op: sp.spmatrix, *, tol: float = DEFAULT_TOL, shape=N
         )
     if flipped:  # the small step was between sign-fixed iterates, not of a positive pair
         raise NonPrincipalModeError(f"converged mode has nonpositive components ({context(it)})")
-    lam = pencil_quotient(op, mass, v, y)
+    lam = pencil_quotient(op, 1.0 if mass is None else mass, v, y)
     if lam <= 0.0:
         raise SolverError(f"principal eigenvalue came out nonpositive: {lam} ({context(it)})")
     back = np.argsort(order)

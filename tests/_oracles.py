@@ -7,12 +7,16 @@ step-by-step RK4 loop that the radial scan kernel is checked against; it
 reads only a path's tabulated steps and stage coefficients; `step_grid`
 and `stage_coefficients` are the scalar step-grid loop and the per-stage
 coefficient formulas that the radial path's array construction replaced.
+The `coo_*` functions are the disk layer's assembly through COO triplets,
+summed by scipy, and `fancy_grid_order` its permutation by fancy
+indexing: the constructions that the grid stencil's slots replaced.
 """
 
 import decimal
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def bessel_j_series(nu: int, x: float, terms: int = 60) -> float:
@@ -259,3 +263,90 @@ def ring_averaged_lambda(A, n_t: int, n_theta: int) -> float:
             else:
                 lo = mid
         return float(hi)
+
+
+def _coo_faces(p, radial, angular):
+    """(a, b, fa, fb) per face family: radial (j, j+1), angular (l, l+1) with wrap."""
+    idx = np.arange(p.grid.size).reshape(p.grid.n_t, p.grid.n_theta)
+    return [(idx[:-1, :].ravel(), idx[1:, :].ravel(),
+             radial[:-1, :].ravel(), radial[1:, :].ravel()),
+            (idx.ravel(), np.roll(idx, -1, axis=1).ravel(),
+             angular.ravel(), np.roll(angular, -1, axis=1).ravel())]
+
+
+def _coo_csr(rows, cols, vals, n):
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n)).tocsr()
+
+
+def coo_stiffness(p, cellweight=None, dirichlet=True):
+    """Weighted stiffness: each face adds w to both diagonals and -w to both couplings."""
+    dt, dth = p.grid.dt, p.grid.dtheta
+    W = np.ones_like(p.J) if cellweight is None else np.asarray(cellweight, dtype=float)
+    (ra, rb, rfa, rfb), (aa, ab, afa, afb) = _coo_faces(p, W * p.J, W / p.J)
+    rows, cols, vals = [], [], []
+    for a, b, w in ((ra, rb, 0.5 * (rfa + rfb) * dth / dt),
+                    (aa, ab, 0.5 * (afa + afb) * dt / dth)):
+        rows += [a, b, a, b]
+        cols += [a, b, b, a]
+        vals += [w, w, -w, -w]
+    if dirichlet:
+        WJ = W * p.J
+        face = np.maximum(1.5 * WJ[-1, :] - 0.5 * WJ[-2, :], 0.5 * np.minimum(WJ[-1, :], WJ[-2, :]))
+        wall = np.arange(p.grid.size - p.grid.n_theta, p.grid.size)
+        rows.append(wall)
+        cols.append(wall)
+        vals.append(2.0 * face * dth / dt)
+    return _coo_csr(rows, cols, vals, p.grid.size)
+
+
+def _coo_fluxes(p, cellweight):
+    W = np.asarray(cellweight, dtype=float)
+    return zip(_coo_faces(p, W * p.Vt * p.J, W * p.Vtheta * p.J), (p.grid.dtheta, p.grid.dt))
+
+
+def coo_advection(p, cellweight):
+    rows, cols, vals = [], [], []
+    for (a, b, fa, fb), h in _coo_fluxes(p, cellweight):
+        qa, qb = 0.5 * fa * h, 0.5 * fb * h
+        rows += [b, b, a, a]
+        cols += [a, b, a, b]
+        vals += [qa, qb, -qa, -qb]
+    return _coo_csr(rows, cols, vals, p.grid.size)
+
+
+def add_at_drift_load(p, cellweight):
+    load = np.zeros(p.grid.size)
+    for (a, b, fa, fb), h in _coo_fluxes(p, cellweight):
+        c = 0.5 * (fa + fb) * h
+        np.add.at(load, b, c)
+        np.add.at(load, a, -c)
+    return load
+
+
+def coo_drift_matrix(p):
+    """Centered drift differences, with the antipodal ghost and the wall diagonal."""
+    idx = np.arange(p.grid.size).reshape(p.grid.n_t, p.grid.n_theta)
+    cr = p.Vt / (2.0 * p.grid.dt)
+    rows = [idx[0, :], idx[-1, :]]
+    cols = [np.roll(idx[0, :], p.grid.n_theta // 2), idx[-1, :]]
+    vals = [-cr[0, :], -cr[-1, :]]
+    for a, b, fa, fb in _coo_faces(p, cr, p.Vtheta / (2.0 * p.grid.dtheta)):
+        rows += [a, b]
+        cols += [b, a]
+        vals += [fa, -fb]
+    return _coo_csr(rows, cols, vals, p.grid.size)
+
+
+def coo_operator(p):
+    """diag(1/vol) K + D as scipy sums it: zeros dropped."""
+    vol = (p.J * p.grid.dt * p.grid.dtheta).ravel()
+    return (sp.diags(1.0 / vol) @ coo_stiffness(p) + coo_drift_matrix(p)).tocsr()
+
+
+def fancy_grid_order(mat, order, drop=None):
+    """(order, P mat P^T in CSC) by fancy indexing, the cell `drop` left out."""
+    if drop is not None:
+        order = order[order != drop]
+    mat = sp.csc_matrix(mat)
+    return order, mat[:, order][order, :].tocsc()

@@ -374,6 +374,22 @@ class TestPinnedSolves:
             P = sp.identity(n, format="csr")[rows]
             assert (factored != (P @ M @ P.T).tocsc()).nnz == 0
 
+    @pytest.mark.parametrize("radial,angular", [(0.0, 0.6), (0.8, 0.0), (-0.5, 0.6)])
+    def test_disk_solves_gather_on_the_stencil(self, radial, angular, monkeypatch):
+        # every factorization of a disk goes through the cached stencil's
+        # gather, never through the fancy-index permutation
+        def fancy(*args):
+            raise AssertionError("fancy-index permutation on a disk")
+
+        monkeypatch.setattr(disk, "_fancy_order", fancy)
+        ball = space_form_ball(0.3, 2, 1.0, polynomial_drift([radial]))
+        problem = build_model_disk(ball, perturbation=lambda t, th: 0.1 * t * t * np.cos(2 * th),
+                                   drift_angular=lambda t, th: angular * t, n_t=24, n_theta=16)
+        pair, _ = solve_principal(problem)
+        solve_G_V(problem, pair.omega)
+        solve_w_u(problem, pair.omega)
+        rayleigh_minimize(problem, lambda t, th: 0.5 * t * t)
+
     def test_disconnected_weight_is_a_solver_error(self, swirl_pair):
         # u^2 underflows to 0 outside t < r0/2: the outer cells decouple
         problem, _ = swirl_pair

@@ -9,15 +9,17 @@ from hypothesis import given, settings, strategies as st
 from driftspectra import disk
 from driftspectra.disk import (SUPERLU_OPTIONS, DiskProblem, PolarGrid, adjoint_principal,
                                advection_matrix, angular_std, assemble_operator,
-                               build_model_disk, divergence_field, drift_matrix, grid_order,
-                               min_degree_order, operator_action, principal_eigenpair_2d,
-                               solve_principal, volumes, weighted_stiffness)
+                               build_model_disk, divergence_field, drift_load, drift_matrix,
+                               grid_order, grid_stencil, in_grid_order, min_degree_order,
+                               operator_action, principal_eigenpair_2d, solve_principal,
+                               volumes, weighted_stiffness)
 from driftspectra.errors import ConvergenceError, NonPrincipalModeError, SolverError
 from driftspectra.geometry import euclidean_ball, polynomial_drift, space_form_ball
 from driftspectra.radial import principal_eigenpair
 
 from _identities import radial_derivative
-from _oracles import bessel_zero, ring_averaged_lambda
+from _oracles import (add_at_drift_load, bessel_zero, coo_advection, coo_drift_matrix,
+                      coo_operator, coo_stiffness, fancy_grid_order, ring_averaged_lambda)
 
 FLAT = euclidean_ball(2, 1.0)
 
@@ -399,6 +401,106 @@ class TestStencil:
             assert np.all(stencil[coo.row, coo.col])
 
 
+def _same_storage(mat, ref):
+    """Equal entry for entry, with the same stored pattern in the same order."""
+    assert mat.format == ref.format and mat.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(mat, name), getattr(ref, name)), name
+
+
+class TestStencilAssembly:
+    """Assembly into the cached stencil gives today's COO matrices bit for bit,
+    and its gather gives the fancy-indexed permutation, pinned cells too."""
+
+    @settings(max_examples=40)
+    @given(kappa=st.integers(-10, 10).map(lambda k: 0.1 * k),
+           c=st.integers(-15, 15).map(lambda k: 0.1 * k),
+           d=st.integers(-5, 5).map(lambda k: 0.1 * k),
+           eps=st.integers(0, 15).map(lambda k: 0.01 * k), j=st.integers(1, 3),
+           a=st.integers(-10, 10).map(lambda k: 0.1 * k), half=st.booleans(),
+           grid=st.sampled_from([(4, 8), (8, 8), (16, 8), (12, 16), (24, 16), (48, 32),
+                                 (96, 64)]))
+    def test_matrices_equal_the_coo_oracle(self, kappa, c, d, eps, j, a, half, grid):
+        # c of both signs and 0, angular drift or none; `half` zeroes the
+        # radial drift on half of every ring, so ring 0 keeps only some
+        # antipodal couplings and the operator drops the others
+        ball = space_form_ball(kappa, 2, 1.0, polynomial_drift([c]))
+        p = build_model_disk(ball, perturbation=lambda t, th: eps * t * t * np.cos(j * th),
+                             drift_angular=(lambda t, th: a * t * (1.0 + 0.5 * np.sin(th)))
+                             if a else None, n_t=grid[0], n_theta=grid[1])
+        TH = p.grid.sample(lambda t, th: th)
+        p = p.with_drift(Vt=p.Vt * (np.cos(TH) > 0.0 if half else 1.0 + d * np.cos(TH)),
+                         Vtheta=p.Vtheta)
+        W = 1.0 + p.grid.sample(lambda t, th: t * np.cos(th) ** 2)
+        pairs = [(assemble_operator(p), coo_operator(p)), (drift_matrix(p), coo_drift_matrix(p)),
+                 (weighted_stiffness(p), coo_stiffness(p)),
+                 (weighted_stiffness(p, W, dirichlet=True), coo_stiffness(p, W, True)),
+                 (weighted_stiffness(p, W, dirichlet=False), coo_stiffness(p, W, False)),
+                 (advection_matrix(p, W), coo_advection(p, W))]
+        for mat, ref in pairs:
+            _same_storage(mat, ref)
+        assert np.array_equal(drift_load(p, W), add_at_drift_load(p, W))
+
+        order = grid_order(*grid)
+        systems = [pairs[0][0], pairs[3][0],
+                   weighted_stiffness(p, W, dirichlet=False) + advection_matrix(p, W),
+                   2.0 * weighted_stiffness(p, W, dirichlet=False)]
+        wall, ring0 = p.grid.size - 1 - grid[1] // 3, grid[1] // 2 + 1
+        for mat in systems:
+            for drop in (None, wall, ring0, int(np.argmax(W))):
+                got_order, got = in_grid_order(mat, grid, drop)
+                ref_order, ref = fancy_grid_order(mat, order, drop)
+                got.sort_indices()  # as `splu` sorts its input in place
+                ref.sort_indices()
+                assert np.array_equal(got_order, ref_order)
+                _same_storage(got, ref)
+
+    @pytest.mark.parametrize("swirled,nnz", [(False, 214_160), (True, 217_214)])
+    def test_factor_fill_is_unchanged(self, swirled, nnz, monkeypatch):
+        # L+U nonzeros of the grid's order at 96 x 64: a disk without radial
+        # drift, and a swirled kappa = 0.3 disk with radial drift
+        if swirled:
+            ball = space_form_ball(0.3, 2, 1.0, polynomial_drift([0.8]))
+            problem = build_model_disk(
+                ball, perturbation=lambda t, th: 0.1 * t * t * np.cos(2 * th),
+                drift_angular=lambda t, th: 0.5 * t, n_t=96, n_theta=64)
+        else:
+            problem = _zero_radial_drift(96, 64)
+        factors = []
+        splu = disk.splu
+        monkeypatch.setattr(disk, "splu", lambda *a, **k: factors.append(splu(*a, **k))
+                            or factors[-1])
+        solve_principal(problem)
+        assert [lu.nnz for lu in factors] == [nnz]
+
+    def test_cache_is_bounded_read_only_and_int32(self):
+        # one full pattern per grid: at 144 x 96 both caches hold 1.2 MB
+        for cache in (grid_stencil, disk._stencil_in_order):
+            assert cache.cache_info().maxsize == 8
+            arrays = cache(24, 16)
+            assert cache(24, 16) is arrays
+            for array in arrays:
+                assert array.dtype == np.int32 and not array.flags.writeable
+        nbytes = sum(x.nbytes for cache in (grid_stencil, disk._stencil_in_order)
+                     for x in cache(144, 96))
+        assert nbytes < 1.25e6
+
+    def test_sorting_a_matrix_in_place_leaves_the_cache_alone(self):
+        # a ring-0 row stores its antipodal coupling first, so scipy sorts the
+        # operator in place on abs() or max(); the sorted matrix is no longer
+        # on the cached pattern and takes the fancy-index path to the same bits
+        problem = build_model_disk(euclidean_ball(2, 1.0, polynomial_drift([0.5])),
+                                   n_t=24, n_theta=16)
+        A = assemble_operator(problem)
+        indices = grid_stencil(24, 16)[1].copy()
+        before = in_grid_order(A, (24, 16))[1]
+        assert abs(A).max() > 0.0 and A.has_sorted_indices
+        assert np.array_equal(grid_stencil(24, 16)[1], indices)
+        after = in_grid_order(A, (24, 16))[1]
+        after.sort_indices()
+        _same_storage(after, before)
+
+
 def _zero_radial_drift(n_t, n_theta):
     # Vt = 0: the operator has no antipodal couplings, so its own pattern
     # is smaller than the grid's stencil
@@ -448,7 +550,8 @@ class TestGridOrder:
         first, _ = solve_principal(problem)
         solve_principal(_zero_radial_drift(32, 16))
         again, _ = solve_principal(problem)
-        grid_order.cache_clear()
+        for cache in (grid_order, grid_stencil, disk._stencil_in_order):
+            cache.cache_clear()
         fresh, _ = solve_principal(problem)
         for pair in (again, fresh):
             assert pair.lam == first.lam and pair.iterations == first.iterations
