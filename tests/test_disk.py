@@ -468,8 +468,12 @@ class TestStencilAssembly:
             problem = _zero_radial_drift(96, 64)
         factors = []
         splu = disk.splu
-        monkeypatch.setattr(disk, "splu", lambda *a, **k: factors.append(splu(*a, **k))
-                            or factors[-1])
+
+        def capturing(*args, **kwargs):
+            factors.append(splu(*args, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(disk, "splu", capturing)
         solve_principal(problem)
         assert [lu.nnz for lu in factors] == [nnz]
 
