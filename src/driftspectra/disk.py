@@ -14,9 +14,10 @@ here, and the pinned `w_u`/`G` systems of `bounds`.  Per grid and process,
 (`MMD_AT_PLUS_A`) on the grid's full stencil (five-point, periodic in
 theta, with the antipodal couplings of ring 0) numbered from the wall
 inward, and `grid_stencil` caches the stencil's ring-major CSR pattern
-with and without those couplings.  Assembly writes face values into the
-pattern's slots, with no sort or sum of duplicates; `in_grid_order`
-gathers the data into the grid's order (masking out a pinned cell) for
+(a system without those couplings deletes them per call).  Assembly
+writes face values into the pattern's slots, with no sort or sum of
+duplicates; `in_grid_order` gathers the data into the grid's order
+(masking out a pinned cell and absent couplings) for
 `splu` with `SUPERLU_OPTIONS`: natural column order, no relaxed
 supernodes and one-column panels (SuperLU's defaults store relaxed zeros
 on five-point grids and factor slower).  A disk without radial drift has
