@@ -242,7 +242,8 @@ def solve_G_V(problem: DiskProblem, omega):
     if np.any(omega <= 0.0):
         raise ValueError("omega must be positive on the interior")
     W = (omega * omega).reshape(problem.J.shape)
-    A = weighted_stiffness(problem, W, dirichlet=False) + advection_matrix(problem, W)
+    A = weighted_stiffness(problem, W, dirichlet=False)
+    A.data += advection_matrix(problem, W).data  # on the stencil; scipy's + drops zeros
     vol = volumes(problem)
     G = _pinned_solve(A, problem.J.shape, int(np.argmax(W)), np.zeros(problem.grid.size), 1.0)
     G /= (vol / vol.sum()) @ G

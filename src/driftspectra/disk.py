@@ -10,14 +10,14 @@ the ghost behind the first ring is the antipodal cell (t0, theta+pi).
 Every five-point system of the 2-D layer is assembled and factored by one
 recipe: the operator and the weighted Rayleigh pencil of `bounds`, solved
 here, and the pinned `w_u`/`G` systems of `bounds`.  Per grid and process,
-`grid_order` computes the elimination order, SuperLU's minimum degree
-(`MMD_AT_PLUS_A`) on the grid's full stencil (five-point, periodic in
-theta, with the antipodal couplings of ring 0) numbered from the wall
-inward, and `grid_stencil` caches the stencil's ring-major CSR pattern
-(a system without those couplings deletes them per call).  Assembly
-writes face values into the pattern's slots, with no sort or sum of
-duplicates; `in_grid_order` gathers the data into the grid's order
-(masking out a pinned cell and absent couplings) for
+`_grid` caches the grid's full stencil (five-point, periodic in theta,
+with the antipodal couplings of ring 0) as one sorted ring-major CSR
+pattern, its elimination order `grid_order` (SuperLU's minimum degree,
+`MMD_AT_PLUS_A`, on the stencil numbered from the wall inward) and the
+pattern in that order.  Assembly writes face values into every slot of
+the pattern, an absent coupling or a cancelled entry as a stored zero,
+with no sort or sum of duplicates; `in_grid_order` gathers the data into
+the grid's order, masking out the stored zeros and a pinned cell, for
 `splu` with `SUPERLU_OPTIONS`: natural column order, no relaxed
 supernodes and one-column panels (SuperLU's defaults store relaxed zeros
 on five-point grids and factor slower).  A disk without radial drift has
@@ -124,6 +124,8 @@ class DiskProblem:
         for name, arr in (("J", self.J), ("Vt", self.Vt), ("Vtheta", self.Vtheta)):
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite everywhere")
         if np.any(self.J <= 0.0):
             raise ValueError("metric coefficient J must be positive everywhere")
         # J/t at t = 0 from the first three rings (exact for J/t quadratic in t)
@@ -219,18 +221,15 @@ def face_forms(p: DiskProblem, cellweight, v) -> list:
 
 
 def _on_stencil(p: DiskProblem, diag, radial, angular, antipodal=None) -> sp.csr_matrix:
-    """CSR matrix on the `grid_stencil` pattern from its entry values: nothing is
-    sorted or summed.  `radial` and `angular` give their faces' (a, b) and
-    (b, a) values; with no `antipodal` the matrix stores no such coupling.
-    The matrix owns its index arrays, which scipy may sort in place."""
+    """CSR matrix on the grid's stencil pattern (`_grid`) from its entry values:
+    nothing is sorted or summed.  `radial` and `angular` give their faces'
+    (a, b) and (b, a) values; every slot is stored, so no `antipodal` stores
+    zero couplings.  The matrix owns its index arrays."""
     n_theta = p.grid.n_theta
-    indptr, indices, take = grid_stencil(p.grid.n_t, n_theta)
+    indptr, indices, take = _grid(p.grid.n_t, n_theta)[:3]
     parts = [diag, *radial, *angular, np.zeros(n_theta) if antipodal is None else antipodal]
     data = np.concatenate([x.ravel() for x in parts])[take]
-    if antipodal is None:  # the couplings lead the ring-0 rows
-        indptr, indices, data = _delete(indptr, indptr[:n_theta], indices, data)
-    return sp.csr_matrix((data, indices, indptr), shape=(p.grid.size,) * 2,
-                         copy=antipodal is not None)
+    return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(p.grid.size,) * 2)
 
 
 def weighted_stiffness(p: DiskProblem, cellweight=None, dirichlet: bool = True) -> sp.csr_matrix:
@@ -286,169 +285,100 @@ def _drift_entries(p: DiskProblem) -> tuple:
 
 
 def drift_matrix(p: DiskProblem) -> sp.csr_matrix:
-    """Pointwise drift action u -> Vt u_t + Vtheta u_theta; only the wall ring
-    stores a diagonal (`_drift_entries`)."""
-    D = _on_stencil(p, *_drift_entries(p))
-    rows = np.repeat(np.arange(p.grid.size), np.diff(D.indptr))
-    inner = np.flatnonzero((D.indices == rows) & (rows < p.grid.size - p.grid.n_theta))
-    indptr, indices, data = _delete(D.indptr, inner, D.indices, D.data)
-    D = sp.csr_matrix((data, indices, indptr), shape=D.shape)
-    D.sort_indices()
-    return D
+    """Pointwise drift action u -> Vt u_t + Vtheta u_theta (`_drift_entries`)."""
+    return _on_stencil(p, *_drift_entries(p))
 
 
 def assemble_operator(p: DiskProblem) -> sp.csr_matrix:
-    """Matrix of -Delta_V = -Delta_0 + (drift action) with Dirichlet wall.
-
-    Entry for entry diag(1/vol) K + `drift_matrix` and stored as that sum
-    stores it: no zeros (so no antipodal couplings without radial drift in
-    ring 0), and a ring-0 row's antipodal coupling ahead of its other entries.
-    """
+    """Matrix of -Delta_V = -Delta_0 + (drift action) with Dirichlet wall:
+    entry for entry diag(1/vol) K + `drift_matrix`."""
     wr, wa, K = _stiffness(p, None, True)
     inv_vol = 1.0 / volumes(p).reshape(p.J.shape)
     diag, (ra, rb), (aa, ab), across = _drift_entries(p)
     (va, vb), (ua, ub) = _sides(inv_vol, inv_vol)
-    A = _on_stencil(p, inv_vol * K + diag, (va * -wr + ra, vb * -wr + rb),
-                    (ua * -wa + aa, ub * -wa + ab), across if np.any(across) else None)
-    if not np.all(A.data):
-        A = A.copy()
-        A.eliminate_zeros()
-    return A
-
-
-def min_degree_order(pattern: sp.spmatrix) -> np.ndarray:
-    """Original indices, in elimination order, of a square pattern.
-
-    SuperLU's `MMD_AT_PLUS_A` runs on the pattern numbered from the last
-    index back (from the wall inward on a disk grid).  Only the ordering is
-    wanted, so it comes from a no-fill incomplete factor of a diagonally
-    dominant matrix on the pattern: its column order is the one `splu`
-    would use.
-    """
-    n = pattern.shape[0]
-    P = sp.coo_matrix(pattern)
-    rows = np.concatenate([n - 1 - P.row, np.arange(n)])
-    cols = np.concatenate([n - 1 - P.col, np.arange(n)])
-    vals = np.concatenate([np.full(P.nnz, -1.0), np.full(n, P.nnz + 1.0)])
-    ilu = spilu(sp.csc_matrix((vals, (rows, cols)), shape=(n, n)), drop_tol=np.inf,
-                fill_factor=1, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
-    return n - 1 - np.argsort(ilu.perm_c)
+    return _on_stencil(p, inv_vol * K + diag, (va * -wr + ra, vb * -wr + rb),
+                       (ua * -wa + aa, ub * -wa + ab), across)
 
 
 @lru_cache(maxsize=8)
-def grid_order(n_t: int, n_theta: int) -> np.ndarray:
-    """Ring-major indices, in elimination order, of the grid's full stencil.
+def _grid(n_t: int, n_theta: int) -> tuple:
+    """The grid's full stencil: (indptr, indices, take, order, ptr, rows, gather).
 
     The stencil couples each cell with its radial and (periodic) angular
     neighbours and each first-ring cell with its antipodal cell, so it
-    holds the pattern of every operator assembled on the grid.  Cached
-    per grid; the array is read-only.
+    holds the pattern of every matrix assembled on the grid.  (indptr,
+    indices) is its sorted ring-major CSR pattern; a matrix's data is its
+    entry values at `take`, the entries listed as the diagonal, the radial
+    faces (a, b) and (b, a), the angular faces (a, b) and (b, a) (`_sides`),
+    then the antipodal couplings (l, l + n_theta/2) of ring 0.  `order` is
+    `grid_order`: SuperLU's `MMD_AT_PLUS_A` on the pattern numbered from the
+    wall inward, from a no-fill incomplete factor of a diagonally dominant
+    matrix on it (whose column order is the one `splu` would use).  (ptr,
+    rows) is the pattern in that order as sorted CSC, whose data is the CSR
+    data at `gather`.  Cached per grid; the arrays are read-only, and all
+    but `order` are int32.
     """
-    indptr, indices, _ = grid_stencil(n_t, n_theta)
-    order = min_degree_order(sp.csr_matrix((np.ones(indices.size), indices, indptr)))
-    order.setflags(write=False)
-    return order
-
-
-def _frozen(*arrays) -> tuple:
-    """The arrays as read-only int32 arrays."""
-    arrays = tuple(np.asarray(x, dtype=np.int32) for x in arrays)
-    for x in arrays:
-        x.setflags(write=False)
-    return arrays
-
-
-@lru_cache(maxsize=8)
-def grid_stencil(n_t: int, n_theta: int) -> tuple:
-    """The grid's full stencil as a ring-major CSR pattern (indptr, indices, take).
-
-    The arrays are int32 and read-only.  A matrix's data is its entry values
-    at `take`, the entries listed as the diagonal, the radial faces (a, b)
-    and (b, a), the angular faces (a, b) and (b, a) (`_sides`), then the
-    antipodal couplings (l, l + n_theta/2) of ring 0.  Every row is sorted,
-    except that a ring-0 row stores its coupling first (at indptr[:n_theta]),
-    where the sum of `assemble_operator` puts it.
-    """
-    idx = np.arange(n_t * n_theta, dtype=np.int32).reshape(n_t, n_theta)
+    n = n_t * n_theta
+    idx = np.arange(n, dtype=np.int32).reshape(n_t, n_theta)
     (ra, rb), (aa, ab) = _sides(idx, idx)
     rows = np.concatenate([x.ravel() for x in (idx, ra, rb, aa, ab, idx[0, :])])
     cols = np.concatenate([x.ravel() for x in (idx, rb, ra, ab, aa,
                                                np.roll(idx[0, :], n_theta // 2))])
-    m = rows.size - n_theta
-    ring = sp.csr_matrix((np.arange(rows.size), (rows, cols)), shape=(n_t * n_theta,) * 2)
-    head = ring.indptr[n_theta]  # entry ids, sorted in each row: move the couplings first
-    first = np.argsort(2 * rows[ring.data[:head]] + (ring.data[:head] < m), kind="stable")
-    ring.data[:head], ring.indices[:head] = ring.data[first], ring.indices[first]
-    return _frozen(ring.indptr, ring.indices, ring.data)
+    ring = sp.csr_matrix((np.arange(rows.size), (rows, cols)), shape=(n, n))
+    wall_first = (n - 1 - rows, n - 1 - cols)
+    ilu = spilu(sp.csc_matrix((np.where(rows == cols, rows.size, -1.0), wall_first), shape=(n, n)),
+                drop_tol=np.inf, fill_factor=1, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
+    order = n - 1 - np.argsort(ilu.perm_c)
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.arange(n)
+    grid = sp.csc_matrix((np.arange(rows.size), (np.repeat(rank, np.diff(ring.indptr)),
+                                                  rank[ring.indices])), shape=(n, n))
+    arrays = [x.astype(np.int32) for x in (ring.indptr, ring.indices, ring.data,
+                                           grid.indptr, grid.indices, grid.data)]
+    arrays.insert(3, order)
+    for x in arrays:
+        x.setflags(write=False)
+    return tuple(arrays)
 
 
-def _delete(indptr, dead, *arrays) -> tuple:
-    """A compressed pattern's indptr and entry arrays without the sorted positions `dead`."""
-    return (indptr - np.searchsorted(dead, indptr).astype(np.int32),
-            *(np.delete(x, dead) for x in arrays))
-
-
-@lru_cache(maxsize=8)
-def _stencil_in_order(n_t: int, n_theta: int) -> tuple:
-    """(grid_indptr, grid_indices, gather, antipodal), int32 and read-only:
-    the `grid_stencil` pattern in `grid_order` as sorted CSC, whose data is
-    the CSR data at `gather`, and the positions of the couplings in it."""
-    indptr, indices, _ = grid_stencil(n_t, n_theta)
-    rank = np.empty(n_t * n_theta, dtype=np.int32)
-    rank[grid_order(n_t, n_theta)] = np.arange(rank.size)
-    rows = np.repeat(rank, np.diff(indptr))
-    grid = sp.csc_matrix((np.arange(indices.size), (rows, rank[indices])), shape=(rank.size,) * 2)
-    return _frozen(grid.indptr, grid.indices, grid.data,
-                   np.flatnonzero(np.isin(grid.data, indptr[:n_theta])))
-
-
-def _fancy_order(mat: sp.spmatrix, shape, drop: int | None):
-    """`in_grid_order` of a matrix on no `grid_stencil` pattern, by fancy indexing."""
-    mat = sp.csc_matrix(mat)
-    if shape is None and drop is None and np.all(
-            np.abs(mat.indices - np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))) <= 1):
-        return np.arange(mat.shape[0]), mat
-    order = min_degree_order(mat) if shape is None else grid_order(*shape)
-    if drop is not None:
-        order = order[order != drop]
-    return order, mat[:, order][order, :].tocsc()
+def grid_order(n_t: int, n_theta: int) -> np.ndarray:
+    """Ring-major indices, in elimination order, of the grid's full stencil (`_grid`)."""
+    return _grid(n_t, n_theta)[3]
 
 
 def in_grid_order(mat: sp.spmatrix, shape, drop: int | None = None):
     """(order, P mat P^T in CSC) for the module's factorization recipe.
 
     order[i] is the ring-major index of the i-th cell to eliminate: the
-    `grid_order` of `shape`, or without a shape the order of mat's own
-    pattern (natural for a tridiagonal mat: no fill).  Cell `drop`, if
-    given, is left out of both.  A CSR mat on the `grid_stencil` pattern,
-    with or without the antipodal couplings, is gathered into place; a
-    pinned cell and absent couplings are masked out of the cached pattern,
-    whose read-only index arrays the result shares when nothing is masked.
+    `grid_order` of `shape` or, without a shape, the natural order (no fill
+    for a ball's tridiagonal K).  With a shape, mat must be CSR on the
+    grid's stencil pattern, as assembled: one gather puts its data in the
+    grid's order, and its stored zeros and the cell `drop`, if given, are
+    masked out of the cached pattern, whose read-only index arrays the
+    result shares when nothing is masked.
     """
-    if shape is None or mat.format != "csr":
-        return _fancy_order(mat, shape, drop)
-    indptr, indices, _ = grid_stencil(*shape)
-    flat = mat.nnz == indices.size - shape[1]
-    if flat:
-        indptr, indices = _delete(indptr, indptr[:shape[1]], indices)
-    if not (np.array_equal(mat.indptr, indptr) and np.array_equal(mat.indices, indices)):
-        return _fancy_order(mat, shape, drop)
-    grid_ptr, grid_rows, gather, across = _stencil_in_order(*shape)
-    order, data = grid_order(*shape), mat.data
-    if drop is None and not flat:
-        return order, sp.csc_matrix((data[gather], grid_rows, grid_ptr), shape=mat.shape)
-    if flat:  # back on the full pattern, with empty antipodal slots
-        data = np.insert(data, indptr[:shape[1]], 0.0)
-    dead = across if flat else np.empty(0, dtype=np.int32)
+    if shape is None:
+        if drop is not None:
+            raise ValueError("in_grid_order: dropping a cell needs the grid's shape")
+        return np.arange(mat.shape[0]), sp.csc_matrix(mat)
+    indptr, indices, _, order, ptr, rows, gather = _grid(*shape)
+    if mat.format != "csr" or not (np.array_equal(mat.indptr, indptr)
+                                   and np.array_equal(mat.indices, indices)):
+        raise ValueError(f"matrix is not CSR on the stencil of grid {shape[0]}x{shape[1]}")
+    data = mat.data[gather]
+    keep = data != 0.0
     if drop is not None:
         k = int(np.flatnonzero(order == drop)[0])
-        dead = np.union1d(dead, np.r_[np.flatnonzero(grid_rows == k), grid_ptr[k]:grid_ptr[k + 1]])
+        keep[rows == k] = False
+        keep[ptr[k]:ptr[k + 1]] = False
         order = np.delete(order, k)
-    ptr, rows, data = _delete(grid_ptr, dead, grid_rows, data[gather])
+    if keep.all():
+        return order, sp.csc_matrix((data, rows, ptr), shape=mat.shape)
+    ptr, rows = np.concatenate(([0], np.cumsum(keep)))[ptr], rows[keep]
     if drop is not None:
         rows -= rows > k
         ptr = np.delete(ptr, k)
-    return order, sp.csc_matrix((data, rows, ptr), shape=(order.size,) * 2)
+    return order, sp.csc_matrix((data[keep], rows, ptr), shape=(order.size,) * 2)
 
 
 def operator_action(A: sp.spmatrix, shape):

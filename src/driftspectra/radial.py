@@ -289,15 +289,16 @@ def _euclid_estimate(path: _RadialPath, i: float) -> float:
     return (math.pi * (i + 0.5 * nu - 0.25) / path.ball.r0) ** 2
 
 
-def _count_brackets(path: _RadialPath, n: int, hi: float, c_hi: int) -> list:
+def _count_brackets(path: _RadialPath, n: int, probes: dict) -> list:
     """Brackets [lo, hi] with count(lo) = i - 1 and count(hi) = i, i = 1..n.
 
-    Bisects on the Sturm count inside [0, hi], where count(hi) = c_hi >= n.
-    The drift Laplacian is positive, so count(0) = 0.  Every probe is kept,
-    so each index starts from the tightest bracket seen so far.  Counts that
-    are not monotone leave no such bracket, and then no mode is returned.
+    Bisects on the Sturm count from the counts `probes` (lambda: count)
+    already taken, one of them at least n.  The drift Laplacian is positive,
+    so count(0) = 0.  Every probe is kept, so each index starts from the
+    tightest bracket seen so far.  Counts that are not monotone leave no
+    such bracket, and then no mode is returned.
     """
-    probes = {0.0: 0, hi: c_hi}
+    probes = {0.0: 0, **probes}
     brackets = []
     for i in range(1, n + 1):
         lo = max(lam for lam, c in probes.items() if c < i)
@@ -325,7 +326,8 @@ def _isolate(path: _RadialPath, n: int, max_lambda: float | None = None) -> list
     level's first eigenvalue, for n = 1 and the Euclidean estimate otherwise
     or where the Ritz estimate is nan or outside (0, max_lambda); an upper end
     with at least n zeros is found by doubling from it, up to `max_lambda`,
-    so an estimate below the eigenvalue costs sweeps, not the bracket.
+    so an estimate below the eigenvalue costs sweeps, not the bracket.  The
+    bisection keeps every probe, so such an estimate is the bracket's lower end.
     """
     k = path.k
     if max_lambda is None:
@@ -333,16 +335,16 @@ def _isolate(path: _RadialPath, n: int, max_lambda: float | None = None) -> list
     hi = min(_euclid_estimate(path, n + 0.5), max_lambda)
     if n == 1 and 0.0 < path.rayleigh < max_lambda:
         hi = path.rayleigh
-    c_hi = path.count(hi)
-    while c_hi < n:
+    probes = {hi: path.count(hi)}
+    while probes[hi] < n:
         if hi >= max_lambda:
             raise EigenvalueWindowError(
-                f"only {c_hi} eigenvalues of level k={k} lie below {max_lambda:.6g}; "
+                f"only {probes[hi]} eigenvalues of level k={k} lie below {max_lambda:.6g}; "
                 f"{n} requested"
             )
         hi = min(2.0 * hi, max_lambda)
-        c_hi = path.count(hi)
-    return _count_brackets(path, n, hi, c_hi)
+        probes[hi] = path.count(hi)
+    return _count_brackets(path, n, probes)
 
 
 def _rayleigh_estimate(path: _RadialPath) -> float:
@@ -504,7 +506,7 @@ def assemble_spectrum(ball: ModelBall, lambda_cutoff: float, tol: float = DEFAUL
         if n == 0:
             break
         _, mult = sphere_eigenvalue(k, ball.m)
-        for i, (lo, hi) in enumerate(_count_brackets(path, n, lambda_cutoff, n), start=1):
+        for i, (lo, hi) in enumerate(_count_brackets(path, n, {lambda_cutoff: n}), start=1):
             mode = (principal_eigenpair(ball, tol=tol, n_t=n_t) if k == 0 and i == 1
                     else _build_mode(path, lo, hi, i, tol))
             entries.append(SpectrumEntry(lam=mode.lam, k=k, i=i, multiplicity=mult))

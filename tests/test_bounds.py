@@ -376,12 +376,18 @@ class TestPinnedSolves:
 
     @pytest.mark.parametrize("radial,angular", [(0.0, 0.6), (0.8, 0.0), (-0.5, 0.6)])
     def test_disk_solves_gather_on_the_stencil(self, radial, angular, monkeypatch):
-        # every factorization of a disk goes through the cached stencil's
-        # gather, never through the fancy-index permutation
-        def fancy(*args):
-            raise AssertionError("fancy-index permutation on a disk")
+        # every factorization of a disk gathers its matrix into the grid's
+        # order, which refuses a matrix off the cached stencil
+        shapes = []
 
-        monkeypatch.setattr(disk, "_fancy_order", fancy)
+        def recording(module):
+            gather = module.in_grid_order
+            monkeypatch.setattr(module, "in_grid_order",
+                                lambda mat, shape, *a, **k: shapes.append(shape)
+                                or gather(mat, shape, *a, **k))
+
+        recording(disk)
+        recording(bounds)
         ball = space_form_ball(0.3, 2, 1.0, polynomial_drift([radial]))
         problem = build_model_disk(ball, perturbation=lambda t, th: 0.1 * t * t * np.cos(2 * th),
                                    drift_angular=lambda t, th: angular * t, n_t=24, n_theta=16)
@@ -389,6 +395,7 @@ class TestPinnedSolves:
         solve_G_V(problem, pair.omega)
         solve_w_u(problem, pair.omega)
         rayleigh_minimize(problem, lambda t, th: 0.5 * t * t)
+        assert shapes == [(24, 16)] * 4
 
     def test_disconnected_weight_is_a_solver_error(self, swirl_pair):
         # u^2 underflows to 0 outside t < r0/2: the outer cells decouple

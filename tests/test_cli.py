@@ -393,13 +393,18 @@ class TestConfigAndErrors:
         ["--warping", "t^0.5"], ["--warping", "1/t"],
         # formats the command does not write
         ["riccati", "--space-form", "0", "--dim", "2", "--radius", "1", "--format", "json"],
-        ["sweep", "--dim", "2", "--radius", "1", "--axis", "kappa=0,1", "--format", "json"]])
+        ["sweep", "--dim", "2", "--radius", "1", "--axis", "kappa=0,1", "--format", "json"],
+        # non-finite disk fields, refused before any solve
+        *([*f, "--nt", "16", "--ntheta", "8"] for f in (["--vtheta", "1e400"],
+                                                        ["--vtheta", "1e400*t"],
+                                                        ["--perturbation", "1e400*t^2"]))])
     def test_bad_grid_or_tol_is_usage_error(self, flag, capsys, tmp_path):
         out = tmp_path / "out.csv"
         if flag[0] in ("compare", "sweep", "riccati"):
             argv = flag
         else:
             command = {"--ntheta": "disk2d", "--cutoff": "spectrum", "--perturbation": "disk2d",
+                       "--vtheta": "disk2d",
                        "--subject-kappa": "compare", "--model-kappa": "compare",
                        "--subject-drift": "compare", "--model-drift": "compare"}.get(flag[0],
                                                                                      "principal")

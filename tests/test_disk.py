@@ -10,7 +10,7 @@ from driftspectra import disk
 from driftspectra.disk import (SUPERLU_OPTIONS, DiskProblem, PolarGrid, adjoint_principal,
                                advection_matrix, angular_std, assemble_operator,
                                build_model_disk, divergence_field, drift_load, drift_matrix,
-                               grid_order, grid_stencil, in_grid_order, min_degree_order,
+                               grid_order, in_grid_order,
                                operator_action, principal_eigenpair_2d, solve_principal,
                                volumes, weighted_stiffness)
 from driftspectra.errors import ConvergenceError, NonPrincipalModeError, SolverError
@@ -201,7 +201,7 @@ class TestEigen:
         # A and a caller's A - 2I permuted into the grid's elimination order,
         # built here as P A P^T with P the rows of the identity in that
         # order, and factored in that order (natural column order); without
-        # a shape the order comes from A's own pattern
+        # a shape, A as it is (natural order)
         problem = build_model_disk(FLAT, n_t=32, n_theta=16)
         A = assemble_operator(problem)
         n = A.shape[0]
@@ -218,8 +218,7 @@ class TestEigen:
         principal_eigenpair_2d(shifted, shape=(32, 16))
         principal_eigenpair_2d(A)
         P = sp.identity(n, format="csr")[grid_order(32, 16)]
-        Q = sp.identity(n, format="csr")[min_degree_order(A)]
-        for (mat, kwargs), ref in zip(factored, (P @ A @ P.T, P @ shifted @ P.T, Q @ A @ Q.T)):
+        for (mat, kwargs), ref in zip(factored, (P @ A @ P.T, P @ shifted @ P.T, A)):
             assert (mat != ref.tocsc()).nnz == 0
             assert kwargs == SUPERLU_OPTIONS and kwargs["permc_spec"] == "NATURAL"
 
@@ -278,8 +277,9 @@ class TestEigen:
                                    drift_angular=lambda t, th: 0.6 * t, n_t=48, n_theta=32)
         pair, A = solve_principal(problem, tol=1e-9)
         vol = volumes(problem)
-        pencil = principal_eigenpair_2d(sp.diags(vol) @ A, tol=1e-9, shape=problem.J.shape,
-                                        mass=vol)
+        S = A.copy()  # diag(vol) A on A's pattern
+        S.data *= np.repeat(vol, np.diff(A.indptr))
+        pencil = principal_eigenpair_2d(S, tol=1e-9, shape=problem.J.shape, mass=vol)
         left = pair.left / vol.reshape(problem.J.shape)
         assert abs(pencil.lam - pair.lam) <= 1e-10 * pair.lam
         assert np.max(np.abs(pencil.omega - pair.omega)) <= 1e-8
@@ -336,8 +336,11 @@ class TestEigen:
 
 
 def _shifted(A, sigma):
-    """A - sigma I: the engine takes no shift, so a caller shifts the matrix."""
-    return A.tocsc() - sigma * sp.identity(A.shape[0], format="csc")
+    """A - sigma I on A's pattern: the engine takes no shift, so a caller
+    shifts the matrix."""
+    shifted = A.copy()
+    shifted.setdiag(A.diagonal() - sigma)
+    return shifted
 
 
 def _stencil(n_t, n_theta):
@@ -401,6 +404,15 @@ class TestStencil:
             assert np.all(stencil[coo.row, coo.col])
 
 
+def _on_the_stencil(mat, ref, grid):
+    """Equal to ref entry for entry, stored in CSR on exactly the grid's
+    stencil pattern (sorted), built cell by cell."""
+    stencil = _stencil(*grid).tocsr()
+    assert mat.format == "csr" and (mat != ref).nnz == 0
+    assert np.array_equal(mat.indptr, stencil.indptr)
+    assert np.array_equal(mat.indices, stencil.indices)
+
+
 def _same_storage(mat, ref):
     """Equal entry for entry, with the same stored pattern in the same order."""
     assert mat.format == ref.format and mat.shape == ref.shape
@@ -409,8 +421,9 @@ def _same_storage(mat, ref):
 
 
 class TestStencilAssembly:
-    """Assembly into the cached stencil gives today's COO matrices bit for bit,
-    and its gather gives the fancy-indexed permutation, pinned cells too."""
+    """Assembly into the cached stencil gives the COO matrices' values bit for
+    bit on the full stencil, and its gather gives the fancy-indexed
+    permutation without stored zeros, pinned cells too."""
 
     @settings(max_examples=40)
     @given(kappa=st.integers(-10, 10).map(lambda k: 0.1 * k),
@@ -423,7 +436,7 @@ class TestStencilAssembly:
     def test_matrices_equal_the_coo_oracle(self, kappa, c, d, eps, j, a, half, grid):
         # c of both signs and 0, angular drift or none; `half` zeroes the
         # radial drift on half of every ring, so ring 0 keeps only some
-        # antipodal couplings and the operator drops the others
+        # antipodal couplings and stores the others as zeros
         ball = space_form_ball(kappa, 2, 1.0, polynomial_drift([c]))
         p = build_model_disk(ball, perturbation=lambda t, th: eps * t * t * np.cos(j * th),
                              drift_angular=(lambda t, th: a * t * (1.0 + 0.5 * np.sin(th)))
@@ -438,18 +451,20 @@ class TestStencilAssembly:
                  (weighted_stiffness(p, W, dirichlet=False), coo_stiffness(p, W, False)),
                  (advection_matrix(p, W), coo_advection(p, W))]
         for mat, ref in pairs:
-            _same_storage(mat, ref)
+            _on_the_stencil(mat, ref, grid)
         assert np.array_equal(drift_load(p, W), add_at_drift_load(p, W))
 
         order = grid_order(*grid)
-        systems = [pairs[0][0], pairs[3][0],
-                   weighted_stiffness(p, W, dirichlet=False) + advection_matrix(p, W),
+        density = weighted_stiffness(p, W, dirichlet=False)  # as `bounds.solve_G_V` sums it
+        density.data += advection_matrix(p, W).data
+        systems = [pairs[0][0], pairs[3][0], density,
                    2.0 * weighted_stiffness(p, W, dirichlet=False)]
         wall, ring0 = p.grid.size - 1 - grid[1] // 3, grid[1] // 2 + 1
         for mat in systems:
             for drop in (None, wall, ring0, int(np.argmax(W))):
                 got_order, got = in_grid_order(mat, grid, drop)
                 ref_order, ref = fancy_grid_order(mat, order, drop)
+                ref.eliminate_zeros()  # SuperLU gets no stored zero
                 got.sort_indices()  # as `splu` sorts its input in place
                 ref.sort_indices()
                 assert np.array_equal(got_order, ref_order)
@@ -478,31 +493,45 @@ class TestStencilAssembly:
         assert [lu.nnz for lu in factors] == [nnz]
 
     def test_cache_is_bounded_read_only_and_int32(self):
-        # one full pattern per grid: at 144 x 96 both caches hold 1.2 MB
-        for cache in (grid_stencil, disk._stencil_in_order):
-            assert cache.cache_info().maxsize == 8
-            arrays = cache(24, 16)
-            assert cache(24, 16) is arrays
-            for array in arrays:
-                assert array.dtype == np.int32 and not array.flags.writeable
-        nbytes = sum(x.nbytes for cache in (grid_stencil, disk._stencil_in_order)
-                     for x in cache(144, 96))
-        assert nbytes < 1.25e6
+        # one full pattern per grid in one cache: at 144 x 96 its int32 index
+        # arrays hold 1.2 MB, next to the order's 13,824 intp entries
+        assert disk._grid.cache_info().maxsize == 8
+        arrays = disk._grid(24, 16)
+        assert disk._grid(24, 16) is arrays and grid_order(24, 16) is arrays[3]
+        for array in arrays:
+            assert not array.flags.writeable
+            assert array.dtype == (np.intp if array is arrays[3] else np.int32)
+        arrays = disk._grid(144, 96)
+        assert sum(x.nbytes for x in arrays if x.dtype == np.int32) < 1.25e6
 
     def test_sorting_a_matrix_in_place_leaves_the_cache_alone(self):
-        # a ring-0 row stores its antipodal coupling first, so scipy sorts the
-        # operator in place on abs() or max(); the sorted matrix is no longer
-        # on the cached pattern and takes the fancy-index path to the same bits
-        problem = build_model_disk(euclidean_ball(2, 1.0, polynomial_drift([0.5])),
-                                   n_t=24, n_theta=16)
+        # an assembled matrix is canonical, so scipy's abs() or max() leave its
+        # storage as it is, and it owns its index arrays: pruning its stored
+        # zeros in place (the flat disk's antipodal couplings) changes no cache
+        problem = build_model_disk(FLAT, n_t=24, n_theta=16)
         A = assemble_operator(problem)
-        indices = grid_stencil(24, 16)[1].copy()
+        indptr, indices = (x.copy() for x in disk._grid(24, 16)[:2])
         before = in_grid_order(A, (24, 16))[1]
-        assert abs(A).max() > 0.0 and A.has_sorted_indices
-        assert np.array_equal(grid_stencil(24, 16)[1], indices)
-        after = in_grid_order(A, (24, 16))[1]
-        after.sort_indices()
-        _same_storage(after, before)
+        assert A.has_canonical_format and abs(A).max() > 0.0
+        A.eliminate_zeros()
+        assert A.nnz == indices.size - 16
+        assert np.array_equal(disk._grid(24, 16)[0], indptr)
+        assert np.array_equal(disk._grid(24, 16)[1], indices)
+        _same_storage(in_grid_order(assemble_operator(problem), (24, 16))[1], before)
+
+    def test_a_matrix_off_the_stencil_is_refused(self):
+        # no fallback: a pruned operator (sorted, without its stored zeros), a
+        # CSC operator and a dropped cell without a grid are refused
+        A = assemble_operator(build_model_disk(FLAT, n_t=24, n_theta=16))
+        pruned = A.copy()
+        pruned.eliminate_zeros()
+        for mat in (pruned, A.tocsc()):
+            with pytest.raises(ValueError, match="not CSR on the stencil of grid 24x16"):
+                in_grid_order(mat, (24, 16))
+        with pytest.raises(ValueError, match="needs the grid's shape"):
+            in_grid_order(A, None, drop=3)
+        with pytest.raises(ValueError, match="grid 24x16"):
+            principal_eigenpair_2d(pruned, shape=(24, 16))
 
 
 def _zero_radial_drift(n_t, n_theta):
@@ -540,10 +569,9 @@ class TestGridOrder:
 
         monkeypatch.setattr(disk, "splu", capturing)
         principal_eigenpair_2d(A, shape=problem.J.shape)
-        principal_eigenpair_2d(A)
+        A.eliminate_zeros()  # the operator's own pattern: no antipodal couplings
         own = splu(A[::-1, ::-1].tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
         assert factors[0].nnz <= 0.8 * own.nnz
-        assert factors[1].nnz == own.nnz
 
     def test_solve_does_not_depend_on_call_history(self):
         # the same problem before and after other grids were ordered and
@@ -554,8 +582,7 @@ class TestGridOrder:
         first, _ = solve_principal(problem)
         solve_principal(_zero_radial_drift(32, 16))
         again, _ = solve_principal(problem)
-        for cache in (grid_order, grid_stencil, disk._stencil_in_order):
-            cache.cache_clear()
+        disk._grid.cache_clear()
         fresh, _ = solve_principal(problem)
         for pair in (again, fresh):
             assert pair.lam == first.lam and pair.iterations == first.iterations

@@ -220,7 +220,7 @@ class TestSturmCount:
                 return 2
 
         with pytest.raises(SolverError, match="cannot isolate"):
-            _count_brackets(TwoAtOnce(), 1, 10.0, 2)
+            _count_brackets(TwoAtOnce(), 1, {10.0: 2})
 
     def test_probes_below_an_eigenvalue_raise_the_lower_end(self):
         class ThreeEigenvalues:
@@ -230,7 +230,7 @@ class TestSturmCount:
             def count(self, lam):
                 return sum(1 for mu in (1.0, 14.0, 15.0) if mu < lam)
 
-        brackets = _count_brackets(ThreeEigenvalues(), 3, 16.0, 3)
+        brackets = _count_brackets(ThreeEigenvalues(), 3, {16.0: 3})
         assert brackets == [(0.0, 8.0), (14.0, 15.0), (15.0, 16.0)]
 
     def test_isolation_doubles_a_low_upper_end(self, monkeypatch):
@@ -589,7 +589,7 @@ class TestNewton:
         path = _RadialPath(space_form_ball(-0.5, 4, 10.0), 222)
         n = path.count(20.0)
         assert n == 5
-        for i, (lo, hi) in enumerate(_count_brackets(path, n, 20.0, n), start=1):
+        for i, (lo, hi) in enumerate(_count_brackets(path, n, {20.0: n}), start=1):
             del sweeps[:]
             lam = _refine(path, lo, hi, i)[0]
             assert len(sweeps) <= 15
@@ -715,3 +715,17 @@ class TestRayleighStart:
         assert sweeps[:2] == [low, 2.0 * low]
         assert path.count(low) == 0 and lo <= lam < hi
         assert abs(_refine(path, lo, hi, 1)[0] - lam) <= 1e-12 * lam
+
+    def test_a_low_estimate_is_swept_once(self, monkeypatch, sweeps):
+        # the probe below the eigenvalue counts 0 and is kept: it is the
+        # bracket's lower end, so Newton does not sweep it a second time
+        ball = space_form_ball(-0.6, 2, 1.2, polynomial_drift([0.8, 0.2]))
+        lam = solve_radial_modes(ball, 0, 1)[0].lam
+        low = lam * (1.0 - 1e-7)
+        monkeypatch.setattr(radial, "_rayleigh_estimate", lambda path: low)
+        path = _RadialPath(ball, 0)
+        del sweeps[:]
+        (lo, hi), = _isolate(path, 1)
+        assert lo == low and lo < lam < hi
+        assert abs(_refine(path, lo, hi, 1)[0] - lam) <= 1e-12 * lam
+        assert sweeps.count(low) == 1
