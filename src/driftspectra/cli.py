@@ -140,11 +140,12 @@ def _warping(cfg: RunConfig):
     if not cfg.warping:
         return make_space_form(cfg.kappa if cfg.kappa is not None else 0.0)
     spec = cfg.warping.strip()
-    if spec.startswith("space_form"):
+    word, *values = spec.split() or [""]
+    if word == "space_form":
         try:
-            kappa = float(spec.split()[1])
-        except (IndexError, ValueError) as exc:
-            raise UsageError(f"bad warping spec {spec!r}") from exc
+            kappa, = map(float, values)
+        except ValueError as exc:
+            raise UsageError(f"bad warping spec {spec!r}: space_form takes one curvature") from exc
         return make_space_form(kappa)
     expr = parse_expression(spec)
     if expr.depends_on("theta"):
@@ -158,9 +159,10 @@ def _drift(cfg: RunConfig):
         return zero_drift()
     spec = cfg.drift.strip()
     scale = cfg.drift_scale
-    if spec.startswith("poly"):
+    word, *values = spec.split() or [""]
+    if word == "poly":
         try:
-            coeffs = [scale * float(v) for v in spec.split()[1:]]
+            coeffs = [scale * float(v) for v in values]
         except ValueError as exc:
             raise UsageError(f"bad drift coefficients in {spec!r}") from exc
         if not coeffs:
@@ -313,7 +315,7 @@ def _cmd_compare(cfg: RunConfig, args) -> tuple:
 
 
 def _cmd_riccati(cfg: RunConfig, args) -> tuple:
-    result = riccati_uniqueness(_build_ball(cfg), tol=1e-6)
+    result = riccati_uniqueness(_build_ball(cfg), tol=cfg.tol if cfg.tol is not None else 1e-6)
     return (EXIT_OK, f"riccati: sup_error = {result.sup_error:.6e}",
             {"csv": (("t", "h_recovered"), zip(result.t, result.h_recovered))})
 

@@ -392,8 +392,9 @@ def riccati_uniqueness(ball: ModelBall, tol: float = 1e-6,
     The substitution h1 = -2 u'/u turns the Riccati equation into the
     linear ODE u'' + Lap(r) u' + g u = 0, g = (div V - |V|^2/2)/2, with a
     regular singular point at t=0 whose indicial roots are 0 and 2-m.  It
-    is integrated on the radial shooting path (P = Lap(r), Q = g, lam = 0)
-    from the bounded branch u = 1 + c t^2, c = -g(0)/(2m).  A nonzero
+    is the level-0 sweep of the radial shooting path with P = Lap(r), Q = g
+    and lam = 0, which starts on the bounded branch's series u = 1 + c t^2,
+    c = -g(t_s)/(2m), at the path's first point t_s = 1e-6 r0.  A nonzero
     initial slope selects the excluded singular/logarithmic family, as does
     u crossing zero before r0; both raise LogarithmicBranchError.
     """
@@ -403,20 +404,16 @@ def riccati_uniqueness(ball: ModelBall, tol: float = 1e-6,
             "(indicial root 2-m / logarithmic solution); no bounded drift "
             "corresponds to it"
         )
-    m = ball.m
 
     def lap_r(t):
         rho, rho1, _ = ball.rho.eval(t)
-        return (m - 1) * rho1 / rho
+        return (ball.m - 1) * rho1 / rho
 
     def g(t):
         return 0.5 * np.asarray(extra_drift_profile(ball, t), dtype=float)
 
     path = radial_mod._RadialPath(ball, 0, n_t=RICCATI_GRID, coefs=(lap_r, g))
-    c = -float(g(0.0)) / (2.0 * m)
-    t0 = path.t_start
-    _, crossings, (u, up) = path.integrate(0.0, 1.0 + c * t0 * t0, 2.0 * c * t0,
-                                           samples=True)
+    _, crossings, (u, up) = path.integrate(0.0, samples=True)
     nonpositive = np.flatnonzero(u <= 0.0)
     if crossings or nonpositive.size:
         where = path.nodes[nonpositive[0]] if nonpositive.size else ball.r0
@@ -424,9 +421,7 @@ def riccati_uniqueness(ball: ModelBall, tol: float = 1e-6,
             f"u crossed zero by t={where:.6g}: the recovered drift blows up "
             "(logarithmic/singular branch)"
         )
-    h_rec = np.empty(RICCATI_GRID + 1)
-    h_rec[0] = 0.0
-    h_rec[1:] = -2.0 * up[1:] / u[1:]
+    h_rec = np.concatenate(([0.0], -2.0 * up[1:] / u[1:]))
     h_true = np.asarray(ball.drift.h(path.nodes), dtype=float)
     sup_err = float(np.max(np.abs(h_rec - h_true)))
     if sup_err > tol:

@@ -1,7 +1,8 @@
 """Fixed quadrature rules on uniform grids.
 
-Composite Simpson is the rule used for every radial inner product; the
-odd-interval tail falls back to Simpson 3/8 so the order stays four.
+Composite Simpson, as a weight vector, is the rule of every radial
+integral; the odd-interval tail falls back to Simpson 3/8 so the order
+stays four.
 """
 
 from __future__ import annotations
@@ -9,34 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 
-def composite_simpson(y, dx: float) -> float:
-    """Integrate samples on a uniform grid with composite Simpson.
-
-    An odd number of intervals is handled by a 3/8 rule on the last three;
-    one interval degrades to the trapezoid.
-    """
-    y = np.asarray(y, dtype=float)
-    n = y.shape[0] - 1
-    if n < 1:
-        return 0.0
-    if n == 1:
-        return 0.5 * dx * (y[0] + y[1])
-    total = 0.0
-    if n % 2 == 1:
-        if n >= 3:
-            total += 3.0 * dx / 8.0 * (y[n - 3] + 3.0 * y[n - 2] + 3.0 * y[n - 1] + y[n])
-            y = y[: n - 2]
-            n -= 3
-        else:
-            return 0.5 * dx * (y[0] + y[1]) + total
-    if n >= 2:
-        total += dx / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2]))
-    return float(total)
-
-
 def simpson_weights(n: int, dx: float) -> np.ndarray:
-    """Weights w of `composite_simpson` on n intervals: w @ y is its integral
-    of the samples y, up to the order of summation."""
+    """Weights w of composite Simpson on n intervals of width dx: w @ y is
+    the integral of the samples y.  An odd n > 1 takes a 3/8 rule on the
+    last three intervals; one interval is the trapezoid."""
     w = np.zeros(n + 1)
     if n == 1:
         w[:] = 0.5 * dx

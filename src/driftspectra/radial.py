@@ -9,21 +9,23 @@ with nu_k = k(k+m-2) and alpha the nonnegative indicial root.  Shooting
 integrates the regularized unknown b = a / t^alpha, whose equation is free
 of the nu/t^2 potential, on an RK4 step grid with a stability-limited
 geometric startup, one per (r0, n_t, startup ratio) whatever the curvature,
-drift or level.  A sweep builds the 2x2 matrices of all RK4 steps at once
-and takes their prefix products by a log-depth scan; it returns b(r0), the
-sign changes of b on (0, r0] and the node samples.  By Sturm oscillation
-the count is the number of level-k eigenvalues below lam, so the i-th
-eigenvalue is isolated by bisecting on the count until count(lo) = i - 1
-and count(hi) = i; a lone first eigenvalue is probed at the level's
-Rayleigh-Ritz estimate, the least Ritz value over five trials, which lies
-about 1e-9 above it.  A safeguarded Newton iteration in that bracket
-refines it, with the step from the variational identity
+drift or level.  A sweep starts on the regular solution's series
+b = 1 + c t^2 at the grid's first point, builds the 2x2 matrices of all
+RK4 steps at once and takes their prefix products by a log-depth scan; it
+returns b(r0), the sign changes of b on (0, r0] and the node samples.  By
+Sturm oscillation the count is the number of level-k eigenvalues below
+lam, so the i-th eigenvalue is isolated by bisecting on the count until
+count(lo) = i - 1 and count(hi) = i; a lone first eigenvalue is probed at
+the level's Rayleigh-Ritz estimate, the least Ritz value over five trials,
+which lies about 1e-9 above it.  A safeguarded Newton iteration in that
+bracket refines it, with the step from the variational identity
 d a(r0)/d lam = int p a^2 / (p(r0) a'(r0)); every sweep's count also
 shrinks the bracket.  The first eigenvalue of a level starts from the Ritz
 estimate, reusing the probe's sweep, so it takes two sweeps; the others
 start from the flat-ball estimate.  The result is the last Newton update
-with the last sweep's mode.
-The same sweep integrates the Riccati flow of `compare.riccati_uniqueness`.
+with the last sweep's mode.  Ritz matrices, Newton step and mode norm all
+integrate with the path's one Simpson weight vector.  The same sweep, from
+the same start, integrates the Riccati flow of `compare.riccati_uniqueness`.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from .errors import ConvergenceError, EigenvalueWindowError, SolverError
 from .geometry import ModelBall, weight_p
-from .quadrature import composite_simpson, simpson_weights
+from .quadrature import simpson_weights
 
 DEFAULT_GRID = 512
 DEFAULT_TOL = 1e-8
@@ -169,13 +171,14 @@ class _RadialPath:
         m, r0 = ball.m, ball.r0
         self.nu, _ = sphere_eigenvalue(k, m)
         self.alpha = frobenius_exponent(self.nu, m)
-        self.dt = r0 / n_t
         (self.nodes, self.t_start, self.steps, x, self.node_steps,
          self.h_max) = _step_grid(float(r0), self.n_t, min(0.2, 1.0 / (2.0 * self.alpha + m)))
         P, Q = self._coefs(x) if coefs is None else (np.asarray(f(x), dtype=float) for f in coefs)
         self.P_stages, self.Q_stages = P.reshape(3, -1), Q.reshape(3, -1)
         self.p_nodes = weight_p(ball, self.nodes)
-        self._last = None, None  # (lam, y1, y2) of the last sweep and what it returned
+        # every radial integral int f p dt is weights @ f, composite Simpson on the nodes
+        self.weights = simpson_weights(self.n_t, r0 / self.n_t) * self.p_nodes
+        self._last = None, None, None  # lam of the last sweep, its start and what it returned
 
     def _coefs(self, t):
         """P and Q of the level's regular unknown b = a / t^alpha at the points t."""
@@ -192,31 +195,26 @@ class _RadialPath:
 
     # -- integration ------------------------------------------------------
 
-    def integrate(self, lam: float, y1: float | None = None, y2: float | None = None,
-                  samples: bool = False):
-        """One RK4 sweep from the path's first point t_s, where (b, b') = (y1, y2).
-
-        The default start is the level's regular solution, the series
-        b = 1 + c t_s^2, b' = 2 c t_s with c = -(Q(t_s) + lam) / (2 (2 alpha + m)),
-        and node 0 holds its values (1, 0) at t = 0; (b, b') = (1, 0) at t_s
-        would excite the second solution, log t at m = 2, k = 0, and bias lam
-        by a few 1e-12 on every grid.  A given start is held at node 0.
-        Returns b(r0), the number of sign changes of b along the path and,
-        with `samples`, the arrays (b, b') at the nodes, else None.  A repeat
-        of the last call's (lam, y1, y2) reuses its sweep.
+    def integrate(self, lam: float, samples: bool = False):
+        """One RK4 sweep of the level's regular solution from the path's first
+        point t_s, where it starts on its series b = 1 + c t_s^2, b' = 2 c t_s
+        with c = -(Q(t_s) + lam) / (2 (2 alpha + m)); node 0 holds its values
+        (1, 0) at t = 0.  (b, b') = (1, 0) at t_s would excite the second
+        solution, log t at m = 2, k = 0, and bias lam by a few 1e-12 on every
+        grid.  Returns b(r0), the number of sign changes of b along the path
+        and, with `samples`, the arrays (b, b') at the nodes, else None.  A
+        repeat of the last call's lam reuses its sweep.
         """
-        origin = y1, y2
-        if y1 is None:
+        if self._last[0] != lam:
             c = -float(self.Q_stages[0, 0] + lam) / (2.0 * (2.0 * self.alpha + self.ball.m))
-            y1, y2, origin = 1.0 + c * self.t_start ** 2, 2.0 * c * self.t_start, (1.0, 0.0)
-        if self._last[0] != (lam, y1, y2):
-            self._last = (lam, y1, y2), self._sweep(lam, y1, y2)
-        end, changes, b, M = self._last[1]
+            y = 1.0 + c * self.t_start ** 2, 2.0 * c * self.t_start
+            self._last = lam, y, self._sweep(lam, *y)
+        _, (y1, y2), (end, changes, b, M) = self._last
         if not samples:
             return end, changes, None
         j = self.node_steps
-        return end, changes, (np.concatenate(([origin[0]], b[j])),
-                              np.concatenate(([origin[1]], M[1, 0, j] * y1 + M[1, 1, j] * y2)))
+        return end, changes, (np.concatenate(([1.0], b[j])),
+                              np.concatenate(([0.0], M[1, 0, j] * y1 + M[1, 1, j] * y2)))
 
     def _sweep(self, lam: float, y1: float, y2: float):
         """The kernel of `integrate`.  Every RK4 step of the linear system is a
@@ -360,7 +358,7 @@ def _rayleigh_estimate(path: _RadialPath) -> float:
     """
     r0, al = path.ball.r0, path.alpha
     x = path.nodes[1:] / r0   # p(0) = 0 drops the origin, where the trials' formulas are 0/0
-    w = (simpson_weights(path.nodes.size - 1, path.dt) * path.p_nodes)[1:]
+    w = path.weights[1:]
     c, s = np.cos(0.5 * math.pi * x), np.sin(0.5 * math.pi * x)
     powers = al + 2.0 * np.arange(RITZ_TRIALS)[:, None]
     with np.errstate(all="ignore"):
@@ -402,8 +400,7 @@ def _refine(path: _RadialPath, lo: float, hi: float, i: int, maxiter: int = 100)
         a, ap = path.to_eigenfunction(b, bp)
         lo, hi = (lo, lam) if changes >= i else (lam, hi)
         # Newton step from d a(r0)/d lam = int p a^2 / (p(r0) a'(r0))
-        delta = float(-a[-1] * path.p_nodes[-1] * ap[-1]
-                      / composite_simpson(path.p_nodes * a * a, path.dt))
+        delta = float(-a[-1] * path.p_nodes[-1] * ap[-1] / (path.weights @ (a * a)))
         inside = lo < lam + delta < hi
         if abs(delta) < xtol or hi - lo < xtol:
             return (lam + delta if inside else lam), a, ap
@@ -421,7 +418,7 @@ def _refine(path: _RadialPath, lo: float, hi: float, i: int, maxiter: int = 100)
 
 def _build_mode(path: _RadialPath, lo: float, hi: float, i: int, tol: float) -> RadialMode:
     lam, a, ap = _refine(path, lo, hi, i)
-    norm = math.sqrt(composite_simpson(path.p_nodes * a * a, path.dt))
+    norm = math.sqrt(path.weights @ (a * a))
     if norm <= 0.0:
         raise SolverError(f"degenerate eigenfunction norm for i={i} of level k={path.k}")
     a, ap, t = a / norm, ap / norm, path.nodes.copy()
@@ -530,5 +527,4 @@ def weighted_inner_product(a, b, ball: ModelBall) -> float:
     tb, vb = _samples_of(b)
     if ta.shape != tb.shape or not np.array_equal(ta, tb):
         raise ValueError("samples must share one uniform grid")
-    dx = ta[1] - ta[0]
-    return composite_simpson(va * vb * weight_p(ball, ta), dx)
+    return float(simpson_weights(ta.size - 1, ta[1] - ta[0]) @ (va * vb * weight_p(ball, ta)))

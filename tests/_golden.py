@@ -67,6 +67,15 @@ CASES = {
                         "--output", "out.json"],
     "disk2d_drift_20t": ["disk2d", *FLAT_DISK, "--drift", "20*t", "--format", "json",
                          "--output", "out.json"],
+    # a keyword is the whole first word, and space_form takes one curvature: exit 64
+    "principal_drift_polynomial": ["principal", *FLAT_DISK, "--drift", "polynomial 1"],
+    "principal_warping_space_formula": ["principal", "--warping", "space_formula 1",
+                                        "--dim", "2", "--radius", "1"],
+    "principal_warping_space_form_two_numbers": ["principal", "--warping", "space_form 1 2",
+                                                 "--dim", "2", "--radius", "1"],
+    # riccati bounds the recovery error by --tol: exit 1
+    "riccati_tol_1e-30": ["riccati", "--space-form", "0", "--dim", "3", "--radius", "1",
+                          "--drift", "t", "--tol", "1e-30"],
 }
 
 

@@ -8,7 +8,7 @@ and `radial_ibp_check` loads the 2-D layer on its call.
 import numpy as np
 
 from driftspectra.geometry import weight_p
-from driftspectra.quadrature import composite_simpson
+from driftspectra.quadrature import simpson_weights
 
 
 def interior_sign_changes(mode) -> int:
@@ -33,14 +33,14 @@ def maisuma_residual(mode, ball) -> float:
 def derivative_identity_residual(mode, ball) -> float:
     """Relative defect of ||a'||_p^2 = lam ||a||_p^2 - nu int p a^2 / rho^2."""
     p = weight_p(ball, mode.t)
-    dx = mode.t[1] - mode.t[0]
-    lhs = composite_simpson(p * mode.a_prime ** 2, dx)
-    rhs = mode.lam * composite_simpson(p * mode.a ** 2, dx)
+    w = simpson_weights(mode.t.size - 1, mode.t[1] - mode.t[0])
+    lhs = w @ (p * mode.a_prime ** 2)
+    rhs = mode.lam * (w @ (p * mode.a ** 2))
     if mode.nu > 0.0:
         rho = np.asarray(ball.rho.eval(np.where(mode.t == 0.0, mode.t[1], mode.t))[0])
         dens = p * mode.a ** 2 / rho ** 2
         dens[0] = 0.0 if mode.k >= 1 else dens[0]
-        rhs -= mode.nu * composite_simpson(dens, dx)
+        rhs -= mode.nu * (w @ dens)
     return abs(lhs - rhs) / max(abs(rhs), 1e-30)
 
 

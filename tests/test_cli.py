@@ -191,6 +191,12 @@ class TestRiccati:
         out = capsys.readouterr().out
         assert float(out.split("=")[-1]) < 1e-6
 
+    def test_tol_is_the_recovery_bound(self, capsys):
+        assert run(["riccati", "--space-form", "0", "--dim", "3", "--radius", "1",
+                    "--drift", "t", "--tol", "1e-30"]) == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.out == "" and "drift recovery error" in captured.err
+
 
 class TestSweep:
     def test_drift_scale_sweep(self, tmp_path):
@@ -314,6 +320,13 @@ class TestConfigAndErrors:
         lam = float(capsys.readouterr().out.split("=")[-1])
         assert lam == pytest.approx(4.8376222, abs=1e-5)  # same as drift = t
 
+    def test_space_form_with_two_numbers_in_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[problem]\ndimension = 2\nradius = 1.0\nwarping = space_form 1 2\n")
+        assert run(["principal", "--config", str(cfg)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "space_form takes one curvature" in captured.err
+
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[problem]\ndimension = fish\n")
@@ -397,7 +410,10 @@ class TestConfigAndErrors:
         # non-finite disk fields, refused before any solve
         *([*f, "--nt", "16", "--ntheta", "8"] for f in (["--vtheta", "1e400"],
                                                         ["--vtheta", "1e400*t"],
-                                                        ["--perturbation", "1e400*t^2"]))])
+                                                        ["--perturbation", "1e400*t^2"])),
+        # a keyword is the whole first word, and space_form takes one curvature
+        ["--drift", "polynomial 1"], ["--warping", "space_formula 1"],
+        ["--warping", "space_form 1 2"]])
     def test_bad_grid_or_tol_is_usage_error(self, flag, capsys, tmp_path):
         out = tmp_path / "out.csv"
         if flag[0] in ("compare", "sweep", "riccati"):

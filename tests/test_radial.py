@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from driftspectra.compare import riccati_uniqueness
 from driftspectra.errors import ConvergenceError, EigenvalueWindowError, SolverError
 from driftspectra.geometry import euclidean_ball, polynomial_drift, space_form_ball
-from driftspectra.quadrature import composite_simpson, simpson_weights
+from driftspectra.quadrature import simpson_weights
 from driftspectra import radial
 from driftspectra.radial import (_count_brackets, _isolate, _RadialPath, _rayleigh_estimate,
                                  _refine, assemble_spectrum, frobenius_exponent,
@@ -369,9 +369,12 @@ class TestInnerProducts:
 
     @pytest.mark.parametrize("n", range(10))
     def test_simpson_weights_are_the_rule(self, n):
-        y = np.cos(np.linspace(0.0, 3.0, n + 1)) + 2.0
-        assert simpson_weights(n, 0.3) @ y == pytest.approx(composite_simpson(y, 0.3),
-                                                            rel=1e-15, abs=1e-16)
+        # exact for cubics on n >= 2 intervals (Simpson, with the 3/8 rule on the
+        # last three when n is odd), for linears on one (the trapezoid); 0 on none
+        x = np.linspace(0.5, 0.5 + 0.3 * n, n + 1)
+        f = np.polynomial.Polynomial([0.7, -1.3, 2.1, 1.9] if n >= 2 else [0.7, -1.3])
+        integral = f.integ()(x[-1]) - f.integ()(x[0])
+        assert simpson_weights(n, 0.3) @ f(x) == pytest.approx(integral, rel=1e-14, abs=0)
 
 
 class TestIdentities:
@@ -466,12 +469,19 @@ class TestScanKernel:
                 assert changes == ref_changes
 
     def test_start_values_and_riccati_style_coefficients(self):
+        # the Riccati flow's coefficients start on the same series, here with
+        # Q = -1, lam = 0, alpha = 0 and m = 3: c = 1 / 6
         ball = space_form_ball(0.5, 3, 1.0, polynomial_drift([1.0]))
         path = _RadialPath(ball, 0, n_t=64, coefs=(lambda t: 2.0 / t, lambda t: -1.0 + 0.0 * t))
-        end, changes, (b, bp) = path.integrate(0.0, 1.5, -0.25, samples=True)
-        ref_end, ref_changes, (ref_b, ref_bp) = rk4_sweep(path, 0.0, 1.5, -0.25)
-        assert (b[0], bp[0]) == (1.5, -0.25)
-        assert abs(end - ref_end) <= 1e-13 * np.max(np.abs(ref_b))
+        end, changes, (b, bp) = path.integrate(0.0, samples=True)
+        t_s, c = path.t_start, 1.0 / 6.0
+        ref_end, ref_changes, (ref_b, ref_bp) = rk4_sweep(path, 0.0, 1.0 + c * t_s * t_s,
+                                                          2.0 * c * t_s)
+        assert (b[0], bp[0]) == (1.0, 0.0)
+        scale = np.max(np.abs(ref_b))
+        assert abs(end - ref_end) <= 1e-13 * scale
+        assert np.max(np.abs(b[1:] - ref_b[1:])) <= 1e-13 * scale
+        assert np.max(np.abs(bp[1:] - ref_bp[1:])) <= 1e-13 * np.max(np.abs(ref_bp))
         assert changes == ref_changes
 
 
@@ -681,12 +691,12 @@ class TestRayleighStart:
 
     @pytest.mark.parametrize("spoil", ["negative", "zero", "nan"])
     def test_no_positive_finite_gram_matrix_gives_nan(self, spoil):
-        # the weight p spoils the Gram matrices: M is negative definite, zero
-        # or not finite
+        # the Simpson weights spoil the Gram matrices: M is negative definite,
+        # zero or not finite
         path = _RadialPath(space_form_ball(0.3, 3, 1.0, polynomial_drift([0.5])), 1)
-        p = {"negative": -path.p_nodes, "zero": 0.0 * path.p_nodes,
-             "nan": np.where(np.arange(path.p_nodes.size) == 7, np.nan, path.p_nodes)}[spoil]
-        path.p_nodes = p
+        w = path.weights
+        path.weights = {"negative": -w, "zero": 0.0 * w,
+                        "nan": np.where(np.arange(w.size) == 7, np.nan, w)}[spoil]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert math.isnan(_rayleigh_estimate(path))
