@@ -19,7 +19,7 @@ from .geometry import (DriftProfile, ModelBall, WarpingFunction, custom_warping,
                        drift_divergence, drift_from_rate,
                        euclidean_ball, extra_condition_lhs, make_space_form,
                        polynomial_drift, radial_sectional_curvature,
-                       space_form_ball, volume_ratio_theta, weight_p, zero_drift)
+                       space_form_ball, weight_p, zero_drift)
 from .radial import (RadialMode, SpectrumTable, assemble_spectrum,
                      frobenius_exponent, principal_eigenpair, solve_radial_modes,
                      sphere_eigenvalue, weighted_inner_product)

@@ -162,28 +162,33 @@ def _pinned_context(shape, k: int) -> str:
     return f"grid {shape[0]}x{shape[1]}, pinned cell (j, l) = {divmod(k, shape[1])}"
 
 
-def _pinned_solve(A: sp.spmatrix, shape, k: int, rhs: np.ndarray,
+def _pinned_solve(A: sp.csr_matrix, shape, k: int, rhs: np.ndarray,
                   pinned: float) -> np.ndarray:
     """Solution of A x = rhs with x_k = `pinned` at the cell k.
 
     A has a one-dimensional null space whose vector is nonzero at k, and
     its columns add up to zero (1^T A = 0: each face adds and subtracts the
     same flux), so for a right-hand side with 1^T rhs = 0 any one equation
-    is the negative sum of the others.  Row and column k are dropped,
-    column k moves to the right-hand side, and the (n-1) x (n-1) matrix is
-    factored by the recipe of the `disk` module, in the order of the grid
-    of `shape` with cell k deleted.
+    is the negative sum of the others.  Equation k becomes x_k = `pinned` in
+    place (row and column k of a copy of A are the identity's, and `pinned`
+    times column k moves to the right-hand side), so the n x n matrix stays
+    on the stencil of `shape` and is factored by the `disk` module's recipe.
     """
-    n = A.shape[0]
-    order, M = in_grid_order(A, shape, drop=k)
-    b = rhs[order] - pinned * A[:, k].toarray().ravel()[order]
+    x = np.zeros(A.shape[0])
+    x[k] = pinned
+    b = rhs - A @ x
+    b[k] = pinned
+    M = A.copy()
+    row = slice(M.indptr[k], M.indptr[k + 1])
+    M.data[M.indices == k] = 0.0
+    M.data[row] = np.where(M.indices[row] == k, 1.0, 0.0)
+    order, M = in_grid_order(M, shape)
     try:
         lu = splu(M, **SUPERLU_OPTIONS)
     except RuntimeError as exc:
         raise SolverError(
             f"degenerate elliptic solve failed ({_pinned_context(shape, k)}): {exc}") from exc
-    x = np.full(n, float(pinned))
-    x[order] = lu.solve(b)
+    x[order] = lu.solve(b[order])
     return x
 
 

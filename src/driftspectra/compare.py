@@ -280,15 +280,16 @@ def eigenvalue_sandwich(problem: DiskProblem, tol: float = 1e-7) -> SandwichResu
     where w minimizes Q_{omega_0}.  The divergence integrals are evaluated
     through the discrete integration-by-parts dual of the drift form, which
     makes the right-hand slack exactly nonnegative at matrix level; the
-    left-hand slack is nonnegative up to O(h^2).
+    left-hand slack is nonnegative up to O(h^2).  The drift form is A_V - A_0,
+    the drift part of the operators solved: diag(1/vol) K is the same in both.
     """
     from .bounds import solve_w_u
-    from .disk import drift_matrix, solve_principal, volumes, weighted_stiffness
+    from .disk import solve_principal, volumes, weighted_stiffness
 
     vol = volumes(problem)
-    pair0, _ = solve_principal(problem.with_drift(), tol=tol)
-    pairV, _ = solve_principal(problem, tol=tol)
-    R = drift_matrix(problem)
+    pair0, A0 = solve_principal(problem.with_drift(), tol=tol)
+    pairV, AV = solve_principal(problem, tol=tol)
+    R = AV - A0
     shape = problem.J.shape
 
     def normalized(pair):

@@ -9,7 +9,8 @@ the ghost behind the first ring is the antipodal cell (t0, theta+pi).
 
 Every five-point system of the 2-D layer is assembled and factored by one
 recipe: the operator and the weighted Rayleigh pencil of `bounds`, solved
-here, and the pinned `w_u`/`G` systems of `bounds`.  Per grid and process,
+here, and the `w_u`/`G` systems of `bounds`, pinned in place (the pinned
+cell's row and column are the identity's).  Per grid and process,
 `_grid` caches the grid's full stencil (five-point, periodic in theta,
 with the antipodal couplings of ring 0) as one sorted ring-major CSR
 pattern, its elimination order `grid_order` (SuperLU's minimum degree,
@@ -17,10 +18,10 @@ pattern, its elimination order `grid_order` (SuperLU's minimum degree,
 pattern in that order.  Assembly writes face values into every slot of
 the pattern, an absent coupling or a cancelled entry as a stored zero,
 with no sort or sum of duplicates; `in_grid_order` gathers the data into
-the grid's order, masking out the stored zeros and a pinned cell, for
-`splu` with `SUPERLU_OPTIONS`: natural column order, no relaxed
-supernodes and one-column panels (SuperLU's defaults store relaxed zeros
-on five-point grids and factor slower).  A disk without radial drift has
+the grid's order, masking out the stored zeros, for `splu` with
+`SUPERLU_OPTIONS`: natural column order, no relaxed supernodes and
+one-column panels (SuperLU's defaults store relaxed zeros on five-point
+grids and factor slower).  A disk without radial drift has
 no antipodal couplings, and minimum degree on its own pattern leaves more
 fill: the grid's order cuts the L+U nonzeros from 270,428 to 214,160 at
 96 x 64 and from 1.52M to 1.09M at 192 x 128, and the factor time from
@@ -270,7 +271,7 @@ def advection_matrix(p: DiskProblem, cellweight) -> sp.csr_matrix:
 
 
 def _drift_entries(p: DiskProblem) -> tuple:
-    """`drift_matrix` by stencil entries: diagonal, radial, angular, antipodal.
+    """Drift action u -> Vt u_t + Vtheta u_theta: diagonal, radial, angular, antipodal.
 
     Centered differences on the faces of `_sides`: a face (a, b) gives a
     its forward and b its backward neighbour.  Two ghosts remain: the
@@ -284,14 +285,9 @@ def _drift_entries(p: DiskProblem) -> tuple:
     return diag, (ra, -rb), (aa, -ab), -cr[0, :]
 
 
-def drift_matrix(p: DiskProblem) -> sp.csr_matrix:
-    """Pointwise drift action u -> Vt u_t + Vtheta u_theta (`_drift_entries`)."""
-    return _on_stencil(p, *_drift_entries(p))
-
-
 def assemble_operator(p: DiskProblem) -> sp.csr_matrix:
     """Matrix of -Delta_V = -Delta_0 + (drift action) with Dirichlet wall:
-    entry for entry diag(1/vol) K + `drift_matrix`."""
+    entry for entry diag(1/vol) K plus the drift's `_drift_entries`."""
     wr, wa, K = _stiffness(p, None, True)
     inv_vol = 1.0 / volumes(p).reshape(p.J.shape)
     diag, (ra, rb), (aa, ab), across = _drift_entries(p)
@@ -346,20 +342,18 @@ def grid_order(n_t: int, n_theta: int) -> np.ndarray:
     return _grid(n_t, n_theta)[3]
 
 
-def in_grid_order(mat: sp.spmatrix, shape, drop: int | None = None):
+def in_grid_order(mat: sp.spmatrix, shape):
     """(order, P mat P^T in CSC) for the module's factorization recipe.
 
     order[i] is the ring-major index of the i-th cell to eliminate: the
     `grid_order` of `shape` or, without a shape, the natural order (no fill
     for a ball's tridiagonal K).  With a shape, mat must be CSR on the
     grid's stencil pattern, as assembled: one gather puts its data in the
-    grid's order, and its stored zeros and the cell `drop`, if given, are
-    masked out of the cached pattern, whose read-only index arrays the
-    result shares when nothing is masked.
+    grid's order, and its stored zeros are masked out of the cached
+    pattern, whose read-only index arrays the result shares when nothing
+    is masked.
     """
     if shape is None:
-        if drop is not None:
-            raise ValueError("in_grid_order: dropping a cell needs the grid's shape")
         return np.arange(mat.shape[0]), sp.csc_matrix(mat)
     indptr, indices, _, order, ptr, rows, gather = _grid(*shape)
     if mat.format != "csr" or not (np.array_equal(mat.indptr, indptr)
@@ -367,18 +361,10 @@ def in_grid_order(mat: sp.spmatrix, shape, drop: int | None = None):
         raise ValueError(f"matrix is not CSR on the stencil of grid {shape[0]}x{shape[1]}")
     data = mat.data[gather]
     keep = data != 0.0
-    if drop is not None:
-        k = int(np.flatnonzero(order == drop)[0])
-        keep[rows == k] = False
-        keep[ptr[k]:ptr[k + 1]] = False
-        order = np.delete(order, k)
     if keep.all():
         return order, sp.csc_matrix((data, rows, ptr), shape=mat.shape)
-    ptr, rows = np.concatenate(([0], np.cumsum(keep)))[ptr], rows[keep]
-    if drop is not None:
-        rows -= rows > k
-        ptr = np.delete(ptr, k)
-    return order, sp.csc_matrix((data[keep], rows, ptr), shape=(order.size,) * 2)
+    ptr = np.concatenate(([0], np.cumsum(keep)))[ptr]
+    return order, sp.csc_matrix((data[keep], rows[keep], ptr), shape=mat.shape)
 
 
 def operator_action(A: sp.spmatrix, shape):

@@ -212,9 +212,10 @@ def parse_expression(text: str) -> Node:
         raise ExpressionError(f"unsupported characters in {text!r}")
     try:
         tree = ast.parse(text, mode="eval")
-    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
-        # too deep for CPython's parser: RecursionError or MemoryError; 5000 digits: ValueError
-        raise ExpressionError(f"malformed expression: {str(exc) or 'nested too deeply'}") from None
+    except (RecursionError, MemoryError):  # too deep for CPython's parser
+        raise ExpressionError(f"malformed expression {text!r}: nested too deeply") from None
+    except (SyntaxError, ValueError):  # ValueError: an integer literal of 5000 digits
+        raise ExpressionError(f"malformed expression {text!r}") from None
     try:
         return _build(tree.body, text, 0)
     except ArithmeticError as exc:  # a folded constant power such as 0^-1 or 10^400

@@ -267,15 +267,6 @@ def extra_drift_profile(ball: ModelBall, t):
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
-def volume_ratio_theta(J_val, rho_val, m: int):
-    """Volume-element ratio (J/rho)^(m-1) between a subject and its model."""
-    rho_arr = np.asarray(rho_val, dtype=float)
-    if np.any(rho_arr <= 0.0):
-        raise ValueError("model warping value must be positive")
-    out = (np.asarray(J_val, dtype=float) / rho_arr) ** (m - 1)
-    return float(out) if np.isscalar(J_val) and np.isscalar(rho_val) else out
-
-
 def extra_condition_lhs(h1, h1_prime, laplacian_r):
     """h1' - h1^2/2 + h1 * (Laplacian of the distance function).
 

@@ -344,9 +344,7 @@ def coo_operator(p):
     return (sp.diags(1.0 / vol) @ coo_stiffness(p) + coo_drift_matrix(p)).tocsr()
 
 
-def fancy_grid_order(mat, order, drop=None):
-    """(order, P mat P^T in CSC) by fancy indexing, the cell `drop` left out."""
-    if drop is not None:
-        order = order[order != drop]
+def fancy_grid_order(mat, order):
+    """P mat P^T in CSC by fancy indexing, P the identity's rows in `order`."""
     mat = sp.csc_matrix(mat)
-    return order, mat[:, order][order, :].tocsc()
+    return mat[:, order][order, :].tocsc()

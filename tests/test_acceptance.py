@@ -197,7 +197,7 @@ def test_criterion_09_sandwich():
         assert res.upper_gap >= -res.combined_tol, f"problem {idx}"
         gaps.append((res.lower_gap, res.upper_gap))
     res0 = eigenvalue_sandwich(problems[0], tol=1e-8)
-    assert abs(res0.lower_gap) < 1e-10 and abs(res0.upper_gap) < 1e-10
+    assert res0.lower_gap == 0.0 and res0.upper_gap == 0.0  # A_V - A_0 is exactly 0 here
     _report(9, "5 problems sandwiched; no-drift slacks "
                f"({res0.lower_gap:.1e}, {res0.upper_gap:.1e})")
 

@@ -328,16 +328,44 @@ class TestPinnedSolves:
 
         monkeypatch.setattr(bounds, "splu", counting)
         solve_G_V(problem, pair.omega)
-        assert calls == [(n - 1, n - 1)]
+        assert calls == [(n, n)]
         solve_w_u(problem, pair.omega)
-        assert calls == [(n - 1, n - 1)] * 2
+        assert calls == [(n, n)] * 2
+
+    @pytest.mark.parametrize("where,tol", [("wall", 1e-10), ("ring 0", 1e-11), ("argmax", 1e-11)])
+    def test_pin_position_does_not_matter(self, swirl_pair, where, tol):
+        # pinned on a wall cell, a first-ring cell or where the weight peaks,
+        # G after its normalization and w_u after its gauge are the bordered
+        # systems' solutions; a wall cell's weight is 7e-5 of the peak, which
+        # amplifies roundoff by about its inverse (w_u is off by 5e-11 there,
+        # as when the pinned row and column are deleted instead), so solves
+        # pin at the peak
+        problem, pair = swirl_pair
+        shape, n = problem.J.shape, problem.grid.size
+        W = pair.omega ** 2
+        k = {"wall": n - 1 - shape[1] // 3, "ring 0": shape[1] // 2 + 1,
+             "argmax": int(np.argmax(W))}[where]
+        A = weighted_stiffness(problem, W, dirichlet=False)
+        A.data += advection_matrix(problem, W).data
+        m = volumes(problem) / volumes(problem).sum()
+        G = bounds._pinned_solve(A, shape, k, np.zeros(n), 1.0)
+        G /= m @ G
+        ref = _bordered_solve(A.tocsc(), m, np.zeros(n), 1.0)
+        assert np.max(np.abs(G - ref)) <= tol * np.max(np.abs(ref))
+        K = 2.0 * weighted_stiffness(problem, W, dirichlet=False)
+        b, gauge = drift_load(problem, W), bounds._gauge_vector(problem)
+        w = bounds._pinned_solve(K, shape, k, b, 0.0)
+        w -= gauge @ w
+        ref = _bordered_solve(K.tocsc(), gauge, b, 0.0)
+        assert np.max(np.abs(w - ref)) <= tol * np.max(np.abs(ref))
 
     def test_every_2d_factor_site_uses_the_recipe(self, swirl_pair, monkeypatch):
         # the eigen, G, w_u and weighted Rayleigh factors share one set of
         # SuperLU settings, each site through its own module's binding (the
         # Rayleigh pencil is factored by the eigen engine in `disk`), and
-        # each factors its matrix permuted into the grid's order (the pinned
-        # cell deleted): P M P^T with P the identity's rows in that order
+        # each factors its matrix permuted into the grid's order: P M P^T
+        # with P the identity's rows in that order, and M's row and column
+        # of the pinned cell the identity's
         problem, pair = swirl_pair
         seen = []
 
@@ -362,16 +390,21 @@ class TestPinnedSolves:
 
         W = pair.omega ** 2
         k = int(np.argmax(W))
-        order = grid_order(problem.grid.n_t, problem.grid.n_theta)
-        pinned = order[order != k]
-        sites = [(assemble_operator(problem), order),
-                 (weighted_stiffness(problem, W, dirichlet=False) + advection_matrix(problem, W),
-                  pinned),
-                 (2.0 * weighted_stiffness(problem, W, dirichlet=False), pinned),
-                 (weighted_stiffness(problem, np.ones_like(W), dirichlet=True), order)]
-        n = problem.grid.size
-        for (_, factored, _), (M, rows) in zip(seen, sites):
-            P = sp.identity(n, format="csr")[rows]
+
+        def pinned(M):
+            M = M.tolil()
+            M[k, :] = 0.0
+            M[:, k] = 0.0
+            M[k, k] = 1.0
+            return M
+
+        sites = [assemble_operator(problem),
+                 pinned(weighted_stiffness(problem, W, dirichlet=False)
+                        + advection_matrix(problem, W)),
+                 pinned(2.0 * weighted_stiffness(problem, W, dirichlet=False)),
+                 weighted_stiffness(problem, np.ones_like(W), dirichlet=True)]
+        P = sp.identity(problem.grid.size, format="csr")[grid_order(*problem.J.shape)]
+        for (_, factored, _), M in zip(seen, sites):
             assert (factored != (P @ M @ P.T).tocsc()).nnz == 0
 
     @pytest.mark.parametrize("radial,angular", [(0.0, 0.6), (0.8, 0.0), (-0.5, 0.6)])

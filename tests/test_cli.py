@@ -349,6 +349,14 @@ class TestConfigAndErrors:
         assert run(["principal", "--space-form", "0", "--dim", "2", "--radius", "1",
                     "--drift", "wobble(t)"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("text,shown", [(" ", "''"), ("polynomial 1", "'polynomial 1'")])
+    def test_syntax_error_is_reported_in_the_program_s_words(self, text, shown, capsys):
+        # a blank drift (an empty one means none) and a misspelt keyword
+        assert run(["principal", "--dim", "2", "--radius", "1", "--drift", text]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: malformed expression {shown}\n"
+
     @pytest.mark.parametrize("coeff", ["nan", "inf", "1e400"])
     def test_non_finite_poly_drift_is_usage_error(self, coeff, capsys):
         with warnings.catch_warnings():

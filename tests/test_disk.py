@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from driftspectra import disk
 from driftspectra.disk import (SUPERLU_OPTIONS, DiskProblem, PolarGrid, adjoint_principal,
                                advection_matrix, angular_std, assemble_operator,
-                               build_model_disk, divergence_field, drift_load, drift_matrix,
+                               build_model_disk, divergence_field, drift_load,
                                grid_order, in_grid_order,
                                operator_action, principal_eigenpair_2d, solve_principal,
                                volumes, weighted_stiffness)
@@ -18,8 +18,8 @@ from driftspectra.geometry import euclidean_ball, polynomial_drift, space_form_b
 from driftspectra.radial import principal_eigenpair
 
 from _identities import radial_derivative
-from _oracles import (add_at_drift_load, bessel_zero, coo_advection, coo_drift_matrix,
-                      coo_operator, coo_stiffness, fancy_grid_order, ring_averaged_lambda)
+from _oracles import (add_at_drift_load, bessel_zero, coo_advection, coo_operator,
+                      coo_stiffness, fancy_grid_order, ring_averaged_lambda)
 
 FLAT = euclidean_ball(2, 1.0)
 
@@ -101,14 +101,14 @@ class TestOperator:
         T, TH = p.grid.mesh()
         one = np.ones_like(T)
         n, dth = p.grid.n_t, p.grid.dtheta
-        R = drift_matrix(p.with_drift(Vt=one))
+        R = _drift_action(p.with_drift(Vt=one))
         radial = (R @ T.ravel()).reshape(T.shape)
         assert np.allclose(radial[0], 0.5, rtol=0, atol=1e-14)
         assert np.allclose(radial[1:-1], 1.0, rtol=0, atol=1e-14)
         assert np.allclose(radial[-1], -(n - 1.0), rtol=0, atol=1e-13)
         x = (R @ (T * np.cos(TH)).ravel()).reshape(T.shape)
         assert np.allclose(x[:-1], np.cos(TH[:-1]), rtol=0, atol=1e-14)
-        angular = drift_matrix(p.with_drift(Vtheta=one)) @ np.sin(TH).ravel()
+        angular = _drift_action(p.with_drift(Vtheta=one)) @ np.sin(TH).ravel()
         assert np.allclose(angular, (np.cos(TH) * np.sin(dth) / dth).ravel(), rtol=0,
                            atol=1e-14)
 
@@ -413,6 +413,11 @@ def _on_the_stencil(mat, ref, grid):
     assert np.array_equal(mat.indices, stencil.indices)
 
 
+def _drift_action(p):
+    """The operator's drift part on the stencil, from its entries alone."""
+    return disk._on_stencil(p, *disk._drift_entries(p))
+
+
 def _same_storage(mat, ref):
     """Equal entry for entry, with the same stored pattern in the same order."""
     assert mat.format == ref.format and mat.shape == ref.shape
@@ -423,7 +428,7 @@ def _same_storage(mat, ref):
 class TestStencilAssembly:
     """Assembly into the cached stencil gives the COO matrices' values bit for
     bit on the full stencil, and its gather gives the fancy-indexed
-    permutation without stored zeros, pinned cells too."""
+    permutation without stored zeros."""
 
     @settings(max_examples=40)
     @given(kappa=st.integers(-10, 10).map(lambda k: 0.1 * k),
@@ -445,8 +450,7 @@ class TestStencilAssembly:
         p = p.with_drift(Vt=p.Vt * (np.cos(TH) > 0.0 if half else 1.0 + d * np.cos(TH)),
                          Vtheta=p.Vtheta)
         W = 1.0 + p.grid.sample(lambda t, th: t * np.cos(th) ** 2)
-        pairs = [(assemble_operator(p), coo_operator(p)), (drift_matrix(p), coo_drift_matrix(p)),
-                 (weighted_stiffness(p), coo_stiffness(p)),
+        pairs = [(assemble_operator(p), coo_operator(p)), (weighted_stiffness(p), coo_stiffness(p)),
                  (weighted_stiffness(p, W, dirichlet=True), coo_stiffness(p, W, True)),
                  (weighted_stiffness(p, W, dirichlet=False), coo_stiffness(p, W, False)),
                  (advection_matrix(p, W), coo_advection(p, W))]
@@ -457,18 +461,16 @@ class TestStencilAssembly:
         order = grid_order(*grid)
         density = weighted_stiffness(p, W, dirichlet=False)  # as `bounds.solve_G_V` sums it
         density.data += advection_matrix(p, W).data
-        systems = [pairs[0][0], pairs[3][0], density,
+        systems = [pairs[0][0], pairs[2][0], density,
                    2.0 * weighted_stiffness(p, W, dirichlet=False)]
-        wall, ring0 = p.grid.size - 1 - grid[1] // 3, grid[1] // 2 + 1
         for mat in systems:
-            for drop in (None, wall, ring0, int(np.argmax(W))):
-                got_order, got = in_grid_order(mat, grid, drop)
-                ref_order, ref = fancy_grid_order(mat, order, drop)
-                ref.eliminate_zeros()  # SuperLU gets no stored zero
-                got.sort_indices()  # as `splu` sorts its input in place
-                ref.sort_indices()
-                assert np.array_equal(got_order, ref_order)
-                _same_storage(got, ref)
+            got_order, got = in_grid_order(mat, grid)
+            ref = fancy_grid_order(mat, order)
+            ref.eliminate_zeros()  # SuperLU gets no stored zero
+            got.sort_indices()  # as `splu` sorts its input in place
+            ref.sort_indices()
+            assert got_order is order
+            _same_storage(got, ref)
 
     @pytest.mark.parametrize("swirled,nnz", [(False, 214_160), (True, 217_214)])
     def test_factor_fill_is_unchanged(self, swirled, nnz, monkeypatch):
@@ -520,16 +522,14 @@ class TestStencilAssembly:
         _same_storage(in_grid_order(assemble_operator(problem), (24, 16))[1], before)
 
     def test_a_matrix_off_the_stencil_is_refused(self):
-        # no fallback: a pruned operator (sorted, without its stored zeros), a
-        # CSC operator and a dropped cell without a grid are refused
+        # no fallback: a pruned operator (sorted, without its stored zeros) and
+        # a CSC operator are refused
         A = assemble_operator(build_model_disk(FLAT, n_t=24, n_theta=16))
         pruned = A.copy()
         pruned.eliminate_zeros()
         for mat in (pruned, A.tocsc()):
             with pytest.raises(ValueError, match="not CSR on the stencil of grid 24x16"):
                 in_grid_order(mat, (24, 16))
-        with pytest.raises(ValueError, match="needs the grid's shape"):
-            in_grid_order(A, None, drop=3)
         with pytest.raises(ValueError, match="grid 24x16"):
             principal_eigenpair_2d(pruned, shape=(24, 16))
 

@@ -134,3 +134,11 @@ class TestErrors:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ExpressionError):
             parse_expression(bad)
+
+    @pytest.mark.parametrize("bad,message", [
+        ("t +", "malformed expression 't +'"),
+        pytest.param("-" * 3000 + "t", "nested too deeply", id="3000-signs")])
+    def test_parser_failures_are_reported_in_the_program_s_words(self, bad, message):
+        with pytest.raises(ExpressionError) as info:
+            parse_expression(bad)
+        assert message in str(info.value) and "<unknown>" not in str(info.value)

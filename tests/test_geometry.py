@@ -7,8 +7,7 @@ from driftspectra.geometry import (DriftProfile, ModelBall, custom_warping,
                                    drift_divergence, drift_from_rate, euclidean_ball,
                                    extra_condition_lhs, extra_drift_profile,
                                    make_space_form, polynomial_drift,
-                                   radial_sectional_curvature, volume_ratio_theta,
-                                   weight_p, zero_drift)
+                                   radial_sectional_curvature, weight_p, zero_drift)
 
 from _oracles import second_derivative
 
@@ -111,22 +110,6 @@ class TestDriftDivergence:
         limit = drift_divergence(ball, 0.0)
         near = drift_divergence(ball, 1e-7)
         assert abs(near - limit) < 1e-6
-
-
-class TestVolumeRatio:
-    def test_isometric_case(self):
-        ts = np.linspace(0.1, 1.5, 20)
-        assert np.max(np.abs(volume_ratio_theta(ts, ts, 5) - 1.0)) == 0.0
-
-    def test_power(self):
-        assert volume_ratio_theta(2.0, 1.0, 3) == 4.0
-
-    def test_hyperbolic_over_flat(self):
-        assert volume_ratio_theta(math.sinh(1.0), 1.0, 2) == pytest.approx(1.175201, abs=1e-6)
-
-    def test_rejects_nonpositive_model(self):
-        with pytest.raises(ValueError):
-            volume_ratio_theta(1.0, 0.0, 2)
 
 
 class TestExtraCondition:
