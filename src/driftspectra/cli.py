@@ -18,7 +18,8 @@ Problem flags: --dim M --radius R0 and either --space-form KAPPA or
 disk2d additionally takes --perturbation EXPR(t,theta) and --vtheta
 EXPR(t,theta).  Expressions use the grammar of `driftspectra.expressions`
 (+, -, *, /, ^, sin, cos, sinh, cosh, exp, t, theta, pi) and are
-differentiated analytically.
+differentiated analytically; an empty or blank one, flag or key, is a
+usage error.
 
 A config file (--config PATH) supplies the same data as key=value sections:
 
@@ -45,16 +46,17 @@ This module renders every artifact, through `_csv` and `_json`: CSV cells
 and stdout numbers carry 12 significant digits, JSON floats are written in
 full and round-trip the doubles.  Solvers are deterministic, so re-running
 a config byte-reproduces its artifacts.  Exit codes: 0 success, 1 solver
-failure, 2 premise failure in `compare`, 64 usage error (a --format the
-command does not write among them), 73 unwritable output path.  Both are
-decided before any solve: an --output that is a directory, or whose parent
-is not an existing directory, exits 73 without creating or truncating the
-file.  `sweep` builds the ball of every point before its first solve; a
-point that cannot be built, or a kappa axis next to a warping, exits 64
-and names the point, and only a solver failure becomes an error row.
-Without --output, `sweep` prints its table after the header line.  `sweep`
-runs its points serially: `--workers N` is still accepted (an integer >= 1,
-else exit 64) but changes neither its output nor its speed.
+failure (out of memory among them), 2 premise failure in `compare`, 64
+usage error (a --format the command does not write among them), 73
+unwritable output path.  Both are decided before any solve: an --output
+that is a directory, or whose parent is not an existing directory, exits
+73 without creating or truncating the file.  `sweep` builds the ball of
+every point before its first solve; a point that cannot be built, or a
+kappa axis next to a warping, exits 64 and names the point, and only a
+solver failure becomes an error row.  Without --output, `sweep` prints its
+table after the header line.  `sweep` runs its points serially:
+`--workers N` is still accepted (an integer >= 1, else exit 64) but
+changes neither its output nor its speed.
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ class RunConfig:
 
 
 def _warping(cfg: RunConfig):
-    if not cfg.warping:
+    if cfg.warping is None:
         return make_space_form(cfg.kappa if cfg.kappa is not None else 0.0)
     spec = cfg.warping.strip()
     word, *values = spec.split() or [""]
@@ -155,7 +157,7 @@ def _warping(cfg: RunConfig):
 
 
 def _drift(cfg: RunConfig):
-    if not cfg.drift or cfg.drift.strip() in ("0", "0.0"):
+    if cfg.drift is None or cfg.drift.strip() in ("0", "0.0"):
         return zero_drift()
     spec = cfg.drift.strip()
     scale = cfg.drift_scale
@@ -246,7 +248,7 @@ def _disk_problem(cfg: RunConfig):
     from .disk import build_model_disk
 
     ball = _build_ball(cfg)
-    fields = [parse_expression(s) if s else None for s in (cfg.perturbation, cfg.vtheta)]
+    fields = [None if s is None else parse_expression(s) for s in (cfg.perturbation, cfg.vtheta)]
     try:  # the parsed perturbation and angular drift are callables of (t, theta)
         return build_model_disk(ball, *fields, n_t=cfg.n_t, n_theta=cfg.n_theta)
     except ValueError as exc:
@@ -346,7 +348,7 @@ def _cmd_sweep(cfg: RunConfig, args) -> tuple:
     if not axes:
         raise UsageError("sweep requires at least one --axis")
     names = [n for n, _ in axes]
-    if "kappa" in names and cfg.warping:
+    if "kappa" in names and cfg.warping is not None:
         raise UsageError("a kappa axis sets the space form; it cannot sweep a --warping ball")
     points = [[]]
     for _, vals in axes:
@@ -521,6 +523,9 @@ def main(argv=None) -> int:
         return EXIT_CANTCREAT
     except (SolverError, ValueError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except MemoryError as exc:  # numpy's _ArrayMemoryError among them
+        print(f"solver error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return EXIT_SOLVER
 
 

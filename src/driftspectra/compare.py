@@ -20,8 +20,8 @@ import numpy as np
 
 from . import radial as radial_mod
 from .errors import LogarithmicBranchError, SolverError
-from .geometry import (DriftProfile, ModelBall, extra_condition_lhs,
-                       extra_drift_profile, radial_sectional_curvature)
+from .geometry import (ModelBall, extra_condition_lhs, extra_drift_profile,
+                       radial_sectional_curvature, zero_drift)
 
 PREMISE_TOL = 1e-9
 TRANSPORT_TOL = 1e-6
@@ -260,6 +260,19 @@ def verify_divergence_comparison(problem: DiskProblem, tol: float = 1e-6) -> Com
                              equality, notes)
 
 
+def _drift_pairing(R, omega, vol) -> float:
+    """int omega g(V, grad omega) / int omega^2 = -1/2 int div(V) omega^2 / int omega^2
+    through the discrete dual of the drift form R = A_V - A_0 (vol: cell volumes).
+
+    A drift-free A_0 is diag(1/vol) K with K symmetric, so vol * omega is the
+    left vector of its ground mode omega, and the pairing is d lambda/ds at
+    s = 0 of A_0 + s R.
+    """
+    v = np.ravel(omega)
+    left = np.ravel(vol) * v
+    return float(left @ (R @ v)) / float(left @ v)
+
+
 @dataclass(eq=False)
 class SandwichResult:
     lower_gap: float
@@ -277,11 +290,11 @@ def eigenvalue_sandwich(problem: DiskProblem, tol: float = 1e-7) -> SandwichResu
         lambda_V + 1/2 int (div V - 2|grad w|^2) omega_0^2
             <= lambda_0 <= lambda_V + 1/2 int div(V) omega_V^2,
 
-    where w minimizes Q_{omega_0}.  The divergence integrals are evaluated
-    through the discrete integration-by-parts dual of the drift form, which
-    makes the right-hand slack exactly nonnegative at matrix level; the
-    left-hand slack is nonnegative up to O(h^2).  The drift form is A_V - A_0,
-    the drift part of the operators solved: diag(1/vol) K is the same in both.
+    where w minimizes Q_{omega_0}.  Each divergence integral is -2 times
+    `_drift_pairing`, the discrete integration-by-parts dual of the drift form
+    A_V - A_0 of the operators solved (diag(1/vol) K is the same in both),
+    which makes the right-hand slack exactly nonnegative at matrix level; the
+    left-hand slack is nonnegative up to O(h^2).
     """
     from .bounds import solve_w_u
     from .disk import solve_principal, volumes, weighted_stiffness
@@ -290,24 +303,13 @@ def eigenvalue_sandwich(problem: DiskProblem, tol: float = 1e-7) -> SandwichResu
     pair0, A0 = solve_principal(problem.with_drift(), tol=tol)
     pairV, AV = solve_principal(problem, tol=tol)
     R = AV - A0
-    shape = problem.J.shape
-
-    def normalized(pair):
-        v = pair.omega.ravel()
-        return v / math.sqrt(float((v * v * vol).sum()))
-
-    w0 = normalized(pair0)
-    wV = normalized(pairV)
-    drift_pairing_V = float((vol * wV) @ (R @ wV))   # int omega_V g(V, grad omega_V)
-    drift_pairing_0 = float((vol * w0) @ (R @ w0))
-    int_div_V = -2.0 * drift_pairing_V
-    int_div_0 = -2.0 * drift_pairing_0
-    upper_gap = pairV.lam + 0.5 * int_div_V - pair0.lam
-
-    w_pot, _ = solve_w_u(problem, w0.reshape(shape))
-    Kw = weighted_stiffness(problem, (w0.reshape(shape)) ** 2, dirichlet=False)
+    v0 = pair0.omega.ravel()  # L2-normalized to w0
+    w0 = (v0 / math.sqrt(float((v0 * v0 * vol).sum()))).reshape(problem.J.shape)
+    upper_gap = pairV.lam - _drift_pairing(R, pairV.omega, vol) - pair0.lam
+    w_pot, _ = solve_w_u(problem, w0)
+    Kw = weighted_stiffness(problem, w0 ** 2, dirichlet=False)
     grad_int = float(w_pot.ravel() @ (Kw @ w_pot.ravel()))
-    lower_gap = pair0.lam - pairV.lam - 0.5 * int_div_0 + grad_int
+    lower_gap = pair0.lam - pairV.lam + _drift_pairing(R, w0, vol) + grad_int
 
     dt, dth = problem.grid.dt, problem.grid.dtheta
     # each pair's step bounds its residual relative to lambda; the slacks are absolute
@@ -320,15 +322,18 @@ def eigenvalue_sandwich(problem: DiskProblem, tol: float = 1e-7) -> SandwichResu
 
 # -- eigenvalue derivative under gradient drift ------------------------------
 
-def derivative_lambda_eps(base, f, eps: float, tol: float = 1e-3) -> float:
-    """Central difference d/d eps of lambda under the drift eps * grad f.
+def derivative_lambda_eps(base, f, tol: float = 1e-3) -> float:
+    """d lambda/d eps at eps = 0 under the drift eps * grad f, from one solve.
 
-    `base` is a drift-free ModelBall with f = (f, f', f'') radial callables,
-    or a DiskProblem with f = (f, f_t, f_theta) closures.  The premise that
-    the Laplacian of f is constant (= 2 c0) is verified first; the result
-    must match -c0 within tol.
+    `base` is a ModelBall with f = (f, f', f'') radial callables, or a
+    DiskProblem with f = (f, f_t, f_theta) closures; its own drift is dropped.
+    The premise that the Laplacian of f is constant (= 2 c0) is verified
+    first.  By first-order perturbation the derivative is the drift pairing
+    -1/2 int omega^2 Lap f / int omega^2 of the drift-free ground mode omega:
+    int p a f' a' dt for the L2_p-normalized ball mode, `_drift_pairing` on a
+    disk.  The result must match -c0 within tol.
     """
-    lams, flat_tol = [], 1e-2
+    flat_tol = 1e-2
     if isinstance(base, ModelBall):
         f0, f1, f2 = f
         ts = np.linspace(0.0, base.r0, SAMPLES_1D)[1:]
@@ -339,37 +344,27 @@ def derivative_lambda_eps(base, f, eps: float, tol: float = 1e-3) -> float:
         c0 = 0.5 * float(np.mean(lap))
         if np.max(np.abs(lap - 2.0 * c0)) > flat_tol * max(1.0, abs(2.0 * c0)):
             raise ValueError("f does not have a constant Laplacian on the ball")
-        f_origin = float(f0(0.0))
-        for sgn in (+1.0, -1.0):
-            s = sgn * eps
-            drift = DriftProfile(
-                h=lambda t, s=s: s * np.asarray(f1(t), dtype=float),
-                h_prime=lambda t, s=s: s * np.asarray(f2(t), dtype=float),
-                H=lambda t, s=s: s * (np.asarray(f0(t), dtype=float) - f_origin))
-            ball = ModelBall(m=base.m, r0=base.r0, rho=base.rho, drift=drift)
-            lams.append(radial_mod.principal_eigenpair(ball).lam)
+        ball = ModelBall(m=base.m, r0=base.r0, rho=base.rho, drift=zero_drift())
+        mode = radial_mod.principal_eigenpair(ball)
+        slope = np.asarray(f1(mode.t), dtype=float) * mode.a_prime
+        est = radial_mod.weighted_inner_product((mode.t, slope), mode, ball)
     else:
-        from .disk import DiskProblem, assemble_operator, solve_principal, volumes
+        from .disk import assemble_operator, principal_eigenpair_2d, volumes
 
-        problem: DiskProblem = base
         f0, ft, fth = f
-        fs = problem.grid.sample(f0)
-        A0 = assemble_operator(problem.with_drift())
+        fs = base.grid.sample(f0)
+        A0 = assemble_operator(base.with_drift())
         lap = -(A0 @ fs.ravel()).reshape(fs.shape)
-        vol = volumes(problem).reshape(fs.shape)
+        vol = volumes(base).reshape(fs.shape)
         core = lap[1:-1, :]
         cvol = vol[1:-1, :]
         c0 = 0.5 * float((core * cvol).sum() / cvol.sum())
         rms = math.sqrt(float((((core - 2.0 * c0) ** 2) * cvol).sum() / cvol.sum()))
         if rms > flat_tol * max(1.0, abs(2.0 * c0)):
             raise ValueError("f does not have a constant Laplacian on the disk")
-        Vt = problem.grid.sample(ft)
-        Vth = problem.grid.sample(fth) / problem.J ** 2
-        for sgn in (+1.0, -1.0):
-            prob = DiskProblem(problem.grid, problem.J, sgn * eps * Vt, sgn * eps * Vth)
-            pair, _ = solve_principal(prob, tol=1e-7)
-            lams.append(pair.lam)
-    est = (lams[0] - lams[1]) / (2.0 * eps)
+        pair = principal_eigenpair_2d(A0, tol=1e-7, shape=fs.shape)
+        grad_f = base.with_drift(base.grid.sample(ft), base.grid.sample(fth) / base.J ** 2)
+        est = _drift_pairing(assemble_operator(grad_f) - A0, pair.omega, vol)
     if abs(est + c0) > tol:
         raise SolverError(
             f"eigenvalue derivative {est:.6g} disagrees with -c0 = {-c0:.6g}"

@@ -23,12 +23,14 @@ either variable, so the solvers receive exact derivatives.
 from __future__ import annotations
 
 import ast
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 _FUNCS = {"sin": np.sin, "cos": np.cos, "sinh": np.sinh, "cosh": np.cosh,
           "exp": np.exp}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 class ExpressionError(ValueError):
@@ -57,14 +59,8 @@ class Node:
             return t * np.ones(np.broadcast_shapes(t.shape, theta.shape)) if theta.shape else t
         if op == "theta":
             return theta * np.ones(np.broadcast_shapes(t.shape, theta.shape)) if t.shape else theta
-        if op == "+":
-            return self.args[0]._eval(t, theta) + self.args[1]._eval(t, theta)
-        if op == "-":
-            return self.args[0]._eval(t, theta) - self.args[1]._eval(t, theta)
-        if op == "*":
-            return self.args[0]._eval(t, theta) * self.args[1]._eval(t, theta)
-        if op == "/":
-            return self.args[0]._eval(t, theta) / self.args[1]._eval(t, theta)
+        if op in _ARITH:
+            return _ARITH[op](self.args[0]._eval(t, theta), self.args[1]._eval(t, theta))
         if op == "neg":
             return -self.args[0]._eval(t, theta)
         if op == "pow":
@@ -101,20 +97,9 @@ class Node:
             inner = _simplify(Node("pow", (base,), self.value - 1.0))
             outer = _simplify(Node("*", (Node("const", value=self.value), inner)))
             return _simplify(Node("*", (outer, base.diff(var))))
-        chain = self.args[0].diff(var)
-        if op == "sin":
-            outer = Node("cos", self.args)
-        elif op == "cos":
-            outer = Node("neg", (Node("sin", self.args),))
-        elif op == "sinh":
-            outer = Node("cosh", self.args)
-        elif op == "cosh":
-            outer = Node("sinh", self.args)
-        elif op == "exp":
-            outer = self
-        else:
-            raise ExpressionError(f"cannot differentiate {op}")
-        return _simplify(Node("*", (outer, chain)))
+        outer = {"sin": Node("cos", self.args), "cos": Node("neg", (Node("sin", self.args),)),
+                 "sinh": Node("cosh", self.args), "cosh": Node("sinh", self.args), "exp": self}[op]
+        return _simplify(Node("*", (outer, self.args[0].diff(var))))
 
     def depends_on(self, var: str) -> bool:
         if self.op == var:
@@ -176,6 +161,15 @@ _BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 _NAMES = {"t": Node("t"), "theta": Node("theta"), "pi": Node("const", value=float(np.pi))}
 _DECIMAL = frozenset("0123456789.eE+-")
 _MAX_DEPTH = 100
+_ECHO = 60  # most characters of rejected text a message quotes
+
+
+def _quoted(text: str) -> str:
+    """repr(text), cut to _ECHO characters and followed by the length when longer."""
+    shown = repr(text)
+    if len(shown) <= _ECHO:
+        return shown
+    return f"{shown[:_ECHO - 4]}...{shown[-1]} ({len(text)} characters)"
 
 
 def _build(node: ast.AST, text: str, depth: int) -> Node:
@@ -202,20 +196,21 @@ def _build(node: ast.AST, text: str, depth: int) -> Node:
         case ast.Call(ast.Name(name) as func, [arg], []) if name in _FUNCS:
             if func.col_offset == node.col_offset:  # not "(sin)(t)"
                 return Node(name, (sub(arg),))
-    raise ExpressionError(f"unsupported syntax {ast.get_source_segment(text, node)!r}")
+    raise ExpressionError(f"unsupported syntax {_quoted(ast.get_source_segment(text, node))}")
 
 
 def parse_expression(text: str) -> Node:
     """Parse an expression in t (and theta) into a differentiable node."""
     text = " ".join(text.replace("^", "**").split())
     if not all(c.isascii() and (c.isalnum() or c in ".()+-*/ ") for c in text):
-        raise ExpressionError(f"unsupported characters in {text!r}")
+        raise ExpressionError(f"unsupported characters in {_quoted(text)}")
     try:
         tree = ast.parse(text, mode="eval")
     except (RecursionError, MemoryError):  # too deep for CPython's parser
-        raise ExpressionError(f"malformed expression {text!r}: nested too deeply") from None
-    except (SyntaxError, ValueError):  # ValueError: an integer literal of 5000 digits
-        raise ExpressionError(f"malformed expression {text!r}") from None
+        raise ExpressionError(f"malformed expression {_quoted(text)}: nested too deeply") from None
+    except (SyntaxError, ValueError) as exc:  # ValueError: an integer literal of 5000 digits
+        reason = ": nested too deeply" if "nested" in str(exc) else ""  # CPython's paren limit
+        raise ExpressionError(f"malformed expression {_quoted(text)}{reason}") from None
     try:
         return _build(tree.body, text, 0)
     except ArithmeticError as exc:  # a folded constant power such as 0^-1 or 10^400

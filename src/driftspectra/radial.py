@@ -221,27 +221,28 @@ class _RadialPath:
         2x2 matrix; all of them are built at once from the stage arrays and
         their inclusive prefix products M are taken by a log-depth
         (Hillis-Steele) scan.  Returns b(r0), its sign changes, b and M."""
-        s, h = self.steps, 0.5 * self.steps
-        P0, P1, P2 = self.P_stages
-        q0, q1, q2 = self.Q_stages + lam
-        # the RK4 stages (a_j, b_j) of (b', b'') from both columns e1, e2 of
-        # the identity at once: M[:, c, j] is the image of e_c over step j
-        e1, e2 = np.eye(2)[:, :, None]
-        b1 = -P0 * e2 - q0 * e1
-        a2, u1 = e2 + h * b1, e1 + h * e2
-        b2 = -P1 * a2 - q1 * u1
-        a3, u1 = e2 + h * b2, e1 + h * a2
-        b3 = -P1 * a3 - q1 * u1
-        a4, u1 = e2 + s * b3, e1 + s * a3
-        b4 = -P2 * a4 - q2 * u1
-        M = np.stack([e1 + s * (e2 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0,
-                      e2 + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0])
-        n, d = s.size, 1
-        while d < n:
-            later, earlier = M[:, :, d:], M[:, :, :-d]
-            M[:, :, d:] = later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
-            d *= 2
-        b = M[0, 0] * y1 + M[0, 1] * y2
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in a non-finite b(r0)
+            s, h = self.steps, 0.5 * self.steps
+            P0, P1, P2 = self.P_stages
+            q0, q1, q2 = self.Q_stages + lam
+            # the RK4 stages (a_j, b_j) of (b', b'') from both columns e1, e2 of
+            # the identity at once: M[:, c, j] is the image of e_c over step j
+            e1, e2 = np.eye(2)[:, :, None]
+            b1 = -P0 * e2 - q0 * e1
+            a2, u1 = e2 + h * b1, e1 + h * e2
+            b2 = -P1 * a2 - q1 * u1
+            a3, u1 = e2 + h * b2, e1 + h * a2
+            b3 = -P1 * a3 - q1 * u1
+            a4, u1 = e2 + s * b3, e1 + s * a3
+            b4 = -P2 * a4 - q2 * u1
+            M = np.stack([e1 + s * (e2 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0,
+                          e2 + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0])
+            n, d = s.size, 1
+            while d < n:
+                later, earlier = M[:, :, d:], M[:, :, :-d]
+                M[:, :, d:] = later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
+                d *= 2
+            b = M[0, 0] * y1 + M[0, 1] * y2
         end = float(b[-1])
         # inf and nan never turn finite again, so one check at the end suffices
         if not math.isfinite(end):

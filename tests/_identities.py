@@ -2,13 +2,15 @@
 
 Kept apart from `_oracles.py`, which the benchmark loads at set-up: these
 helpers import `scipy.integrate`, which the 1-D layer itself never needs,
-and `radial_ibp_check` loads the 2-D layer on its call.
+and `radial_ibp_check` and `central_difference_derivative` load the 2-D
+layer on their call.
 """
 
 import numpy as np
 
-from driftspectra.geometry import weight_p
+from driftspectra.geometry import DriftProfile, ModelBall, weight_p
 from driftspectra.quadrature import simpson_weights
+from driftspectra.radial import principal_eigenpair
 
 
 def interior_sign_changes(mode) -> int:
@@ -104,3 +106,31 @@ def radial_ibp_check(problem, u, phi) -> float:
     lhs = float((phi * du * vol).sum())
     rhs = -float((u * (dphi + phi * lap_r) * vol).sum())
     return abs(lhs - rhs)
+
+
+def central_difference_derivative(base, f, eps: float = 1e-4, tol: float = 1e-11) -> float:
+    """(lambda(eps) - lambda(-eps)) / (2 eps) under the drift eps * grad f.
+
+    The reference for `compare.derivative_lambda_eps`, with the same
+    arguments: a ModelBall and radial (f, f', f''), or a DiskProblem and
+    (f, f_t, f_theta); the base's own drift is dropped.  Two full solves at
+    the solver tolerance `tol`.
+    """
+    lams = []
+    for s in (eps, -eps):
+        if isinstance(base, ModelBall):
+            f0, f1, f2 = f
+            drift = DriftProfile(
+                h=lambda t, s=s: s * np.asarray(f1(t), dtype=float),
+                h_prime=lambda t, s=s: s * np.asarray(f2(t), dtype=float),
+                H=lambda t, s=s: s * (np.asarray(f0(t), dtype=float) - float(f0(0.0))))
+            ball = ModelBall(m=base.m, r0=base.r0, rho=base.rho, drift=drift)
+            lams.append(principal_eigenpair(ball, tol=tol).lam)
+        else:
+            from driftspectra.disk import solve_principal
+
+            _, ft, fth = f
+            grid = base.grid
+            problem = base.with_drift(s * grid.sample(ft), s * grid.sample(fth) / base.J ** 2)
+            lams.append(solve_principal(problem, tol=tol)[0].lam)
+    return (lams[0] - lams[1]) / (2.0 * eps)

@@ -208,7 +208,7 @@ def test_criterion_10_eigenvalue_derivative():
         (lambda t: 0.5 * np.asarray(t, dtype=float) ** 2,
          lambda t: np.asarray(t, dtype=float),
          lambda t: np.ones_like(np.asarray(t, dtype=float))),
-        eps=1e-3, tol=1e-3)
+        tol=1e-3)
     assert abs(d_quad + 1.0) < 1e-3
     problem = build_model_disk(euclidean_ball(2, 1.0), n_t=160, n_theta=96)
     d_harm = derivative_lambda_eps(
@@ -216,7 +216,7 @@ def test_criterion_10_eigenvalue_derivative():
         (lambda t, th: t * np.cos(th),
          lambda t, th: np.cos(th),
          lambda t, th: -t * np.sin(th)),
-        eps=1e-3, tol=1e-3)
+        tol=1e-3)
     assert abs(d_harm) < 1e-3
     _report(10, f"d lambda/d eps: quadratic {d_quad:.6f} (-1 expected), "
                 f"harmonic {d_harm:.2e} (0 expected)")

@@ -351,7 +351,7 @@ class TestConfigAndErrors:
 
     @pytest.mark.parametrize("text,shown", [(" ", "''"), ("polynomial 1", "'polynomial 1'")])
     def test_syntax_error_is_reported_in_the_program_s_words(self, text, shown, capsys):
-        # a blank drift (an empty one means none) and a misspelt keyword
+        # a blank drift and a misspelt keyword
         assert run(["principal", "--dim", "2", "--radius", "1", "--drift", text]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -724,6 +724,57 @@ def test_bad_argv_or_config_exits_before_any_solve(tmp_path, monkeypatch):
         assert "Traceback" not in err.getvalue()
 
     check()
+
+
+# -- hostile input: one short stderr line, never a traceback or a warning ------------
+
+def _out_of_memory(*args, **kwargs):  # numpy's _ArrayMemoryError text; nothing is allocated
+    raise MemoryError("Unable to allocate 1.49 GiB for an array with shape (200000001,) "
+                      "and data type float64")
+
+
+_PRINCIPAL = ["principal", *_FLAT]
+_DISK2D = ["disk2d", *_FLAT, *_GRID]
+_HOSTILE = {  # name -> (argv, stand-in for radial.principal_eigenpair, exit code, message part)
+    "empty-drift": ([*_PRINCIPAL, "--drift", ""], None, EXIT_USAGE, "malformed expression ''"),
+    "empty-warping": ([*_PRINCIPAL, "--warping", ""], None, EXIT_USAGE,
+                      "malformed expression ''"),
+    "empty-perturbation": ([*_DISK2D, "--perturbation", ""], None, EXIT_USAGE,
+                           "malformed expression ''"),
+    "empty-vtheta": ([*_DISK2D, "--vtheta", ""], None, EXIT_USAGE, "malformed expression ''"),
+    "5000-digit-literal": ([*_PRINCIPAL, "--drift", "1" * 5000], None, EXIT_USAGE,
+                           "...' (5000 characters)"),
+    "300-nested-parentheses": ([*_PRINCIPAL, "--drift", "(" * 300 + "t" + ")" * 300], None,
+                               EXIT_USAGE, "(601 characters): nested too deeply"),
+    "radial-overflow": ([*_PRINCIPAL, "--drift", "1e300*t"], None, EXIT_SOLVER,
+                        "solver error: radial integration overflowed"),
+    "out-of-memory": (_PRINCIPAL, _out_of_memory, EXIT_SOLVER,
+                      "solver error: out of memory: Unable to allocate"),
+}
+
+
+@pytest.mark.parametrize("name", list(_HOSTILE))
+def test_hostile_input_prints_one_short_line(name, monkeypatch, capsys):
+    argv, stand_in, code, shown = _HOSTILE[name]
+    if stand_in is not None:
+        monkeypatch.setattr(radial, "principal_eigenpair", stand_in)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == code
+    err = capsys.readouterr().err
+    assert not caught, [str(w.message) for w in caught]
+    lines = err.splitlines()
+    assert len(lines) == 1 and len(lines[0]) <= 200 and shown in lines[0], err[:400]
+    assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("key", ["warping", "drift", "perturbation", "vtheta"])
+def test_empty_expression_key_is_usage_error(key, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[problem]\ndimension = 2\nradius = 1\n{key} =\n")
+    assert main([*_DISK2D, "--config", str(cfg)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "usage error: malformed expression ''\n"
 
 
 _SRC = os.path.dirname(os.path.dirname(driftspectra.__file__))

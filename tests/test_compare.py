@@ -4,17 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from driftspectra import disk, radial
 from driftspectra.compare import (AnalyticDisk, ComparisonCase, builtin_corpus,
                                   derivative_lambda_eps, eigenvalue_sandwich,
                                   riccati_uniqueness, run_case, run_corpus,
                                   verify_divergence_comparison)
-from driftspectra.disk import build_model_disk
+from driftspectra.disk import DiskProblem, build_model_disk
 from driftspectra.errors import LogarithmicBranchError
 from driftspectra.geometry import euclidean_ball, polynomial_drift, space_form_ball
 
-from _identities import radial_divergence_profile, radial_ibp_check
+from _identities import (central_difference_derivative, radial_divergence_profile,
+                         radial_ibp_check)
 
 FLAT = euclidean_ball(2, 1.0)
+# f = t^2/2, Lap f = m: radial (f, f', f'') and on a disk (f, f_t, f_theta)
+_QUADRATIC = (lambda t: 0.5 * np.asarray(t, dtype=float) ** 2,
+              lambda t: np.asarray(t, dtype=float),
+              lambda t: np.ones_like(np.asarray(t, dtype=float)))
+_QUADRATIC_2D = (lambda t, th: 0.5 * t ** 2, lambda t, th: t, lambda t, th: 0.0 * t)
 
 
 class TestSectionalComparison:
@@ -254,8 +261,7 @@ class TestEigenvalueDerivative:
             euclidean_ball(2, 1.0),
             (lambda t: np.asarray(t, dtype=float) ** 2 / 2,
              lambda t: np.asarray(t, dtype=float),
-             lambda t: np.ones_like(np.asarray(t, dtype=float))),
-            eps=1e-3)
+             lambda t: np.ones_like(np.asarray(t, dtype=float))))
         assert d == pytest.approx(-1.0, abs=1e-3)
 
     def test_nonconstant_laplacian_rejected(self):
@@ -264,8 +270,7 @@ class TestEigenvalueDerivative:
                 euclidean_ball(2, 1.0),
                 (lambda t: np.asarray(t, dtype=float) ** 4,
                  lambda t: 4.0 * np.asarray(t, dtype=float) ** 3,
-                 lambda t: 12.0 * np.asarray(t, dtype=float) ** 2),
-                eps=1e-3)
+                 lambda t: 12.0 * np.asarray(t, dtype=float) ** 2))
 
     def test_constant_f_gives_zero(self):
         d = derivative_lambda_eps(
@@ -273,8 +278,44 @@ class TestEigenvalueDerivative:
             (lambda t: np.ones_like(np.asarray(t, dtype=float)),
              lambda t: np.zeros_like(np.asarray(t, dtype=float)),
              lambda t: np.zeros_like(np.asarray(t, dtype=float))),
-            eps=1e-3, tol=1e-10)
+            tol=1e-10)
         assert d == 0.0
+
+    def test_pinned_values(self):
+        for m, c0 in ((2, 1.0), (3, 1.5)):  # Lap f = m = 2 c0
+            assert derivative_lambda_eps(euclidean_ball(m, 1.0), _QUADRATIC) == pytest.approx(
+                -c0, abs=1e-9)
+        problem = build_model_disk(FLAT, n_t=160, n_theta=96)
+        # the two-solve central difference at eps = 1e-3 gave -0.99997975788035
+        d = derivative_lambda_eps(problem, _QUADRATIC_2D)
+        assert d == pytest.approx(-0.99997975788035, rel=1e-10)
+        harmonic = (lambda t, th: t * np.cos(th), lambda t, th: np.cos(th),
+                    lambda t, th: -t * np.sin(th))
+        assert abs(derivative_lambda_eps(problem, harmonic)) <= 1e-12
+
+    @pytest.mark.parametrize("base", [euclidean_ball(2, 1.0), euclidean_ball(3, 1.0),
+                                      build_model_disk(FLAT, n_t=96, n_theta=48)],
+                             ids=["ball-m2", "ball-m3", "disk-96x48"])
+    def test_first_order_matches_the_central_difference(self, base, monkeypatch):
+        # one factorization per disk call, one radial principal solve per ball call
+        calls = {"splu": 0, "solve_radial_modes": 0}
+
+        def counting(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        ball = not isinstance(base, DiskProblem)
+        f = _QUADRATIC if ball else _QUADRATIC_2D
+        reference = central_difference_derivative(base, f, eps=1e-4, tol=1e-11)
+        counting(disk, "splu")
+        counting(radial, "solve_radial_modes")
+        d = derivative_lambda_eps(base, f)
+        assert d == pytest.approx(reference, rel=1e-8)
+        assert calls == {"splu": int(not ball), "solve_radial_modes": int(ball)}
 
 
 class TestRiccati:
