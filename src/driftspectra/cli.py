@@ -19,7 +19,9 @@ disk2d additionally takes --perturbation EXPR(t,theta) and --vtheta
 EXPR(t,theta).  Expressions use the grammar of `driftspectra.expressions`
 (+, -, *, /, ^, sin, cos, sinh, cosh, exp, t, theta, pi) and are
 differentiated analytically; an empty or blank one, flag or key, is a
-usage error.
+usage error, and so is an empty or blank --output or [output] path: no
+value ever means "no artifact".  Usage messages quote user text cut to 60
+characters.
 
 A config file (--config PATH) supplies the same data as key=value sections:
 
@@ -77,7 +79,7 @@ import numpy as np
 from . import radial as radial_mod
 from .compare import riccati_uniqueness, run_corpus
 from .errors import SolverError
-from .expressions import ExpressionError, parse_expression
+from .expressions import ExpressionError, _quoted, parse_expression
 from .geometry import (ModelBall, custom_warping, drift_from_rate, make_space_form,
                        polynomial_drift, zero_drift)
 
@@ -147,7 +149,7 @@ def _warping(cfg: RunConfig):
         try:
             kappa, = map(float, values)
         except ValueError as exc:
-            raise UsageError(f"bad warping spec {spec!r}: space_form takes one curvature") from exc
+            raise UsageError(f"bad warping spec {_quoted(spec)}: space_form takes one curvature") from exc
         return make_space_form(kappa)
     expr = parse_expression(spec)
     if expr.depends_on("theta"):
@@ -166,7 +168,7 @@ def _drift(cfg: RunConfig):
         try:
             coeffs = [scale * float(v) for v in values]
         except ValueError as exc:
-            raise UsageError(f"bad drift coefficients in {spec!r}") from exc
+            raise UsageError(f"bad drift coefficients in {_quoted(spec)}") from exc
         if not coeffs:
             raise UsageError("poly drift needs at least one coefficient")
         return polynomial_drift(coeffs)
@@ -189,7 +191,7 @@ def _build_ball(cfg: RunConfig) -> ModelBall:
 def _check_output(path: str):
     """Refuse a path that cannot take the artifact, without creating or truncating it."""
     if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-        raise _OutputError(f"{path!r} is a directory or lies in no existing directory")
+        raise _OutputError(f"{_quoted(path)} is a directory or lies in no existing directory")
 
 
 def _write_text(path: str, text: str):
@@ -331,19 +333,19 @@ def _cmd_sweep(cfg: RunConfig, args) -> tuple:
     axes = []
     for spec in args.axis:
         if "=" not in spec:
-            raise UsageError(f"axis spec {spec!r} must look like name=v1,v2")
+            raise UsageError(f"axis spec {_quoted(spec)} must look like name=v1,v2")
         name, _, values = spec.partition("=")
         name = name.strip()
         if name not in _AXIS_PARAMS:
-            raise UsageError(f"unknown sweep axis {name!r}; choose from {_AXIS_PARAMS}")
+            raise UsageError(f"unknown sweep axis {_quoted(name)}; choose from {_AXIS_PARAMS}")
         try:
             vals = [float(v) for v in values.split(",") if v.strip() != ""]
         except ValueError as exc:
-            raise UsageError(f"bad axis values in {spec!r}") from exc
+            raise UsageError(f"bad axis values in {_quoted(spec)}") from exc
         if not vals:
             raise UsageError(f"axis {name!r} has no values")
         if name == "dim" and not all(v.is_integer() for v in vals):
-            raise UsageError(f"dimension values must be integers in {spec!r}")
+            raise UsageError(f"dimension values must be integers in {_quoted(spec)}")
         axes.append((name, vals))
     if not axes:
         raise UsageError("sweep requires at least one --axis")
@@ -459,7 +461,7 @@ def _load_config_file(path: str) -> dict:
     except configparser.Error as exc:
         raise UsageError(f"malformed config file: {exc}") from exc
     if not read:
-        raise UsageError(f"cannot read config file {path!r}")
+        raise UsageError(f"cannot read config file {_quoted(path)}")
     out = {}
     try:
         for (section, key), (name, reader) in _CONFIG_KEYS.items():
@@ -496,6 +498,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"tolerance must be positive, got {defaults.tol:g}")
     if not (math.isfinite(defaults.cutoff) and defaults.cutoff > 0.0):
         raise UsageError(f"cutoff must be positive and finite, got {defaults.cutoff:g}")
+    if defaults.output is not None and not defaults.output.strip():
+        raise UsageError(f"blank output path {_quoted(defaults.output)}")
     return defaults
 
 
@@ -506,7 +510,7 @@ def main(argv=None) -> int:
         cfg = _merge_config(args)
         handler, formats = _COMMANDS[args.command]
         if cfg.format not in formats:
-            raise UsageError(f"{args.command} writes {' or '.join(formats)}, not {cfg.format!r}")
+            raise UsageError(f"{args.command} writes {' or '.join(formats)}, not {_quoted(cfg.format)}")
         if cfg.output:
             _check_output(cfg.output)
         code, line, artifacts = handler(cfg, args)

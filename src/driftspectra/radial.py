@@ -14,11 +14,13 @@ b = 1 + c t^2 at the grid's first point, builds the 2x2 matrices of all
 RK4 steps at once and takes their prefix products by a log-depth scan; it
 returns b(r0), the sign changes of b on (0, r0] and the node samples.  By
 Sturm oscillation the count is the number of level-k eigenvalues below
-lam, so the i-th eigenvalue is isolated by bisecting on the count until
-count(lo) = i - 1 and count(hi) = i; a lone first eigenvalue is probed at
-the level's Rayleigh-Ritz estimate, the least Ritz value over five trials,
-which lies about 1e-9 above it.  A safeguarded Newton iteration in that
-bracket refines it, with the step from the variational identity
+lam.  One routine, `_count_brackets`, isolates every eigenvalue inside
+the one window lam h_max^2 <= 1 the step grid resolves: it doubles a probe
+with too few zeros, then bisects on the count until count(lo) = i - 1 and
+count(hi) = i.  A lone first eigenvalue is probed at the level's
+Rayleigh-Ritz estimate, the least Ritz value over five trials, which lies
+about 1e-9 above it.  A safeguarded Newton iteration in each bracket
+refines its eigenvalue, with the step from the variational identity
 d a(r0)/d lam = int p a^2 / (p(r0) a'(r0)); every sweep's count also
 shrinks the bracket.  The first eigenvalue of a level starts from the Ritz
 estimate, reusing the probe's sweep, so it takes two sweeps; the others
@@ -161,7 +163,7 @@ class _RadialPath:
     coefficients in one pass: for sphere level k, P and Q are those of
     b = a / t^alpha; `coefs` replaces them by other (P, Q) callables, as the
     Riccati flow does.  They do not depend on lambda, so one path serves
-    every shoot of the isolate/refine loop.  It keeps its last sweep and its
+    every sweep that isolates or refines.  It keeps its last sweep and its
     Ritz estimate."""
 
     def __init__(self, ball: ModelBall, k: int, n_t: int = DEFAULT_GRID, coefs=None):
@@ -291,13 +293,27 @@ def _euclid_estimate(path: _RadialPath, i: float) -> float:
 def _count_brackets(path: _RadialPath, n: int, probes: dict) -> list:
     """Brackets [lo, hi] with count(lo) = i - 1 and count(hi) = i, i = 1..n.
 
-    Bisects on the Sturm count from the counts `probes` (lambda: count)
-    already taken, one of them at least n.  The drift Laplacian is positive,
-    so count(0) = 0.  Every probe is kept, so each index starts from the
-    tightest bracket seen so far.  Counts that are not monotone leave no
-    such bracket, and then no mode is returned.
+    Starts from the counts `probes` (lambda: count) already taken.  The drift
+    Laplacian is positive, so count(0) = 0.  While the largest probe counts
+    fewer than n zeros it is doubled, up to the window lam * h_max^2 <= 1
+    where `path.count` stops, so a probe below the eigenvalues costs sweeps,
+    not the bracket.  Then each index is bisected on the count from the
+    tightest bracket seen so far, as every probe is kept.  Counts that are
+    not monotone leave no such bracket, and then no mode is returned.
     """
     probes = {0.0: 0, **probes}
+    hi = max(probes)
+    if not hi > 0.0:
+        raise ValueError("the largest probe must be positive")
+    while probes[hi] < n:
+        try:
+            probes[2.0 * hi] = path.count(2.0 * hi)
+        except EigenvalueWindowError as exc:
+            raise EigenvalueWindowError(
+                f"only {probes[hi]} of the {n} eigenvalues requested of level k={path.k} lie "
+                f"below lambda={hi:.6g}, the last the radial step (n_t={path.n_t}) resolves"
+            ) from exc
+        hi *= 2.0
     brackets = []
     for i in range(1, n + 1):
         lo = max(lam for lam, c in probes.items() if c < i)
@@ -316,34 +332,6 @@ def _count_brackets(path: _RadialPath, n: int, probes: dict) -> list:
                 hi = mid
         brackets.append((lo, hi))
     return brackets
-
-
-def _isolate(path: _RadialPath, n: int, max_lambda: float | None = None) -> list:
-    """Count brackets of the first n level-k eigenvalues.
-
-    The first probe is the Ritz estimate `path.rayleigh`, about 1e-9 above the
-    level's first eigenvalue, for n = 1 and the Euclidean estimate otherwise
-    or where the Ritz estimate is nan or outside (0, max_lambda); an upper end
-    with at least n zeros is found by doubling from it, up to `max_lambda`,
-    so an estimate below the eigenvalue costs sweeps, not the bracket.  The
-    bisection keeps every probe, so such an estimate is the bracket's lower end.
-    """
-    k = path.k
-    if max_lambda is None:
-        max_lambda = 60.0 * max(1.0, _euclid_estimate(path, n + 2))
-    hi = min(_euclid_estimate(path, n + 0.5), max_lambda)
-    if n == 1 and 0.0 < path.rayleigh < max_lambda:
-        hi = path.rayleigh
-    probes = {hi: path.count(hi)}
-    while probes[hi] < n:
-        if hi >= max_lambda:
-            raise EigenvalueWindowError(
-                f"only {probes[hi]} eigenvalues of level k={k} lie below {max_lambda:.6g}; "
-                f"{n} requested"
-            )
-        hi = min(2.0 * hi, max_lambda)
-        probes[hi] = path.count(hi)
-    return _count_brackets(path, n, probes)
 
 
 def _rayleigh_estimate(path: _RadialPath) -> float:
@@ -382,7 +370,7 @@ def _refine(path: _RadialPath, lo: float, hi: float, i: int, maxiter: int = 100)
 
     Safeguarded Newton (rtsafe) from the Ritz estimate for i = 1 and the
     Euclidean one for i >= 2, or the midpoint if that is nan or not in
-    (lo, hi]; a start at hi, where `_isolate` probed, reuses the probe's
+    (lo, hi]; a start at hi, where `solve_radial_modes` probed, reuses its
     sweep, and from the Ritz estimate one more sweep meets the stop.  Each
     sweep's Sturm count tells the side of the root, so it also shrinks
     [lo, hi]; a step that leaves the bracket or is not below half the step
@@ -435,18 +423,21 @@ def _build_mode(path: _RadialPath, lo: float, hi: float, i: int, tol: float) -> 
 
 
 def solve_radial_modes(ball: ModelBall, k: int, count: int, tol: float = DEFAULT_TOL,
-                       n_t: int = DEFAULT_GRID, max_lambda: float | None = None):
+                       n_t: int = DEFAULT_GRID):
     """First `count` eigenpairs of the level-k radial problem.
 
-    An upper end with at least `count` zeros is found by doubling up to
-    `max_lambda`; each eigenvalue is then isolated by its Sturm count, so
-    the i-th mode is the i-th by construction.
+    The first probe is the Ritz estimate `path.rayleigh` for count = 1 where
+    it is positive, else the Euclidean estimate of eigenvalue count + 1/2;
+    each eigenvalue is then isolated by its Sturm count, so the i-th mode is
+    the i-th by construction.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     path = _RadialPath(ball, k, n_t=n_t)
-    return [_build_mode(path, lo, hi, i, tol)
-            for i, (lo, hi) in enumerate(_isolate(path, count, max_lambda), start=1)]
+    probe = (path.rayleigh if count == 1 and path.rayleigh > 0.0
+             else _euclid_estimate(path, count + 0.5))
+    brackets = _count_brackets(path, count, {probe: path.count(probe)})
+    return [_build_mode(path, lo, hi, i, tol) for i, (lo, hi) in enumerate(brackets, start=1)]
 
 
 _PRINCIPAL = weakref.WeakKeyDictionary()  # ball -> {(tol, n_t): its ground mode}

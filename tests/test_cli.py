@@ -735,6 +735,7 @@ def _out_of_memory(*args, **kwargs):  # numpy's _ArrayMemoryError text; nothing 
 
 _PRINCIPAL = ["principal", *_FLAT]
 _DISK2D = ["disk2d", *_FLAT, *_GRID]
+_SWEEP = ["sweep", *_FLAT]
 _HOSTILE = {  # name -> (argv, stand-in for radial.principal_eigenpair, exit code, message part)
     "empty-drift": ([*_PRINCIPAL, "--drift", ""], None, EXIT_USAGE, "malformed expression ''"),
     "empty-warping": ([*_PRINCIPAL, "--warping", ""], None, EXIT_USAGE,
@@ -746,6 +747,15 @@ _HOSTILE = {  # name -> (argv, stand-in for radial.principal_eigenpair, exit cod
                            "...' (5000 characters)"),
     "300-nested-parentheses": ([*_PRINCIPAL, "--drift", "(" * 300 + "t" + ")" * 300], None,
                                EXIT_USAGE, "(601 characters): nested too deeply"),
+    "3000-character-poly-drift": ([*_PRINCIPAL, "--drift", "poly " + "x" * 2995], None,
+                                  EXIT_USAGE, "bad drift coefficients in 'poly xxx"),
+    "4000-character-axis-values": ([*_SWEEP, "--axis", ("kappa=" + "x," * 2000)[:4000]], None,
+                                   EXIT_USAGE, "...' (4000 characters)"),
+    "3000-character-axis-name": ([*_SWEEP, "--axis", "k" * 3000 + "=1"], None, EXIT_USAGE,
+                                 "unknown sweep axis 'kkk"),
+    "empty-output": ([*_PRINCIPAL, "--output", ""], None, EXIT_USAGE, "blank output path ''"),
+    "blank-output": ([*_PRINCIPAL, "--output", " " * 500], None, EXIT_USAGE,
+                     "...' (500 characters)"),
     "radial-overflow": ([*_PRINCIPAL, "--drift", "1e300*t"], None, EXIT_SOLVER,
                         "solver error: radial integration overflowed"),
     "out-of-memory": (_PRINCIPAL, _out_of_memory, EXIT_SOLVER,
@@ -775,6 +785,16 @@ def test_empty_expression_key_is_usage_error(key, tmp_path, capsys):
     assert main([*_DISK2D, "--config", str(cfg)]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "usage error: malformed expression ''\n"
+
+
+def test_empty_output_key_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[output]\npath =\n")
+    assert main([*_PRINCIPAL, "--config", str(cfg)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "usage error: blank output path ''\n"
+    assert os.listdir(tmp_path) == ["run.cfg"]
 
 
 _SRC = os.path.dirname(os.path.dirname(driftspectra.__file__))

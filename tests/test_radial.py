@@ -7,14 +7,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from driftspectra.compare import riccati_uniqueness
 from driftspectra.errors import ConvergenceError, EigenvalueWindowError, SolverError
 from driftspectra.geometry import euclidean_ball, polynomial_drift, space_form_ball
 from driftspectra.quadrature import simpson_weights
 from driftspectra import radial
-from driftspectra.radial import (_count_brackets, _isolate, _RadialPath, _rayleigh_estimate,
+from driftspectra.radial import (_count_brackets, _RadialPath, _rayleigh_estimate,
                                  _refine, assemble_spectrum, frobenius_exponent,
                                  principal_eigenpair, solve_radial_modes,
                                  sphere_eigenvalue, weighted_inner_product)
@@ -190,8 +190,42 @@ class TestHigherModes:
             assert lam == pytest.approx(bessel_zero(k, 1) ** 2, abs=1e-8)
 
     def test_window_exhausted_error(self):
-        with pytest.raises(EigenvalueWindowError):
-            solve_radial_modes(euclidean_ball(2, 1.0), 0, 1, max_lambda=3.0)
+        class OneBelowTheWindow:
+            """One eigenvalue, 1, below a window that ends at lambda = 100,
+            where `count` refuses as `_RadialPath.count` does."""
+            k, n_t = 3, 64
+
+            def count(self, lam):
+                if lam > 100.0:
+                    raise EigenvalueWindowError(f"lambda={lam:.6g} is too large")
+                return int(lam > 1.0)
+
+        # the probe 5 doubles to 80 and counts one zero there; 160 is refused
+        with pytest.raises(EigenvalueWindowError) as exc:
+            _count_brackets(OneBelowTheWindow(), 2, {5.0: 1})
+        msg = str(exc.value)
+        assert "only 1 of the 2 eigenvalues requested" in msg
+        assert "level k=3" in msg and "n_t=64" in msg
+        assert "below lambda=80," in msg
+        assert "lambda=160 is too large" in str(exc.value.__cause__)
+
+    def test_window_ends_the_doubling_on_a_coarse_grid(self):
+        # n_t = 4 resolves lambda <= 64, with two level-0 eigenvalues below it
+        path = _RadialPath(euclidean_ball(2, 1.0), 0, n_t=4)
+        with pytest.raises(EigenvalueWindowError,
+                           match=r"only 2 of the 3 .* below lambda=64, .*\(n_t=4\)"):
+            _count_brackets(path, 3, {1.0: 0})
+
+    @pytest.mark.parametrize("probes", [{}, {0.0: 0}, {-1.0: 0}])
+    def test_no_positive_probe_is_refused(self, probes):
+        class NeverCounted:
+            k, n_t = 0, 64
+
+            def count(self, lam):
+                raise AssertionError("no probe to double")
+
+        with pytest.raises(ValueError, match="largest probe must be positive"):
+            _count_brackets(NeverCounted(), 1, probes)
 
 
 class TestSturmCount:
@@ -205,8 +239,10 @@ class TestSturmCount:
             assert path.count(lam) == sum(1 for mu in lams if mu < lam)
 
     def test_brackets_hold_one_eigenvalue_each(self):
+        # from a probe below every eigenvalue, doubled to 128 > j_{1,3}^2
         path = _RadialPath(euclidean_ball(2, 1.0), 1)
-        brackets = _isolate(path, 3)
+        brackets = _count_brackets(path, 3, {1.0: path.count(1.0)})
+        assert brackets[2][1] == 128.0
         for i, (lo, hi) in enumerate(brackets, start=1):
             assert (path.count(lo), path.count(hi)) == (i - 1, i)
             assert lo < bessel_zero(1, i) ** 2 < hi
@@ -245,11 +281,13 @@ class TestSturmCount:
 
         monkeypatch.setattr(_RadialPath, "count", recording)
         ball = space_form_ball(-4.0, 3, 3.0)
-        brackets = _isolate(_RadialPath(ball, 0), 2)
+        modes = solve_radial_modes(ball, 0, 2)
         start = probes[0][0]
         assert start == pytest.approx((2.5 * math.pi / 3.0) ** 2, rel=1e-15)
         assert probes[:2] == [(start, 1), (2.0 * start, 2)]
-        assert brackets[1][1] == 2.0 * start
+        # every later probe bisects below the doubled end
+        assert all(lam < 2.0 * start for lam, _ in probes[2:])
+        assert start < modes[1].lam < 2.0 * start
         lam = principal_eigenpair(ball).lam
         assert lam == pytest.approx(math.pi ** 2 / 9.0 + 4.0, rel=1e-10)
 
@@ -423,7 +461,9 @@ class TestBrent:
             ball = space_form_ball(kappa, m, r0, drift)
             for k in levels:
                 path = _RadialPath(ball, k, n_t=n_t)
-                for i, (lo, hi) in enumerate(_isolate(path, roots), start=1):
+                probe = radial._euclid_estimate(path, roots + 0.5)
+                brackets = _count_brackets(path, roots, {probe: path.count(probe)})
+                for i, (lo, hi) in enumerate(brackets, start=1):
                     yield path, i, lo, hi
 
     def test_newton_root_agrees_with_brentq(self):
@@ -593,6 +633,41 @@ class TestNewton:
         principal_eigenpair(ball)
         assert 0 < len(sweeps) <= 2
 
+    # the lambda of every sweep of solve_radial_modes(ball, k, n), n = 1, 2, 3:
+    # the probe (Ritz for n = 1, else Euclidean), its doubling (n = 2 on the
+    # second ball) and the bisection on the count, then each eigenvalue's
+    # Newton iterates
+    _SWEEP_SEQUENCES = {
+        "flat-m2-k0": [
+            [5.78318596866, 5.78318596295],
+            [49.9648722805, 24.9824361403, 5.78318596866, 5.78318596295, 30.2256634783,
+             30.4701892976, 30.4712623249, 30.4712623438],
+            [104.247696487, 52.1238482433, 26.0619241216, 5.78318596866, 5.78318596295,
+             30.2256634783, 30.4701892976, 30.4712623249, 30.4712623438, 74.6388832832,
+             74.8865613596, 74.8870067931, 74.8870067945]],
+        "hyp-m3-r3-drift-k1": [
+            [5.95099292302, 5.89754715894, 5.88901058917, 5.8888446835, 5.88884462342],
+            [9.86960440109, 19.7392088022, 14.8044066016, 5.95099292302, 5.89754715894,
+             5.88901058917, 5.8888446835, 5.88884462342, 12.3370055014, 11.1033049512,
+             10.7738317061, 10.4091964708, 10.1394004359, 10.1784834757, 10.1777290123,
+             10.177728714],
+            [17.5459633797, 8.77298168986, 13.1594725348, 5.95099292302, 5.89754715894,
+             5.88901058917, 5.8888446835, 5.88884462342, 10.9662271123, 10.6005423061,
+             10.2884983927, 10.1844857642, 10.1777526912, 10.1777287143, 10.177728714,
+             13.4336282126, 15.4975113413, 16.8100120672, 16.6782441008, 16.6734774066,
+             16.6734719209, 16.6734719209]],
+    }
+
+    @pytest.mark.parametrize("name, ball, k", [
+        ("flat-m2-k0", euclidean_ball(2, 1.0), 0),
+        ("hyp-m3-r3-drift-k1",
+         space_form_ball(-4.0, 3, 3.0, polynomial_drift([0.3, -0.2])), 1)])
+    def test_sweep_sequence(self, name, ball, k, sweeps):
+        for n, expected in enumerate(self._SWEEP_SEQUENCES[name], start=1):
+            del sweeps[:]
+            solve_radial_modes(ball, k, n)
+            assert sweeps == pytest.approx(expected, rel=1e-10), n
+
     def test_large_hyperbolic_level_222(self, sweeps):
         # b(r0) is ~1e-138 there and its sign is noise within ~1e-12 of each
         # root; a stop on a lambda-relative step alone cycled on this level
@@ -609,7 +684,7 @@ class TestNewton:
 
     def test_nonconvergence_names_where(self):
         path = _RadialPath(euclidean_ball(2, 1.0), 1, n_t=64)
-        (lo, hi), = _isolate(path, 1)
+        (lo, hi), = _count_brackets(path, 1, {path.rayleigh: path.count(path.rayleigh)})
         with pytest.raises(ConvergenceError) as exc:
             _refine(path, lo, hi, 1, maxiter=1)
         msg = str(exc.value)
@@ -658,13 +733,18 @@ class TestRayleighStart:
             assert math.isfinite(estimate)
             assert lam <= estimate <= (1.0 + 1e-5) * lam
 
-    @settings(max_examples=40)
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(m=st.sampled_from([2, 3, 4]), kappa=st.floats(-1.0, 1.0), r0=st.floats(0.5, 1.5),
            c1=st.floats(0.0, 1.5), c2=st.floats(-0.5, 0.8), k=st.integers(0, 2))
-    def test_isolates_a_lone_eigenvalue(self, m, kappa, r0, c1, c2, k):
-        path = _RadialPath(space_form_ball(kappa, m, r0, polynomial_drift([c1, c2])), k)
-        assert _isolate(path, 1) == [(0.0, path.rayleigh)]
-        assert path.count(path.rayleigh) == 1
+    def test_isolates_a_lone_eigenvalue(self, m, kappa, r0, c1, c2, k, sweeps):
+        ball = space_form_ball(kappa, m, r0, polynomial_drift([c1, c2]))
+        del sweeps[:]
+        solve_radial_modes(ball, k, 1)
+        path = _RadialPath(ball, k)
+        # the solve's first and only probe is the Ritz estimate, with one zero
+        probe = sweeps[0]
+        assert probe == path.rayleigh
+        assert _count_brackets(path, 1, {probe: path.count(probe)}) == [(0.0, probe)]
 
     def test_two_zeros_at_the_estimate_bisect(self, monkeypatch):
         path = _RadialPath(space_form_ball(0.3, 3, 1.0, polynomial_drift([0.5])), 0)
@@ -676,12 +756,13 @@ class TestRayleighStart:
             return 2 if lam == estimate else count(p, lam)
 
         monkeypatch.setattr(_RadialPath, "count", two_at_the_estimate)
-        (lo, hi), = _isolate(path, 1)
+        mode, = solve_radial_modes(path.ball, 0, 1)
         assert probes[0] == estimate and len(probes) > 1
-        assert hi < estimate
-        assert (count(path, lo), count(path, hi)) == (0, 1)
-        lam = principal_eigenpair(path.ball).lam
-        assert lo < lam < hi
+        # the estimate's two zeros are bisected: every later probe lies below it
+        assert max(probes[1:]) < estimate
+        monkeypatch.undo()
+        lam = solve_radial_modes(path.ball, 0, 1)[0].lam
+        assert abs(mode.lam - lam) <= 1e-12 * lam
 
     def test_quiet_on_a_large_hyperbolic_level(self):
         path = _RadialPath(space_form_ball(-0.5, 4, 10.0), 222)
@@ -708,8 +789,10 @@ class TestRayleighStart:
         monkeypatch.setattr(radial, "_rayleigh_estimate", lambda path: math.nan)
         path = _RadialPath(ball, 0)
         del sweeps[:]
-        (lo, hi), = _isolate(path, 1)
-        assert sweeps[0] == radial._euclid_estimate(path, 1.5)
+        assert abs(solve_radial_modes(ball, 0, 1)[0].lam - lam) <= 1e-12 * lam
+        probe = sweeps[0]
+        assert probe == radial._euclid_estimate(path, 1.5)
+        (lo, hi), = _count_brackets(path, 1, {probe: path.count(probe)})
         del sweeps[:]
         assert abs(_refine(path, lo, hi, 1)[0] - lam) <= 1e-12 * lam
         assert sweeps[0] == 0.5 * (lo + hi)
@@ -719,12 +802,10 @@ class TestRayleighStart:
         lam = solve_radial_modes(ball, 0, 1)[0].lam
         low = lam * (1.0 - 1e-7)
         monkeypatch.setattr(radial, "_rayleigh_estimate", lambda path: low)
-        path = _RadialPath(ball, 0)
         del sweeps[:]
-        (lo, hi), = _isolate(path, 1)
+        assert abs(solve_radial_modes(ball, 0, 1)[0].lam - lam) <= 1e-12 * lam
         assert sweeps[:2] == [low, 2.0 * low]
-        assert path.count(low) == 0 and lo <= lam < hi
-        assert abs(_refine(path, lo, hi, 1)[0] - lam) <= 1e-12 * lam
+        assert _RadialPath(ball, 0).count(low) == 0
 
     def test_a_low_estimate_is_swept_once(self, monkeypatch, sweeps):
         # the probe below the eigenvalue counts 0 and is kept: it is the
@@ -733,9 +814,6 @@ class TestRayleighStart:
         lam = solve_radial_modes(ball, 0, 1)[0].lam
         low = lam * (1.0 - 1e-7)
         monkeypatch.setattr(radial, "_rayleigh_estimate", lambda path: low)
-        path = _RadialPath(ball, 0)
         del sweeps[:]
-        (lo, hi), = _isolate(path, 1)
-        assert lo == low and lo < lam < hi
-        assert abs(_refine(path, lo, hi, 1)[0] - lam) <= 1e-12 * lam
+        assert abs(solve_radial_modes(ball, 0, 1)[0].lam - lam) <= 1e-12 * lam
         assert sweeps.count(low) == 1
