@@ -17,17 +17,17 @@ Sturm oscillation the count is the number of level-k eigenvalues below
 lam.  One routine, `_count_brackets`, isolates every eigenvalue inside
 the one window lam h_max^2 <= 1 the step grid resolves: it doubles a probe
 with too few zeros, then bisects on the count until count(lo) = i - 1 and
-count(hi) = i.  A lone first eigenvalue is probed at the level's
-Rayleigh-Ritz estimate, the least Ritz value over five trials, which lies
-about 1e-9 above it.  A safeguarded Newton iteration in each bracket
-refines its eigenvalue, with the step from the variational identity
-d a(r0)/d lam = int p a^2 / (p(r0) a'(r0)); every sweep's count also
-shrinks the bracket.  The first eigenvalue of a level starts from the Ritz
-estimate, reusing the probe's sweep, so it takes two sweeps; the others
-start from the flat-ball estimate.  The result is the last Newton update
-with the last sweep's mode.  Ritz matrices, Newton step and mode norm all
-integrate with the path's one Simpson weight vector.  The same sweep, from
-the same start, integrates the Riccati flow of `compare.riccati_uniqueness`.
+count(hi) = i.  The one estimate is the level's Ritz values theta_1 <= ...
+<= theta_5 over five trials; each drift is a gradient, so by min-max theta_i
+lies above lam_i.  The first probe for n eigenvalues is theta_n, capped at
+the window edge 1/h_max^2, and a safeguarded Newton iteration refines each
+eigenvalue i in its bracket from theta_i, with the step from the variational
+identity d a(r0)/d lam = int p a^2 / (p(r0) a'(r0)); every sweep's count
+also shrinks the bracket.  A lone eigenvalue starts at the probe and reuses
+its sweep, so it takes two.  The result is the last Newton update with the
+last sweep's mode.  Ritz matrices, Newton step and mode norm all integrate
+with the path's one Simpson weight vector.  The same sweep, from the same
+start, integrates the Riccati flow of `compare.riccati_uniqueness`.
 """
 
 from __future__ import annotations
@@ -51,9 +51,10 @@ SUBSTEPS = 2  # RK4 steps per node interval of the regular part of a step grid
 # 1.2e-2 (2 trials), 3.1e-4 (3), 3.7e-6 (4), 8.2e-8 (5) and 2.2e-8 (6) above
 # lambda.  From five trials one Newton step nearly always meets the 1e-13 stop:
 # a principal pair took two sweeps on 591 (4 trials), 599 (5) and 600 (6) of 600
-# other balls, and a sixth trial costs more than the one sweep it saved.
+# other balls, and a sixth trial costs more than the one sweep it saved.  Value
+# i starts Newton for lambda_i too: theta_2 lay 1e-9 to 1.3e-2 above lambda_2.
 RITZ_TRIALS = 5
-# Simpson and RK4 error put the unraised value up to 3.0e-11 below the discrete
+# Simpson and RK4 error put the unraised theta_1 up to 3.0e-11 below the discrete
 # lambda on those balls; raised by the margin it stays above, so its count is 1.
 RITZ_MARGIN = 1e-9
 
@@ -164,7 +165,7 @@ class _RadialPath:
     b = a / t^alpha; `coefs` replaces them by other (P, Q) callables, as the
     Riccati flow does.  They do not depend on lambda, so one path serves
     every sweep that isolates or refines.  It keeps its last sweep and its
-    Ritz estimate."""
+    Ritz values."""
 
     def __init__(self, ball: ModelBall, k: int, n_t: int = DEFAULT_GRID, coefs=None):
         self.ball = ball
@@ -280,14 +281,7 @@ class _RadialPath:
         e = math.frexp(float(np.max(np.abs(a))))[1]
         return np.ldexp(a, -e), np.ldexp(ap, -e)
 
-    rayleigh = functools.cached_property(lambda self: _rayleigh_estimate(self))  # formed once
-
-
-def _euclid_estimate(path: _RadialPath, i: float) -> float:
-    """Flat-ball eigenvalue (j / r0)^2 with McMahon's estimate
-    j = (i + nu/2 - 1/4) pi of the i-th zero of J_nu, nu = k + (m - 2)/2."""
-    nu = path.k + 0.5 * (path.ball.m - 2)
-    return (math.pi * (i + 0.5 * nu - 0.25) / path.ball.r0) ** 2
+    ritz = functools.cached_property(lambda self: _rayleigh_estimate(self))  # formed once
 
 
 def _count_brackets(path: _RadialPath, n: int, probes: dict) -> list:
@@ -334,16 +328,17 @@ def _count_brackets(path: _RadialPath, n: int, probes: dict) -> list:
     return brackets
 
 
-def _rayleigh_estimate(path: _RadialPath) -> float:
-    """Least Ritz value of the quotient int p (a'^2 + nu a^2 / rho^2) / int p a^2
-    over the trials a = x^alpha cos(pi x / 2) x^(2j), j < RITZ_TRIALS,
-    x = t / r0, on the path's nodes, raised by the relative RITZ_MARGIN.
+def _rayleigh_estimate(path: _RadialPath) -> np.ndarray:
+    """Ritz values theta_1 <= ... <= theta_RITZ_TRIALS of the quotient
+    int p (a'^2 + nu a^2 / rho^2) / int p a^2 over the trials
+    a = x^alpha cos(pi x / 2) x^(2j), j < RITZ_TRIALS, x = t / r0, on the
+    path's nodes, each raised by the relative RITZ_MARGIN.
 
-    Every radial drift h = H' is a gradient, so the level's first eigenvalue
-    is the minimum of this quotient over all trials and the estimate lies a
-    little above it.  The Gram matrices K and M are Simpson sums; the least
-    root of det(K - lam M) = 0 comes from the Cholesky factor of M.  The
-    estimate is nan where K or M is not finite or M is not positive definite.
+    Every radial drift h = H' is a gradient, so the level's operator is
+    self-adjoint in L2_p, and by min-max theta_i lies above its i-th
+    eigenvalue.  The Gram matrices K and M are Simpson sums; the roots of
+    det(K - lam M) = 0 come from the Cholesky factor of M.  All values are
+    nan where K or M is not finite or M is not positive definite.
     """
     r0, al = path.ball.r0, path.alpha
     x = path.nodes[1:] / r0   # p(0) = 0 drops the origin, where the trials' formulas are 0/0
@@ -357,21 +352,21 @@ def _rayleigh_estimate(path: _RadialPath) -> float:
         K = (up * w) @ up.T + (u * (w * pot)) @ u.T
         M = (u * w) @ u.T
     if not (np.all(np.isfinite(K)) and np.all(np.isfinite(M))):
-        return math.nan
+        return np.full(RITZ_TRIALS, math.nan)
     try:
         inv_l = np.linalg.inv(np.linalg.cholesky(M))
     except np.linalg.LinAlgError:
-        return math.nan
-    return float(np.linalg.eigvalsh(inv_l @ K @ inv_l.T)[0]) * (1.0 + RITZ_MARGIN)
+        return np.full(RITZ_TRIALS, math.nan)
+    return np.linalg.eigvalsh(inv_l @ K @ inv_l.T) * (1.0 + RITZ_MARGIN)
 
 
 def _refine(path: _RadialPath, lo: float, hi: float, i: int, maxiter: int = 100):
     """Eigenvalue i of the path's level in its count bracket, and its (a, a').
 
-    Safeguarded Newton (rtsafe) from the Ritz estimate for i = 1 and the
-    Euclidean one for i >= 2, or the midpoint if that is nan or not in
-    (lo, hi]; a start at hi, where `solve_radial_modes` probed, reuses its
-    sweep, and from the Ritz estimate one more sweep meets the stop.  Each
+    Safeguarded Newton (rtsafe) from the Ritz value theta_i, or the
+    midpoint if i > RITZ_TRIALS or theta_i is nan or not in (lo, hi]; a
+    start at the probe of `solve_radial_modes` reuses its sweep while it is
+    the path's last, and from theta_1 one more sweep meets the stop.  Each
     sweep's Sturm count tells the side of the root, so it also shrinks
     [lo, hi]; a step that leaves the bracket or is not below half the step
     before last is replaced by bisection.  Once the step or the bracket is
@@ -380,7 +375,7 @@ def _refine(path: _RadialPath, lo: float, hi: float, i: int, maxiter: int = 100)
     """
     bracket = (lo, hi)
     xtol = 1e-13 * hi
-    lam = path.rayleigh if i == 1 else _euclid_estimate(path, i)
+    lam = path.ritz[i - 1] if i <= RITZ_TRIALS else math.nan
     if not lo < lam <= hi:
         lam = 0.5 * (lo + hi)
     step = step_old = hi - lo
@@ -426,16 +421,17 @@ def solve_radial_modes(ball: ModelBall, k: int, count: int, tol: float = DEFAULT
                        n_t: int = DEFAULT_GRID):
     """First `count` eigenpairs of the level-k radial problem.
 
-    The first probe is the Ritz estimate `path.rayleigh` for count = 1 where
-    it is positive, else the Euclidean estimate of eigenvalue count + 1/2;
-    each eigenvalue is then isolated by its Sturm count, so the i-th mode is
-    the i-th by construction.
+    The first probe is the Ritz value theta_min(count, RITZ_TRIALS), capped
+    at the window edge 1/h_max^2, or the edge where that value is nan or not
+    positive; each eigenvalue is then isolated by its Sturm count, so the
+    i-th mode is the i-th by construction.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     path = _RadialPath(ball, k, n_t=n_t)
-    probe = (path.rayleigh if count == 1 and path.rayleigh > 0.0
-             else _euclid_estimate(path, count + 0.5))
+    edge = 1.0 / path.h_max ** 2
+    probe = path.ritz[min(count, RITZ_TRIALS) - 1]
+    probe = min(probe, edge) if probe > 0.0 else edge
     brackets = _count_brackets(path, count, {probe: path.count(probe)})
     return [_build_mode(path, lo, hi, i, tol) for i, (lo, hi) in enumerate(brackets, start=1)]
 

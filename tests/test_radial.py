@@ -216,6 +216,16 @@ class TestHigherModes:
                            match=r"only 2 of the 3 .* below lambda=64, .*\(n_t=4\)"):
             _count_brackets(path, 3, {1.0: 0})
 
+    def test_a_solve_past_the_window_names_the_count_found(self, sweeps):
+        # four nodes hold no five Ritz values, so the first probe is the
+        # window edge 64, below the third eigenvalue
+        with pytest.raises(EigenvalueWindowError) as exc:
+            solve_radial_modes(euclidean_ball(2, 1.0), 0, 3, n_t=4)
+        assert sweeps[0] == 64.0
+        msg = str(exc.value)
+        assert "only 2 of the 3 eigenvalues requested of level k=0" in msg
+        assert "below lambda=64," in msg and "(n_t=4)" in msg
+
     @pytest.mark.parametrize("probes", [{}, {0.0: 0}, {-1.0: 0}])
     def test_no_positive_probe_is_refused(self, probes):
         class NeverCounted:
@@ -270,8 +280,8 @@ class TestSturmCount:
         assert brackets == [(0.0, 8.0), (14.0, 15.0), (15.0, 16.0)]
 
     def test_isolation_doubles_a_low_upper_end(self, monkeypatch):
-        # on the curved 3-ball kappa = -4, r0 = 3 the Euclidean estimate for
-        # two eigenvalues, (5 pi/6)^2, has one zero below it, its double two
+        # on the curved 3-ball kappa = -4, r0 = 3, where lam_i = (i pi / 3)^2 + 4,
+        # the last Ritz value theta_5 has 11 eigenvalues below it, its double 16
         probes = []
         count = _RadialPath.count
 
@@ -281,13 +291,14 @@ class TestSturmCount:
 
         monkeypatch.setattr(_RadialPath, "count", recording)
         ball = space_form_ball(-4.0, 3, 3.0)
-        modes = solve_radial_modes(ball, 0, 2)
+        modes = solve_radial_modes(ball, 0, 12)
         start = probes[0][0]
-        assert start == pytest.approx((2.5 * math.pi / 3.0) ** 2, rel=1e-15)
-        assert probes[:2] == [(start, 1), (2.0 * start, 2)]
+        assert start == _RadialPath(ball, 0).ritz[-1]
+        assert probes[:2] == [(start, 11), (2.0 * start, 16)]
         # every later probe bisects below the doubled end
         assert all(lam < 2.0 * start for lam, _ in probes[2:])
-        assert start < modes[1].lam < 2.0 * start
+        assert start < modes[11].lam < 2.0 * start
+        assert modes[11].lam == pytest.approx(16.0 * math.pi ** 2 + 4.0, rel=1e-7)
         lam = principal_eigenpair(ball).lam
         assert lam == pytest.approx(math.pi ** 2 / 9.0 + 4.0, rel=1e-10)
 
@@ -461,7 +472,8 @@ class TestBrent:
             ball = space_form_ball(kappa, m, r0, drift)
             for k in levels:
                 path = _RadialPath(ball, k, n_t=n_t)
-                probe = radial._euclid_estimate(path, roots + 0.5)
+                # solve_radial_modes' probe: the n_t = 64 window lies far above it
+                probe = path.ritz[roots - 1]
                 brackets = _count_brackets(path, roots, {probe: path.count(probe)})
                 for i, (lo, hi) in enumerate(brackets, start=1):
                     yield path, i, lo, hi
@@ -634,28 +646,27 @@ class TestNewton:
         assert 0 < len(sweeps) <= 2
 
     # the lambda of every sweep of solve_radial_modes(ball, k, n), n = 1, 2, 3:
-    # the probe (Ritz for n = 1, else Euclidean), its doubling (n = 2 on the
-    # second ball) and the bisection on the count, then each eigenvalue's
-    # Newton iterates
+    # the probe theta_n and the bisection on the count, then each eigenvalue's
+    # Newton iterates from theta_i; theta_n is swept again, as a sweep in
+    # between replaced it
     _SWEEP_SEQUENCES = {
         "flat-m2-k0": [
             [5.78318596866, 5.78318596295],
-            [49.9648722805, 24.9824361403, 5.78318596866, 5.78318596295, 30.2256634783,
-             30.4701892976, 30.4712623249, 30.4712623438],
-            [104.247696487, 52.1238482433, 26.0619241216, 5.78318596866, 5.78318596295,
-             30.2256634783, 30.4701892976, 30.4712623249, 30.4712623438, 74.6388832832,
-             74.8865613596, 74.8870067931, 74.8870067945]],
+            [30.4712644529, 15.2356322265, 5.78318596866, 5.78318596295, 30.4712644529,
+             30.4712623438],
+            [74.9746922001, 37.4873461, 18.74367305, 5.78318596866, 5.78318596295,
+             30.4712644529, 30.4712623438, 74.9746922001, 74.8869569805, 74.8870067944,
+             74.8870067945]],
         "hyp-m3-r3-drift-k1": [
             [5.95099292302, 5.89754715894, 5.88901058917, 5.8888446835, 5.88884462342],
-            [9.86960440109, 19.7392088022, 14.8044066016, 5.95099292302, 5.89754715894,
-             5.88901058917, 5.8888446835, 5.88884462342, 12.3370055014, 11.1033049512,
-             10.7738317061, 10.4091964708, 10.1394004359, 10.1784834757, 10.1777290123,
-             10.177728714],
-            [17.5459633797, 8.77298168986, 13.1594725348, 5.95099292302, 5.89754715894,
-             5.88901058917, 5.8888446835, 5.88884462342, 10.9662271123, 10.6005423061,
-             10.2884983927, 10.1844857642, 10.1777526912, 10.1777287143, 10.177728714,
-             13.4336282126, 15.4975113413, 16.8100120672, 16.6782441008, 16.6734774066,
-             16.6734719209, 16.6734719209]],
+            [10.8108662533, 5.40543312667, 8.10814969, 5.95099292302, 5.89754715894,
+             5.88901058917, 5.8888446835, 5.88884462342, 10.8108662533, 10.441289965,
+             10.2184411239, 10.1786131635, 10.1777291236, 10.177728714],
+            [21.13504876, 10.56752438, 5.28376219, 7.925643285, 5.95099292302,
+             5.89754715894, 5.88901058917, 5.8888446835, 5.88884462342, 9.2465838325,
+             10.4166961868, 10.2108834675, 10.1783132136, 10.1777288929, 10.177728714,
+             21.13504876, 15.85128657, 16.7690608631, 16.6757683005, 16.6734731896,
+             16.6734719209]],
     }
 
     @pytest.mark.parametrize("name, ball, k", [
@@ -684,7 +695,8 @@ class TestNewton:
 
     def test_nonconvergence_names_where(self):
         path = _RadialPath(euclidean_ball(2, 1.0), 1, n_t=64)
-        (lo, hi), = _count_brackets(path, 1, {path.rayleigh: path.count(path.rayleigh)})
+        theta = path.ritz[0]
+        (lo, hi), = _count_brackets(path, 1, {theta: path.count(theta)})
         with pytest.raises(ConvergenceError) as exc:
             _refine(path, lo, hi, 1, maxiter=1)
         msg = str(exc.value)
@@ -719,8 +731,8 @@ class TestNewton:
 
 
 class TestRayleighStart:
-    """The first Newton iterate of a level is the least Ritz value of five
-    trials, a variational upper bound of the level's first eigenvalue."""
+    """Newton starts eigenvalue i of a level at the Ritz value theta_i of five
+    trials, a variational upper bound of it."""
 
     @settings(max_examples=40)
     @given(m=st.sampled_from([2, 3, 4]), kappa=st.floats(-1.0, 1.0), r0=st.floats(0.5, 1.5),
@@ -729,9 +741,24 @@ class TestRayleighStart:
         ball = space_form_ball(kappa, m, r0, polynomial_drift([c1, c2]))
         for k in (0, 1, 2):
             lam = solve_radial_modes(ball, k, 1)[0].lam
-            estimate = _rayleigh_estimate(_RadialPath(ball, k))
+            estimate = _rayleigh_estimate(_RadialPath(ball, k))[0]
             assert math.isfinite(estimate)
             assert lam <= estimate <= (1.0 + 1e-5) * lam
+
+    def test_every_ritz_value_lies_above_its_eigenvalue(self):
+        # min-max: theta_i >= lam_i, on 60 derandomized balls at levels k <= 2
+        rng = random.Random("ritz-above")
+        cases = 0
+        for _ in range(60):
+            m, kappa, r0 = rng.choice((2, 3, 4)), rng.uniform(-1.0, 1.0), rng.uniform(0.5, 1.5)
+            drift = polynomial_drift([rng.uniform(-1.0, 1.5), rng.uniform(-0.5, 0.5)])
+            ball = space_form_ball(kappa, m, r0, drift)
+            for k in (0, 1, 2):
+                thetas = _RadialPath(ball, k).ritz
+                lams = [mode.lam for mode in solve_radial_modes(ball, k, radial.RITZ_TRIALS)]
+                assert np.all(thetas >= lams), (m, kappa, r0, k, thetas, lams)
+                cases += len(lams)
+        assert cases == 60 * 3 * radial.RITZ_TRIALS
 
     @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(m=st.sampled_from([2, 3, 4]), kappa=st.floats(-1.0, 1.0), r0=st.floats(0.5, 1.5),
@@ -741,14 +768,14 @@ class TestRayleighStart:
         del sweeps[:]
         solve_radial_modes(ball, k, 1)
         path = _RadialPath(ball, k)
-        # the solve's first and only probe is the Ritz estimate, with one zero
+        # the solve's first and only probe is theta_1, with one zero
         probe = sweeps[0]
-        assert probe == path.rayleigh
+        assert probe == path.ritz[0]
         assert _count_brackets(path, 1, {probe: path.count(probe)}) == [(0.0, probe)]
 
     def test_two_zeros_at_the_estimate_bisect(self, monkeypatch):
         path = _RadialPath(space_form_ball(0.3, 3, 1.0, polynomial_drift([0.5])), 0)
-        estimate, count = path.rayleigh, _RadialPath.count
+        estimate, count = path.ritz[0], _RadialPath.count
         probes = []
 
         def two_at_the_estimate(p, lam):
@@ -780,18 +807,20 @@ class TestRayleighStart:
                         "nan": np.where(np.arange(w.size) == 7, np.nan, w)}[spoil]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert math.isnan(_rayleigh_estimate(path))
+            thetas = _rayleigh_estimate(path)
+        assert thetas.shape == (radial.RITZ_TRIALS,) and np.all(np.isnan(thetas))
 
-    def test_without_an_estimate_probe_euclidean_and_start_at_the_midpoint(self, monkeypatch,
-                                                                           sweeps):
+    def test_without_an_estimate_probe_the_window_edge(self, monkeypatch, sweeps):
+        # and start Newton at the midpoint of the bracket
         ball = space_form_ball(0.3, 3, 1.0, polynomial_drift([0.5]))
         lam = solve_radial_modes(ball, 0, 1)[0].lam
-        monkeypatch.setattr(radial, "_rayleigh_estimate", lambda path: math.nan)
+        monkeypatch.setattr(radial, "_rayleigh_estimate",
+                            lambda path: np.full(radial.RITZ_TRIALS, math.nan))
         path = _RadialPath(ball, 0)
         del sweeps[:]
         assert abs(solve_radial_modes(ball, 0, 1)[0].lam - lam) <= 1e-12 * lam
         probe = sweeps[0]
-        assert probe == radial._euclid_estimate(path, 1.5)
+        assert probe == 1.0 / path.h_max ** 2
         (lo, hi), = _count_brackets(path, 1, {probe: path.count(probe)})
         del sweeps[:]
         assert abs(_refine(path, lo, hi, 1)[0] - lam) <= 1e-12 * lam
@@ -801,7 +830,8 @@ class TestRayleighStart:
         ball = space_form_ball(-0.6, 2, 1.2, polynomial_drift([0.8, 0.2]))
         lam = solve_radial_modes(ball, 0, 1)[0].lam
         low = lam * (1.0 - 1e-7)
-        monkeypatch.setattr(radial, "_rayleigh_estimate", lambda path: low)
+        monkeypatch.setattr(radial, "_rayleigh_estimate",
+                            lambda path: np.full(radial.RITZ_TRIALS, low))
         del sweeps[:]
         assert abs(solve_radial_modes(ball, 0, 1)[0].lam - lam) <= 1e-12 * lam
         assert sweeps[:2] == [low, 2.0 * low]
@@ -813,7 +843,17 @@ class TestRayleighStart:
         ball = space_form_ball(-0.6, 2, 1.2, polynomial_drift([0.8, 0.2]))
         lam = solve_radial_modes(ball, 0, 1)[0].lam
         low = lam * (1.0 - 1e-7)
-        monkeypatch.setattr(radial, "_rayleigh_estimate", lambda path: low)
+        monkeypatch.setattr(radial, "_rayleigh_estimate",
+                            lambda path: np.full(radial.RITZ_TRIALS, low))
         del sweeps[:]
         assert abs(solve_radial_modes(ball, 0, 1)[0].lam - lam) <= 1e-12 * lam
         assert sweeps.count(low) == 1
+
+    def test_a_ritz_value_past_the_window_probes_its_edge(self, sweeps):
+        # on eight nodes theta_5 lies far past the window edge (16)^2 = 256
+        ball = euclidean_ball(2, 1.0)
+        path = _RadialPath(ball, 0, n_t=8)
+        assert path.ritz[4] > 1.0 / path.h_max ** 2 == 256.0
+        modes = solve_radial_modes(ball, 0, 5, n_t=8)
+        assert sweeps[0] == 256.0
+        assert [mode.i for mode in modes] == [1, 2, 3, 4, 5]
