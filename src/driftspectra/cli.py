@@ -49,7 +49,8 @@ and stdout numbers carry 12 significant digits, JSON floats are written in
 full and round-trip the doubles.  Solvers are deterministic, so re-running
 a config byte-reproduces its artifacts.  Exit codes: 0 success, 1 solver
 failure (out of memory among them), 2 premise failure in `compare`, 64
-usage error (a --format the command does not write among them), 73
+usage error (a --format the command does not write, and a spectrum cutoff
+past the largest lambda the radial step resolves, among them), 73
 unwritable output path.  Both are decided before any solve: an --output
 that is a directory, or whose parent is not an existing directory, exits
 73 without creating or truncating the file.  `sweep` builds the ball of
@@ -226,8 +227,12 @@ def _json(payload) -> str:
 # its payload; `main` renders only the artifact it writes.
 
 def _cmd_spectrum(cfg: RunConfig, args) -> tuple:
-    table = radial_mod.assemble_spectrum(_build_ball(cfg), cfg.cutoff, tol=cfg.tol_1d(),
-                                         n_t=cfg.n_t_1d())
+    ball, n_t = _build_ball(cfg), cfg.n_t_1d()
+    edge = radial_mod.window_edge(ball, n_t)
+    if cfg.cutoff > edge:  # the Sturm count there is not resolved
+        raise UsageError(f"cutoff {cfg.cutoff:g} lies past lambda={edge:.6g}, the largest "
+                         f"the radial step (n_t={n_t}) resolves")
+    table = radial_mod.assemble_spectrum(ball, cfg.cutoff, tol=cfg.tol_1d(), n_t=n_t)
     rows = [(e.lam, e.k, e.i, e.multiplicity) for e in table.entries]
     columns = ("lambda", "k", "i", "multiplicity")
     lams = ", ".join(f"{e.lam:.12g}" for e in table.entries[:6])

@@ -191,9 +191,11 @@ class ModelBall:
             raise ValueError("dimension m must be an integer >= 2")
         if not (0.0 < self.r0 < self.rho.t_max):
             raise ValueError(f"radius must satisfy 0 < r0 < {self.rho.t_max}")
-        r0_sq = float(self.r0) * float(self.r0)  # the solvers scale by r0^2 and r0^-2
-        if not (0.0 < r0_sq < math.inf and 1.0 / r0_sq < math.inf):
-            raise ValueError(f"radius {self.r0:g} is out of range: r0^2 or r0^-2 overflows")
+        # the solvers scale by r0^2 and r0^-2, and the radial weight rho^(m-1) dt by r0^m
+        if not abs(self.m * math.log2(self.r0)) < 1024.0:
+            hi = 2.0 ** (1024.0 / self.m)
+            raise ValueError(f"radius {self.r0:g} is out of range for m={self.m}: r0^m and "
+                             f"r0^-m stay finite only for {1.0 / hi:.3g} < r0 < {hi:.3g}")
         h0, H0 = float(self.drift.h(0.0)), float(self.drift.H(0.0))
         if not (abs(h0) <= _ZERO_TOL and abs(H0) <= _ZERO_TOL):  # nan fails too
             raise ValueError("drift must satisfy h(0)=0 and H(0)=0")

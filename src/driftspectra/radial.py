@@ -154,18 +154,30 @@ def _step_grid(r0: float, n_t: int, c_stab: float):
     return nodes, t_start, steps, x, node_steps, float(steps.max())
 
 
+def _level_grid(ball: ModelBall, n_t: int, alpha: float):
+    """The `_step_grid` of the level with Frobenius exponent alpha, whose
+    startup ratio is c_stab = min(0.2, 1/(2 alpha + m))."""
+    return _step_grid(float(ball.r0), int(n_t), min(0.2, 1.0 / (2.0 * alpha + ball.m)))
+
+
+def window_edge(ball: ModelBall, n_t: int = DEFAULT_GRID) -> float:
+    """1/h_max^2, the largest lambda whose level-0 zeros the step grid of
+    (ball, n_t) resolves: `_RadialPath.count` refuses a lambda past it.
+    Read off the shared grid, without building a path."""
+    return 1.0 / _level_grid(ball, n_t, 0.0)[-1] ** 2
+
+
 class _RadialPath:
     """Step grid on (0, r0] with the coefficients of
 
         b'' + P(t) b' + (Q(t) + lam) b = 0
 
-    tabulated at the RK4 stage points of the `_step_grid` of (r0, n_t,
-    c_stab = min(0.2, 1/(2 alpha + m))).  All stage points go through the
-    coefficients in one pass: for sphere level k, P and Q are those of
-    b = a / t^alpha; `coefs` replaces them by other (P, Q) callables, as the
-    Riccati flow does.  They do not depend on lambda, so one path serves
-    every sweep that isolates or refines.  It keeps its last sweep and its
-    Ritz values."""
+    tabulated at the RK4 stage points of the level's `_level_grid`.  All
+    stage points go through the coefficients in one pass: for sphere level
+    k, P and Q are those of b = a / t^alpha; `coefs` replaces them by other
+    (P, Q) callables, as the Riccati flow does.  They do not depend on
+    lambda, so one path serves every sweep that isolates or refines.  It
+    keeps its last sweep and its Ritz values."""
 
     def __init__(self, ball: ModelBall, k: int, n_t: int = DEFAULT_GRID, coefs=None):
         self.ball = ball
@@ -175,7 +187,7 @@ class _RadialPath:
         self.nu, _ = sphere_eigenvalue(k, m)
         self.alpha = frobenius_exponent(self.nu, m)
         (self.nodes, self.t_start, self.steps, x, self.node_steps,
-         self.h_max) = _step_grid(float(r0), self.n_t, min(0.2, 1.0 / (2.0 * self.alpha + m)))
+         self.h_max) = _level_grid(ball, self.n_t, self.alpha)
         P, Q = self._coefs(x) if coefs is None else (np.asarray(f(x), dtype=float) for f in coefs)
         self.P_stages, self.Q_stages = P.reshape(3, -1), Q.reshape(3, -1)
         self.p_nodes = weight_p(ball, self.nodes)

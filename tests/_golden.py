@@ -73,6 +73,11 @@ CASES = {
                                         "--dim", "2", "--radius", "1"],
     "principal_warping_space_form_two_numbers": ["principal", "--warping", "space_form 1 2",
                                                  "--dim", "2", "--radius", "1"],
+    # refused before any solve: a cutoff past the radial step's window, and a
+    # 3-ball whose weight scale r0^3 leaves the double range (exit 64)
+    "spectrum_cutoff_1e300": ["spectrum", *FLAT_DISK, "--cutoff", "1e300"],
+    "principal_m3_radius_1e-150": ["principal", "--space-form", "0", "--dim", "3",
+                                   "--radius", "1e-150"],
     # riccati bounds the recovery error by --tol: exit 1
     "riccati_tol_1e-30": ["riccati", "--space-form", "0", "--dim", "3", "--radius", "1",
                           "--drift", "t", "--tol", "1e-30"],

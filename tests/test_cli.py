@@ -760,6 +760,14 @@ _HOSTILE = {  # name -> (argv, stand-in for radial.principal_eigenpair, exit cod
                         "solver error: radial integration overflowed"),
     "out-of-memory": (_PRINCIPAL, _out_of_memory, EXIT_SOLVER,
                       "solver error: out of memory: Unable to allocate"),
+    # a weight scale r0^m or r0^-m past the double range
+    **{f"radius-{r0}-m{m}": (["principal", "--space-form", "0", "--dim", str(m),
+                              "--radius", r0], None, EXIT_USAGE, f"out of range for m={m}")
+       for m, r0 in ((3, "1e-150"), (3, "1e150"), (4, "1e-150"), (4, "1e-100"), (4, "1e80"),
+                     (4, "1e100"), (4, "1e150"))},
+    "cutoff-past-the-window": (["spectrum", *_FLAT, "--cutoff", "1e300"], None, EXIT_USAGE,
+                               "cutoff 1e+300 lies past lambda=1.04858e+06, the largest "
+                               "the radial step (n_t=512) resolves"),
 }
 
 
@@ -768,9 +776,19 @@ def test_hostile_input_prints_one_short_line(name, monkeypatch, capsys):
     argv, stand_in, code, shown = _HOSTILE[name]
     if stand_in is not None:
         monkeypatch.setattr(radial, "principal_eigenpair", stand_in)
+    paths = []  # the radial paths built: none for a usage error
+    path = radial._RadialPath
+
+    class CountedPath(path):
+        def __init__(self, *args, **kwargs):
+            paths.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "_RadialPath", CountedPath)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv) == code
+    assert code != EXIT_USAGE or not paths
     err = capsys.readouterr().err
     assert not caught, [str(w.message) for w in caught]
     lines = err.splitlines()

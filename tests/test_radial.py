@@ -313,6 +313,16 @@ class TestSturmCount:
         counts = [path.count(f / path.h_max ** 2) for f in sorted(fractions)]
         assert counts == sorted(counts)
 
+    @pytest.mark.parametrize("m, r0, n_t", [(2, 1.0, 512), (3, 0.7, 64), (4, 2.5, 8)])
+    def test_window_edge_is_the_level_0_path_s(self, m, r0, n_t):
+        ball = euclidean_ball(m, r0)
+        edge = radial.window_edge(ball, n_t)
+        path = _RadialPath(ball, 0, n_t=n_t)
+        assert edge == 1.0 / path.h_max ** 2
+        path.count(edge)
+        with pytest.raises(EigenvalueWindowError):
+            path.count(edge * (1.0 + 1e-15))
+
     def test_unresolved_lambda_is_refused(self):
         ball = euclidean_ball(2, 1.0)
         with pytest.raises(EigenvalueWindowError, match="too large"):
@@ -568,11 +578,23 @@ class TestMetricScaling:
     def test_flat_disk_across_radii(self):
         # the Newton stop is relative to lambda, and the path coefficients
         # are quotients that stay in the double range, so lam r0^2 keeps its
-        # digits far from r0 = 1 too
-        values = [principal_eigenpair(euclidean_ball(2, r0)).lam * r0 ** 2
-                  for r0 in (1e-150, 1e-100, 1e-50, 1e-3, 1.0, 1e3, 1e6, 1e20, 1e60,
-                             1e80, 1e100, 1e150)]
-        assert values == pytest.approx([values[4]] * len(values), rel=1e-12, abs=0)
+        # digits far from r0 = 1 too; a ball whose weight scale r0^m or r0^-m
+        # leaves the double range is refused before any solve, without a warning
+        radii = (1e-150, 1e-100, 1e-50, 1e-3, 1.0, 1e3, 1e6, 1e20, 1e60, 1e80, 1e100, 1e150)
+        refused = {2: [], 3: [1e-150, 1e150], 4: [1e-150, 1e-100, 1e80, 1e100, 1e150]}
+        for m, exact in ((2, bessel_zero(0, 1) ** 2), (3, math.pi ** 2),
+                         (4, bessel_zero(1, 1) ** 2)):
+            unit = principal_eigenpair(euclidean_ball(m, 1.0)).lam
+            assert unit == pytest.approx(exact, rel=2e-12, abs=0)  # the grid error
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for r0 in radii:
+                    if r0 in refused[m]:
+                        with pytest.raises(ValueError, match=f"out of range for m={m}"):
+                            euclidean_ball(m, r0)
+                        continue
+                    lam = principal_eigenpair(euclidean_ball(m, r0)).lam
+                    assert lam * r0 ** 2 == pytest.approx(unit, rel=1e-12, abs=0), (m, r0)
 
 
 class TestPathGrid:
