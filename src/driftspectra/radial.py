@@ -155,15 +155,13 @@ def _step_grid(r0: float, n_t: int, c_stab: float):
 
 
 def _level_grid(ball: ModelBall, n_t: int, alpha: float):
-    """The `_step_grid` of the level with Frobenius exponent alpha, whose
-    startup ratio is c_stab = min(0.2, 1/(2 alpha + m))."""
+    """The `_step_grid` of a level: c_stab = min(0.2, 1/(2 alpha + m))."""
     return _step_grid(float(ball.r0), int(n_t), min(0.2, 1.0 / (2.0 * alpha + ball.m)))
 
 
 def window_edge(ball: ModelBall, n_t: int = DEFAULT_GRID) -> float:
-    """1/h_max^2, the largest lambda whose level-0 zeros the step grid of
-    (ball, n_t) resolves: `_RadialPath.count` refuses a lambda past it.
-    Read off the shared grid, without building a path."""
+    """1/h_max^2, the largest lambda whose level-0 zeros `_RadialPath.count`
+    resolves on (ball, n_t), read off the shared grid without a path."""
     return 1.0 / _level_grid(ball, n_t, 0.0)[-1] ** 2
 
 

@@ -777,9 +777,8 @@ def test_hostile_input_prints_one_short_line(name, monkeypatch, capsys):
     if stand_in is not None:
         monkeypatch.setattr(radial, "principal_eigenpair", stand_in)
     paths = []  # the radial paths built: none for a usage error
-    path = radial._RadialPath
 
-    class CountedPath(path):
+    class CountedPath(radial._RadialPath):
         def __init__(self, *args, **kwargs):
             paths.append(args)
             super().__init__(*args, **kwargs)
